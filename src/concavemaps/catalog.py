@@ -1,4 +1,4 @@
-"""Function families and their third-order jet evaluators.
+"""Function families, their third-order jet evaluators and their values.
 
 Six concrete families cover every map the membership tests need: the
 half-plane map z/(1-z), the angle family k_alpha (alpha=2 is the Koebe map),
@@ -7,6 +7,11 @@ interior-pole extremal k_p, the cubic 1/z + a0 + z, and general truncated
 Laurent series with an optional simple pole. Rational families carry
 hand-derived derivative formulas; power-based families compose jet
 arithmetic so the branch handling lives in one place (jets.log).
+
+Each family also has value(z), f(z) alone, which is all the geometric
+oracle reads. It repeats, in the same order, the complex operations that
+produce eval_jet(z).v0, so the two agree bit for bit, and it raises the same
+exclusion errors through the scalar rules it shares with the jets.
 
 Pole neighborhoods are NOT policed here: eval_jet raises only on genuine
 degeneracy (a denominator inside the 1e-12 floor or a branch-cut hit).
@@ -35,9 +40,13 @@ import re as _re
 from dataclasses import dataclass, field
 
 from .errors import PoleProximityError, SpecParseError
-from .jets import DEGENERACY_FLOOR, Jet3
+from .jets import (DEGENERACY_FLOOR, Jet3, _exp, _inverse, _log,
+                   _require_finite)
 
 _FLOOR = DEGENERACY_FLOOR
+# the constant jets lift every plain number to complex; the value paths
+# use complex constants too, so that each operation matches the jet's v0
+_ONE = 1.0 + 0j
 
 
 def _require_in_disk(z: complex) -> complex:
@@ -57,16 +66,16 @@ class FamilySpec:
     boundary_pole: complex | None = None
 
     def eval_jet(self, z: complex) -> Jet3:
+        """Jet of f at z, with every field checked finite."""
+        raise NotImplementedError
+
+    def value(self, z: complex) -> complex:
+        """f(z), bit for bit equal to eval_jet(z).v0."""
         raise NotImplementedError
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         """Jet of 1/f at z; overridden where f has a pole the jet must cross."""
-        return self.eval_jet(z).reciprocal()
-
-    def natural_class_token(self) -> str:
-        """Class string ('co', 'coalpha:alpha=..', 'co0', 'cop:p=..') this
-        family belongs to by construction; Laurent specs default to 'co'."""
-        raise NotImplementedError
+        return self.eval_jet(z).reciprocal().checked()
 
     def __str__(self) -> str:
         return format_spec(self)
@@ -84,8 +93,9 @@ class HalfPlane(FamilySpec):
         iu = 1.0 / u
         return Jet3(z, z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
 
-    def natural_class_token(self) -> str:
-        return "co"
+    def value(self, z: complex) -> complex:
+        z = _require_in_disk(z)
+        return _require_finite(z * (1.0 / (1.0 - z)))
 
 
 @dataclass(frozen=True)
@@ -109,12 +119,13 @@ class KAlpha(FamilySpec):
         z = _require_in_disk(z)
         zj = Jet3.variable(z)
         u = (1 + zj) / (1 - zj)  # maps the disk to Re u > 0, clear of the cut
-        return (u.pow(self.alpha) - 1.0) / (2.0 * self.alpha)
+        return ((u.pow(self.alpha) - 1.0) / (2.0 * self.alpha)).checked()
 
-    def natural_class_token(self) -> str:
-        if self.alpha == 1.0:
-            return "co"
-        return f"coalpha:alpha={self.alpha!r}"
+    def value(self, z: complex) -> complex:
+        z = _require_in_disk(z)
+        u = (z + _ONE) * _inverse(_ONE - z, z)
+        w = _exp(_log(u) * complex(self.alpha)) - _ONE
+        return _require_finite(w * _inverse(complex(2.0 * self.alpha), z))
 
 
 @dataclass(frozen=True)
@@ -126,7 +137,7 @@ class AngleMap(FamilySpec):
     Internally the power is taken of s = (z-lam)/(lam(z-1)), whose image is a
     half-plane bounded by a line through 0 that misses (-inf, 0], so the
     principal branch is safe on the whole open disk; the factor lam**(1+b) is
-    folded into the leading coefficient.
+    folded into the leading coefficient `lead` = A lam**(1+b).
     """
 
     a: complex
@@ -136,6 +147,7 @@ class AngleMap(FamilySpec):
     lam: complex = field(init=False, repr=False, compare=False)
     b: float = field(init=False, repr=False, compare=False)
     phi1: float = field(init=False, repr=False, compare=False)
+    lead: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = complex(self.a)
@@ -163,6 +175,8 @@ class AngleMap(FamilySpec):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "b", min(b, 1.0))
         object.__setattr__(self, "phi1", phi1)
+        rot = cmath.exp((1.0 + self.b) * cmath.log(lam))
+        object.__setattr__(self, "lead", self.A * rot)
 
     boundary_pole = 1.0 + 0j
 
@@ -170,12 +184,13 @@ class AngleMap(FamilySpec):
         z = _require_in_disk(z)
         zj = Jet3.variable(z)
         s = (zj - self.lam) / (self.lam * (zj - 1.0))
-        e = 1.0 + self.b
-        rot = cmath.exp(e * cmath.log(self.lam))
-        return (self.A * rot) * s.pow(e) + self.B
+        return (self.lead * s.pow(1.0 + self.b) + self.B).checked()
 
-    def natural_class_token(self) -> str:
-        return "co"
+    def value(self, z: complex) -> complex:
+        z = _require_in_disk(z)
+        s = (z - self.lam) * _inverse((z - _ONE) * self.lam, z)
+        w = _exp(_log(s) * complex(1.0 + self.b)) * self.lead
+        return _require_finite(w + self.B)
 
 
 def make_angle_map(a: complex, A: complex = 1.0 + 0j, B: complex = 0j) -> AngleMap:
@@ -202,12 +217,17 @@ class Kp(FamilySpec):
     def poles(self) -> tuple[complex, ...]:  # type: ignore[override]
         return (complex(self.p), complex(1.0 / self.p))
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
+    def _denominator(self, z: complex) -> tuple[float, complex]:
+        """c = p + 1/p and d = 1 - cz + z^2, refusing d inside the floor."""
         c = self.p + 1.0 / self.p
         d = 1.0 - c * z + z * z
         if abs(d) < _FLOOR:
             raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
+        return c, d
+
+    def eval_jet(self, z: complex) -> Jet3:
+        z = _require_in_disk(z)
+        c, d = self._denominator(z)
         id2 = 1.0 / (d * d)
         z2 = z * z
         return Jet3(
@@ -218,8 +238,10 @@ class Kp(FamilySpec):
             6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
         )
 
-    def natural_class_token(self) -> str:
-        return f"cop:p={self.p!r}"
+    def value(self, z: complex) -> complex:
+        z = _require_in_disk(z)
+        _, d = self._denominator(z)
+        return _require_finite(z / d)
 
 
 @dataclass(frozen=True)
@@ -232,22 +254,28 @@ class Co0Cubic(FamilySpec):
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
 
-    def eval_jet(self, z: complex) -> Jet3:
+    @staticmethod
+    def _off_pole(z: complex) -> complex:
         z = _require_in_disk(z)
         if abs(z) < _FLOOR:
             raise PoleProximityError("1/z + a0 + z has its pole at 0")
+        return z
+
+    def eval_jet(self, z: complex) -> Jet3:
+        z = self._off_pole(z)
         iz = 1.0 / z
         iz2 = iz * iz
         return Jet3(z, iz + self.a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2)
+
+    def value(self, z: complex) -> complex:
+        z = self._off_pole(z)
+        return _require_finite(1.0 / z + self.a0 + z)
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0
         z = _require_in_disk(z)
         zj = Jet3.variable(z)
-        return zj / (1.0 + self.a0 * zj + zj * zj)
-
-    def natural_class_token(self) -> str:
-        return "co0"
+        return (zj / (1.0 + self.a0 * zj + zj * zj)).checked()
 
 
 @dataclass(frozen=True)
@@ -285,13 +313,26 @@ class Laurent(FamilySpec):
             acc = acc * u + c
         return acc
 
+    def _poly_value(self, u: complex) -> complex:
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * u + c
+        return acc
+
     def eval_jet(self, z: complex) -> Jet3:
         z = _require_in_disk(z)
         zj = Jet3.variable(z)
         if self.pole is None:
-            return self._poly_jet(zj)
+            return self._poly_jet(zj).checked()
         u = zj - self.pole
-        return self.residue * u.reciprocal() + self._poly_jet(u)
+        return (self.residue * u.reciprocal() + self._poly_jet(u)).checked()
+
+    def value(self, z: complex) -> complex:
+        z = _require_in_disk(z)
+        if self.pole is None:
+            return _require_finite(self._poly_value(z))
+        u = z - complex(self.pole)
+        return _require_finite(_inverse(u, z) * self.residue + self._poly_value(u))
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         if self.pole is None:
@@ -300,14 +341,7 @@ class Laurent(FamilySpec):
         zj = Jet3.variable(z)
         u = zj - self.pole
         # 1/f = u/(residue + u * poly(u)): regular where f has its pole
-        return u / (self.residue + u * self._poly_jet(u))
-
-    def natural_class_token(self) -> str:
-        if self.pole is None:
-            return "co"
-        if self.pole == 0.0:
-            return "co0"
-        return f"cop:p={self.pole!r}"
+        return (u / (self.residue + u * self._poly_jet(u))).checked()
 
 
 def eval_jet(spec: FamilySpec, z: complex) -> Jet3:

@@ -86,7 +86,7 @@ def _cmd_classify(args) -> int:
     cls = parse_class(args.cls)
     grid = _resolve_grid(args)
     result = classify(spec, cls, grid)
-    oracle_verdict = oracle_concave(spec)
+    oracle_verdict = oracle_concave(spec, epsilon=grid.epsilon)
 
     reports = []
     for rep in result.reports:

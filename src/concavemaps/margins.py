@@ -359,22 +359,28 @@ def parse_class(text: str) -> MappingClass:
     if name == "co0" and not tail:
         return MappingClass("co0")
     if name == "coalpha":
-        key, _, val = tail.partition("=")
-        if key.strip() != "alpha" or not val:
-            raise SpecParseError("coalpha needs alpha=<r>", len(head) + 1)
-        alpha = float(val)
+        alpha = _class_parameter(name, head, tail, "alpha")
         if not (1.0 < alpha <= 2.0):
             raise SpecParseError(f"alpha out of (1, 2]: {alpha!r}", len(head) + 1)
         return MappingClass("coalpha", alpha=alpha)
     if name == "cop":
-        key, _, val = tail.partition("=")
-        if key.strip() != "p" or not val:
-            raise SpecParseError("cop needs p=<r>", len(head) + 1)
-        p = float(val)
+        p = _class_parameter(name, head, tail, "p")
         if not (0.0 <= p < 1.0):
             raise SpecParseError(f"p out of [0, 1): {p!r}", len(head) + 1)
         return MappingClass("cop", p=p)
     raise SpecParseError(f"unknown class {head.strip()!r}", 0)
+
+
+def _class_parameter(name: str, head: str, tail: str, key: str) -> float:
+    """The real value of `<key>=<r>` in a class token's tail."""
+    got, _, val = tail.partition("=")
+    if got.strip() != key or not val:
+        raise SpecParseError(f"{name} needs {key}=<r>", len(head) + 1)
+    try:
+        return float(val)
+    except ValueError:
+        raise SpecParseError(f"malformed real literal {val!r}",
+                             len(head) + 1 + len(got) + 1) from None
 
 
 _ORDER_TOL = 1e-6

@@ -1,8 +1,10 @@
 """Formula-free convexity oracle on boundary image curves.
 
 The membership scans all flow through f''/f' and Sf; this module never looks
-at those. It samples f on circles |z| = r, walks the image polygon, and
-checks that the omitted set could be convex by analyzing discrete turning:
+at those, nor at any derivative: it reads f alone, through
+`FamilySpec.value`, and builds no jet. It samples f on circles |z| = r,
+walks the image polygon, and checks that the omitted set could be convex by
+analyzing discrete turning:
 
   * complement-inside (interior pole): the curve must wind once negatively
     around the bounded omitted set. If the total turning has the wrong sign
@@ -94,7 +96,7 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
         if any(abs(z - q) < epsilon for q in obstacles):
             continue
         try:
-            w = spec.eval_jet(z).v0
+            w = spec.value(z)
         except (SampleExclusionError, NonFiniteJetError):
             continue
         included.append(j)

@@ -237,7 +237,7 @@ def _hand_anglemap(spec: AngleMap, z: complex):
 def _second_route(spec: FamilySpec, z: complex):
     zj = Jet3.variable(z)
     if isinstance(spec, HalfPlane):
-        j = zj / (1.0 - zj)  # jet-arithmetic route against the closed form
+        j = (zj / (1.0 - zj)).checked()  # jet arithmetic against the closed form
         return j.v0, j.v1, j.v2, j.v3
     if isinstance(spec, KAlpha):
         return _hand_kalpha(spec, z)
@@ -245,10 +245,10 @@ def _second_route(spec: FamilySpec, z: complex):
         return _hand_anglemap(spec, z)
     if isinstance(spec, Kp):
         c = spec.p + 1.0 / spec.p
-        j = zj / (1.0 - c * zj + zj * zj)
+        j = (zj / (1.0 - c * zj + zj * zj)).checked()
         return j.v0, j.v1, j.v2, j.v3
     if isinstance(spec, Co0Cubic):
-        j = zj.reciprocal() + spec.a0 + zj
+        j = (zj.reciprocal() + spec.a0 + zj).checked()
         return j.v0, j.v1, j.v2, j.v3
     if isinstance(spec, Laurent):
         if spec.pole is None:

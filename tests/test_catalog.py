@@ -4,12 +4,15 @@ import cmath
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from concavemaps.catalog import (AngleMap, Co0Cubic, HalfPlane, KAlpha, Kp,
                                  Laurent, eval_jet, format_spec,
                                  normalize_co_alpha, omitted_segment,
                                  parse_spec)
-from concavemaps.errors import PoleProximityError, SpecParseError
+from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
+                                SampleExclusionError, SpecParseError)
 from concavemaps.jets import Jet3
 
 
@@ -219,3 +222,84 @@ def test_format_parse_roundtrip():
     for spec in specs:
         assert parse_spec(format_spec(spec)) == spec
         assert str(spec) == format_spec(spec)
+
+
+# -- value-only evaluation ------------------------------------------------------
+
+coeff_c = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                             allow_infinity=False)
+nonzero_c = st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0,
+                               allow_nan=False, allow_infinity=False)
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                      exclude_max=True)
+
+
+def _angle_map(a, A, B):
+    try:
+        return AngleMap(a, A, B)
+    except ValueError:
+        return None
+
+
+laurent_pole = st.one_of(st.none(), st.just(0.0),
+                         st.floats(min_value=0.0, max_value=1.0,
+                                   exclude_min=True, exclude_max=True))
+family_specs = st.one_of(
+    st.just(HalfPlane()),
+    st.builds(KAlpha, st.floats(min_value=1.0, max_value=2.0)),
+    st.builds(_angle_map,
+              st.complex_numbers(min_magnitude=0.05, max_magnitude=0.99),
+              nonzero_c, coeff_c).filter(lambda spec: spec is not None),
+    st.builds(Kp, open_unit),
+    st.builds(Co0Cubic, coeff_c),
+    st.builds(Laurent, laurent_pole, nonzero_c,
+              st.lists(coeff_c, max_size=16).map(tuple)),
+)
+disk_z = st.complex_numbers(max_magnitude=0.9999, allow_nan=False,
+                            allow_infinity=False)
+
+
+def _outcome(evaluate, z):
+    """repr of the real and imaginary parts, so signed zeros count, or the
+    class of the error raised."""
+    try:
+        w = evaluate(z)
+    except (SampleExclusionError, NonFiniteJetError) as exc:
+        return type(exc)
+    return repr(w.real), repr(w.imag)
+
+
+@given(family_specs, disk_z)
+@settings(max_examples=600, deadline=None)
+@example(Laurent(0.0, 1.0 + 0j, ()), 0j)
+@example(Laurent(0.5, 2.0 - 1j, (1j, 0j, 3.0 + 0j)), 0.5 + 0j)
+@example(Co0Cubic(0.3 + 0.2j), 0j)
+@example(Kp(0.25), 0.25 + 0j)
+@example(Laurent(None, 0j, (complex(-0.0, -0.0), 1.0 + 0j)),
+         complex(-0.0, -0.0))
+@example(KAlpha(1.5), 0.9999 + 0j)
+def test_value_is_bit_identical_to_jet_value(spec, z):
+    # the interior poles themselves must be refused the same way
+    for w in [z] + [q for q in spec.poles if abs(q) < 1.0]:
+        got = _outcome(spec.value, w)
+        want = _outcome(lambda u: spec.eval_jet(u).v0, w)
+        if want is NonFiniteJetError and isinstance(got, tuple):
+            # a derivative overflowed while f stayed finite (k_p with a
+            # tiny p has f''' ~ 1/p**2); f alone is still representable
+            continue
+        assert got == want, (spec, w)
+
+
+def test_value_refuses_what_eval_jet_refuses():
+    with pytest.raises(PoleProximityError):
+        Kp(0.5).value(0.5 + 1e-14j)
+    with pytest.raises(PoleProximityError):
+        Co0Cubic(0j).value(1e-14 + 0j)
+    for spec in (HalfPlane(), KAlpha(2.0), Laurent(None, 0j, (1j,))):
+        with pytest.raises(ValueError):
+            spec.value(1.2 + 0j)
+    # a value that overflows is refused by both paths
+    huge = Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j))
+    for evaluate in (huge.value, huge.eval_jet):
+        with pytest.raises(NonFiniteJetError):
+            evaluate(0.9 + 0j)

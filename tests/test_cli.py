@@ -2,6 +2,7 @@
 
 import json
 
+from concavemaps import cli
 from concavemaps.cli import main
 
 FAST = ["--radii", "6", "--angles", "32"]
@@ -40,6 +41,28 @@ def test_parse_error_exit_two(capsys):
                                 "--class", "co"])
     assert code == 2
     assert "error:" in err and "position" in err
+
+
+def test_malformed_class_number_exit_two(capsys):
+    for cls in ("cop:p=abc", "coalpha:alpha=x"):
+        code, _, err = run(capsys, ["classify", "--function", "kp:p=0.5",
+                                    "--class", cls] + FAST)
+        assert code == 2
+        assert "error:" in err and "position" in err
+
+
+def test_classify_oracle_uses_grid_epsilon(capsys, monkeypatch):
+    seen = []
+
+    def fake_oracle(spec, *args, **kwargs):
+        seen.append(kwargs.get("epsilon"))
+        return "concave-consistent"
+
+    monkeypatch.setattr(cli, "oracle_concave", fake_oracle)
+    _, out, _ = run(capsys, ["classify", "--function", "kp:p=0.5",
+                             "--class", "cop:p=0.5", "--epsilon", "0.2"] + FAST)
+    assert seen == [0.2]
+    assert json.loads(out)["grid"]["epsilon"] == 0.2
 
 
 def test_missing_alpha_exit_two(capsys):

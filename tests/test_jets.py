@@ -3,7 +3,7 @@
 import cmath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps.errors import (BasePointMismatchError, BranchCutError,
@@ -174,3 +174,90 @@ def test_pre_schwarzian_needs_nonzero_derivative():
     flat = Jet3(0j, 1.0 + 0j, 0, 1, 0)
     with pytest.raises(CriticalPointError):
         pre_schwarzian(flat)
+
+
+# -- finiteness is checked at the boundary, not on every operation -------------
+
+wide_c = st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                            allow_infinity=False)
+# constant jets too: with no derivative to overflow alongside it, an
+# overflowed value is the only non-finite field left to find
+wide_jets = st.one_of(
+    st.builds(jet_at, st.just(0.5 + 0.25j), wide_c, wide_c, wide_c, wide_c),
+    st.builds(Jet3.constant, st.just(0.5 + 0.25j), wide_c))
+
+# one step of a jet program: acc is the running jet, o a well-conditioned
+# operand at the same base point, k a scalar that may be huge
+_STEPS = {
+    "add": lambda acc, o, k: acc + o,
+    "sub": lambda acc, o, k: acc - o,
+    "rsub": lambda acc, o, k: o - acc,
+    "mul": lambda acc, o, k: acc * o,
+    "div": lambda acc, o, k: acc / o,
+    "rdiv": lambda acc, o, k: o / acc,
+    "scale": lambda acc, o, k: k * acc,
+    "shift": lambda acc, o, k: acc + k,
+    "neg": lambda acc, o, k: -acc,
+    "reciprocal": lambda acc, o, k: acc.reciprocal(),
+    "log": lambda acc, o, k: acc.log(),
+    "exp": lambda acc, o, k: acc.exp(),
+    "pow": lambda acc, o, k: acc ** 1.5,
+}
+programs = st.lists(st.tuples(st.sampled_from(sorted(_STEPS)),
+                              invertible_jets, wide_c),
+                    min_size=1, max_size=8)
+
+
+def _run(start: Jet3, program, check_every_step: bool):
+    """Field reprs of the program's result, or the class of the error it
+    raised. check_every_step re-validates each intermediate through the
+    public constructor, as every operation once did."""
+    acc = start
+    try:
+        for name, other, k in program:
+            acc = _STEPS[name](acc, other, k)
+            if check_every_step:
+                acc = Jet3(acc.base_point, acc.v0, acc.v1, acc.v2, acc.v3)
+        acc = acc.checked()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+    return tuple(repr(v) for v in (acc.v0, acc.v1, acc.v2, acc.v3))
+
+
+_BASE = 0.5 + 0.25j
+_UNIT = jet_at(_BASE, 1.0 + 0j, 0j, 0j, 0j)
+
+
+@given(wide_jets, programs)
+@settings(max_examples=250, deadline=None)
+# an overflowed value meets 1/w, then exp, before anything else checks it
+@example(Jet3.constant(_BASE, 1e200), [("scale", _UNIT, 1e200 + 0j),
+                                       ("reciprocal", _UNIT, 0j)])
+@example(Jet3.constant(_BASE, -1e200), [("scale", _UNIT, 1e200 + 0j),
+                                        ("exp", _UNIT, 0j)])
+def test_boundary_check_catches_what_per_step_checks_caught(start, program):
+    per_step = _run(start, program, check_every_step=True)
+    at_boundary = _run(start, program, check_every_step=False)
+    if per_step is NonFiniteJetError:
+        assert at_boundary is NonFiniteJetError
+    assert at_boundary == per_step
+
+
+def test_overflow_is_not_hidden_by_reciprocal():
+    square = Jet3.constant(0j, 1e200) * 1e200  # nothing has checked it yet
+    assert square.v0 == complex("inf")
+    with pytest.raises(NonFiniteJetError):
+        square.reciprocal()  # 1/inf = 0 would hide the overflow
+    with pytest.raises(NonFiniteJetError):
+        1.0 / square
+    with pytest.raises(NonFiniteJetError):
+        square.checked()
+
+
+def test_minus_infinity_is_not_hidden_by_exp():
+    low = Jet3.constant(0j, -1e200) * 1e200
+    assert low.v0 == complex("-inf")
+    with pytest.raises(NonFiniteJetError):
+        low.exp()  # exp(-inf) = 0 would hide the overflow
+    with pytest.raises(NonFiniteJetError):
+        low.pow(0.5)

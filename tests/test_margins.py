@@ -152,6 +152,11 @@ def test_parse_class():
                 "nonsense"):
         with pytest.raises(SpecParseError):
             parse_class(bad)
+    # a malformed number is a parse error located at the value
+    for bad, at in (("cop:p=abc", 6), ("coalpha:alpha=x", 14)):
+        with pytest.raises(SpecParseError) as exc:
+            parse_class(bad)
+        assert exc.value.position == at
 
 
 def test_classify_koebe_co():
