@@ -6,8 +6,7 @@ cross-checks every verdict geometrically. See the README for the CLI.
 """
 
 from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
-                      Laurent, eval_jet, format_spec, make_angle_map,
-                      normalize_co_alpha, omitted_segment, parse_spec)
+                      Laurent, format_spec, omitted_segment, parse_spec)
 from .errors import (BasePointMismatchError, BranchCutError,
                      CriticalPointError, EmptyScanError,
                      IndeterminateSampleError, JetDivisionError,
@@ -18,10 +17,9 @@ from .margins import (THEOREMS, ClassifyResult, GridConfig, MappingClass,
                       MarginReport, classify, default_grid, estimate_order,
                       geometric_radii, margin_at, parse_class,
                       phi_prime_one_diagnostic, scan)
-from .operators import (OperatorPoint, a_f, a_p_of, co_alpha_E, co_alpha_lhs,
-                        convexity_functional, m_operator, phi_of, q_term,
-                        schwarzian_norm, thm3_phi3_origin, thm3_phis,
-                        varphi_p)
+from .operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs, m_operator,
+                        phi_of, q_term, schwarzian_norm, thm3_phi3_origin,
+                        thm3_phis, varphi_p)
 from .oracle import (CurveSample, boundary_curve, convexity_defect,
                      equality_scan, oracle_concave, real_axis_crossings)
 
@@ -35,11 +33,10 @@ __all__ = [
     "Laurent", "MappingClass", "MarginReport", "NonFiniteJetError",
     "OperatorPoint", "PhiUndefinedError", "PoleProximityError",
     "SampleExclusionError", "SpecParseError", "THEOREMS", "a_f", "a_p_of",
-    "boundary_curve", "classify", "co_alpha_E", "co_alpha_lhs",
-    "convexity_defect", "convexity_functional", "default_grid",
-    "equality_scan", "estimate_order", "eval_jet", "format_spec",
-    "geometric_radii", "m_operator", "make_angle_map", "margin_at",
-    "normalize_co_alpha", "omitted_segment", "oracle_concave", "parse_class",
+    "boundary_curve", "classify", "co_alpha_lhs", "convexity_defect",
+    "default_grid", "equality_scan", "estimate_order", "format_spec",
+    "geometric_radii", "m_operator", "margin_at", "omitted_segment",
+    "oracle_concave", "parse_class",
     "parse_spec", "phi_of", "phi_prime_one_diagnostic", "pre_schwarzian",
     "q_term", "real_axis_crossings", "scan", "schwarzian", "schwarzian_norm",
     "thm3_phi3_origin", "thm3_phis", "varphi_p",

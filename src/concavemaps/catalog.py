@@ -13,9 +13,9 @@ oracle reads. It repeats, in the same order, the complex operations that
 produce eval_jet(z).v0, so the two agree bit for bit, and it raises the same
 exclusion errors through the scalar rules it shares with the jets.
 
-Pole neighborhoods are NOT policed here: eval_jet raises only on genuine
-degeneracy (a denominator inside the 1e-12 floor or a branch-cut hit).
-Exclusion radii are the scanning layers' business.
+eval_jet and value raise only on genuine degeneracy (a denominator inside
+the 1e-12 floor or a branch-cut hit). Pole neighborhoods are excluded by
+the samplers, through the one rule they share: FamilySpec.near_pole.
 
 The module also owns the spec mini-grammar used by the CLI:
 
@@ -36,6 +36,7 @@ form; parse_spec(format_spec(s)) == s for every spec.
 from __future__ import annotations
 
 import cmath
+import math
 import re as _re
 from dataclasses import dataclass, field
 
@@ -76,6 +77,15 @@ class FamilySpec:
     def reciprocal_jet(self, z: complex) -> Jet3:
         """Jet of 1/f at z; overridden where f has a pole the jet must cross."""
         return self.eval_jet(z).reciprocal().checked()
+
+    def near_pole(self, z: complex, epsilon: float) -> bool:
+        """Whether z lies within epsilon of a pole or of the boundary pole:
+        the exclusion rule of the grid scans and the oracle alike."""
+        for q in self.poles:
+            if abs(z - q) < epsilon:
+                return True
+        bp = self.boundary_pole
+        return bp is not None and abs(z - bp) < epsilon
 
     def __str__(self) -> str:
         return format_spec(self)
@@ -193,10 +203,6 @@ class AngleMap(FamilySpec):
         return _require_finite(w + self.B)
 
 
-def make_angle_map(a: complex, A: complex = 1.0 + 0j, B: complex = 0j) -> AngleMap:
-    return AngleMap(a, A, B)
-
-
 @dataclass(frozen=True)
 class Kp(FamilySpec):
     """k_p(z) = z/((1-z/p)(1-pz)) = z/(1 - cz + z^2) with c = p + 1/p.
@@ -206,16 +212,15 @@ class Kp(FamilySpec):
     """
 
     p: float
+    # stored, not derived per call: near_pole reads it at every sample
+    poles: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = float(self.p)
         if not (0.0 < p < 1.0):
             raise ValueError(f"p must lie in (0, 1), got {p!r}")
         object.__setattr__(self, "p", p)
-
-    @property
-    def poles(self) -> tuple[complex, ...]:  # type: ignore[override]
-        return (complex(self.p), complex(1.0 / self.p))
+        object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
     def _denominator(self, z: complex) -> tuple[float, complex]:
         """c = p + 1/p and d = 1 - cz + z^2, refusing d inside the floor."""
@@ -289,6 +294,7 @@ class Laurent(FamilySpec):
     pole: float | None
     residue: complex
     coeffs: tuple[complex, ...]
+    poles: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pole is not None:
@@ -300,12 +306,8 @@ class Laurent(FamilySpec):
             object.__setattr__(self, "pole", p)
         object.__setattr__(self, "residue", complex(self.residue))
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-    @property
-    def poles(self) -> tuple[complex, ...]:  # type: ignore[override]
-        if self.pole is None:
-            return ()
-        return (complex(self.pole),)
+        object.__setattr__(self, "poles",
+                           () if self.pole is None else (complex(self.pole),))
 
     def _poly_jet(self, u: Jet3) -> Jet3:
         acc = Jet3.constant(u.base_point, 0j)
@@ -344,8 +346,11 @@ class Laurent(FamilySpec):
         return (u / (self.residue + u * self._poly_jet(u))).checked()
 
 
-def eval_jet(spec: FamilySpec, z: complex) -> Jet3:
-    return spec.eval_jet(z)
+def require_epsilon(epsilon: float) -> float:
+    """An exclusion radius for near_pole, refused unless finite and positive."""
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return epsilon
 
 
 def omitted_segment(p: float) -> tuple[float, float]:
@@ -354,34 +359,6 @@ def omitted_segment(p: float) -> tuple[float, float]:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     return (1.0 / (2.0 - 1.0 / p - p), -1.0 / (2.0 + 1.0 / p + p))
-
-
-def normalize_co_alpha(spec: FamilySpec) -> FamilySpec:
-    """Affine-adjust a spec to f(0)=0, f'(0)=1.
-
-    Classification operators only see f''/f' and Sf, so this fixes reporting
-    conventions, nothing else. Families that are already normalized come back
-    unchanged; families with a pole at 0 have no normalization of this kind.
-    """
-    if isinstance(spec, (HalfPlane, KAlpha, Kp)):
-        return spec
-    if isinstance(spec, Co0Cubic):
-        raise ValueError("1/z + a0 + z is not analytic at 0")
-    if isinstance(spec, Laurent) and spec.pole == 0.0:
-        raise ValueError("this Laurent spec has its pole at 0")
-    j = spec.eval_jet(0j)
-    if abs(j.v1) < _FLOOR:
-        raise ValueError("f'(0) = 0; the spec cannot be normalized")
-    if isinstance(spec, AngleMap):
-        return AngleMap(spec.a, spec.A / j.v1, (spec.B - j.v0) / j.v1)
-    assert isinstance(spec, Laurent)
-    if spec.pole is None:
-        tail = [c / j.v1 for c in spec.coeffs[2:]]
-        return Laurent(None, 0j, tuple([0j, 1.0 + 0j] + tail))
-    cs = list(spec.coeffs) or [0j]
-    head = (cs[0] - j.v0) / j.v1
-    return Laurent(spec.pole, spec.residue / j.v1,
-                   tuple([head] + [c / j.v1 for c in cs[1:]]))
 
 
 # -- mini-grammar ------------------------------------------------------------

@@ -74,8 +74,8 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
 def _resolve_grid(args) -> GridConfig:
     base = default_grid()
     return GridConfig(
-        radii=geometric_radii(args.radii) if args.radii else base.radii,
-        angles=args.angles if args.angles else base.angles,
+        radii=geometric_radii(args.radii) if args.radii is not None else base.radii,
+        angles=args.angles if args.angles is not None else base.angles,
         epsilon=args.epsilon if args.epsilon is not None else base.epsilon,
         margin_tol=args.tol if args.tol is not None else base.margin_tol,
     )
@@ -145,7 +145,7 @@ def _curve_csv(curve: CurveSample) -> str:
 
 def _cmd_curve(args) -> int:
     spec = parse_spec(args.function)
-    n = args.angles if args.angles else 4096
+    n = args.angles if args.angles is not None else 4096
     epsilon = args.epsilon if args.epsilon is not None else 0.05
     curve = boundary_curve(spec, args.r, n, epsilon)
     if args.format == "csv":

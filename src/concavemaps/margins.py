@@ -17,12 +17,17 @@ with P = f''/f', t = |z|, q = q_term(p, z) and a = a_p_of(spec, p) unless
 supplied. A grid scan can only certify "member-consistent", never membership;
 verdicts say so.
 
-Scans sample the origin first (it is the normalization point of every
-theorem), then radius-major rings. For specs with the pole at the origin the
-z=0 sample uses limit conventions: zP -> -2 exactly (the value is forced by
-the simple pole, independent of the Laurent tail), Sf through the jet of 1/f,
-and phi3 by radial limit. Samples inside epsilon of a pole are excluded and
-counted, never interpolated.
+A table maps each token to its pointwise margin, the class parameter it
+reads and its rule at a pole at the origin. One sweep samples the grid,
+origin first (it is the normalization point of every theorem), then
+radius-major rings, evaluates each sample once and hands it to every margin
+its caller asked for: `classify` sweeps once for all the scans of a class.
+
+For specs with the pole at the origin the z=0 sample uses limit conventions:
+zP -> -2 exactly (the value is forced by the simple pole, independent of the
+Laurent tail), Sf through the jet of 1/f, and phi3 by radial limit; tokens
+without such a rule find it indeterminate. Samples inside epsilon of a pole
+(`FamilySpec.near_pole`) are excluded and counted, never interpolated.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .catalog import FamilySpec
+from .catalog import FamilySpec, require_epsilon
 from .errors import EmptyScanError, IndeterminateSampleError, NonFiniteJetError, \
     SampleExclusionError, SpecParseError
 from .jets import DEGENERACY_FLOOR, schwarzian
@@ -41,16 +47,12 @@ from .operators import (
     a_f,
     a_p_of,
     co_alpha_lhs,
-    m_operator,
     phi_of,
     q_term,
     schwarzian_norm,
     thm3_phi3_origin,
     thm3_phis,
 )
-
-THEOREMS = ("thm1", "thm2", "co0", "thm3", "corollary", "thm4",
-            "co_alpha_lhs", "reM")
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -59,6 +61,12 @@ _ARGMIN_TIE = 1e-12
 
 VERDICT_OK = "member-consistent"
 VERDICT_BAD = "violation"
+
+# Most samples one grid (or one oracle curve) may hold, 64 times the
+# 16384-angle curves the benchmark draws; larger requests are refused before
+# anything is allocated.
+MAX_SAMPLES = 2 ** 20
+_MIN_ANGLES = 8
 
 
 @dataclass(frozen=True)
@@ -74,16 +82,22 @@ class GridConfig:
             raise ValueError("radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("radii must be strictly increasing")
-        if self.angles < 8:
-            raise ValueError("need at least 8 angles")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if self.angles < _MIN_ANGLES:
+            raise ValueError(f"need at least {_MIN_ANGLES} angles")
+        if 1 + len(rs) * self.angles > MAX_SAMPLES:
+            raise ValueError(f"a grid holds at most {MAX_SAMPLES} samples")
+        require_epsilon(self.epsilon)
+        if not (0.0 <= self.margin_tol < math.inf):
+            raise ValueError("margin_tol must be finite and nonnegative")
         object.__setattr__(self, "radii", rs)
 
 
 def geometric_radii(count: int, lo: float = 0.05, hi: float = 0.995) -> tuple[float, ...]:
     if count < 1:
         raise ValueError("count must be positive")
+    if count > MAX_SAMPLES // _MIN_ANGLES:
+        # no grid of at most MAX_SAMPLES samples has more rings than this
+        raise ValueError(f"at most {MAX_SAMPLES // _MIN_ANGLES} radii")
     if count == 1:
         return (lo,)
     ratio = hi / lo
@@ -116,11 +130,6 @@ def thm2_margin(pt: OperatorPoint, alpha: float) -> float:
     return lhs - abs(dev) ** 2 * (1.0 - abs(z) ** 2) / (2.0 * (alpha - 1.0))
 
 
-def co0_margin(pt: OperatorPoint) -> float:
-    zp = pt.z * pt.pre_schwarzian
-    return -(1.0 + zp).real - 0.25 * (1.0 - abs(pt.z) ** 4) * abs(zp) ** 2
-
-
 def thm3_margin(pt: OperatorPoint) -> float:
     phi3, big_phi = thm3_phis(pt)
     lead = 2.0 * (2.0 * abs(phi3) + 1.0)
@@ -131,80 +140,137 @@ def corollary_check(pt: OperatorPoint) -> float:
     return 6.0 - schwarzian_norm(pt)
 
 
+# co0, thm4 and reM read f''/f' only through zp = z f''/f'
+
+def _co0(z: complex, zp: complex) -> float:
+    return -(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
+
+
 def _thm4_weight(t: float, a: float) -> float:
     return (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t) / (4.0 * (1.0 + a * t) ** 2)
 
 
-def thm4_margin(pt: OperatorPoint, p: float, a: float) -> float:
+def _thm4(z: complex, zp: complex, p: float, a: float) -> float:
     if a < 0.0:
         raise ValueError(f"a must be nonnegative, got {a!r}")
-    z = pt.z
-    zp_plus_q = z * pt.pre_schwarzian + q_term(p, z)
+    zp_plus_q = zp + q_term(p, z)
     m = 1.0 + zp_plus_q
     return -m.real - _thm4_weight(abs(z), a) * abs(zp_plus_q) ** 2
 
 
-def re_m_margin(pt: OperatorPoint, p: float) -> float:
-    return -m_operator(pt, p).real
+def _re_m(z: complex, zp: complex, p: float) -> float:
+    return -(1.0 + zp + q_term(p, z)).real
 
 
-# -- origin conventions for pole-at-origin specs ------------------------------
+# -- the token table ------------------------------------------------------------
+
+def _sf_at_pole(spec: FamilySpec) -> float:
+    """|Sf(0)| at a pole at 0, continued through the jet of 1/f."""
+    return abs(schwarzian(spec.reciprocal_jet(0j)))
+
+
+def _through_zp(fn, param: str | None):
+    # zp -> -2 at a simple pole at 0, whatever the Laurent tail
+    return (lambda pt, *args: fn(pt.z, pt.z * pt.pre_schwarzian, *args), param,
+            lambda spec, *args: fn(0j, -2.0 + 0j, *args))
+
+
+# token -> (pointwise margin, the class parameter it reads, its value at a
+# pole at 0 from the spec and the parameters, or None: indeterminate there);
+# thm4 reads a = a_p_of(spec, p) after p unless a is given
+_TOKENS = {
+    "thm1": (thm1_margin, None, None),
+    "thm2": (thm2_margin, "alpha", None),
+    "co0": _through_zp(_co0, None),
+    "thm3": (thm3_margin, None, lambda spec: 2.0 * (
+        2.0 * abs(thm3_phi3_origin(spec)) + 1.0) - _sf_at_pole(spec)),
+    "corollary": (corollary_check, None, lambda spec: 6.0 - _sf_at_pole(spec)),
+    "thm4": _through_zp(_thm4, "p"),
+    "co_alpha_lhs": (co_alpha_lhs, "alpha", None),
+    "reM": _through_zp(_re_m, "p"),
+}
+
+THEOREMS = tuple(_TOKENS)
+
+# A margin as the sweep applies it: its value at an OperatorPoint, and its
+# value at the origin of a pole-at-origin spec (None: indeterminate there).
+Margin = tuple[Callable[[OperatorPoint], float], Callable[[], float] | None]
+
+
+def _token(theorem: str, alpha: float | None, p: float | None):
+    """The token's table entry, with the parameter values it reads."""
+    if theorem not in _TOKENS:
+        raise ValueError(f"unknown theorem token {theorem!r}")
+    fn, param, at_pole = _TOKENS[theorem]
+    args = () if param is None else ({"alpha": alpha, "p": p}[param],)
+    if None in args:
+        raise ValueError(f"{theorem} needs {param}")
+    return fn, args, at_pole
+
+
+def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
+            p: float | None, a: float | None) -> Margin:
+    """The token's margin with its parameters bound."""
+    fn, args, at_pole = _token(theorem, alpha, p)
+    if theorem == "thm4":
+        args += (a_p_of(spec, p) if a is None else a,)
+    return (lambda pt: fn(pt, *args),
+            None if at_pole is None else lambda: at_pole(spec, *args))
+
 
 def _has_origin_pole(spec: FamilySpec) -> bool:
     return any(abs(q) < DEGENERACY_FLOOR for q in spec.poles)
-
-
-def _origin_pole_margin(spec: FamilySpec, theorem: str,
-                        alpha: float | None, p: float | None,
-                        a: float | None) -> float:
-    # z f''/f' -> -2 at a simple pole at 0, whatever the Laurent tail
-    zp = -2.0 + 0j
-    if theorem == "co0":
-        return -(1.0 + zp).real - 0.25 * abs(zp) ** 2
-    if theorem == "reM":
-        return -(1.0 + zp + q_term(p, 0j)).real
-    if theorem == "thm4":
-        v = zp + q_term(p, 0j)
-        return -(1.0 + v).real - _thm4_weight(0.0, a) * abs(v) ** 2
-    if theorem == "corollary":
-        return 6.0 - abs(schwarzian(spec.reciprocal_jet(0j)))
-    if theorem == "thm3":
-        phi3 = thm3_phi3_origin(spec)
-        s = abs(schwarzian(spec.reciprocal_jet(0j)))
-        return 2.0 * (2.0 * abs(phi3) + 1.0) - s
-    raise IndeterminateSampleError(
-        f"{theorem} needs f''/f' alone, which diverges at the pole at 0"
-    )
 
 
 def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
               alpha: float | None = None, p: float | None = None,
               a: float | None = None) -> float:
     """One margin value; raises SampleExclusionError on unusable samples."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem token {theorem!r}")
-    _check_params(theorem, alpha, p)
-    if theorem == "thm4" and a is None:
-        a = a_p_of(spec, p)
+    at_point, at_pole = _margin(spec, theorem, alpha, p, a)
     z = complex(z)
     if z == 0 and _has_origin_pole(spec):
-        return _origin_pole_margin(spec, theorem, alpha, p, a)
-    pt = OperatorPoint.at(spec, z)
-    if theorem == "thm1":
-        return thm1_margin(pt)
-    if theorem == "thm2":
-        return thm2_margin(pt, alpha)
-    if theorem == "co_alpha_lhs":
-        return co_alpha_lhs(pt, alpha)
-    if theorem == "co0":
-        return co0_margin(pt)
-    if theorem == "thm3":
-        return thm3_margin(pt)
-    if theorem == "corollary":
-        return corollary_check(pt)
-    if theorem == "thm4":
-        return thm4_margin(pt, p, a)
-    return re_m_margin(pt, p)
+        if at_pole is None:
+            raise IndeterminateSampleError(
+                f"{theorem} needs f''/f' alone, which diverges at the pole at 0")
+        return at_pole()
+    return at_point(OperatorPoint.at(spec, z))
+
+
+# -- the sweep ------------------------------------------------------------------
+
+def _excluding(fn, *args) -> float | None:
+    try:
+        return fn(*args)
+    except (SampleExclusionError, NonFiniteJetError):
+        return None
+
+
+def sweep(spec: FamilySpec, grid: GridConfig,
+          margins: Sequence[Margin]) -> tuple[list[complex], list[list[float | None]]]:
+    """Evaluate every grid sample once and apply each margin to it.
+
+    Returns the samples, origin first and then radius-major rings, and per
+    margin a column aligned with them: the margin's value, or None where the
+    sample was excluded. Samples near a pole are excluded for every margin;
+    the origin is always attempted, through each margin's limit rule at a
+    pole there. A margin that fails excludes the sample for itself alone.
+    """
+    step = 2.0 * math.pi / grid.angles
+    zs = [0j] + [r * cmath.exp(1j * (step * j))
+                 for r in grid.radii for j in range(grid.angles)]
+    origin_pole = _has_origin_pole(spec)
+    cols: list[list[float | None]] = [[] for _ in margins]
+    for z in zs:
+        if z == 0 and origin_pole:
+            for col, (_, at_pole) in zip(cols, margins):
+                col.append(None if at_pole is None else _excluding(at_pole))
+            continue
+        pt = None
+        if z == 0 or not spec.near_pole(z, grid.epsilon):
+            pt = _excluding(OperatorPoint.at, spec, z)
+        for col, (at_point, _) in zip(cols, margins):
+            col.append(None if pt is None else _excluding(at_point, pt))
+    return zs, cols
 
 
 # -- scanning -----------------------------------------------------------------
@@ -220,35 +286,10 @@ class MarginReport:
     samples: tuple[tuple[complex, float], ...] | None = None
 
 
-def _grid_points(grid: GridConfig):
-    """Origin first, then radius-major / angle-minor rings."""
-    yield 0j
-    step = 2.0 * math.pi / grid.angles
-    for r in grid.radii:
-        for j in range(grid.angles):
-            yield r * cmath.exp(1j * (step * j))
-
-
-def _near_exclusion(spec: FamilySpec, z: complex, eps: float) -> bool:
-    for q in spec.poles:
-        if abs(z - q) < eps:
-            return True
-    bp = spec.boundary_pole
-    return bp is not None and abs(z - bp) < eps
-
-
-def _check_params(theorem: str, alpha, p):
-    if theorem in ("thm2", "co_alpha_lhs"):
-        if alpha is None:
-            raise ValueError(f"{theorem} needs alpha")
-    if theorem in ("thm4", "reM"):
-        if p is None:
-            raise ValueError(f"{theorem} needs p")
-
-
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
-         a: float | None = None, keep_samples: bool = False) -> MarginReport:
+         a: float | None = None, keep_samples: bool = False,
+         swept: Iterable[tuple[complex, float | None]] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
     Samples within epsilon of a pole (or of z=1 for the boundary-pole
@@ -256,27 +297,24 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     excluded as they fail. The origin is always attempted: it is the
     normalization point, and the pole-at-origin families get their limit
     conventions there rather than an exclusion.
+
+    swept hands over the (sample, value) pairs of a sweep that already
+    applied this margin, as classify does; scan then only reduces them.
     """
     if grid is None:
         grid = default_grid()
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem token {theorem!r}")
-    _check_params(theorem, alpha, p)
-    if theorem == "thm4" and a is None:
-        a = a_p_of(spec, p)
+    _token(theorem, alpha, p)
+    if swept is None:
+        zs, (col,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, a),))
+        swept = zip(zs, col)
 
     rows: list[tuple[complex, float]] = []
     excluded = 0
-    for z in _grid_points(grid):
-        if z != 0 and _near_exclusion(spec, z, grid.epsilon):
+    for z, m in swept:
+        if m is None:
             excluded += 1
-            continue
-        try:
-            m = margin_at(spec, z, theorem, alpha=alpha, p=p, a=a)
-        except (SampleExclusionError, NonFiniteJetError):
-            excluded += 1
-            continue
-        rows.append((z, m))
+        else:
+            rows.append((z, m))
     if not rows:
         raise EmptyScanError(f"every sample of the {theorem} scan was excluded")
 
@@ -294,23 +332,27 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     )
 
 
+# |A_f| at a sample; the order estimate is its grid inf and sup
+_ORDER: Margin = (lambda pt: abs(a_f(pt)), None)
+
+
+def _order(values: Iterable[float | None]) -> tuple[float, float]:
+    lo, hi = math.inf, -math.inf
+    for v in values:
+        if v is not None:
+            lo = min(lo, v)
+            hi = max(hi, v)
+    if lo is math.inf:
+        raise EmptyScanError("every sample of the order estimate was excluded")
+    return lo, hi
+
+
 def estimate_order(spec: FamilySpec, grid: GridConfig | None = None) -> tuple[float, float]:
     """Grid inf and sup of |A_f|; inf = 1 marks concavity, sup the order."""
     if grid is None:
         grid = default_grid()
-    lo, hi = math.inf, -math.inf
-    for z in _grid_points(grid):
-        if z != 0 and _near_exclusion(spec, z, grid.epsilon):
-            continue
-        try:
-            v = abs(a_f(OperatorPoint.at(spec, z)))
-        except (SampleExclusionError, NonFiniteJetError):
-            continue
-        lo = min(lo, v)
-        hi = max(hi, v)
-    if lo is math.inf:
-        raise EmptyScanError("every sample of the order estimate was excluded")
-    return lo, hi
+    _, (col,) = sweep(spec, grid, (_ORDER,))
+    return _order(col)
 
 
 _PHI1_RADII = (0.99, 0.999, 0.9999)
@@ -385,8 +427,22 @@ def _class_parameter(name: str, head: str, tail: str, key: str) -> float:
 
 _ORDER_TOL = 1e-6
 
+# the margin scans each class prescribes, in report order
+_CLASS_SCANS = {
+    "co": ("thm1",),
+    "coalpha": ("co_alpha_lhs", "thm2"),
+    "co0": ("reM", "co0", "thm3", "corollary"),
+    "cop": ("reM", "thm4"),
+}
+
 CLASS_VERDICT_OK = "consistent"
 CLASS_VERDICT_BAD = "violation"
+
+# Most samples one grid (or one oracle curve) may hold, 64 times the
+# 16384-angle curves the benchmark draws; larger requests are refused before
+# anything is allocated.
+MAX_SAMPLES = 2 ** 20
+_MIN_ANGLES = 8
 
 
 @dataclass(frozen=True)
@@ -406,38 +462,34 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
 
     Co runs thm1 plus the order test inf|A_f| >= 1; Co(alpha) runs the lhs
     positivity and thm2; Co(0) runs reM(0), co0, thm3 and the corollary;
-    Co(p) runs reM(p) and thm4. phi'(1) is attached for Co as a warning-only
+    Co(p) runs reM(p) and thm4. One sweep evaluates each grid sample once
+    for all of them. phi'(1) is attached for Co as a warning-only
     diagnostic.
     """
     if isinstance(cls, str):
         cls = parse_class(cls)
     if grid is None:
         grid = default_grid()
+    if cls.kind not in _CLASS_SCANS:
+        raise ValueError(f"unknown class kind {cls.kind!r}")
+    tokens = _CLASS_SCANS[cls.kind]
+    p = 0.0 if cls.kind == "co0" else cls.p
 
-    reports: list[MarginReport] = []
+    margins = [_margin(spec, t, cls.alpha, p, None) for t in tokens]
+    if cls.kind == "co":
+        margins.append(_ORDER)
+    zs, cols = sweep(spec, grid, margins)
+    reports = [scan(spec, t, grid, alpha=cls.alpha, p=p, swept=zip(zs, col))
+               for t, col in zip(tokens, cols)]
+
     order = order_ok = None
     phi1_est, phi1_warn = None, False
-
     if cls.kind == "co":
-        reports.append(scan(spec, "thm1", grid))
-        order = estimate_order(spec, grid)
+        order = _order(cols[-1])
         order_ok = order[0] >= 1.0 - _ORDER_TOL
         phi1_est, _ = phi_prime_one_diagnostic(spec)
         phi1_warn = phi1_est is not None and not (
             _PHI1_BAND[0] <= phi1_est <= _PHI1_BAND[1])
-    elif cls.kind == "coalpha":
-        reports.append(scan(spec, "co_alpha_lhs", grid, alpha=cls.alpha))
-        reports.append(scan(spec, "thm2", grid, alpha=cls.alpha))
-    elif cls.kind == "co0":
-        reports.append(scan(spec, "reM", grid, p=0.0))
-        reports.append(scan(spec, "co0", grid))
-        reports.append(scan(spec, "thm3", grid))
-        reports.append(scan(spec, "corollary", grid))
-    elif cls.kind == "cop":
-        reports.append(scan(spec, "reM", grid, p=cls.p))
-        reports.append(scan(spec, "thm4", grid, p=cls.p))
-    else:
-        raise ValueError(f"unknown class kind {cls.kind!r}")
 
     ok = all(r.verdict == VERDICT_OK for r in reports)
     if order_ok is False:

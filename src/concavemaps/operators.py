@@ -71,23 +71,6 @@ def schwarzian_norm(pt: OperatorPoint) -> float:
     return abs(schwarzian(pt.jet)) * (1.0 - abs(pt.z) ** 2) ** 2
 
 
-def convexity_functional(pt: OperatorPoint) -> float:
-    """|Sf|(1-|z|^2)^2 + 2|(w - conj z)/(1 - z w)|^2 with w = P/(2 + zP).
-
-    At most 2 exactly for convex maps; used as a cross-check against the
-    concavity tests, which sit on the opposite side of the dichotomy.
-    """
-    z, p = pt.z, pt.pre_schwarzian
-    den = 2.0 + z * p
-    if abs(den) < _FLOOR:
-        raise PhiUndefinedError(f"2 + z f''/f' vanishes at {z!r}")
-    w = p / den
-    den2 = 1.0 - z * w
-    if abs(den2) < _FLOOR:
-        raise PhiUndefinedError(f"1 - z varphi vanishes at {z!r}")
-    return schwarzian_norm(pt) + 2.0 * abs((w - z.conjugate()) / den2) ** 2
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not (1.0 < alpha <= 2.0):
@@ -101,13 +84,6 @@ def co_alpha_lhs(pt: OperatorPoint, alpha: float) -> float:
     z = pt.z
     val = 0.5 * (alpha + 1.0) * (1.0 + z) / (1.0 - z) - 1.0 - z * pt.pre_schwarzian
     return val.real
-
-
-def co_alpha_E(pt: OperatorPoint, alpha: float) -> complex:
-    """E(z) = ((alpha+1)/(1-z) - f''/f')/(alpha-1), the Schwarz transform."""
-    alpha = _check_alpha(alpha)
-    z = pt.z
-    return ((alpha + 1.0) / (1.0 - z) - pt.pre_schwarzian) / (alpha - 1.0)
 
 
 def q_term(p: float, z: complex) -> complex:

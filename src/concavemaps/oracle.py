@@ -20,8 +20,9 @@ analyzing discrete turning:
     unconditional rejection of pole-free specs.
 
 Turning angles use atan2 of cross and dot products of successive edges, per
-contiguous run of included angles; arcs near poles and samples that fail to
-evaluate are excluded and reported, never bridged.
+contiguous run of included angles; arcs near poles (by the scans' own rule,
+`FamilySpec.near_pole`) and samples that fail to evaluate are excluded and
+reported, never bridged.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import math
 from dataclasses import dataclass
 
 from . import margins as _margins
-from .catalog import FamilySpec
+from .catalog import FamilySpec, require_epsilon
 from .errors import EmptyScanError, NonFiniteJetError, SampleExclusionError
-from .margins import GridConfig
+from .margins import MAX_SAMPLES, GridConfig
 
 COMPLEMENT_INSIDE = "complement-inside"
 COMPLEMENT_OUTSIDE = "complement-outside"
@@ -84,16 +85,16 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
     if n < 64:
         raise ValueError("need at least 64 angles")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"a curve holds at most {MAX_SAMPLES} angles")
+    require_epsilon(epsilon)
     step = 2.0 * math.pi / n
-    obstacles = list(spec.poles)
-    if spec.boundary_pole is not None:
-        obstacles.append(spec.boundary_pole)
 
     included: list[int] = []
     points: list[complex] = []
     for j in range(n):
         z = r * cmath.exp(1j * (step * j))
-        if any(abs(z - q) < epsilon for q in obstacles):
+        if spec.near_pole(z, epsilon):
             continue
         try:
             w = spec.value(z)

@@ -15,14 +15,12 @@ import json
 import random
 from dataclasses import dataclass
 
-from . import margins as _m
 from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       Laurent, format_spec, omitted_segment, parse_spec)
-from .errors import NonFiniteJetError, SampleExclusionError
 from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
-                      default_grid, margin_at, scan)
-from .operators import OperatorPoint, phi_of, thm3_phis, varphi_p
+                      default_grid, estimate_order, margin_at, scan, sweep)
+from .operators import phi_of, thm3_phis, varphi_p
 from .oracle import (ORACLE_OK, boundary_curve, equality_scan, oracle_concave,
                      real_axis_crossings)
 
@@ -75,7 +73,7 @@ def control_roster() -> list[tuple[FamilySpec, str]]:
 
 def _c01(grid: GridConfig) -> CriterionResult:
     rep = scan(HalfPlane(), "thm1", grid)
-    lo, hi = _m.estimate_order(HalfPlane(), grid)
+    lo, hi = estimate_order(HalfPlane(), grid)
     ok = (abs(rep.min_margin) <= 1e-9 and abs(lo - 1.0) <= 1e-9
           and abs(hi - 1.0) <= 1e-9)
     return _res("thm1-equality-halfplane", ok,
@@ -308,42 +306,22 @@ def _c10(grid: GridConfig) -> CriterionResult:
                 f"max_rel_err={worst!r} max_cocycle_err={worst_s!r}")
 
 
-def _sweep_points(spec: FamilySpec, grid: GridConfig):
-    for z in _m._grid_points(grid):
-        if z == 0 and _m._has_origin_pole(spec):
-            continue
-        if z != 0 and _m._near_exclusion(spec, z, grid.epsilon):
-            continue
-        try:
-            yield OperatorPoint.at(spec, z)
-        except (SampleExclusionError, NonFiniteJetError):
-            continue
+def _grid_max(spec: FamilySpec, grid: GridConfig, value) -> float:
+    """The largest value over the grid samples where it is defined."""
+    _, (col,) = sweep(spec, grid, ((value, None),))
+    return max([0.0] + [v for v in col if v is not None])
 
 
 def _c11(grid: GridConfig) -> CriterionResult:
     boundary_members = [HalfPlane(), KAlpha(2.0), KAlpha(1.5),
                         AngleMap(-0.5 + 0j), AngleMap(0.9j)]
-    max_phi = 0.0
-    for spec in boundary_members:
-        for pt in _sweep_points(spec, grid):
-            try:
-                max_phi = max(max_phi, abs(phi_of(pt)))
-            except SampleExclusionError:
-                continue
-    max_varphi = 0.0
-    for p in (0.2, 0.5, 0.8):
-        for pt in _sweep_points(Kp(p), grid):
-            try:
-                max_varphi = max(max_varphi, abs(varphi_p(pt, p)))
-            except SampleExclusionError:
-                continue
-    max_big_phi = 0.0
-    for spec in (Co0Cubic(0j), Co0Cubic(0.3 + 0.2j), Laurent(0.0, 1.0 + 0j, ())):
-        for pt in _sweep_points(spec, grid):
-            try:
-                max_big_phi = max(max_big_phi, abs(thm3_phis(pt)[1]))
-            except SampleExclusionError:
-                continue
+    max_phi = max(_grid_max(spec, grid, lambda pt: abs(phi_of(pt)))
+                  for spec in boundary_members)
+    max_varphi = max(_grid_max(Kp(p), grid, lambda pt, p=p: abs(varphi_p(pt, p)))
+                     for p in (0.2, 0.5, 0.8))
+    max_big_phi = max(_grid_max(spec, grid, lambda pt: abs(thm3_phis(pt)[1]))
+                      for spec in (Co0Cubic(0j), Co0Cubic(0.3 + 0.2j),
+                                   Laurent(0.0, 1.0 + 0j, ())))
     ok = (max_phi <= 1.0 + 1e-9 and max_varphi <= 1.0 + 1e-9
           and 0.0 < max_big_phi < 1.0)
     return _res("schwarz-self-map-bounds", ok,

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps.catalog import (AngleMap, Co0Cubic, HalfPlane, KAlpha, Kp,
-                                 Laurent, eval_jet, format_spec,
-                                 normalize_co_alpha, omitted_segment,
+                                 Laurent, format_spec, omitted_segment,
                                  parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
                                 SampleExclusionError, SpecParseError)
@@ -21,12 +20,12 @@ def close(a, b, tol=1e-12):
 
 
 def test_halfplane_jet_at_zero():
-    j = eval_jet(HalfPlane(), 0j)
+    j = HalfPlane().eval_jet(0j)
     assert (j.v0, j.v1, j.v2, j.v3) == (0j, 1 + 0j, 2 + 0j, 6 + 0j)
 
 
 def test_co0cubic_jet_fixture():
-    j = eval_jet(Co0Cubic(0j), 0.5)
+    j = Co0Cubic(0j).eval_jet(0.5)
     assert (j.v0, j.v1, j.v2, j.v3) == (2.5 + 0j, -3 + 0j, 16 + 0j, -96 + 0j)
 
 
@@ -152,20 +151,6 @@ def test_laurent_validation():
     with pytest.raises(ValueError):
         Laurent(1.0, 1.0 + 0j, ())  # pole must be interior
     assert Laurent(None, 0j, (0j, 1 + 0j)).poles == ()
-
-
-def test_normalize_co_alpha():
-    # already normalized families come back unchanged
-    assert normalize_co_alpha(HalfPlane()) == HalfPlane()
-    assert normalize_co_alpha(Kp(0.3)) == Kp(0.3)
-    # affine AngleMap renormalizes to f(0)=0, f'(0)=1
-    spec = AngleMap(-0.5 + 0j, A=3.0 + 1j, B=2.0 - 1j)
-    norm = normalize_co_alpha(spec)
-    j = norm.eval_jet(0j)
-    assert abs(j.v0) < 1e-12 and abs(j.v1 - 1.0) < 1e-12
-    # pole-at-zero specs have no such normalization
-    with pytest.raises(ValueError):
-        normalize_co_alpha(Co0Cubic(0j))
 
 
 def test_parse_fixtures():

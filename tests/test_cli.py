@@ -142,3 +142,39 @@ def test_catalog_lists_grammar(capsys):
     assert out.startswith("families:")
     for token in ("kp:p=<r>", "co0cubic:a0=<c>", "laurent:", "classes:"):
         assert token in out
+
+
+def test_zero_grid_flags_are_refused(capsys):
+    for argv in (["classify", "--function", "kp:p=0.5", "--class", "cop:p=0.5",
+                  "--angles", "0"],
+                 ["classify", "--function", "kp:p=0.5", "--class", "cop:p=0.5",
+                  "--radii", "0"],
+                 ["margins", "--function", "halfplane", "--theorem", "thm1",
+                  "--angles", "0"],
+                 ["curve", "--function", "halfplane", "--angles", "0"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err
+
+
+def test_bad_tolerance_and_epsilon_are_refused(capsys):
+    member = ["classify", "--function", "kp:p=0.5", "--class", "cop:p=0.5"]
+    for argv in (member + ["--tol", "nan"], member + ["--tol", "-1"],
+                 member + ["--epsilon", "inf"],
+                 ["curve", "--function", "halfplane", "--r", "0.9999",
+                  "--epsilon", "nan"],
+                 ["curve", "--function", "halfplane", "--epsilon", "0"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err
+
+
+def test_oversized_grid_is_refused(capsys):
+    for argv in (["classify", "--function", "kp:p=0.5", "--class", "cop:p=0.5",
+                  "--angles", str(2 ** 40)],
+                 ["margins", "--function", "halfplane", "--theorem", "thm1",
+                  "--radii", str(10 ** 9)],
+                 ["curve", "--function", "halfplane", "--angles", str(2 ** 40)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "at most" in err

@@ -1,17 +1,20 @@
 """Margin fixtures, grid plumbing, scanning, and classification verdicts."""
 
 import cmath
+import math
 import random
 
 import pytest
 
-from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
+from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
+                                 parse_spec)
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
                                 SpecParseError)
-from concavemaps.margins import (GridConfig, MappingClass, classify,
-                                 default_grid, estimate_order,
+from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
+                                 classify, default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan)
+from concavemaps.verify import control_roster, member_roster
 
 SMALL = GridConfig(geometric_radii(8), 32)
 
@@ -54,8 +57,24 @@ def test_grid_config_validation():
             GridConfig(radii, 64)
     with pytest.raises(ValueError):
         GridConfig((0.5,), 7)
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridConfig((0.5,), 64, epsilon=eps)
+    for tol in (-1e-7, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridConfig((0.5,), 64, margin_tol=tol)
+    assert GridConfig((0.5,), 64, margin_tol=0.0).margin_tol == 0.0
+
+
+def test_grid_size_is_capped():
+    # refused from the sizes alone: nothing here builds a grid
     with pytest.raises(ValueError):
-        GridConfig((0.5,), 64, epsilon=0.0)
+        geometric_radii(MAX_SAMPLES // 8 + 1)
+    with pytest.raises(ValueError):
+        GridConfig((0.5,), MAX_SAMPLES)
+    with pytest.raises(ValueError):
+        GridConfig((0.25, 0.5), MAX_SAMPLES // 2)
+    assert GridConfig((0.5,), MAX_SAMPLES - 1).angles == MAX_SAMPLES - 1
 
 
 def test_geometric_radii_endpoints():
@@ -185,3 +204,65 @@ def test_classify_kp_cop():
     res = classify(Kp(0.5), "cop:p=0.5", SMALL)
     assert res.verdict == "consistent"
     assert [r.theorem for r in res.reports] == ["reM", "thm4"]
+
+
+# the scans each class prescribes, with the parameters classify hands them
+def _class_scans(cls: MappingClass):
+    if cls.kind == "co":
+        return [("thm1", {})]
+    if cls.kind == "coalpha":
+        return [("co_alpha_lhs", {"alpha": cls.alpha}),
+                ("thm2", {"alpha": cls.alpha})]
+    if cls.kind == "co0":
+        return [("reM", {"p": 0.0}), ("co0", {}), ("thm3", {}),
+                ("corollary", {})]
+    return [("reM", {"p": cls.p}), ("thm4", {"p": cls.p})]
+
+
+ROSTER = member_roster() + control_roster()
+
+
+@pytest.mark.parametrize("spec,cls", ROSTER, ids=[str(s) for s, _ in ROSTER])
+def test_classify_sweep_matches_standalone_scans(spec, cls):
+    # covers all four classes, co0cubic:a0=0 and laurent:p=0;res=1;b=[]
+    # with their poles at the origin among them
+    cls = parse_class(cls)
+    res = classify(spec, cls, SMALL)
+    scans = _class_scans(cls)
+    want = tuple(scan(spec, t, SMALL, **kw) for t, kw in scans)
+    assert res.reports == want
+    if cls.kind == "co":
+        assert res.order == estimate_order(spec, SMALL)
+    # and every swept sample is the margin of that point on its own
+    for t, kw in scans:
+        rep = scan(spec, t, SMALL, keep_samples=True, **kw)
+        for z, m in rep.samples:
+            assert margin_at(spec, z, t, **kw) == m
+
+
+def _family_classes(cls=FamilySpec):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _family_classes(sub)
+
+
+def test_classify_evaluates_each_sample_once(monkeypatch):
+    calls = [0]
+
+    def counted(fn):
+        def eval_jet(self, z):
+            calls[0] += 1
+            return fn(self, z)
+        return eval_jet
+
+    for fam in _family_classes():
+        if "eval_jet" in vars(fam):
+            monkeypatch.setattr(fam, "eval_jet", counted(vars(fam)["eval_jet"]))
+    points = 1 + len(SMALL.radii) * SMALL.angles
+    # phi'(1) takes three evaluations, the phi3 radial limit at an origin
+    # pole four, a_p one
+    extra = {"co": 3, "coalpha": 0, "co0": 4, "cop": 1}
+    for spec, cls in ROSTER:
+        calls[0] = 0
+        classify(spec, cls, SMALL)
+        assert 0 < calls[0] <= points + extra[parse_class(cls).kind], (str(spec), cls)

@@ -9,8 +9,7 @@ from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
                                 PhiUndefinedError)
 from concavemaps.jets import Jet3
-from concavemaps.operators import (OperatorPoint, a_f, a_p_of, co_alpha_E,
-                                   co_alpha_lhs, convexity_functional,
+from concavemaps.operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs,
                                    m_operator, phi_of, q_term, schwarzian_norm,
                                    thm3_phi3_origin, thm3_phis, varphi_p)
 
@@ -65,12 +64,6 @@ def test_a_f_from_phi_identity():
             assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
 
-def test_co_alpha_E_origin_values():
-    for alpha in (1.25, 1.5, 2.0):
-        assert abs(co_alpha_E(pt(KAlpha(alpha), 0j), alpha) + 1.0) < 1e-12
-    assert abs(co_alpha_E(pt(HalfPlane(), 0j), 2.0) - 1.0) < 1e-12
-
-
 def test_co_alpha_lhs_origin_is_half_alpha_minus_one():
     for alpha in (1.25, 1.5, 1.75, 2.0):
         got = co_alpha_lhs(pt(KAlpha(alpha), 0j), alpha)
@@ -82,8 +75,6 @@ def test_alpha_range_enforced():
     for bad in (1.0, 0.5, 2.5):
         with pytest.raises(ValueError):
             co_alpha_lhs(p, bad)
-        with pytest.raises(ValueError):
-            co_alpha_E(p, bad)
 
 
 def test_q_term_values():
@@ -132,12 +123,6 @@ def test_thm3_phi3_identity():
 def test_thm3_phi3_origin_cubic_is_one():
     assert abs(thm3_phi3_origin(Co0Cubic(0j)) - 1.0) < 1e-9
     assert abs(thm3_phi3_origin(Co0Cubic(0.3 + 0.2j)) - 1.0) < 1e-9
-
-
-def test_convexity_functional_fixtures():
-    assert abs(convexity_functional(pt(HalfPlane(), 0.5)) - 2.0) < 1e-12
-    assert convexity_functional(pt(parse_spec("identity"), 0j)) == 0.0
-    assert abs(convexity_functional(pt(Co0Cubic(0j), 0.5)) - 18.5) < 1e-9
 
 
 def test_varphi_p_on_kp_is_z():

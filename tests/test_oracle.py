@@ -1,5 +1,6 @@
 """Geometric oracle: curve sampling, turning defects, and verdicts."""
 
+import cmath
 import math
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import EmptyScanError
-from concavemaps.margins import GridConfig, geometric_radii
+from concavemaps.margins import MAX_SAMPLES, GridConfig, geometric_radii
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
                                 ORACLE_BAD, ORACLE_OK, boundary_curve,
                                 convexity_defect, equality_scan,
@@ -33,6 +34,23 @@ def test_curve_input_validation():
         convexity_defect(boundary_curve(HalfPlane(), 0.5, 64), "sideways")
     with pytest.raises(EmptyScanError):
         boundary_curve(Co0Cubic(0j), 0.03, 64)  # whole ring inside epsilon
+    for eps in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            boundary_curve(HalfPlane(), 0.9999, 256, eps)
+    with pytest.raises(ValueError):
+        boundary_curve(HalfPlane(), 0.5, MAX_SAMPLES + 1)
+
+
+@pytest.mark.parametrize("spec", [HalfPlane(), Kp(0.5), Co0Cubic(0j),
+                                  Laurent(0.98, 1.0 + 0j, (0j, 1.0 + 0j))],
+                         ids=str)
+def test_curve_excludes_what_near_pole_excludes(spec):
+    # the oracle and the grid scans share one exclusion rule
+    n, r, eps = 1024, 0.9999, 0.05
+    step = TWO_PI / n
+    kept = tuple(j for j in range(n)
+                 if not spec.near_pole(r * cmath.exp(1j * (step * j)), eps))
+    assert boundary_curve(spec, r, n, eps).included == kept
 
 
 def test_reciprocal_circle_is_clean():
