@@ -38,7 +38,7 @@ import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .catalog import FamilySpec, require_epsilon
+from .catalog import FamilySpec, format_spec, require_epsilon
 from .errors import EmptyScanError, IndeterminateSampleError, NonFiniteJetError, \
     SampleExclusionError, SpecParseError
 from .jets import DEGENERACY_FLOOR, schwarzian
@@ -213,13 +213,17 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
     """The token's margin with its parameters bound."""
     fn, args, at_pole = _token(theorem, alpha, p)
     if theorem == "thm4":
+        if a is None and not _has_pole_at(spec, p):
+            raise ValueError(
+                f"{format_spec(spec)} has no pole at z = {p!r}; thm4 with "
+                f"p = {p!r} reads a_p, which is defined only there")
         args += (a_p_of(spec, p) if a is None else a,)
     return (lambda pt: fn(pt, *args),
             None if at_pole is None else lambda: at_pole(spec, *args))
 
 
-def _has_origin_pole(spec: FamilySpec) -> bool:
-    return any(abs(q) < DEGENERACY_FLOOR for q in spec.poles)
+def _has_pole_at(spec: FamilySpec, q: complex) -> bool:
+    return any(abs(pole - q) < DEGENERACY_FLOOR for pole in spec.poles)
 
 
 def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
@@ -228,7 +232,7 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
     """One margin value; raises SampleExclusionError on unusable samples."""
     at_point, at_pole = _margin(spec, theorem, alpha, p, a)
     z = complex(z)
-    if z == 0 and _has_origin_pole(spec):
+    if z == 0 and _has_pole_at(spec, 0j):
         if at_pole is None:
             raise IndeterminateSampleError(
                 f"{theorem} needs f''/f' alone, which diverges at the pole at 0")
@@ -258,7 +262,7 @@ def sweep(spec: FamilySpec, grid: GridConfig,
     step = 2.0 * math.pi / grid.angles
     zs = [0j] + [r * cmath.exp(1j * (step * j))
                  for r in grid.radii for j in range(grid.angles)]
-    origin_pole = _has_origin_pole(spec)
+    origin_pole = _has_pole_at(spec, 0j)
     cols: list[list[float | None]] = [[] for _ in margins]
     for z in zs:
         if z == 0 and origin_pole:
@@ -391,6 +395,10 @@ class MappingClass:
             return f"cop:p={self.p!r}"
         return self.kind
 
+    def pole(self) -> float | None:
+        """Where the class puts the pole inside the disk; None: nowhere."""
+        return {"co0": 0.0, "cop": self.p}.get(self.kind)
+
 
 def parse_class(text: str) -> MappingClass:
     s = text.strip()
@@ -438,11 +446,22 @@ _CLASS_SCANS = {
 CLASS_VERDICT_OK = "consistent"
 CLASS_VERDICT_BAD = "violation"
 
-# Most samples one grid (or one oracle curve) may hold, 64 times the
-# 16384-angle curves the benchmark draws; larger requests are refused before
-# anything is allocated.
-MAX_SAMPLES = 2 ** 20
-_MIN_ANGLES = 8
+
+def _require_class_poles(spec: FamilySpec, cls: MappingClass) -> None:
+    """Refuse a spec whose poles inside the disk are not the ones the class
+    needs: none for co and coalpha, exactly one, at 0 or at p, for co0 and
+    cop."""
+    want = [] if cls.pole() is None else [cls.pole()]
+    inside = [q for q in spec.poles if abs(q) < 1.0]
+    if len(inside) == len(want) and all(_has_pole_at(spec, q) for q in want):
+        return
+    have = "no pole inside the disk"
+    if inside:
+        have = "its pole inside the disk at " + ", ".join(
+            f"z = {q.real!r}" if q.imag == 0 else f"z = {q!r}" for q in inside)
+    need = f"one at z = {want[0]!r}" if want else "none"
+    raise ValueError(
+        f"{format_spec(spec)} has {have}; class {cls.token()} needs {need}")
 
 
 @dataclass(frozen=True)
@@ -472,8 +491,9 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
         grid = default_grid()
     if cls.kind not in _CLASS_SCANS:
         raise ValueError(f"unknown class kind {cls.kind!r}")
+    _require_class_poles(spec, cls)
     tokens = _CLASS_SCANS[cls.kind]
-    p = 0.0 if cls.kind == "co0" else cls.p
+    p = cls.pole()  # the p that reM and thm4 read
 
     margins = [_margin(spec, t, cls.alpha, p, None) for t in tokens]
     if cls.kind == "co":

@@ -226,8 +226,12 @@ def oracle_concave(spec: FamilySpec, pole: str | None = None,
         orientation = COMPLEMENT_OUTSIDE
     else:
         raise ValueError(f"pole must be 'interior' or 'boundary', got {pole!r}")
-    defects = [convexity_defect(boundary_curve(spec, r, n, epsilon), orientation)
-               for r in r_list]
+    defects = []
+    for r in r_list:
+        curve = boundary_curve(spec, r, n, epsilon)
+        # the curve's stored defect is against its natural orientation
+        defects.append(curve.convexity_defect if curve.orientation == orientation
+                       else convexity_defect(curve, orientation))
     ok = all(d < defect_tol for d in defects)
     slack = 0.2 * defect_tol
     ok = ok and all(b <= a + slack for a, b in zip(defects, defects[1:]))

@@ -72,6 +72,24 @@ def test_missing_alpha_exit_two(capsys):
     assert "alpha" in err
 
 
+def test_pole_the_class_does_not_have_exit_two(capsys):
+    for argv, pole, cls in (
+            (["classify", "--function", "co0cubic:a0=0", "--class", "co"],
+             "z = 0.0", "class co"),
+            (["classify", "--function", "halfplane", "--class", "cop:p=0"],
+             "no pole", "class cop:p=0.0"),
+            (["classify", "--function", "kp:p=0.5", "--class", "cop:p=0"],
+             "z = 0.5", "class cop:p=0.0"),
+            (["classify", "--function", "co0cubic:a0=0", "--class",
+              "cop:p=0.5"], "z = 0.0", "class cop:p=0.5"),
+            (["margins", "--function", "kp:p=0.5", "--theorem", "thm4",
+              "--p", "0"], "no pole at z = 0.0", "thm4 with p = 0.0")):
+        code, out, err = run(capsys, argv + FAST)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and pole in err and cls in err, err
+
+
 def test_empty_scan_exit_three(capsys):
     # one radius at 0.05 swallowed by epsilon=0.2, origin indeterminate
     code, _, err = run(capsys, ["margins", "--function", "co0cubic:a0=0",

@@ -206,6 +206,39 @@ def test_classify_kp_cop():
     assert [r.theorem for r in res.reports] == ["reM", "thm4"]
 
 
+@pytest.mark.parametrize("spec,cls,pole", [
+    (Co0Cubic(0j), "co", "z = 0.0"),
+    (Kp(0.5), "coalpha:alpha=1.5", "z = 0.5"),
+    (HalfPlane(), "co0", "no pole"),
+    (HalfPlane(), "cop:p=0", "no pole"),
+    (Kp(0.5), "cop:p=0", "z = 0.5"),
+    (Kp(0.5), "cop:p=0.25", "z = 0.5"),
+    (Co0Cubic(0j), "cop:p=0.5", "z = 0.0"),
+    (parse_spec("laurent:p=0.3;res=1;b=[]"), "co0", "z = 0.3"),
+], ids=str)
+def test_classify_refuses_a_pole_its_class_does_not_have(spec, cls, pole,
+                                                         monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the pole check")
+
+    monkeypatch.setattr(type(spec), "eval_jet", no_sampling)
+    with pytest.raises(ValueError) as exc:
+        classify(spec, cls, SMALL)
+    assert pole in str(exc.value)
+    assert parse_class(cls).token() in str(exc.value)
+
+
+def test_thm4_needs_a_pole_at_p():
+    # a_p = |phi_p(0)| is defined only for a spec with its pole at p
+    for spec, p in ((Kp(0.5), 0.0), (HalfPlane(), 0.0), (Co0Cubic(0j), 0.5)):
+        with pytest.raises(ValueError, match=f"no pole at z = {p!r}"):
+            margin_at(spec, 0.3 + 0.1j, "thm4", p=p)
+        with pytest.raises(ValueError, match="thm4"):
+            scan(spec, "thm4", SMALL, p=p)
+    # an explicit a needs no a_p
+    assert math.isfinite(margin_at(Kp(0.5), 0.3 + 0.1j, "thm4", p=0.0, a=0.0))
+
+
 # the scans each class prescribes, with the parameters classify hands them
 def _class_scans(cls: MappingClass):
     if cls.kind == "co":

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from concavemaps import oracle
 from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import EmptyScanError
@@ -136,6 +137,44 @@ def test_pole_override():
     assert oracle_concave(HalfPlane(), pole="boundary") == ORACLE_OK
     with pytest.raises(ValueError):
         oracle_concave(HalfPlane(), pole="wat")
+
+
+RADII = (0.99, 0.999, 0.9999)
+
+
+def _verdict_from_scratch(spec, orientation, n):
+    """The oracle's verdict rule, with every defect computed afresh."""
+    ds = [convexity_defect(boundary_curve(spec, r, n), orientation)
+          for r in RADII]
+    ok = all(d < oracle.DEFECT_TOL for d in ds) and all(
+        b <= a + 0.2 * oracle.DEFECT_TOL for a, b in zip(ds, ds[1:]))
+    return ORACLE_OK if ok else ORACLE_BAD
+
+
+@pytest.mark.parametrize("spec", [HalfPlane(), Kp(0.5),
+                                  Laurent(0.0, 1.0 + 0j, ()),
+                                  parse_spec("identity")], ids=str)
+def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
+    n = 1024
+    natural = natural_orientation(spec)
+    opposite = (COMPLEMENT_OUTSIDE if natural == COMPLEMENT_INSIDE
+                else COMPLEMENT_INSIDE)
+    want = {o: _verdict_from_scratch(spec, o, n) for o in (natural, opposite)}
+    calls = []
+
+    def counted(curve, orientation):
+        calls.append(orientation)
+        return convexity_defect(curve, orientation)
+
+    monkeypatch.setattr(oracle, "convexity_defect", counted)
+    # the curve's stored defect serves the natural orientation
+    assert oracle_concave(spec, r_list=RADII, n=n) == want[natural]
+    assert calls == [natural] * len(RADII)
+    # an explicit pole= against it takes a second pass per curve
+    calls.clear()
+    pole = "interior" if opposite == COMPLEMENT_INSIDE else "boundary"
+    assert oracle_concave(spec, pole, RADII, n=n) == want[opposite]
+    assert calls == [natural, opposite] * len(RADII)
 
 
 def test_equality_scan_cubic_is_everywhere():
