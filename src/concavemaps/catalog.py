@@ -5,12 +5,12 @@ half-plane map z/(1-z), the angle family k_alpha (alpha=2 is the Koebe map),
 affine sector maps built from a disk automorphism parameter a, the
 interior-pole extremal k_p, the cubic 1/z + a0 + z, and general truncated
 Laurent series with an optional simple pole. The half-plane map, k_p and
-the cubic carry hand-derived derivative formulas. The other families (and
-the cubic's 1/f) compose their jets from the tuple rules of `jets`, one
-tuple Horner loop serving every Laurent polynomial, so the branch handling
-lives in one place (the log rule); they build one Jet3 at the end. Each
-composition repeats the complex operations of the Jet3 expression in its
-comment, in the same order, so the two agree bit for bit.
+the cubic carry hand-derived derivative formulas; Laurent series compose
+Jet3 arithmetic. k_alpha and the sector maps compose their jets from the
+tuple rules of `jets`, so the branch handling lives in one place (the log
+rule), and build one Jet3 at the end. Each of the two repeats the complex
+operations of the Jet3 expression in its comment, in the same order, so the
+two agree bit for bit.
 
 Each family also has value(z), f(z) alone, which is all the geometric
 oracle reads. It repeats, in the same order, the complex operations that
@@ -45,15 +45,13 @@ import re as _re
 from dataclasses import dataclass, field
 
 from .errors import PoleProximityError, SpecParseError
-from .jets import (DEGENERACY_FLOOR, Jet3, _exp, _inverse, _jadd, _jconst,
-                   _jet, _jmul, _jpow, _jrecip, _jsub, _jvar, _log,
+from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp, _inverse, _jadd,
+                   _jconst, _jet, _jmul, _jpow, _jrecip, _jsub, _jvar, _log,
                    _require_finite)
 
 _FLOOR = DEGENERACY_FLOOR
-# the constant jets lift every plain number to complex; the value paths
-# use complex constants too, so that each operation matches the jet's v0
-_ONE = 1.0 + 0j
-_J_ZERO = _jconst(0j)
+# the constant jets lift every plain number to complex; the value paths use
+# the complex constant _ONE too, so that each operation matches the jet's v0
 _J_ONE = _jconst(_ONE)
 
 
@@ -290,12 +288,10 @@ class Co0Cubic(FamilySpec):
         return _require_finite(1.0 / z + self.a0 + z)
 
     def reciprocal_jet(self, z: complex) -> Jet3:
-        # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0:
-        # zj / (1.0 + a0 * zj + zj * zj)
+        # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0
         z = _require_in_disk(z)
-        x = _jvar(z)
-        d = _jadd(_jadd(_jmul(x, _jconst(self.a0)), _J_ONE), _jmul(x, x))
-        return _jet(z, *_jmul(x, _jrecip(d, z))).checked()
+        zj = Jet3.variable(z)
+        return (zj / (1.0 + self.a0 * zj + zj * zj)).checked()
 
 
 @dataclass(frozen=True)
@@ -324,11 +320,10 @@ class Laurent(FamilySpec):
         object.__setattr__(self, "poles",
                            () if self.pole is None else (complex(self.pole),))
 
-    def _poly_jet(self, u: tuple) -> tuple:
-        # Horner: acc = acc * u + c, from the constant jet 0
-        acc = _J_ZERO
+    def _poly_jet(self, u: Jet3) -> Jet3:
+        acc = Jet3.constant(u.base_point, 0j)
         for c in reversed(self.coeffs):
-            acc = _jadd(_jmul(acc, u), _jconst(c))
+            acc = acc * u + c
         return acc
 
     def _poly_value(self, u: complex) -> complex:
@@ -339,13 +334,11 @@ class Laurent(FamilySpec):
 
     def eval_jet(self, z: complex) -> Jet3:
         z = _require_in_disk(z)
-        x = _jvar(z)
+        zj = Jet3.variable(z)
         if self.pole is None:
-            return _jet(z, *self._poly_jet(x)).checked()
-        # residue * u.reciprocal() + poly(u) with u = zj - pole
-        u = _jsub(x, _jconst(self.pole))
-        f = _jadd(_jmul(_jrecip(u, z), _jconst(self.residue)), self._poly_jet(u))
-        return _jet(z, *f).checked()
+            return self._poly_jet(zj).checked()
+        u = zj - self.pole
+        return (self.residue * u.reciprocal() + self._poly_jet(u)).checked()
 
     def value(self, z: complex) -> complex:
         z = _require_in_disk(z)
@@ -358,10 +351,10 @@ class Laurent(FamilySpec):
         if self.pole is None:
             return super().reciprocal_jet(z)
         z = _require_in_disk(z)
-        u = _jsub(_jvar(z), _jconst(self.pole))
-        # 1/f = u / (residue + u * poly(u)), regular where f has its pole
-        d = _jadd(_jmul(u, self._poly_jet(u)), _jconst(self.residue))
-        return _jet(z, *_jmul(u, _jrecip(d, z))).checked()
+        zj = Jet3.variable(z)
+        u = zj - self.pole
+        # 1/f = u/(residue + u * poly(u)): regular where f has its pole
+        return (u / (self.residue + u * self._poly_jet(u))).checked()
 
 
 def require_epsilon(epsilon: float) -> float:

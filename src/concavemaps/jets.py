@@ -11,10 +11,9 @@ Each of those rules is written once, as a private function on tuple jets:
 plain (v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`,
 `_jsub`, `_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`,
 `_jpow` built on it). Jet3's operators lift their operands and call these
-rules. The catalog's composed families (k_alpha, the sector maps, Laurent
-series) call them directly and build a single Jet3 at the end, which spares
-them an object per step; both routes do the same complex operations in the
-same order, so they agree bit for bit.
+rules. The catalog's k_alpha and sector maps call them directly and build a
+single Jet3 at the end, which spares them an object per step; both routes do
+the same complex operations in the same order, so they agree bit for bit.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -96,6 +95,7 @@ def _exp(w: complex) -> complex:
 # derivative: they can decide a signed zero or turn an infinity into a NaN,
 # so dropping one could part the catalog's kernels from Jet3 arithmetic.
 
+# the complex one, which the catalog's value paths share
 _ONE = 1.0 + 0j
 
 

@@ -215,8 +215,8 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
     if theorem == "thm4":
         if a is None and not _has_pole_at(spec, p):
             raise ValueError(
-                f"{format_spec(spec)} has no pole at z = {p!r}; thm4 with "
-                f"p = {p!r} reads a_p, which is defined only there")
+                f"{format_spec(spec)} has no pole at z = {p!r}; thm4, the test "
+                f"of class cop:p={p!r}, reads a_p, which is defined only there")
         args += (a_p_of(spec, p) if a is None else a,)
     return (lambda pt: fn(pt, *args),
             None if at_pole is None else lambda: at_pole(spec, *args))
@@ -450,18 +450,21 @@ CLASS_VERDICT_BAD = "violation"
 def _require_class_poles(spec: FamilySpec, cls: MappingClass) -> None:
     """Refuse a spec whose poles inside the disk are not the ones the class
     needs: none for co and coalpha, exactly one, at 0 or at p, for co0 and
-    cop."""
-    want = [] if cls.pole() is None else [cls.pole()]
-    inside = [q for q in spec.poles if abs(q) < 1.0]
-    if len(inside) == len(want) and all(_has_pole_at(spec, q) for q in want):
-        return
-    have = "no pole inside the disk"
-    if inside:
-        have = "its pole inside the disk at " + ", ".join(
-            f"z = {q.real!r}" if q.imag == 0 else f"z = {q!r}" for q in inside)
-    need = f"one at z = {want[0]!r}" if want else "none"
-    raise ValueError(
-        f"{format_spec(spec)} has {have}; class {cls.token()} needs {need}")
+    cop. A cop spec without its pole at p is left to thm4, which reads a_p
+    there and refuses it."""
+    want = cls.pole()
+    stray = [q for q in spec.poles if abs(q) < 1.0
+             and (want is None or abs(q - want) >= DEGENERACY_FLOOR)]
+    need = "none" if want is None else f"one at z = {want!r}"
+    if stray:
+        raise ValueError(
+            f"{format_spec(spec)} has its pole inside the disk at "
+            + ", ".join(f"z = {q.real!r}" if q.imag == 0 else f"z = {q!r}"
+                        for q in stray)
+            + f"; class {cls.token()} needs {need}")
+    if cls.kind == "co0" and not _has_pole_at(spec, 0j):
+        raise ValueError(f"{format_spec(spec)} has no pole inside the disk; "
+                         f"class {cls.token()} needs {need}")
 
 
 @dataclass(frozen=True)

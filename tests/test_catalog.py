@@ -293,44 +293,18 @@ def test_value_refuses_what_eval_jet_refuses():
 
 # -- tuple-rule kernels against the Jet3 compositions they replaced ---------------
 #
-# The composed families evaluate through the tuple rules of `jets`. These
-# references are the Jet3 compositions that did the work before; the kernels
-# must agree with them bit for bit, signed zeros included, and raise the
-# same errors with the same messages.
-
-def _ref_poly(spec, u):
-    acc = Jet3.constant(u.base_point, 0j)
-    for c in reversed(spec.coeffs):
-        acc = acc * u + c
-    return acc
-
+# k_alpha and the sector maps evaluate through the tuple rules of `jets`.
+# These references are the Jet3 compositions that did the work before; the
+# kernels must agree with them bit for bit, signed zeros included, and raise
+# the same errors with the same messages.
 
 def _ref_eval_jet(spec, z):
-    z = _require_in_disk(z)
-    zj = Jet3.variable(z)
+    zj = Jet3.variable(_require_in_disk(z))
     if isinstance(spec, KAlpha):
         u = (1 + zj) / (1 - zj)
         return ((u.pow(spec.alpha) - 1.0) / (2.0 * spec.alpha)).checked()
-    if isinstance(spec, AngleMap):
-        s = (zj - spec.lam) / (spec.lam * (zj - 1.0))
-        return (spec.lead * s.pow(1.0 + spec.b) + spec.B).checked()
-    if isinstance(spec, Laurent):
-        if spec.pole is None:
-            return _ref_poly(spec, zj).checked()
-        u = zj - spec.pole
-        return (spec.residue * u.reciprocal() + _ref_poly(spec, u)).checked()
-    return spec.eval_jet(z)  # a closed form, not a composition
-
-
-def _ref_reciprocal_jet(spec, z):
-    if isinstance(spec, Co0Cubic):
-        zj = Jet3.variable(_require_in_disk(z))
-        return (zj / (1.0 + spec.a0 * zj + zj * zj)).checked()
-    if isinstance(spec, Laurent) and spec.pole is not None:
-        zj = Jet3.variable(_require_in_disk(z))
-        u = zj - spec.pole
-        return (u / (spec.residue + u * _ref_poly(spec, u))).checked()
-    return _ref_eval_jet(spec, z).reciprocal().checked()
+    s = (zj - spec.lam) / (spec.lam * (zj - 1.0))
+    return (spec.lead * s.pow(1.0 + spec.b) + spec.B).checked()
 
 
 def _bits(evaluate, z):
@@ -344,17 +318,15 @@ def _bits(evaluate, z):
                                  for part in (w.real, w.imag)))
 
 
-# coefficients up to 1e308, so that sums, products and powers overflow
+# A and B up to 1e308, so that products and sums overflow
 huge_c = st.complex_numbers(min_magnitude=1.0, max_magnitude=1e308,
                             allow_nan=False, allow_infinity=False)
 kernel_specs = st.one_of(
     st.builds(KAlpha, st.floats(min_value=1.0, max_value=2.0)),
     st.builds(_angle_map,
               st.complex_numbers(min_magnitude=0.05, max_magnitude=0.99),
-              nonzero_c, coeff_c).filter(lambda spec: spec is not None),
-    st.builds(Laurent, laurent_pole, st.one_of(nonzero_c, huge_c),
-              st.lists(st.one_of(coeff_c, huge_c), max_size=16).map(tuple)),
-    st.builds(Co0Cubic, st.one_of(coeff_c, huge_c)),
+              st.one_of(nonzero_c, huge_c),
+              st.one_of(coeff_c, huge_c)).filter(lambda spec: spec is not None),
 )
 kernel_z = st.one_of(disk_z, st.floats(min_value=-0.9999, max_value=0.9999,
                                        allow_nan=False).map(complex))
@@ -365,23 +337,13 @@ kernel_z = st.one_of(disk_z, st.floats(min_value=-0.9999, max_value=0.9999,
 @example(KAlpha(1.5), 0j)
 @example(KAlpha(2.0), complex(-0.0, 0.0))
 @example(KAlpha(1.25), 0.75 + 0j)
+@example(KAlpha(1.0), 0.9999 + 0j)
 @example(AngleMap(-0.5 + 0j), 0j)
 @example(AngleMap(0.9j, 2.0 + 1.0j, -0.5 + 0j), -0.4 + 0j)
-@example(Laurent(0.0, 1.0 + 0j, (0j, 0j, 2.0 + 0j)), 0j)
-@example(Laurent(0.0, 1.0 + 0j, ()), 1e-13 + 0j)
-@example(Laurent(0.3, 1.0 - 0.5j, (0.2 + 0j, 0j, 0.1j)), 0.3 + 1e-9j)
-@example(Laurent(0.3, 1.0 - 0.5j, (0.2 + 0j, 0j, 0.1j)), 0.3 + 0j)
-@example(Laurent(None, 0j, (complex(-0.0, -0.0), 1.0 + 0j)),
-         complex(-0.0, -0.0))
-@example(Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), 0.9 + 0j)
-@example(Laurent(0.5, 1e308 + 0j, (1e308 + 0j,) * 16), 0.25 + 0j)
-@example(Co0Cubic(0.3 + 0.2j), 0j)
+@example(AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), 0.5 + 0j)
 @example(KAlpha(1.5), complex("nan"))
 def test_kernels_match_jet3_composition(spec, z):
-    # the interior poles, and points just off them, go through as well
-    for w in [z] + [q + d for q in spec.poles if abs(q) < 1.0
-                    for d in (0j, 1e-13 + 0j, 1e-7j)]:
-        assert _bits(spec.eval_jet, w) == _bits(
-            lambda u: _ref_eval_jet(spec, u), w), (spec, w)
-        assert _bits(spec.reciprocal_jet, w) == _bits(
-            lambda u: _ref_reciprocal_jet(spec, u), w), (spec, w)
+    assert _bits(spec.eval_jet, z) == _bits(
+        lambda u: _ref_eval_jet(spec, u), z), (spec, z)
+    assert _bits(spec.reciprocal_jet, z) == _bits(
+        lambda u: _ref_eval_jet(spec, u).reciprocal().checked(), z), (spec, z)

@@ -83,7 +83,7 @@ def test_pole_the_class_does_not_have_exit_two(capsys):
             (["classify", "--function", "co0cubic:a0=0", "--class",
               "cop:p=0.5"], "z = 0.0", "class cop:p=0.5"),
             (["margins", "--function", "kp:p=0.5", "--theorem", "thm4",
-              "--p", "0"], "no pole at z = 0.0", "thm4 with p = 0.0")):
+              "--p", "0"], "no pole at z = 0.0", "class cop:p=0.0")):
         code, out, err = run(capsys, argv + FAST)
         assert code == 2, argv
         assert out == ""
