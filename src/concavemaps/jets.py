@@ -10,10 +10,17 @@ f''' and no consumer needs more.
 Each of those rules is written once, as a private function on tuple jets:
 plain (v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`,
 `_jsub`, `_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`,
-`_jpow` built on it). Jet3's operators lift their operands and call these
-rules. The catalog's k_alpha and sector maps call them directly and build a
-single Jet3 at the end, which spares them an object per step; both routes do
-the same complex operations in the same order, so they agree bit for bit.
+`_jpow` built on it). The catalog's k_alpha and sector maps call them
+directly and build a single Jet3 at the end, which spares them an object per
+step. Jet3's operators run straight into the same rules: `_lift` turns the
+operand into a tuple jet, testing the exact types a caller passes (Jet3,
+complex, float, int) before the slower `numbers.Complex` check that catches
+every other number; the operator reads its own fields once, calls its rule
+and unpacks the result into one unchecked Jet3 (`_jet`), the only object it
+allocates besides the rule's tuples. Both routes do the same complex
+operations in the same order, so they agree bit for bit. The rules and
+`_lift` stay private: perfbench's tracer spans every public function of this
+module, and a span per arithmetic step would swamp a traced run.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -25,16 +32,19 @@ require both operands to sit at the same base point (exact complex equality)
 and raise `BasePointMismatchError` otherwise. Plain numbers are lifted to
 constant jets automatically.
 
-Finiteness: the public constructor (and `variable` / `constant`) rejects
-non-finite fields with `NonFiniteJetError`; jet operations build their
-results unchecked. Ring operations cannot turn an inf or NaN back into a
-finite number, so only 1/w and exp(w) could hide one (1/inf = 0,
-exp(-inf) = 0): the reciprocal, log and exp rules check their operand on
-entry, and whoever hands a computed jet to another layer calls `checked()`
-on it, as the catalog does with every jet that `eval_jet` and
-`reciprocal_jet` return. `_inverse`, `_log` and `_exp` hold the scalar rules
-(finiteness, degeneracy floor, branch cut), which the catalog's value-only
-path shares.
+Finiteness: the public constructor rejects non-finite fields with
+`NonFiniteJetError`, naming the first bad one; `variable` and `constant`
+test each of their fields once and call it only when one fails, so their
+errors read the same. Jet operations build their results unchecked. Ring
+operations cannot turn an inf or NaN back into a finite number, so only 1/w
+and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
+and exp rules check their operand on entry, and whoever hands a computed jet
+to another layer calls `checked()` on it, as the catalog does with every jet
+that `eval_jet` and `reciprocal_jet` return. A cube in the quotient and
+chain rules that overflows raises `NonFiniteJetError` too (`_cube`), where
+complex `**` would raise a bare `OverflowError`. `_inverse`, `_log` and
+`_exp` hold the scalar rules (finiteness, degeneracy floor, branch cut),
+which the catalog's value-only path shares.
 """
 
 from __future__ import annotations
@@ -87,6 +97,15 @@ def _log(w: complex) -> complex:
 
 def _exp(w: complex) -> complex:
     return cmath.exp(_require_finite(w))
+
+
+def _cube(w: complex) -> complex:
+    """w ** 3. Complex ** raises OverflowError where * would give inf; that
+    overflow is raised as NonFiniteJetError, as an inf field is."""
+    try:
+        return w ** 3
+    except OverflowError:
+        raise NonFiniteJetError(f"cube of {w!r} overflowed") from None
 
 
 # -- tuple jets (see the module docstring) -----------------------------------
@@ -151,7 +170,7 @@ def _jrecip(a: tuple, z: complex) -> tuple:
     w2 = w * w
     r1 = -v1 * w2
     r2 = (2 * v1 * v1 * w - v2) * w2
-    r3 = (-v3 + (6 * v1 * v2 - 6 * v1 ** 3 * w) * w) * w2
+    r3 = (-v3 + (6 * v1 * v2 - 6 * _cube(v1) * w) * w) * w2
     return (w, r1, r2, r3)
 
 
@@ -163,7 +182,7 @@ def _jcompose(a: tuple, g0: complex, g1: complex, g2: complex,
         g0,
         g1 * f1,
         g1 * f2 + g2 * f1 * f1,
-        g1 * f3 + 3 * g2 * f1 * f2 + g3 * f1 ** 3,
+        g1 * f3 + 3 * g2 * f1 * f2 + g3 * _cube(f1),
     )
 
 
@@ -212,37 +231,28 @@ class Jet3:
     @staticmethod
     def variable(z: complex) -> "Jet3":
         """Jet of the identity map at z."""
-        return Jet3(complex(z), complex(z), 1.0 + 0j, 0j, 0j)
+        z = complex(z)
+        if not _isfinite(z):
+            Jet3(z, z, _ONE, 0j, 0j)  # raises, naming the base point
+        return _jet(z, z, _ONE, 0j, 0j)
 
     @staticmethod
     def constant(z: complex, c: complex) -> "Jet3":
         """Jet of the constant map c at z."""
-        return Jet3(complex(z), complex(c), 0j, 0j, 0j)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _fields(self) -> tuple:
-        return (self.v0, self.v1, self.v2, self.v3)
-
-    def _operand(self, other) -> tuple:
-        """other as a tuple jet at this base point; numbers are lifted."""
-        if isinstance(other, Jet3):
-            if other.base_point != self.base_point:
-                raise BasePointMismatchError(
-                    f"base points differ: {self.base_point!r} vs {other.base_point!r}"
-                )
-            return other._fields()
-        if isinstance(other, _Number):
-            return _jconst(other)
-        return NotImplemented  # type: ignore[return-value]
+        z, c = complex(z), complex(c)
+        if not (_isfinite(z) and _isfinite(c)):
+            Jet3(z, c, 0j, 0j, 0j)  # raises, naming the first bad field
+        return _jet(z, c, 0j, 0j, 0j)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        return _jet(self.base_point, *_jadd(self._fields(), o))
+        v0, v1, v2, v3 = _jadd((self.v0, self.v1, self.v2, self.v3), o)
+        return _jet(z, v0, v1, v2, v3)
 
     __radd__ = __add__
 
@@ -250,55 +260,69 @@ class Jet3:
         return _jet(self.base_point, -self.v0, -self.v1, -self.v2, -self.v3)
 
     def __sub__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        return _jet(self.base_point, *_jsub(self._fields(), o))
+        v0, v1, v2, v3 = _jsub((self.v0, self.v1, self.v2, self.v3), o)
+        return _jet(z, v0, v1, v2, v3)
 
     def __rsub__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        return _jet(self.base_point, *_jsub(o, self._fields()))
+        v0, v1, v2, v3 = _jsub(o, (self.v0, self.v1, self.v2, self.v3))
+        return _jet(z, v0, v1, v2, v3)
 
     def __mul__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        return _jet(self.base_point, *_jmul(self._fields(), o))
+        v0, v1, v2, v3 = _jmul((self.v0, self.v1, self.v2, self.v3), o)
+        return _jet(z, v0, v1, v2, v3)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet3":
         """Jet of 1/f. Quotient rule to third order."""
         z = self.base_point
-        return _jet(z, *_jrecip(self._fields(), z))
+        v0, v1, v2, v3 = _jrecip((self.v0, self.v1, self.v2, self.v3), z)
+        return _jet(z, v0, v1, v2, v3)
 
     def __truediv__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        z = self.base_point
-        return _jet(z, *_jmul(self._fields(), _jrecip(o, z)))
+        v0, v1, v2, v3 = _jmul((self.v0, self.v1, self.v2, self.v3),
+                               _jrecip(o, z))
+        return _jet(z, v0, v1, v2, v3)
 
     def __rtruediv__(self, other) -> "Jet3":
-        o = self._operand(other)
+        z = self.base_point
+        o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        z = self.base_point
-        return _jet(z, *_jmul(o, _jrecip(self._fields(), z)))
+        v0, v1, v2, v3 = _jmul(o, _jrecip((self.v0, self.v1, self.v2, self.v3),
+                                          z))
+        return _jet(z, v0, v1, v2, v3)
 
     # -- elementary functions --------------------------------------------------
 
     def log(self) -> "Jet3":
-        return _jet(self.base_point, *_jlog(self._fields()))
+        v0, v1, v2, v3 = _jlog((self.v0, self.v1, self.v2, self.v3))
+        return _jet(self.base_point, v0, v1, v2, v3)
 
     def exp(self) -> "Jet3":
-        return _jet(self.base_point, *_jexp(self._fields()))
+        v0, v1, v2, v3 = _jexp((self.v0, self.v1, self.v2, self.v3))
+        return _jet(self.base_point, v0, v1, v2, v3)
 
     def pow(self, exponent: complex) -> "Jet3":
         """Principal-branch power, computed as exp(exponent * log(self))."""
-        return _jet(self.base_point, *_jpow(self._fields(), exponent))
+        v0, v1, v2, v3 = _jpow((self.v0, self.v1, self.v2, self.v3), exponent)
+        return _jet(self.base_point, v0, v1, v2, v3)
 
     def __pow__(self, exponent) -> "Jet3":
         if isinstance(exponent, _Number):
@@ -306,21 +330,51 @@ class Jet3:
         return NotImplemented
 
 
-_new = object.__new__
-_set_base, _set_v0, _set_v1, _set_v2, _set_v3 = (
-    vars(Jet3)[name].__set__ for name in ("base_point", "v0", "v1", "v2", "v3"))
+def _lift(z: complex, other) -> tuple:
+    """other as a tuple jet at the base point z: a Jet3's fields, or a plain
+    number lifted by `_jconst`; NotImplemented for anything else.
+
+    The exact types callers pass are tested first, so they never reach the
+    slower `numbers.Complex` check; subclasses and every other number take
+    that route.
+    """
+    t = type(other)
+    if t is Jet3:
+        jet = other
+    elif t is complex or t is float or t is int:
+        return (complex(other), 0j, 0j, 0j)  # _jconst(other), inlined
+    elif isinstance(other, Jet3):
+        jet = other
+    elif isinstance(other, _Number):
+        return _jconst(other)
+    else:
+        return NotImplemented
+    if jet.base_point != z:
+        raise BasePointMismatchError(
+            f"base points differ: {z!r} vs {jet.base_point!r}")
+    return (jet.v0, jet.v1, jet.v2, jet.v3)
+
+
+class _Draft:
+    """A mutable twin of Jet3 with the same slots, so that `_jet` can fill one
+    with plain attribute stores and then make it a Jet3 by switching its
+    class; setting a frozen dataclass's fields through their descriptors
+    costs about twice as much."""
+
+    __slots__ = Jet3.__slots__
 
 
 def _jet(base_point: complex, v0: complex, v1: complex, v2: complex,
          v3: complex) -> Jet3:
     """Jet3 without the constructor's finiteness check (see the module
     docstring for where finiteness is checked instead)."""
-    j = _new(Jet3)
-    _set_base(j, base_point)
-    _set_v0(j, v0)
-    _set_v1(j, v1)
-    _set_v2(j, v2)
-    _set_v3(j, v3)
+    j = _Draft()
+    j.base_point = base_point
+    j.v0 = v0
+    j.v1 = v1
+    j.v2 = v2
+    j.v3 = v3
+    j.__class__ = Jet3
     return j
 
 

@@ -90,6 +90,21 @@ def test_pole_the_class_does_not_have_exit_two(capsys):
         assert err.startswith("error: ") and pole in err and cls in err, err
 
 
+def test_overflowing_reciprocal_jet_excludes_the_origin(capsys):
+    # 1/z + 1e200: at the origin pole the cube in 1/f's quotient rule
+    # overflows, which must exclude the sample, not end in a traceback
+    code, out, _ = run(capsys, ["classify", "--function",
+                                "laurent:p=0;res=1;b=[1e200]", "--class", "co0",
+                                "--radii", "2", "--angles", "8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "consistent"
+    reports = {r["theorem"]: r for r in payload["reports"]}
+    for theorem in ("thm3", "corollary"):
+        assert reports[theorem]["samples_excluded"] == 1, theorem
+        assert reports[theorem]["samples_used"] == 16, theorem
+
+
 def test_empty_scan_exit_three(capsys):
     # one radius at 0.05 swallowed by epsilon=0.2, origin indeterminate
     code, _, err = run(capsys, ["margins", "--function", "co0cubic:a0=0",

@@ -1,6 +1,10 @@
 """Jet arithmetic: frozen fixtures plus algebraic property tests."""
 
 import cmath
+import inspect
+import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +13,9 @@ from hypothesis import strategies as st
 from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 CriticalPointError, JetDivisionError,
                                 NonFiniteJetError)
-from concavemaps.jets import Jet3, pre_schwarzian, schwarzian
+from concavemaps import jets as jets_module
+from concavemaps.jets import (Jet3, _jadd, _jconst, _jmul, _jrecip, _jsub,
+                              pre_schwarzian, schwarzian)
 
 
 def close(a: complex, b: complex, tol: float = 1e-12) -> bool:
@@ -261,3 +267,127 @@ def test_minus_infinity_is_not_hidden_by_exp():
         low.exp()  # exp(-inf) = 0 would hide the overflow
     with pytest.raises(NonFiniteJetError):
         low.pow(0.5)
+
+
+def test_overflowing_cube_raises_non_finite():
+    # v1 ** 3 in the quotient rule and f1 ** 3 in the chain rule overflow;
+    # complex ** would raise a bare OverflowError there
+    steep = Jet3(_BASE, 1.0 + 0j, 1e200 + 0j, 0j, 0j)
+    with pytest.raises(NonFiniteJetError):
+        steep.reciprocal()
+    with pytest.raises(NonFiniteJetError):
+        steep.log()
+    with pytest.raises(NonFiniteJetError):
+        Jet3(_BASE, 0j, 1e200 + 0j, 0j, 0j).exp()
+
+
+# -- operators run straight into the tuple rules -----------------------------
+
+def _fields(j: Jet3) -> tuple:
+    return (j.v0, j.v1, j.v2, j.v3)
+
+
+def _bits(base_point: complex, fields: tuple) -> bytes:
+    return struct.pack("<10d", *(x for w in (base_point, *fields)
+                                 for x in (w.real, w.imag)))
+
+
+# dunder -> the tuple rule it runs, on (self's fields, operand's fields)
+_RULES = {
+    "__add__": lambda a, o, z: _jadd(a, o),
+    "__radd__": lambda a, o, z: _jadd(a, o),
+    "__sub__": lambda a, o, z: _jsub(a, o),
+    "__rsub__": lambda a, o, z: _jsub(o, a),
+    "__mul__": lambda a, o, z: _jmul(a, o),
+    "__rmul__": lambda a, o, z: _jmul(a, o),
+    "__truediv__": lambda a, o, z: _jmul(a, _jrecip(o, z)),
+    "__rtruediv__": lambda a, o, z: _jmul(o, _jrecip(a, z)),
+}
+
+# every operand type the operators lift; plain floats include inf and NaN
+operands = st.one_of(
+    st.builds(jet_at, st.just(_BASE), wide_c, wide_c, wide_c, wide_c),
+    st.builds(Jet3.constant, st.just(_BASE), wide_c),
+    wide_c, st.floats(), st.integers(min_value=-10 ** 300, max_value=10 ** 300),
+    st.booleans(), st.fractions(max_denominator=10 ** 6))
+
+
+def _outcome(fn):
+    """fn's result and None, or None and the class and message it raised."""
+    try:
+        return fn(), None
+    except (ValueError, ArithmeticError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@given(st.builds(jet_at, st.just(_BASE), wide_c, wide_c, wide_c, wide_c),
+       operands)
+@settings(max_examples=300, deadline=None)
+@example(Jet3(_BASE, 1.0 + 0j, 1e200 + 0j, 0j, 0j), 2.0)
+@example(Jet3(_BASE, 0j, 1.0 + 0j, 0j, 0j), Fraction(1, 3))
+@example(Jet3(_BASE, complex(-0.0, 0.0), 0j, 0j, 0j), True)
+@example(Jet3(_BASE, 1e-13 + 0j, 0j, 0j, 0j), float("nan"))
+@example(Jet3.constant(_BASE, 1e200), Jet3(_BASE, 1e200 + 0j, 1e200 + 0j,
+                                           0j, 0j))
+def test_operators_equal_their_tuple_rules(a, other):
+    z = a.base_point
+    lifted = (_fields(other) if isinstance(other, Jet3) else _jconst(other))
+    for name, rule in _RULES.items():
+        got, got_error = _outcome(lambda: getattr(a, name)(other))
+        want, want_error = _outcome(lambda: rule(_fields(a), lifted, z))
+        assert got_error == want_error, name
+        if want_error is None:
+            assert type(got) is Jet3, name
+            assert _bits(got.base_point, _fields(got)) == _bits(z, want), name
+    neg = -a
+    assert type(neg) is Jet3
+    assert _bits(neg.base_point, _fields(neg)) == _bits(
+        z, tuple(-w for w in _fields(a)))
+
+
+def test_operators_refuse_what_is_not_a_number():
+    a = Jet3.variable(_BASE)
+    for other in ("x", None, Decimal("1.5")):
+        for name in _RULES:
+            assert getattr(a, name)(other) is NotImplemented, (name, other)
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other,
+                   lambda: other - a, lambda: a * other, lambda: other * a,
+                   lambda: a / other, lambda: other / a):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_operators_refuse_a_second_base_point():
+    a, b = Jet3.variable(0.1 + 0j), Jet3.variable(0.2 + 0j)
+    for name in _RULES:
+        with pytest.raises(BasePointMismatchError) as info:
+            getattr(a, name)(b)
+        assert str(info.value) == "base points differ: (0.1+0j) vs (0.2+0j)"
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("nan"),
+                                 complex(1.0, float("-inf")), float("nan")])
+def test_checked_constructors_name_the_field_the_constructor_names(bad):
+    def error(fn):
+        with pytest.raises(NonFiniteJetError) as info:
+            fn()
+        return str(info.value)
+
+    w = complex(bad)
+    assert error(lambda: Jet3.variable(bad)) == error(
+        lambda: Jet3(w, w, 1.0 + 0j, 0j, 0j))
+    assert error(lambda: Jet3.constant(_BASE, bad)) == error(
+        lambda: Jet3(_BASE, w, 0j, 0j, 0j))
+    assert error(lambda: Jet3.constant(bad, 1.0)) == error(
+        lambda: Jet3(w, 1.0 + 0j, 0j, 0j, 0j))
+    assert error(lambda: Jet3.constant(bad, bad)) == error(
+        lambda: Jet3(w, w, 0j, 0j, 0j))
+
+
+def test_jets_keeps_its_per_step_rules_private():
+    # perfbench's tracer spans every public function of the module; a public
+    # rule or lift would add a span to every arithmetic step
+    public = sorted(name for name, fn in vars(jets_module).items()
+                    if not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == jets_module.__name__)
+    assert public == ["pre_schwarzian", "schwarzian"]
