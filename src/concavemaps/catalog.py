@@ -18,8 +18,10 @@ produce eval_jet(z).v0, so the two agree bit for bit, and it raises the same
 exclusion errors through the scalar rules it shares with the jets.
 
 eval_jet and value raise only on genuine degeneracy (a denominator inside
-the 1e-12 floor or a branch-cut hit). Pole neighborhoods are excluded by
-the samplers, through the one rule they share: FamilySpec.near_pole.
+the 1e-12 floor or a branch-cut hit) or on a sample that is not finite.
+Pole neighborhoods are excluded by the samplers, through the one rule they
+share, FamilySpec.near_pole, at the radius EXCLUSION_RADIUS unless the
+caller names another.
 
 The module also owns the spec mini-grammar used by the CLI:
 
@@ -44,12 +46,11 @@ import math
 import re as _re
 from dataclasses import dataclass, field
 
-from .errors import PoleProximityError, SpecParseError
+from .errors import NonFiniteJetError, PoleProximityError, SpecParseError
 from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp, _inverse, _jadd,
                    _jconst, _jet, _jmul, _jpow, _jrecip, _jsub, _jvar, _log,
                    _require_finite)
 
-_FLOOR = DEGENERACY_FLOOR
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
 _J_ONE = _jconst(_ONE)
@@ -57,6 +58,9 @@ _J_ONE = _jconst(_ONE)
 
 def _require_in_disk(z: complex) -> complex:
     z = complex(z)
+    # before abs(), which can report a stale overflow on a NaN
+    if not cmath.isfinite(z):
+        raise NonFiniteJetError(f"sample {z!r} is not finite")
     if abs(z) >= 1.0:
         raise ValueError(f"sample {z!r} is not inside the unit disk")
     return z
@@ -106,7 +110,7 @@ class HalfPlane(FamilySpec):
         z = _require_in_disk(z)
         u = 1.0 - z
         iu = 1.0 / u
-        return Jet3(z, z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
+        return _jet(z, z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4).checked()
 
     def value(self, z: complex) -> complex:
         z = _require_in_disk(z)
@@ -237,7 +241,7 @@ class Kp(FamilySpec):
         """c = p + 1/p and d = 1 - cz + z^2, refusing d inside the floor."""
         c = self.p + 1.0 / self.p
         d = 1.0 - c * z + z * z
-        if abs(d) < _FLOOR:
+        if abs(d) < DEGENERACY_FLOOR:
             raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
         return c, d
 
@@ -246,13 +250,13 @@ class Kp(FamilySpec):
         c, d = self._denominator(z)
         id2 = 1.0 / (d * d)
         z2 = z * z
-        return Jet3(
+        return _jet(
             z,
             z / d,
             (1.0 - z2) * id2,
             2 * (c - 3 * z + z * z2) * id2 / d,
             6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
-        )
+        ).checked()
 
     def value(self, z: complex) -> complex:
         z = _require_in_disk(z)
@@ -273,7 +277,7 @@ class Co0Cubic(FamilySpec):
     @staticmethod
     def _off_pole(z: complex) -> complex:
         z = _require_in_disk(z)
-        if abs(z) < _FLOOR:
+        if abs(z) < DEGENERACY_FLOOR:
             raise PoleProximityError("1/z + a0 + z has its pole at 0")
         return z
 
@@ -281,7 +285,8 @@ class Co0Cubic(FamilySpec):
         z = self._off_pole(z)
         iz = 1.0 / z
         iz2 = iz * iz
-        return Jet3(z, iz + self.a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2)
+        return _jet(z, iz + self.a0 + z, 1.0 - iz2, 2 * iz2 * iz,
+                    -6 * iz2 * iz2).checked()
 
     def value(self, z: complex) -> complex:
         z = self._off_pole(z)
@@ -312,7 +317,7 @@ class Laurent(FamilySpec):
             p = float(self.pole)
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"pole must lie in [0, 1), got {p!r}")
-            if abs(complex(self.residue)) < _FLOOR:
+            if abs(complex(self.residue)) < DEGENERACY_FLOOR:
                 raise ValueError("a pole needs a nonzero residue")
             object.__setattr__(self, "pole", p)
         object.__setattr__(self, "residue", complex(self.residue))
@@ -355,6 +360,10 @@ class Laurent(FamilySpec):
         u = zj - self.pole
         # 1/f = u/(residue + u * poly(u)): regular where f has its pole
         return (u / (self.residue + u * self._poly_jet(u))).checked()
+
+
+# The stock exclusion radius: samples within it of a pole are excluded.
+EXCLUSION_RADIUS = 0.05
 
 
 def require_epsilon(epsilon: float) -> float:

@@ -19,13 +19,12 @@ import math
 import sys
 from pathlib import Path
 
-from .catalog import FamilySpec, format_spec, parse_spec
-from .errors import (EmptyScanError, NonFiniteJetError, SampleExclusionError,
-                     SpecParseError)
+from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
+from .errors import EmptyScanError, SampleExclusionError, SpecParseError
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, MarginReport,
                       classify, default_grid, geometric_radii, parse_class,
                       scan)
-from .oracle import CurveSample, boundary_curve, oracle_concave
+from .oracle import DEFAULT_ANGLES, CurveSample, boundary_curve, oracle_concave
 
 
 def _c(z: complex) -> dict:
@@ -145,8 +144,8 @@ def _curve_csv(curve: CurveSample) -> str:
 
 def _cmd_curve(args) -> int:
     spec = parse_spec(args.function)
-    n = args.angles if args.angles is not None else 4096
-    epsilon = args.epsilon if args.epsilon is not None else 0.05
+    n = args.angles if args.angles is not None else DEFAULT_ANGLES
+    epsilon = args.epsilon if args.epsilon is not None else EXCLUSION_RADIUS
     curve = boundary_curve(spec, args.r, n, epsilon)
     if args.format == "csv":
         _emit(_curve_csv(curve), args.out)
@@ -269,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EmptyScanError, SampleExclusionError, NonFiniteJetError) as exc:
+    except (EmptyScanError, SampleExclusionError) as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -2,9 +2,10 @@
 
 Two tiers matter to callers. `SampleExclusionError` and its children mean
 "this particular sample cannot be evaluated"; grid scans and curve sampling
-catch them, count the sample as excluded, and move on. Everything else
-(`BasePointMismatchError`, `NonFiniteJetError`, `SpecParseError`,
-`EmptyScanError`) signals a caller bug or unusable input and propagates.
+catch them, count the sample as excluded, and move on. A non-finite jet or
+value (`NonFiniteJetError`) is one of them. Everything else
+(`BasePointMismatchError`, `SpecParseError`, `EmptyScanError`) signals a
+caller bug or unusable input and propagates.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class BasePointMismatchError(ValueError):
     """Binary jet operation on jets anchored at different base points."""
 
 
-class NonFiniteJetError(ValueError):
+class NonFiniteJetError(SampleExclusionError):
     """A jet operation produced a non-finite component (overflow or NaN)."""
 
 

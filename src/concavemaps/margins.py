@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .catalog import FamilySpec, format_spec, require_epsilon
-from .errors import EmptyScanError, IndeterminateSampleError, NonFiniteJetError, \
+from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
+from .errors import EmptyScanError, IndeterminateSampleError, \
     SampleExclusionError, SpecParseError
 from .jets import DEGENERACY_FLOOR, schwarzian
 from .operators import (
@@ -67,13 +66,16 @@ VERDICT_BAD = "violation"
 # anything is allocated.
 MAX_SAMPLES = 2 ** 20
 _MIN_ANGLES = 8
+# innermost and outermost ring of geometric_radii
+_RADIUS_LO = 0.05
+_RADIUS_HI = 0.995
 
 
 @dataclass(frozen=True)
 class GridConfig:
     radii: tuple[float, ...]
     angles: int
-    epsilon: float = 0.05
+    epsilon: float = EXCLUSION_RADIUS
     margin_tol: float = 1e-7
 
     def __post_init__(self):
@@ -92,29 +94,29 @@ class GridConfig:
         object.__setattr__(self, "radii", rs)
 
 
-def geometric_radii(count: int, lo: float = 0.05, hi: float = 0.995) -> tuple[float, ...]:
+def geometric_radii(count: int) -> tuple[float, ...]:
     if count < 1:
         raise ValueError("count must be positive")
     if count > MAX_SAMPLES // _MIN_ANGLES:
         # no grid of at most MAX_SAMPLES samples has more rings than this
         raise ValueError(f"at most {MAX_SAMPLES // _MIN_ANGLES} radii")
     if count == 1:
-        return (lo,)
-    ratio = hi / lo
-    return tuple(lo * ratio ** (k / (count - 1)) for k in range(count))
+        return (_RADIUS_LO,)
+    ratio = _RADIUS_HI / _RADIUS_LO
+    return tuple(_RADIUS_LO * ratio ** (k / (count - 1)) for k in range(count))
 
 
-_PRESETS = {"fast": (12, 128), "default": (24, 256), "fine": (48, 1024)}
+_PRESETS = {"fast": (12, 128), "default": (24, 256)}
 
 
-def default_grid(preset: str | None = None, *, epsilon: float = 0.05,
-                 margin_tol: float = 1e-7) -> GridConfig:
-    """Stock grid; preset defaults to the GFT_GRID_PRESET env var."""
-    name = preset or os.environ.get("GFT_GRID_PRESET", "default")
-    if name not in _PRESETS:
-        raise ValueError(f"unknown grid preset {name!r}; choose from {sorted(_PRESETS)}")
-    nr, na = _PRESETS[name]
-    return GridConfig(geometric_radii(nr), na, epsilon, margin_tol)
+def default_grid(preset: str = "default") -> GridConfig:
+    """A stock grid: "default" is 24 geometric radii by 256 angles, "fast"
+    12 by 128; both take GridConfig's epsilon and margin_tol. Any other grid
+    is built as a GridConfig."""
+    if preset not in _PRESETS:
+        raise ValueError(f"unknown grid preset {preset!r}; choose from {sorted(_PRESETS)}")
+    nr, na = _PRESETS[preset]
+    return GridConfig(geometric_radii(nr), na)
 
 
 # -- pointwise margins -------------------------------------------------------
@@ -245,7 +247,7 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
 def _excluding(fn, *args) -> float | None:
     try:
         return fn(*args)
-    except (SampleExclusionError, NonFiniteJetError):
+    except SampleExclusionError:
         return None
 
 
@@ -373,7 +375,7 @@ def phi_prime_one_diagnostic(spec: FamilySpec) -> tuple[float | None, tuple[floa
     for r in _PHI1_RADII:
         try:
             val = phi_of(OperatorPoint.at(spec, complex(r)))
-        except (SampleExclusionError, NonFiniteJetError):
+        except SampleExclusionError:
             return None, tuple(ds)
         ds.append(((1.0 - val) / (1.0 - r)).real)
     est = (10.0 * ds[2] - ds[1]) / 9.0

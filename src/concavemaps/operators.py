@@ -14,18 +14,18 @@ agree within 1e-6), and a_p at p=0 is |phi3(0)|.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from . import catalog
 from .errors import (
     CriticalPointError,
     IndeterminateSampleError,
+    NonFiniteJetError,
     PhiUndefinedError,
     PoleProximityError,
 )
 from .jets import DEGENERACY_FLOOR, Jet3, schwarzian
-
-_FLOOR = DEGENERACY_FLOOR
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,11 +36,14 @@ class OperatorPoint:
     jet: Jet3
 
     def __post_init__(self):
+        # before abs(), which can report a stale overflow on a NaN
+        if not cmath.isfinite(self.z):
+            raise NonFiniteJetError(f"sample {self.z!r} is not finite")
         if abs(self.z) >= 1.0:
             raise ValueError(f"sample {self.z!r} is not inside the unit disk")
         if self.jet.base_point != self.z:
             raise ValueError("jet was taken at a different point")
-        if abs(self.jet.v1) < _FLOOR:
+        if abs(self.jet.v1) < DEGENERACY_FLOOR:
             raise CriticalPointError(f"f'({self.z!r}) vanishes")
 
     @staticmethod
@@ -61,7 +64,7 @@ def a_f(pt: OperatorPoint) -> complex:
 
 def phi_of(pt: OperatorPoint) -> complex:
     """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
-    if abs(pt.jet.v2) < _FLOOR:
+    if abs(pt.jet.v2) < DEGENERACY_FLOOR:
         raise PhiUndefinedError(f"f''({pt.z!r}) vanishes; phi is undefined")
     return pt.z + 2.0 * pt.jet.v1 / pt.jet.v2
 
@@ -94,10 +97,10 @@ def q_term(p: float, z: complex) -> complex:
     if p == 0.0:
         return 0j
     z = complex(z)
-    if abs(z - p) < _FLOOR:
+    if abs(z - p) < DEGENERACY_FLOOR:
         raise PoleProximityError(f"q has its pole at {p!r}")
     den = 1.0 - p * z
-    if abs(den) < _FLOOR:
+    if abs(den) < DEGENERACY_FLOOR:
         raise PoleProximityError(f"1 - pz vanishes at {z!r}")
     return 2.0 * p / (z - p) - 2.0 * p * z / den
 
@@ -118,12 +121,12 @@ def varphi_p(pt: OperatorPoint, p: float) -> complex:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     z, P = pt.z, pt.pre_schwarzian
     den0 = 1.0 - p * z
-    if abs(den0) < _FLOOR:
+    if abs(den0) < DEGENERACY_FLOOR:
         raise PoleProximityError(f"1 - pz vanishes at {z!r}")
     w = (z - p) / den0
     num = (z - p) * P + 2.0 - 2.0 * p * w
     den = z * (z - p) * P + 2.0 * p - 2.0 * p * z * w
-    if abs(den) < _FLOOR:
+    if abs(den) < DEGENERACY_FLOOR:
         raise IndeterminateSampleError(f"sample indeterminate: phi_p at {z!r}")
     return num / den
 
@@ -136,16 +139,16 @@ def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
     """
     z = pt.z
     v1, v2 = pt.jet.v1, pt.jet.v2
-    if abs(v2) < _FLOOR:
+    if abs(v2) < DEGENERACY_FLOOR:
         raise PhiUndefinedError(f"f''({z!r}) vanishes; phi3 is undefined")
     den = z ** 3 * v2
-    if abs(den) < _FLOOR:
+    if abs(den) < DEGENERACY_FLOOR:
         raise IndeterminateSampleError(
             f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {z!r}"
         )
     phi3 = (z * v2 + 2.0 * v1) / den
     den2 = 1.0 - z * z * phi3
-    if abs(den2) < _FLOOR:
+    if abs(den2) < DEGENERACY_FLOOR:
         raise PhiUndefinedError(f"1 - z^2 phi3 vanishes at {z!r}")
     big_phi = (z.conjugate() - z * phi3) / den2
     return phi3, big_phi

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import margins as _margins
-from .catalog import FamilySpec, require_epsilon
-from .errors import EmptyScanError, NonFiniteJetError, SampleExclusionError
+from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
+from .errors import EmptyScanError, SampleExclusionError
 from .margins import MAX_SAMPLES, GridConfig
 
 COMPLEMENT_INSIDE = "complement-inside"
@@ -43,7 +43,10 @@ ORACLE_BAD = "not-concave-consistent"
 
 DEFECT_TOL = 5e-2
 _DEFAULT_RADII = (0.99, 0.999, 0.9999)
-_DEFAULT_ANGLES = 4096
+# angles per curve, for the oracle's verdicts and for `curve` by default
+DEFAULT_ANGLES = 4096
+# a grid margin within this of zero puts its sample on the equality locus
+_EQ_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class CurveSample:
     included holds the surviving angle indices (theta_j = 2 pi j / n, strictly
     increasing), points the image values aligned with them. excluded_arcs are
     half-open angle intervals; an arc that straddles theta = 0 has its end
-    beyond 2 pi. convexity_defect is computed at construction against the
-    orientation the spec's pole placement dictates.
+    beyond 2 pi. convexity_defect is computed at construction against
+    orientation, the one the spec's pole placement dictates.
     """
 
     r: float
@@ -63,7 +66,11 @@ class CurveSample:
     points: tuple[complex, ...]
     excluded_arcs: tuple[tuple[float, float], ...]
     orientation: str
-    convexity_defect: float
+    convexity_defect: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "convexity_defect",
+                           convexity_defect(self, self.orientation))
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -78,7 +85,7 @@ def natural_orientation(spec: FamilySpec) -> str:
 
 
 def boundary_curve(spec: FamilySpec, r: float, n: int,
-                   epsilon: float = 0.05) -> CurveSample:
+                   epsilon: float = EXCLUSION_RADIUS) -> CurveSample:
     """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods."""
     r = float(r)
     if not (0.0 < r < 1.0):
@@ -98,59 +105,46 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
             continue
         try:
             w = spec.value(z)
-        except (SampleExclusionError, NonFiniteJetError):
+        except SampleExclusionError:
             continue
         included.append(j)
         points.append(w)
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
 
-    arcs = _excluded_arcs(included, n, step)
-    orientation = natural_orientation(spec)
-    curve = CurveSample(r, n, tuple(included), tuple(points), arcs,
-                        orientation, 0.0)
-    object.__setattr__(curve, "convexity_defect",
-                       convexity_defect(curve, orientation))
-    return curve
-
-
-def _excluded_arcs(included, n, step):
     gone = sorted(set(range(n)) - set(included))
-    if not gone:
-        return ()
-    runs = []
-    run = [gone[0]]
-    for j in gone[1:]:
-        if j == run[-1] + 1:
-            run.append(j)
+    arcs = []
+    for run in (_runs(gone, n) if gone else ()):
+        # a run that wraps past theta = 0 ends beyond 2 pi
+        end = gone[run[-1]] + (n if run[-1] < run[0] else 0) + 1
+        arcs.append((step * gone[run[0]], step * end))
+    return CurveSample(r, n, tuple(included), tuple(points), tuple(arcs),
+                       natural_orientation(spec))
+
+
+def _runs(indices: list[int], n: int) -> list[list[int]]:
+    """Split indices, a nonempty sorted list of angle indices in [0, n), into
+    runs of consecutive angles, each given as positions in indices. A run
+    that ends at angle n - 1 continues into the run that starts at angle 0."""
+    runs, run = [], [0]
+    for k in range(1, len(indices)):
+        if indices[k] == indices[k - 1] + 1:
+            run.append(k)
         else:
             runs.append(run)
-            run = [j]
+            run = [k]
     runs.append(run)
-    # a run touching both ends is one arc straddling theta = 0
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
-        first = runs.pop(0)
-        runs[-1] = runs[-1] + [j + n for j in first]
-    return tuple((step * run[0], step * (run[-1] + 1)) for run in runs)
+    if len(runs) > 1 and indices[0] == 0 and indices[-1] == n - 1:
+        runs[-1].extend(runs.pop(0))
+    return runs
 
 
 def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
     """Contiguous included runs in cyclic order; closed iff nothing excluded."""
-    idx, pts = curve.included, curve.points
-    if len(idx) == curve.n:
+    pts = curve.points
+    if len(pts) == curve.n:
         return [list(pts)], True
-    runs, run = [], [pts[0]]
-    for k in range(1, len(idx)):
-        if idx[k] == idx[k - 1] + 1:
-            run.append(pts[k])
-        else:
-            runs.append(run)
-            run = [pts[k]]
-    runs.append(run)
-    # stitch the wrap-around: the tail run continues into the head run
-    if len(runs) > 1 and idx[0] == 0 and idx[-1] == curve.n - 1:
-        runs[-1].extend(runs.pop(0))
-    return runs, False
+    return [[pts[k] for k in run] for run in _runs(curve.included, curve.n)], False
 
 
 def _collapse(points: list[complex]) -> list[complex]:
@@ -207,47 +201,35 @@ def convexity_defect(curve: CurveSample, orientation: str) -> float:
     return max((abs(t) for t in turns if t * expected < 0.0), default=0.0)
 
 
-def oracle_concave(spec: FamilySpec, pole: str | None = None,
-                   r_list: tuple[float, ...] = _DEFAULT_RADII, *,
-                   n: int = _DEFAULT_ANGLES, defect_tol: float = DEFECT_TOL,
-                   epsilon: float = 0.05) -> str:
+def oracle_concave(spec: FamilySpec, *,
+                   r_list: tuple[float, ...] = _DEFAULT_RADII,
+                   n: int = DEFAULT_ANGLES,
+                   epsilon: float = EXCLUSION_RADIUS) -> str:
     """Verdict from image-curve convexity at several radii.
 
-    pole: "interior" or "boundary"; None derives it from the spec (interior
-    wins when the spec has a pole inside the disk). Consistency needs every
-    defect below defect_tol and no growth beyond a 0.2*defect_tol slack as
-    r -> 1.
+    Each curve is judged under the spec's natural orientation (see
+    natural_orientation), through the defect it stores. Consistency needs
+    every defect below DEFECT_TOL and no growth beyond a 0.2*DEFECT_TOL
+    slack as r -> 1.
     """
-    if pole is None:
-        orientation = natural_orientation(spec)
-    elif pole == "interior":
-        orientation = COMPLEMENT_INSIDE
-    elif pole == "boundary":
-        orientation = COMPLEMENT_OUTSIDE
-    else:
-        raise ValueError(f"pole must be 'interior' or 'boundary', got {pole!r}")
-    defects = []
-    for r in r_list:
-        curve = boundary_curve(spec, r, n, epsilon)
-        # the curve's stored defect is against its natural orientation
-        defects.append(curve.convexity_defect if curve.orientation == orientation
-                       else convexity_defect(curve, orientation))
-    ok = all(d < defect_tol for d in defects)
-    slack = 0.2 * defect_tol
+    defects = [boundary_curve(spec, r, n, epsilon).convexity_defect
+               for r in r_list]
+    ok = all(d < DEFECT_TOL for d in defects)
+    slack = 0.2 * DEFECT_TOL
     ok = ok and all(b <= a + slack for a, b in zip(defects, defects[1:]))
     return ORACLE_OK if ok else ORACLE_BAD
 
 
 def equality_scan(spec: FamilySpec, theorem: str,
-                  grid: GridConfig | None = None, eq_tol: float = 1e-6, *,
+                  grid: GridConfig | None = None, *,
                   alpha: float | None = None, p: float | None = None,
                   a: float | None = None) -> list[complex]:
-    """Grid points where the margin vanishes to eq_tol: the empirical
+    """Grid points where the margin vanishes to 1e-6: the empirical
     equality locus of the inequality."""
     report = _margins.scan(spec, theorem, grid, alpha=alpha, p=p, a=a,
                            keep_samples=True)
     assert report.samples is not None
-    return [z for z, m in report.samples if abs(m) < eq_tol]
+    return [z for z, m in report.samples if abs(m) < _EQ_TOL]
 
 
 def real_axis_crossings(curve: CurveSample, atol: float = 1e-9) -> tuple[float, ...]:

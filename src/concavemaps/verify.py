@@ -333,8 +333,8 @@ _CORE = (_c01, _c02, _c03, _c04, _c05, _c06, _c07, _c08, _c09, _c10, _c11)
 
 
 def run_core() -> list[CriterionResult]:
-    """Criteria 1 through 11 on pinned grids (env preset deliberately ignored
-    so the suite is reproducible regardless of GFT_GRID_PRESET)."""
+    """Criteria 1 through 11 on the stock grids: "default" for all but
+    criterion 9, which runs "fast"."""
     grid = default_grid("default")
     return [fn(grid) for fn in _CORE]
 

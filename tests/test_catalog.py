@@ -1,6 +1,7 @@
 """Catalog families: closed forms, validation, grammar round trips."""
 
 import cmath
+import math
 import random
 import struct
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from concavemaps import jets
 from concavemaps.catalog import (AngleMap, Co0Cubic, HalfPlane, KAlpha, Kp,
                                  Laurent, _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
                                 SampleExclusionError, SpecParseError)
 from concavemaps.jets import Jet3
+from concavemaps.operators import OperatorPoint
 
 
 def close(a, b, tol=1e-12):
@@ -289,6 +292,33 @@ def test_value_refuses_what_eval_jet_refuses():
     for evaluate in (huge.value, huge.eval_jet):
         with pytest.raises(NonFiniteJetError):
             evaluate(0.9 + 0j)
+
+
+def _stale_overflow():
+    """Leave errno at ERANGE, as a caught overflowing complex ** does."""
+    with pytest.raises(NonFiniteJetError):
+        jets._cube(1e200 + 0j)
+
+
+NAN_SAMPLES = (complex(math.nan, 0.0), complex(0.0, math.nan),
+               complex("nan"), complex(math.nan, math.nan))
+
+
+@pytest.mark.parametrize("spec", [
+    HalfPlane(), KAlpha(1.5), AngleMap(-0.5 + 0j), Kp(0.5), Co0Cubic(0j),
+    Laurent(None, 0j, (1j,)), Laurent(0.3, 1.0 + 0j, (0j, 1.0 + 0j))], ids=str)
+def test_nan_sample_is_non_finite_after_a_stale_overflow(spec):
+    # abs() of a complex NaN leaves errno alone, so checking |z| first used
+    # to report the stale overflow as a bare OverflowError
+    for method in (spec.eval_jet, spec.value, spec.reciprocal_jet):
+        for z in NAN_SAMPLES:
+            _stale_overflow()
+            with pytest.raises(NonFiniteJetError, match="not finite"):
+                method(z)
+    for z in NAN_SAMPLES:
+        _stale_overflow()
+        with pytest.raises(NonFiniteJetError, match="not finite"):
+            OperatorPoint(z, Jet3.variable(0.5))
 
 
 # -- tuple-rule kernels against the Jet3 compositions they replaced ---------------

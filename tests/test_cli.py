@@ -2,8 +2,13 @@
 
 import json
 
+import pytest
+
 from concavemaps import cli
+from concavemaps.catalog import EXCLUSION_RADIUS
 from concavemaps.cli import main
+from concavemaps.margins import default_grid
+from concavemaps.oracle import DEFAULT_ANGLES
 
 FAST = ["--radii", "6", "--angles", "32"]
 
@@ -167,6 +172,27 @@ def test_curve_json_payload(tmp_path, capsys):
     assert payload["convexity_defect"] < 1e-6
     assert payload["excluded_arcs"] and payload["points"]
     assert {"theta", "re", "im"} <= set(payload["points"][0])
+
+
+def test_curve_defaults_are_the_oracle_angles_and_the_stock_radius(capsys):
+    code, out, _ = run(capsys, ["curve", "--function", "halfplane",
+                                "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["epsilon"]) == (DEFAULT_ANGLES,
+                                                  EXCLUSION_RADIUS)
+    assert len(payload["points"]) < DEFAULT_ANGLES
+
+
+@pytest.mark.parametrize("value", ["fast", ""])
+def test_classify_grid_ignores_the_environment(value, capsys, monkeypatch):
+    monkeypatch.setenv("GFT_GRID_PRESET", value)
+    code, out, err = run(capsys, ["classify", "--function", "halfplane",
+                                  "--class", "co"])
+    assert (code, err) == (0, "")
+    grid = json.loads(out)["grid"]
+    stock = default_grid("default")
+    assert (grid["radii"], grid["angles"]) == (list(stock.radii), 256)
 
 
 def test_catalog_lists_grammar(capsys):

@@ -86,16 +86,20 @@ def test_geometric_radii_endpoints():
         geometric_radii(0)
 
 
-def test_presets_and_env(monkeypatch):
+def test_presets_and_env():
     assert default_grid("fast").angles == 128
     assert len(default_grid("fast").radii) == 12
-    assert default_grid("fine").angles == 1024
-    monkeypatch.setenv("GFT_GRID_PRESET", "fast")
-    assert default_grid().angles == 128
-    monkeypatch.delenv("GFT_GRID_PRESET")
     assert default_grid().angles == 256
     with pytest.raises(ValueError):
         default_grid("huge")
+
+
+@pytest.mark.parametrize("value", ["fast", ""])
+def test_stock_grid_ignores_the_environment(value, monkeypatch):
+    monkeypatch.setenv("GFT_GRID_PRESET", value)
+    grid = default_grid()
+    assert grid == default_grid("default")
+    assert (len(grid.radii), grid.angles) == (24, 256)
 
 
 def test_scan_halfplane_thm1():

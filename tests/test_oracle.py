@@ -11,10 +11,10 @@ from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
 from concavemaps.errors import EmptyScanError
 from concavemaps.margins import MAX_SAMPLES, GridConfig, geometric_radii
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
-                                ORACLE_BAD, ORACLE_OK, boundary_curve,
-                                convexity_defect, equality_scan,
-                                natural_orientation, oracle_concave,
-                                real_axis_crossings)
+                                DEFAULT_ANGLES, ORACLE_BAD, ORACLE_OK,
+                                boundary_curve, convexity_defect,
+                                equality_scan, natural_orientation,
+                                oracle_concave, real_axis_crossings)
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,17 +128,6 @@ def test_kp_is_oracle_clean():
     assert oracle_concave(Kp(0.5)) == ORACLE_OK
 
 
-def test_pole_override():
-    recip = Laurent(0.0, 1.0 + 0j, ())
-    assert oracle_concave(recip) == ORACLE_OK
-    # forcing the boundary-pole orientation makes its closed curves trip
-    # the boundedness rule, flipping the verdict
-    assert oracle_concave(recip, pole="boundary") == ORACLE_BAD
-    assert oracle_concave(HalfPlane(), pole="boundary") == ORACLE_OK
-    with pytest.raises(ValueError):
-        oracle_concave(HalfPlane(), pole="wat")
-
-
 RADII = (0.99, 0.999, 0.9999)
 
 
@@ -151,15 +140,22 @@ def _verdict_from_scratch(spec, orientation, n):
     return ORACLE_OK if ok else ORACLE_BAD
 
 
+def test_pole_override():
+    recip = Laurent(0.0, 1.0 + 0j, ())
+    assert oracle_concave(recip) == ORACLE_OK
+    # judged under the boundary-pole orientation, its closed curves trip
+    # the boundedness rule, flipping the verdict
+    assert _verdict_from_scratch(recip, COMPLEMENT_OUTSIDE,
+                                 DEFAULT_ANGLES) == ORACLE_BAD
+
+
 @pytest.mark.parametrize("spec", [HalfPlane(), Kp(0.5),
                                   Laurent(0.0, 1.0 + 0j, ()),
                                   parse_spec("identity")], ids=str)
 def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
     n = 1024
     natural = natural_orientation(spec)
-    opposite = (COMPLEMENT_OUTSIDE if natural == COMPLEMENT_INSIDE
-                else COMPLEMENT_INSIDE)
-    want = {o: _verdict_from_scratch(spec, o, n) for o in (natural, opposite)}
+    want = _verdict_from_scratch(spec, natural, n)
     calls = []
 
     def counted(curve, orientation):
@@ -168,13 +164,8 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
     # the curve's stored defect serves the natural orientation
-    assert oracle_concave(spec, r_list=RADII, n=n) == want[natural]
+    assert oracle_concave(spec, r_list=RADII, n=n) == want
     assert calls == [natural] * len(RADII)
-    # an explicit pole= against it takes a second pass per curve
-    calls.clear()
-    pole = "interior" if opposite == COMPLEMENT_INSIDE else "boundary"
-    assert oracle_concave(spec, pole, RADII, n=n) == want[opposite]
-    assert calls == [natural, opposite] * len(RADII)
 
 
 def test_equality_scan_cubic_is_everywhere():

@@ -1,0 +1,97 @@
+"""Write the golden CLI outputs of whatever concavemaps is importable.
+
+    PYTHONPATH=src python tools/goldens.py OUT_DIR
+
+Runs `concavemaps.cli.main` in-process on a fixed set of commands and writes
+each command's stdout to its own file under OUT_DIR, plus `runs.txt`, one
+line per command: file name, exit code, argv and stderr. The commands:
+
+  * `verify`, its bundle and its stdout;
+  * `classify` JSON for every spec of `member_roster()` and
+    `control_roster()` against its class, at the stock grid and at 6x32;
+  * `curve` JSON and CSV for the same specs at r = 0.99 and r = 0.9999;
+  * `margins` CSV and JSON for every theorem token, with no parameter,
+    alpha = 1.5, p = 0 and p = 0.5, on four specs.
+
+To compare two commits, run it once against each source tree and diff the
+directories; identical outputs diff empty:
+
+    PYTHONPATH=<parent>/src python tools/goldens.py A
+    PYTHONPATH=src python tools/goldens.py B
+    diff -r A B
+
+Standard library only. OUT_DIR is created if missing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+from concavemaps import cli, verify
+from concavemaps.catalog import format_spec
+from concavemaps.margins import THEOREMS
+
+MARGIN_SPECS = ("halfplane", "kp:p=0.5", "co0cubic:a0=0",
+                "laurent:p=0;res=1;b=[0,0,2]")
+MARGIN_PARAMS = ((), ("--alpha", "1.5"), ("--p", "0"), ("--p", "0.5"))
+SMALL_GRID = ("--radii", "6", "--angles", "32")
+
+
+def _commands():
+    """(file name, argv) for every golden run, in a fixed order."""
+    yield "verify.stdout", ["verify", "--out", "verify_report.json"]
+    roster = verify.member_roster() + verify.control_roster()
+    for k, (spec, cls) in enumerate(roster):
+        fn = ["--function", format_spec(spec)]
+        yield f"classify-{k:02d}-stock.json", ["classify", *fn, "--class", cls]
+        yield (f"classify-{k:02d}-6x32.json",
+               ["classify", *fn, "--class", cls, *SMALL_GRID])
+        for r in ("0.99", "0.9999"):
+            for fmt in ("json", "csv"):
+                yield (f"curve-{k:02d}-r{r}.{fmt}",
+                       ["curve", *fn, "--r", r, "--format", fmt])
+    for s, text in enumerate(MARGIN_SPECS):
+        for theorem in THEOREMS:
+            for q, params in enumerate(MARGIN_PARAMS):
+                for fmt in ("csv", "json"):
+                    yield (f"margins-{s}-{theorem}-{q}.{fmt}",
+                           ["margins", "--function", text, "--theorem", theorem,
+                            *params, "--format", fmt])
+
+
+def _run(argv: list[str]) -> tuple[str, str, str]:
+    """stdout, exit code and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(argv))
+        except Exception as exc:  # an escaping error is a golden outcome too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return out.getvalue(), code, err.getvalue()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/goldens.py OUT_DIR", file=sys.stderr)
+        return 2
+    os.makedirs(argv[0], exist_ok=True)
+    # verify writes its bundle to a relative path, and its stdout names that
+    # path, so both stay the same whatever OUT_DIR is
+    os.chdir(argv[0])
+    lines = []
+    for name, cmd in _commands():
+        out, code, err = _run(cmd)
+        with open(name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(out)
+        lines.append(f"{name}\t{code}\t{' '.join(cmd)}\t{err.rstrip()!r}\n")
+    with open("runs.txt", "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    print(f"{len(lines)} runs written to {os.getcwd()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
