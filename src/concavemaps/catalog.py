@@ -1,4 +1,4 @@
-"""Function families, their third-order jet evaluators and their values.
+"""Function families, their third-order jet kernels and their values.
 
 Six concrete families cover every map the membership tests need: the
 half-plane map z/(1-z), the angle family k_alpha (alpha=2 is the Koebe map),
@@ -8,18 +8,24 @@ Laurent series with an optional simple pole. The half-plane map, k_p and
 the cubic carry hand-derived derivative formulas; Laurent series compose
 Jet3 arithmetic. k_alpha and the sector maps compose their jets from the
 tuple rules of `jets`, so the branch handling lives in one place (the log
-rule), and build one Jet3 at the end. Each of the two repeats the complex
-operations of the Jet3 expression in its comment, in the same order, so the
-two agree bit for bit.
+rule). Each of the two repeats the complex operations of the Jet3 expression
+in its comment, in the same order, so the two agree bit for bit.
 
-Each family also has value(z), f(z) alone, which is all the geometric
-oracle reads. It repeats, in the same order, the complex operations that
-produce eval_jet(z).v0, so the two agree bit for bit, and it raises the same
-exclusion errors through the scalar rules it shares with the jets.
+Each family has two column kernels, which take a list of samples (one ring
+of a grid, or one oracle curve) and return one entry per sample:
+eval_jets(zs) the jet fields (v0, v1, v2, v3), each checked finite, and
+values(zs) f alone, which is all the geometric oracle reads. A sample that
+cannot be evaluated gets the SampleExclusionError that excluded it in its
+place. Constants that depend only on the spec are computed once per call.
+values repeats, in the same order, the complex operations that produce v0,
+so the two agree bit for bit, and it raises the same exclusion errors
+through the scalar rules it shares with the jets. eval_jet(z) and value(z)
+are one-sample calls into the kernels that raise the stored error again.
 
-eval_jet and value raise only on genuine degeneracy (a denominator inside
-the 1e-12 floor or a branch-cut hit) or on a sample that is not finite.
-Pole neighborhoods are excluded by the samplers, through the one rule they
+The kernels exclude a sample only on genuine degeneracy (a denominator
+inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
+sample outside the disk raises ValueError for the whole call. Pole
+neighborhoods are excluded by the samplers, through the one rule they
 share, FamilySpec.near_pole, at the radius EXCLUSION_RADIUS unless the
 caller names another.
 
@@ -44,12 +50,14 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import NonFiniteJetError, PoleProximityError, SpecParseError
+from .errors import (NonFiniteJetError, PoleProximityError, SpecParseError,
+                     _each, _only)
 from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp, _inverse, _jadd,
-                   _jconst, _jet, _jmul, _jpow, _jrecip, _jsub, _jvar, _log,
-                   _require_finite)
+                   _jconst, _jet, _jfinite, _jmul, _jpow, _jrecip, _jsub,
+                   _jvar, _log, _require_finite)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -75,13 +83,25 @@ class FamilySpec:
     # boundary point where f tends to infinity (z=1 for the unbounded families)
     boundary_pole: complex | None = None
 
+    def eval_jets(self, zs: Sequence[complex]) -> list:
+        """Per sample of zs, the jet fields (v0, v1, v2, v3) of f there, each
+        checked finite, or the SampleExclusionError that excluded it. A
+        sample outside the disk raises ValueError for the whole call."""
+        raise NotImplementedError
+
+    def values(self, zs: Sequence[complex]) -> list:
+        """Per sample of zs, f there, bit for bit equal to the v0 that
+        eval_jets gives, or the SampleExclusionError that excluded it."""
+        raise NotImplementedError
+
     def eval_jet(self, z: complex) -> Jet3:
         """Jet of f at z, with every field checked finite."""
-        raise NotImplementedError
+        z = complex(z)
+        return _jet(z, *_only(self.eval_jets((z,))))
 
     def value(self, z: complex) -> complex:
         """f(z), bit for bit equal to eval_jet(z).v0."""
-        raise NotImplementedError
+        return _only(self.values((z,)))
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         """Jet of 1/f at z; overridden where f has a pole the jet must cross."""
@@ -106,15 +126,19 @@ class HalfPlane(FamilySpec):
 
     boundary_pole = 1.0 + 0j
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
-        u = 1.0 - z
-        iu = 1.0 / u
-        return _jet(z, z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4).checked()
+    def eval_jets(self, zs: Sequence[complex]) -> list:
+        def at(z):
+            z = _require_in_disk(z)
+            u = 1.0 - z
+            iu = 1.0 / u
+            return _jfinite((z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4))
+        return _each(at, zs)
 
-    def value(self, z: complex) -> complex:
-        z = _require_in_disk(z)
-        return _require_finite(z * (1.0 / (1.0 - z)))
+    def values(self, zs: Sequence[complex]) -> list:
+        def at(z):
+            z = _require_in_disk(z)
+            return _require_finite(z * (1.0 / (1.0 - z)))
+        return _each(at, zs)
 
 
 @dataclass(frozen=True)
@@ -134,20 +158,29 @@ class KAlpha(FamilySpec):
             raise ValueError(f"alpha must lie in [1, 2], got {a!r}")
         object.__setattr__(self, "alpha", a)
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
+    def eval_jets(self, zs: Sequence[complex]) -> list:
         # (u.pow(alpha) - 1.0) / (2.0 * alpha) with u = (1 + zj) / (1 - zj),
         # which maps the disk to Re u > 0, clear of the cut
-        x = _jvar(z)
-        u = _jmul(_jadd(x, _J_ONE), _jrecip(_jsub(_J_ONE, x), z))
-        w = _jsub(_jpow(u, self.alpha), _J_ONE)
-        return _jet(z, *_jmul(w, _jrecip(_jconst(2.0 * self.alpha), z))).checked()
+        alpha = self.alpha
+        # 1/(2 alpha) as a jet; 2 alpha >= 2, so no base point is ever named
+        scale = _jrecip(_jconst(2.0 * alpha), 0j)
 
-    def value(self, z: complex) -> complex:
-        z = _require_in_disk(z)
-        u = (z + _ONE) * _inverse(_ONE - z, z)
-        w = _exp(_log(u) * complex(self.alpha)) - _ONE
-        return _require_finite(w * _inverse(complex(2.0 * self.alpha), z))
+        def at(z):
+            z = _require_in_disk(z)
+            x = _jvar(z)
+            u = _jmul(_jadd(x, _J_ONE), _jrecip(_jsub(_J_ONE, x), z))
+            return _jfinite(_jmul(_jsub(_jpow(u, alpha), _J_ONE), scale))
+        return _each(at, zs)
+
+    def values(self, zs: Sequence[complex]) -> list:
+        alpha = complex(self.alpha)
+        scale = _inverse(complex(2.0 * self.alpha), 0j)
+
+        def at(z):
+            z = _require_in_disk(z)
+            u = (z + _ONE) * _inverse(_ONE - z, z)
+            return _require_finite((_exp(_log(u) * alpha) - _ONE) * scale)
+        return _each(at, zs)
 
 
 @dataclass(frozen=True)
@@ -202,20 +235,27 @@ class AngleMap(FamilySpec):
 
     boundary_pole = 1.0 + 0j
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
+    def eval_jets(self, zs: Sequence[complex]) -> list:
         # lead * s.pow(1.0 + b) + B with s = (zj - lam) / (lam * (zj - 1.0))
-        x = _jvar(z)
-        lam = _jconst(self.lam)
-        s = _jmul(_jsub(x, lam), _jrecip(_jmul(_jsub(x, _J_ONE), lam), z))
-        w = _jmul(_jpow(s, 1.0 + self.b), _jconst(self.lead))
-        return _jet(z, *_jadd(w, _jconst(self.B))).checked()
+        lam, lead, B = _jconst(self.lam), _jconst(self.lead), _jconst(self.B)
+        power = 1.0 + self.b
 
-    def value(self, z: complex) -> complex:
-        z = _require_in_disk(z)
-        s = (z - self.lam) * _inverse((z - _ONE) * self.lam, z)
-        w = _exp(_log(s) * complex(1.0 + self.b)) * self.lead
-        return _require_finite(w + self.B)
+        def at(z):
+            z = _require_in_disk(z)
+            x = _jvar(z)
+            s = _jmul(_jsub(x, lam), _jrecip(_jmul(_jsub(x, _J_ONE), lam), z))
+            return _jfinite(_jadd(_jmul(_jpow(s, power), lead), B))
+        return _each(at, zs)
+
+    def values(self, zs: Sequence[complex]) -> list:
+        lam, lead, B = self.lam, self.lead, self.B
+        power = complex(1.0 + self.b)
+
+        def at(z):
+            z = _require_in_disk(z)
+            s = (z - lam) * _inverse((z - _ONE) * lam, z)
+            return _require_finite(_exp(_log(s) * power) * lead + B)
+        return _each(at, zs)
 
 
 @dataclass(frozen=True)
@@ -237,31 +277,37 @@ class Kp(FamilySpec):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
-    def _denominator(self, z: complex) -> tuple[float, complex]:
-        """c = p + 1/p and d = 1 - cz + z^2, refusing d inside the floor."""
-        c = self.p + 1.0 / self.p
+    @staticmethod
+    def _denominator(c: float, z: complex) -> complex:
+        """d = 1 - cz + z^2, refused inside the floor."""
         d = 1.0 - c * z + z * z
         if abs(d) < DEGENERACY_FLOOR:
             raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
-        return c, d
+        return d
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
-        c, d = self._denominator(z)
-        id2 = 1.0 / (d * d)
-        z2 = z * z
-        return _jet(
-            z,
-            z / d,
-            (1.0 - z2) * id2,
-            2 * (c - 3 * z + z * z2) * id2 / d,
-            6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
-        ).checked()
+    def eval_jets(self, zs: Sequence[complex]) -> list:
+        c = self.p + 1.0 / self.p
 
-    def value(self, z: complex) -> complex:
-        z = _require_in_disk(z)
-        _, d = self._denominator(z)
-        return _require_finite(z / d)
+        def at(z):
+            z = _require_in_disk(z)
+            d = self._denominator(c, z)
+            id2 = 1.0 / (d * d)
+            z2 = z * z
+            return _jfinite((
+                z / d,
+                (1.0 - z2) * id2,
+                2 * (c - 3 * z + z * z2) * id2 / d,
+                6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
+            ))
+        return _each(at, zs)
+
+    def values(self, zs: Sequence[complex]) -> list:
+        c = self.p + 1.0 / self.p
+
+        def at(z):
+            z = _require_in_disk(z)
+            return _require_finite(z / self._denominator(c, z))
+        return _each(at, zs)
 
 
 @dataclass(frozen=True)
@@ -281,16 +327,23 @@ class Co0Cubic(FamilySpec):
             raise PoleProximityError("1/z + a0 + z has its pole at 0")
         return z
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = self._off_pole(z)
-        iz = 1.0 / z
-        iz2 = iz * iz
-        return _jet(z, iz + self.a0 + z, 1.0 - iz2, 2 * iz2 * iz,
-                    -6 * iz2 * iz2).checked()
+    def eval_jets(self, zs: Sequence[complex]) -> list:
+        a0 = self.a0
 
-    def value(self, z: complex) -> complex:
-        z = self._off_pole(z)
-        return _require_finite(1.0 / z + self.a0 + z)
+        def at(z):
+            z = self._off_pole(z)
+            iz = 1.0 / z
+            iz2 = iz * iz
+            return _jfinite((iz + a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2))
+        return _each(at, zs)
+
+    def values(self, zs: Sequence[complex]) -> list:
+        a0 = self.a0
+
+        def at(z):
+            z = self._off_pole(z)
+            return _require_finite(1.0 / z + a0 + z)
+        return _each(at, zs)
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0
@@ -337,20 +390,27 @@ class Laurent(FamilySpec):
             acc = acc * u + c
         return acc
 
-    def eval_jet(self, z: complex) -> Jet3:
-        z = _require_in_disk(z)
-        zj = Jet3.variable(z)
-        if self.pole is None:
-            return self._poly_jet(zj).checked()
-        u = zj - self.pole
-        return (self.residue * u.reciprocal() + self._poly_jet(u)).checked()
+    def eval_jets(self, zs: Sequence[complex]) -> list:
+        # Jet3 arithmetic per sample, whose operator calls perfbench counts
+        def at(z):
+            zj = Jet3.variable(_require_in_disk(z))
+            if self.pole is None:
+                j = self._poly_jet(zj)
+            else:
+                u = zj - self.pole
+                j = self.residue * u.reciprocal() + self._poly_jet(u)
+            return _jfinite((j.v0, j.v1, j.v2, j.v3))
+        return _each(at, zs)
 
-    def value(self, z: complex) -> complex:
-        z = _require_in_disk(z)
-        if self.pole is None:
-            return _require_finite(self._poly_value(z))
-        u = z - complex(self.pole)
-        return _require_finite(_inverse(u, z) * self.residue + self._poly_value(u))
+    def values(self, zs: Sequence[complex]) -> list:
+        def at(z):
+            z = _require_in_disk(z)
+            if self.pole is None:
+                return _require_finite(self._poly_value(z))
+            u = z - complex(self.pole)
+            return _require_finite(_inverse(u, z) * self.residue
+                                   + self._poly_value(u))
+        return _each(at, zs)
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         if self.pole is None:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
 from .errors import EmptyScanError, SampleExclusionError, SpecParseError
-from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, MarginReport,
-                      classify, default_grid, geometric_radii, parse_class,
-                      scan)
+from .margins import (_TOKENS, CLASS_VERDICT_OK, VERDICT_OK, GridConfig,
+                      MarginReport, classify, default_grid, geometric_radii,
+                      parse_class, scan)
 from .oracle import DEFAULT_ANGLES, CurveSample, boundary_curve, oracle_concave
 
 
@@ -70,6 +70,13 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
     return d
 
 
+def _read_by(theorem: str, alpha: float | None, p: float | None) -> dict:
+    """Of alpha and p, the class parameter the theorem reads, by name: the
+    one its report names."""
+    param = _TOKENS[theorem][1]
+    return {} if param is None else {param: {"alpha": alpha, "p": p}[param]}
+
+
 def _resolve_grid(args) -> GridConfig:
     base = default_grid()
     return GridConfig(
@@ -87,13 +94,9 @@ def _cmd_classify(args) -> int:
     result = classify(spec, cls, grid)
     oracle_verdict = oracle_concave(spec, epsilon=grid.epsilon)
 
-    reports = []
-    for rep in result.reports:
-        alpha = cls.alpha if rep.theorem in ("thm2", "co_alpha_lhs") else None
-        p = None
-        if rep.theorem in ("reM", "thm4"):
-            p = cls.p if cls.kind == "cop" else 0.0
-        reports.append(_report_dict(spec, rep, grid, alpha=alpha, p=p))
+    reports = [_report_dict(spec, rep, grid,
+                            **_read_by(rep.theorem, cls.alpha, cls.pole()))
+               for rep in result.reports]
     payload = {
         "function": format_spec(spec),
         "class": result.class_token,
@@ -124,7 +127,8 @@ def _cmd_margins(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_dump(_report_dict(spec, report, grid,
-                                 alpha=args.alpha, p=args.p)), args.out)
+                                 **_read_by(args.theorem, args.alpha, args.p))),
+              args.out)
     return 0 if report.verdict == VERDICT_OK else 1
 
 

@@ -6,6 +6,10 @@ catch them, count the sample as excluded, and move on. A non-finite jet or
 value (`NonFiniteJetError`) is one of them. Everything else
 (`BasePointMismatchError`, `SpecParseError`, `EmptyScanError`) signals a
 caller bug or unusable input and propagates.
+
+The column kernels evaluate many samples in one call; `_each` keeps a
+sample's exclusion error in that sample's place, so that one bad sample
+excludes itself alone and a one-sample call (`_only`) raises it again.
 """
 
 from __future__ import annotations
@@ -57,3 +61,23 @@ class SpecParseError(ValueError):
 
 class EmptyScanError(RuntimeError):
     """Every sample of a scan was excluded; no margin statistics exist."""
+
+
+def _each(fn, *columns) -> list:
+    """fn applied to each row of the columns; a row that raises a
+    SampleExclusionError gets the error in place of its value."""
+    out = []
+    for row in zip(*columns):
+        try:
+            out.append(fn(*row))
+        except SampleExclusionError as exc:
+            out.append(exc)
+    return out
+
+
+def _only(results: list):
+    """The one result of a one-sample column call, or its error raised."""
+    (out,) = results
+    if isinstance(out, SampleExclusionError):
+        raise out
+    return out

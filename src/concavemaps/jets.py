@@ -10,17 +10,19 @@ f''' and no consumer needs more.
 Each of those rules is written once, as a private function on tuple jets:
 plain (v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`,
 `_jsub`, `_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`,
-`_jpow` built on it). The catalog's k_alpha and sector maps call them
-directly and build a single Jet3 at the end, which spares them an object per
-step. Jet3's operators run straight into the same rules: `_lift` turns the
-operand into a tuple jet, testing the exact types a caller passes (Jet3,
-complex, float, int) before the slower `numbers.Complex` check that catches
-every other number; the operator reads its own fields once, calls its rule
-and unpacks the result into one unchecked Jet3 (`_jet`), the only object it
+`_jpow` built on it). The catalog's k_alpha and sector kernels call them
+directly and hand out plain tuples, which spares them an object per step.
+Jet3's operators run straight into the same rules: `_lift` turns the operand
+into a tuple jet, testing the exact types a caller passes (Jet3, complex,
+float, int) before the slower `numbers.Complex` check that catches every
+other number; the operator reads its own fields once, calls its rule and
+unpacks the result into one unchecked Jet3 (`_jet`), the only object it
 allocates besides the rule's tuples. Both routes do the same complex
 operations in the same order, so they agree bit for bit. The rules and
 `_lift` stay private: perfbench's tracer spans every public function of this
 module, and a span per arithmetic step would swamp a traced run.
+`_schwarzian` is the Schwarzian from fields, which the grid scans call per
+sample and `schwarzian` per jet.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -39,10 +41,11 @@ errors read the same. Jet operations build their results unchecked. Ring
 operations cannot turn an inf or NaN back into a finite number, so only 1/w
 and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
 and exp rules check their operand on entry, and whoever hands a computed jet
-to another layer calls `checked()` on it, as the catalog does with every jet
-that `eval_jet` and `reciprocal_jet` return. A cube in the quotient and
-chain rules that overflows raises `NonFiniteJetError` too (`_cube`), where
-complex `**` would raise a bare `OverflowError`. `_inverse`, `_log` and
+to another layer checks it: `checked()` on a Jet3, as the catalog's
+`reciprocal_jet` does, or `_jfinite` on tuple fields, as its `eval_jets`
+kernels do. A cube in the quotient and chain rules that overflows raises
+`NonFiniteJetError` too (`_cube`), where complex `**` would raise a bare
+`OverflowError`. `_inverse`, `_log` and
 `_exp` hold the scalar rules (finiteness, degeneracy floor, branch cut),
 which the catalog's value-only path shares.
 """
@@ -397,8 +400,12 @@ def schwarzian(jet: Jet3) -> complex:
     """
     if jet.v1 == 0:
         raise CriticalPointError(f"f'({jet.base_point!r}) = 0")
-    q = jet.v2 / jet.v1
-    out = jet.v3 / jet.v1 - 1.5 * q * q
+    return _schwarzian(jet.v1, jet.v3, jet.v2 / jet.v1)
+
+
+def _schwarzian(v1: complex, v3: complex, q: complex) -> complex:
+    """The Schwarzian from a nonzero f', f''' and q = f''/f'."""
+    out = v3 / v1 - 1.5 * q * q
     if not _isfinite(out):
         raise NonFiniteJetError("Schwarzian overflowed")
     return out

@@ -17,11 +17,17 @@ with P = f''/f', t = |z|, q = q_term(p, z) and a = a_p_of(spec, p) unless
 supplied. A grid scan can only certify "member-consistent", never membership;
 verdicts say so.
 
-A table maps each token to its pointwise margin, the class parameter it
-reads and its rule at a pole at the origin. One sweep samples the grid,
-origin first (it is the normalization point of every theorem), then
-radius-major rings, evaluates each sample once and hands it to every margin
-its caller asked for: `classify` sweeps once for all the scans of a class.
+A table maps each token to its column, the class parameter it reads and
+its rule at a pole at the origin. A column is the token's margin over the
+columns of one ring of samples (z, f''/f', the jet fields and z f''/f'): it
+checks the parameters once, then loops a scalar formula over the operators
+of `operators`, each written once, and keeps a sample's exclusion error in
+that sample's place. One sweep samples the grid, origin first (it is the
+normalization point of every theorem), then radius-major rings. For each
+ring it applies `FamilySpec.near_pole`, calls the family's column kernel
+`eval_jets` once, applies OperatorPoint's |f'| floor and runs every margin
+its caller asked for once: `classify` sweeps once for all the scans of a
+class. margin_at is the same path for one sample.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -36,22 +42,15 @@ import cmath
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
-from .errors import EmptyScanError, IndeterminateSampleError, \
-    SampleExclusionError, SpecParseError
+from .errors import (EmptyScanError, IndeterminateSampleError,
+                     SampleExclusionError, SpecParseError, _each, _only)
 from .jets import DEGENERACY_FLOOR, schwarzian
-from .operators import (
-    OperatorPoint,
-    a_f,
-    a_p_of,
-    co_alpha_lhs,
-    phi_of,
-    q_term,
-    schwarzian_norm,
-    thm3_phi3_origin,
-    thm3_phis,
-)
+from .operators import (OperatorPoint, _a_f, _check_alpha, _check_p,
+                        _co_alpha, _critical, _phis, _q, _sf_norm, a_p_of,
+                        phi_of, thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -119,27 +118,27 @@ def default_grid(preset: str = "default") -> GridConfig:
     return GridConfig(geometric_radii(nr), na)
 
 
-# -- pointwise margins -------------------------------------------------------
+# -- the margins at one sample, over the scalar operators ---------------------
 
-def thm1_margin(pt: OperatorPoint) -> float:
-    return 2.0 * abs(a_f(pt)) ** 2 - schwarzian_norm(pt) - 2.0
+def _thm1(z: complex, pre: complex, v1: complex, v3: complex) -> float:
+    return 2.0 * abs(_a_f(z, pre)) ** 2 - _sf_norm(z, pre, v1, v3) - 2.0
 
 
-def thm2_margin(pt: OperatorPoint, alpha: float) -> float:
-    lhs = co_alpha_lhs(pt, alpha)
-    z = pt.z
-    dev = pt.pre_schwarzian - (alpha + 1.0) / (1.0 - z)
+def _thm2(z: complex, pre: complex, alpha: float) -> float:
+    lhs = _co_alpha(z, pre, alpha)
+    dev = pre - (alpha + 1.0) / (1.0 - z)
     return lhs - abs(dev) ** 2 * (1.0 - abs(z) ** 2) / (2.0 * (alpha - 1.0))
 
 
-def thm3_margin(pt: OperatorPoint) -> float:
-    phi3, big_phi = thm3_phis(pt)
+def _thm3(z: complex, pre: complex, v1: complex, v2: complex,
+          v3: complex) -> float:
+    phi3, big_phi = _phis(z, v1, v2)
     lead = 2.0 * (2.0 * abs(phi3) + 1.0)
-    return lead * (1.0 - abs(big_phi) ** 2) - schwarzian_norm(pt)
+    return lead * (1.0 - abs(big_phi) ** 2) - _sf_norm(z, pre, v1, v3)
 
 
-def corollary_check(pt: OperatorPoint) -> float:
-    return 6.0 - schwarzian_norm(pt)
+def _corollary(z: complex, pre: complex, v1: complex, v3: complex) -> float:
+    return 6.0 - _sf_norm(z, pre, v1, v3)
 
 
 # co0, thm4 and reM read f''/f' only through zp = z f''/f'
@@ -153,15 +152,98 @@ def _thm4_weight(t: float, a: float) -> float:
 
 
 def _thm4(z: complex, zp: complex, p: float, a: float) -> float:
-    if a < 0.0:
-        raise ValueError(f"a must be nonnegative, got {a!r}")
-    zp_plus_q = zp + q_term(p, z)
+    zp_plus_q = zp + _q(p, z)
     m = 1.0 + zp_plus_q
     return -m.real - _thm4_weight(abs(z), a) * abs(zp_plus_q) ** 2
 
 
 def _re_m(z: complex, zp: complex, p: float) -> float:
-    return -(1.0 + zp + q_term(p, z)).real
+    return -(1.0 + zp + _q(p, z)).real
+
+
+# the parameter checks of the tokens, each giving the checked values
+
+def _alpha_param(alpha: float) -> tuple[float]:
+    return (_check_alpha(alpha),)
+
+
+def _p_param(p: float) -> tuple[float]:
+    return (_check_p(p),)
+
+
+def _thm4_params(p: float, a: float) -> tuple[float, float]:
+    if a < 0.0:
+        raise ValueError(f"a must be nonnegative, got {a!r}")
+    return _check_p(p), a
+
+
+# -- the ring: one call per family and per margin ---------------------------------
+
+class _Ring:
+    """The usable samples of one ring as columns: z, pre = f''/f', the jet
+    fields v1, v2, v3 and zp = z f''/f'."""
+
+    __slots__ = ("z", "pre", "v1", "v2", "v3", "zp")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
+
+
+def _ring(spec: FamilySpec, zs: list[complex],
+          epsilon: float | None) -> tuple[_Ring, list]:
+    """The samples zs through near_pole (unless epsilon is None), the
+    family's column kernel and the |f'| floor of OperatorPoint.
+
+    Returns the usable samples as a _Ring and, per sample of zs, its row in
+    the ring, None near a pole, or the SampleExclusionError that excluded it.
+    """
+    if epsilon is None:
+        far = [True] * len(zs)
+    else:
+        near = spec.near_pole
+        far = [not near(z, epsilon) for z in zs]
+    kept = [z for z, ok in zip(zs, far) if ok]
+    jets = iter(zip(kept, spec.eval_jets(kept)))
+    ring, slots = _Ring(), []
+    for ok in far:
+        if not ok:
+            slots.append(None)
+            continue
+        z, jet = next(jets)
+        if isinstance(jet, SampleExclusionError):
+            slots.append(jet)
+            continue
+        _, v1, v2, v3 = jet
+        if abs(v1) < DEGENERACY_FLOOR:
+            slots.append(_critical(z))
+            continue
+        slots.append(len(ring.z))
+        pre = v2 / v1
+        ring.z.append(z)
+        ring.pre.append(pre)
+        ring.v1.append(v1)
+        ring.v2.append(v2)
+        ring.v3.append(v3)
+        ring.zp.append(z * pre)
+    return ring, slots
+
+
+def _over(fn, *fields: str, check=lambda: ()):
+    """A token's column: fn at every sample of a ring, from the ring's
+    fields and the parameter values check gives, or the sample's
+    SampleExclusionError. check runs once per ring, before any sample."""
+    def column(ring: _Ring, *args) -> list:
+        params = map(repeat, check(*args))
+        return _each(fn, *[getattr(ring, f) for f in fields], *params)
+    return column
+
+
+def _through_zp(fn, param: str | None, check=lambda: ()):
+    """A zp token's table entry: fn over the columns z and zp, and fn at a
+    simple pole at 0, where zp -> -2 whatever the Laurent tail."""
+    return (_over(fn, "z", "zp", check=check), param,
+            lambda spec, *args: fn(0j, -2.0 + 0j, *check(*args)))
 
 
 # -- the token table ------------------------------------------------------------
@@ -171,32 +253,29 @@ def _sf_at_pole(spec: FamilySpec) -> float:
     return abs(schwarzian(spec.reciprocal_jet(0j)))
 
 
-def _through_zp(fn, param: str | None):
-    # zp -> -2 at a simple pole at 0, whatever the Laurent tail
-    return (lambda pt, *args: fn(pt.z, pt.z * pt.pre_schwarzian, *args), param,
-            lambda spec, *args: fn(0j, -2.0 + 0j, *args))
-
-
-# token -> (pointwise margin, the class parameter it reads, its value at a
-# pole at 0 from the spec and the parameters, or None: indeterminate there);
+# token -> (column, the class parameter it reads, its value at a pole at 0
+# from the spec and the parameters, or None: indeterminate there);
 # thm4 reads a = a_p_of(spec, p) after p unless a is given
 _TOKENS = {
-    "thm1": (thm1_margin, None, None),
-    "thm2": (thm2_margin, "alpha", None),
+    "thm1": (_over(_thm1, "z", "pre", "v1", "v3"), None, None),
+    "thm2": (_over(_thm2, "z", "pre", check=_alpha_param), "alpha", None),
     "co0": _through_zp(_co0, None),
-    "thm3": (thm3_margin, None, lambda spec: 2.0 * (
-        2.0 * abs(thm3_phi3_origin(spec)) + 1.0) - _sf_at_pole(spec)),
-    "corollary": (corollary_check, None, lambda spec: 6.0 - _sf_at_pole(spec)),
-    "thm4": _through_zp(_thm4, "p"),
-    "co_alpha_lhs": (co_alpha_lhs, "alpha", None),
-    "reM": _through_zp(_re_m, "p"),
+    "thm3": (_over(_thm3, "z", "pre", "v1", "v2", "v3"), None,
+             lambda spec: 2.0 * (2.0 * abs(thm3_phi3_origin(spec)) + 1.0)
+             - _sf_at_pole(spec)),
+    "corollary": (_over(_corollary, "z", "pre", "v1", "v3"), None,
+                  lambda spec: 6.0 - _sf_at_pole(spec)),
+    "thm4": _through_zp(_thm4, "p", _thm4_params),
+    "co_alpha_lhs": (_over(_co_alpha, "z", "pre", check=_alpha_param),
+                     "alpha", None),
+    "reM": _through_zp(_re_m, "p", _p_param),
 }
 
 THEOREMS = tuple(_TOKENS)
 
-# A margin as the sweep applies it: its value at an OperatorPoint, and its
-# value at the origin of a pole-at-origin spec (None: indeterminate there).
-Margin = tuple[Callable[[OperatorPoint], float], Callable[[], float] | None]
+# A margin as the sweep applies it: its column over a ring, and its value at
+# the origin of a pole-at-origin spec (None: indeterminate there).
+Margin = tuple[Callable[[_Ring], list], Callable[[], float] | None]
 
 
 def _token(theorem: str, alpha: float | None, p: float | None):
@@ -220,7 +299,7 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
                 f"{format_spec(spec)} has no pole at z = {p!r}; thm4, the test "
                 f"of class cop:p={p!r}, reads a_p, which is defined only there")
         args += (a_p_of(spec, p) if a is None else a,)
-    return (lambda pt: fn(pt, *args),
+    return (lambda ring: fn(ring, *args),
             None if at_pole is None else lambda: at_pole(spec, *args))
 
 
@@ -232,14 +311,16 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
               alpha: float | None = None, p: float | None = None,
               a: float | None = None) -> float:
     """One margin value; raises SampleExclusionError on unusable samples."""
-    at_point, at_pole = _margin(spec, theorem, alpha, p, a)
+    at_ring, at_pole = _margin(spec, theorem, alpha, p, a)
     z = complex(z)
     if z == 0 and _has_pole_at(spec, 0j):
         if at_pole is None:
             raise IndeterminateSampleError(
                 f"{theorem} needs f''/f' alone, which diverges at the pole at 0")
         return at_pole()
-    return at_point(OperatorPoint.at(spec, z))
+    ring, slots = _ring(spec, [z], None)
+    _only(slots)
+    return _only(at_ring(ring))
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -251,6 +332,17 @@ def _excluding(fn, *args) -> float | None:
         return None
 
 
+def _apply(margins: Sequence[Margin], ring: _Ring, slots: list,
+           cols: list[list[float | None]]) -> None:
+    """Append each margin's values at one ring's samples to its column."""
+    for col, (at_ring, _) in zip(cols, margins):
+        # a column checks its parameters: it runs on no ring without samples
+        vals = [None if isinstance(v, SampleExclusionError) else v
+                for v in at_ring(ring)] if ring.z else []
+        col.extend(vals if len(vals) == len(slots)
+                   else [vals[s] if type(s) is int else None for s in slots])
+
+
 def sweep(spec: FamilySpec, grid: GridConfig,
           margins: Sequence[Margin]) -> tuple[list[complex], list[list[float | None]]]:
     """Evaluate every grid sample once and apply each margin to it.
@@ -260,22 +352,23 @@ def sweep(spec: FamilySpec, grid: GridConfig,
     sample was excluded. Samples near a pole are excluded for every margin;
     the origin is always attempted, through each margin's limit rule at a
     pole there. A margin that fails excludes the sample for itself alone.
+
+    Each ring goes through the family's column kernel once and through each
+    margin's column once.
     """
     step = 2.0 * math.pi / grid.angles
-    zs = [0j] + [r * cmath.exp(1j * (step * j))
-                 for r in grid.radii for j in range(grid.angles)]
-    origin_pole = _has_pole_at(spec, 0j)
+    units = [cmath.exp(1j * (step * j)) for j in range(grid.angles)]
+    zs = [0j]
     cols: list[list[float | None]] = [[] for _ in margins]
-    for z in zs:
-        if z == 0 and origin_pole:
-            for col, (_, at_pole) in zip(cols, margins):
-                col.append(None if at_pole is None else _excluding(at_pole))
-            continue
-        pt = None
-        if z == 0 or not spec.near_pole(z, grid.epsilon):
-            pt = _excluding(OperatorPoint.at, spec, z)
-        for col, (at_point, _) in zip(cols, margins):
-            col.append(None if pt is None else _excluding(at_point, pt))
+    if _has_pole_at(spec, 0j):
+        for col, (_, at_pole) in zip(cols, margins):
+            col.append(None if at_pole is None else _excluding(at_pole))
+    else:
+        _apply(margins, *_ring(spec, [0j], None), cols)
+    for r in grid.radii:
+        ring = [r * e for e in units]
+        zs += ring
+        _apply(margins, *_ring(spec, ring, grid.epsilon), cols)
     return zs, cols
 
 
@@ -339,7 +432,8 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
 
 
 # |A_f| at a sample; the order estimate is its grid inf and sup
-_ORDER: Margin = (lambda pt: abs(a_f(pt)), None)
+_ORDER: Margin = (lambda ring: [abs(_a_f(z, pre))
+                                for z, pre in zip(ring.z, ring.pre)], None)
 
 
 def _order(values: Iterable[float | None]) -> tuple[float, float]:

@@ -2,10 +2,13 @@
 
 Everything here is a function of z, f''/f' and Sf (plus the class parameters
 alpha and p), so every operator is invariant under affine post-composition
-f -> c f + d. Operators take an OperatorPoint, which pairs the sample z with
-the function's jet there; degenerate samples (vanishing denominators inside
-the 1e-12 floor) raise SampleExclusionError subclasses so scanning layers can
-drop and count them.
+f -> c f + d. Each operator is written once, as a private scalar function
+of z, pre = f''/f' and the jet fields it reads; the grid scans loop these
+over the columns of a ring of samples. The public operators take an
+OperatorPoint, which pairs one sample z with the function's jet there, and
+check the class parameters before they call the scalar function.
+Degenerate samples (vanishing denominators inside the 1e-12 floor) raise
+SampleExclusionError subclasses so scanning layers can drop and count them.
 
 The pole-at-origin families need two limit conventions, both resolved here:
 phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
@@ -25,7 +28,12 @@ from .errors import (
     PhiUndefinedError,
     PoleProximityError,
 )
-from .jets import DEGENERACY_FLOOR, Jet3, schwarzian
+from .jets import DEGENERACY_FLOOR, Jet3, _schwarzian
+
+
+def _critical(z: complex) -> CriticalPointError:
+    """The error of a sample whose |f'| lies inside the degeneracy floor."""
+    return CriticalPointError(f"f'({z!r}) vanishes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +52,7 @@ class OperatorPoint:
         if self.jet.base_point != self.z:
             raise ValueError("jet was taken at a different point")
         if abs(self.jet.v1) < DEGENERACY_FLOOR:
-            raise CriticalPointError(f"f'({self.z!r}) vanishes")
+            raise _critical(self.z)
 
     @staticmethod
     def at(spec: catalog.FamilySpec, z: complex) -> "OperatorPoint":
@@ -56,22 +64,64 @@ class OperatorPoint:
         return self.jet.v2 / self.jet.v1
 
 
-def a_f(pt: OperatorPoint) -> complex:
-    """A_f(z) = ((1-|z|^2) f''/f' - 2 conj(z))/2; |A_f| >= 1 marks concavity."""
-    z = pt.z
-    return 0.5 * ((1.0 - abs(z) ** 2) * pt.pre_schwarzian - 2.0 * z.conjugate())
+# -- scalar operators (see the module docstring) -----------------------------------
+
+def _a_f(z: complex, pre: complex) -> complex:
+    return 0.5 * ((1.0 - abs(z) ** 2) * pre - 2.0 * z.conjugate())
 
 
-def phi_of(pt: OperatorPoint) -> complex:
-    """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
-    if abs(pt.jet.v2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"f''({pt.z!r}) vanishes; phi is undefined")
-    return pt.z + 2.0 * pt.jet.v1 / pt.jet.v2
+def _phi(z: complex, v1: complex, v2: complex) -> complex:
+    if abs(v2) < DEGENERACY_FLOOR:
+        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi is undefined")
+    return z + 2.0 * v1 / v2
 
 
-def schwarzian_norm(pt: OperatorPoint) -> float:
-    """|Sf(z)| (1-|z|^2)^2, the invariant Schwarzian magnitude."""
-    return abs(schwarzian(pt.jet)) * (1.0 - abs(pt.z) ** 2) ** 2
+def _sf_norm(z: complex, pre: complex, v1: complex, v3: complex) -> float:
+    return abs(_schwarzian(v1, v3, pre)) * (1.0 - abs(z) ** 2) ** 2
+
+
+def _co_alpha(z: complex, pre: complex, alpha: float) -> float:
+    val = 0.5 * (alpha + 1.0) * (1.0 + z) / (1.0 - z) - 1.0 - z * pre
+    return val.real
+
+
+def _q(p: float, z: complex) -> complex:
+    if p == 0.0:
+        return 0j
+    if abs(z - p) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"q has its pole at {p!r}")
+    den = 1.0 - p * z
+    if abs(den) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
+    return 2.0 * p / (z - p) - 2.0 * p * z / den
+
+
+def _varphi(z: complex, pre: complex, p: float) -> complex:
+    den0 = 1.0 - p * z
+    if abs(den0) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
+    w = (z - p) / den0
+    num = (z - p) * pre + 2.0 - 2.0 * p * w
+    den = z * (z - p) * pre + 2.0 * p - 2.0 * p * z * w
+    if abs(den) < DEGENERACY_FLOOR:
+        raise IndeterminateSampleError(f"sample indeterminate: phi_p at {z!r}")
+    return num / den
+
+
+def _phis(z: complex, v1: complex, v2: complex) -> tuple[complex, complex]:
+    if abs(v2) < DEGENERACY_FLOOR:
+        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi3 is undefined")
+    den = z ** 3 * v2
+    if abs(den) < DEGENERACY_FLOOR:
+        raise IndeterminateSampleError(
+            f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {z!r}"
+        )
+    phi3 = (z * v2 + 2.0 * v1) / den
+    den2 = 1.0 - z * z * phi3
+    if abs(den2) < DEGENERACY_FLOOR:
+        raise PhiUndefinedError(f"1 - z^2 phi3 vanishes at {z!r}")
+    big_phi = (z.conjugate() - z * phi3) / den2
+    return phi3, big_phi
 
 
 def _check_alpha(alpha: float) -> float:
@@ -81,28 +131,38 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_p(p: float) -> float:
+    p = float(p)
+    if not (0.0 <= p < 1.0):
+        raise ValueError(f"p must lie in [0, 1), got {p!r}")
+    return p
+
+
+# -- operators at a point ----------------------------------------------------------
+
+def a_f(pt: OperatorPoint) -> complex:
+    """A_f(z) = ((1-|z|^2) f''/f' - 2 conj(z))/2; |A_f| >= 1 marks concavity."""
+    return _a_f(pt.z, pt.pre_schwarzian)
+
+
+def phi_of(pt: OperatorPoint) -> complex:
+    """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
+    return _phi(pt.z, pt.jet.v1, pt.jet.v2)
+
+
+def schwarzian_norm(pt: OperatorPoint) -> float:
+    """|Sf(z)| (1-|z|^2)^2, the invariant Schwarzian magnitude."""
+    return _sf_norm(pt.z, pt.pre_schwarzian, pt.jet.v1, pt.jet.v3)
+
+
 def co_alpha_lhs(pt: OperatorPoint, alpha: float) -> float:
     """Re{(alpha+1)/2 * (1+z)/(1-z) - 1 - z f''/f'}; positive for members."""
-    alpha = _check_alpha(alpha)
-    z = pt.z
-    val = 0.5 * (alpha + 1.0) * (1.0 + z) / (1.0 - z) - 1.0 - z * pt.pre_schwarzian
-    return val.real
+    return _co_alpha(pt.z, pt.pre_schwarzian, _check_alpha(alpha))
 
 
 def q_term(p: float, z: complex) -> complex:
     """q(z) = 2p/(z-p) - 2pz/(1-pz); identically 0 when p = 0."""
-    p = float(p)
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"p must lie in [0, 1), got {p!r}")
-    if p == 0.0:
-        return 0j
-    z = complex(z)
-    if abs(z - p) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"q has its pole at {p!r}")
-    den = 1.0 - p * z
-    if abs(den) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
-    return 2.0 * p / (z - p) - 2.0 * p * z / den
+    return _q(_check_p(p), complex(z))
 
 
 def m_operator(pt: OperatorPoint, p: float) -> complex:
@@ -119,16 +179,7 @@ def varphi_p(pt: OperatorPoint, p: float) -> complex:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    z, P = pt.z, pt.pre_schwarzian
-    den0 = 1.0 - p * z
-    if abs(den0) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
-    w = (z - p) / den0
-    num = (z - p) * P + 2.0 - 2.0 * p * w
-    den = z * (z - p) * P + 2.0 * p - 2.0 * p * z * w
-    if abs(den) < DEGENERACY_FLOOR:
-        raise IndeterminateSampleError(f"sample indeterminate: phi_p at {z!r}")
-    return num / den
+    return _varphi(pt.z, pt.pre_schwarzian, p)
 
 
 def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
@@ -137,21 +188,7 @@ def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
 
     Undefined at z=0; pole-at-origin callers use thm3_phi3_origin instead.
     """
-    z = pt.z
-    v1, v2 = pt.jet.v1, pt.jet.v2
-    if abs(v2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi3 is undefined")
-    den = z ** 3 * v2
-    if abs(den) < DEGENERACY_FLOOR:
-        raise IndeterminateSampleError(
-            f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {z!r}"
-        )
-    phi3 = (z * v2 + 2.0 * v1) / den
-    den2 = 1.0 - z * z * phi3
-    if abs(den2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"1 - z^2 phi3 vanishes at {z!r}")
-    big_phi = (z.conjugate() - z * phi3) / den2
-    return phi3, big_phi
+    return _phis(pt.z, pt.jet.v1, pt.jet.v2)
 
 
 _LIMIT_RADIUS = 1e-4
@@ -178,9 +215,7 @@ def thm3_phi3_origin(spec: catalog.FamilySpec) -> complex:
 def a_p_of(spec: catalog.FamilySpec, p: float) -> float:
     """The Schwarz constant a_p = |phi_p(0)|, computed exactly from the jet
     at the origin; for p = 0 it degenerates to |phi3(0)|."""
-    p = float(p)
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"p must lie in [0, 1), got {p!r}")
+    p = _check_p(p)
     if p == 0.0:
         return abs(thm3_phi3_origin(spec))
     return abs(varphi_p(OperatorPoint.at(spec, 0j), p))

@@ -1,10 +1,10 @@
 """Formula-free convexity oracle on boundary image curves.
 
 The membership scans all flow through f''/f' and Sf; this module never looks
-at those, nor at any derivative: it reads f alone, through
-`FamilySpec.value`, and builds no jet. It samples f on circles |z| = r,
-walks the image polygon, and checks that the omitted set could be convex by
-analyzing discrete turning:
+at those, nor at any derivative: it reads f alone, through one call of the
+column kernel `FamilySpec.values` per curve, and builds no jet. It samples
+f on circles |z| = r, walks the image polygon, and checks that the omitted
+set could be convex by analyzing discrete turning:
 
   * complement-inside (interior pole): the curve must wind once negatively
     around the bounded omitted set. If the total turning has the wrong sign
@@ -97,18 +97,19 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
     require_epsilon(epsilon)
     step = 2.0 * math.pi / n
 
-    included: list[int] = []
-    points: list[complex] = []
+    kept: list[int] = []
+    zs: list[complex] = []
     for j in range(n):
         z = r * cmath.exp(1j * (step * j))
-        if spec.near_pole(z, epsilon):
-            continue
-        try:
-            w = spec.value(z)
-        except SampleExclusionError:
-            continue
-        included.append(j)
-        points.append(w)
+        if not spec.near_pole(z, epsilon):
+            kept.append(j)
+            zs.append(z)
+    included: list[int] = []
+    points: list[complex] = []
+    for j, w in zip(kept, spec.values(zs)):
+        if not isinstance(w, SampleExclusionError):
+            included.append(j)
+            points.append(w)
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       Laurent, format_spec, omitted_segment, parse_spec)
+from .errors import _each
 from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
                       default_grid, estimate_order, margin_at, scan, sweep)
-from .operators import phi_of, thm3_phis, varphi_p
+from .operators import _phi, _phis, _varphi
 from .oracle import (ORACLE_OK, boundary_curve, equality_scan, oracle_concave,
                      real_axis_crossings)
 
@@ -307,19 +308,25 @@ def _c10(grid: GridConfig) -> CriterionResult:
 
 
 def _grid_max(spec: FamilySpec, grid: GridConfig, value) -> float:
-    """The largest value over the grid samples where it is defined."""
-    _, (col,) = sweep(spec, grid, ((value, None),))
+    """The largest value(z, f''/f', f', f'') over the grid samples where it
+    is defined."""
+    def column(ring):
+        return _each(value, ring.z, ring.pre, ring.v1, ring.v2)
+    _, (col,) = sweep(spec, grid, ((column, None),))
     return max([0.0] + [v for v in col if v is not None])
 
 
 def _c11(grid: GridConfig) -> CriterionResult:
     boundary_members = [HalfPlane(), KAlpha(2.0), KAlpha(1.5),
                         AngleMap(-0.5 + 0j), AngleMap(0.9j)]
-    max_phi = max(_grid_max(spec, grid, lambda pt: abs(phi_of(pt)))
+    max_phi = max(_grid_max(spec, grid,
+                            lambda z, pre, v1, v2: abs(_phi(z, v1, v2)))
                   for spec in boundary_members)
-    max_varphi = max(_grid_max(Kp(p), grid, lambda pt, p=p: abs(varphi_p(pt, p)))
+    max_varphi = max(_grid_max(Kp(p), grid,
+                               lambda z, pre, v1, v2, p=p: abs(_varphi(z, pre, p)))
                      for p in (0.2, 0.5, 0.8))
-    max_big_phi = max(_grid_max(spec, grid, lambda pt: abs(thm3_phis(pt)[1]))
+    max_big_phi = max(_grid_max(spec, grid,
+                                lambda z, pre, v1, v2: abs(_phis(z, v1, v2)[1]))
                       for spec in (Co0Cubic(0j), Co0Cubic(0.3 + 0.2j),
                                    Laurent(0.0, 1.0 + 0j, ())))
     ok = (max_phi <= 1.0 + 1e-9 and max_varphi <= 1.0 + 1e-9

@@ -141,6 +141,21 @@ def test_margins_json_payload(capsys):
     assert abs(payload["min_margin"]) < 1e-7
 
 
+@pytest.mark.parametrize("spec,theorem,flag,value,kept", [
+    ("halfplane", "thm1", "--p", "0.5", False),
+    ("co0cubic:a0=0", "co0", "--alpha", "1.5", False),
+    ("kp:p=0.5", "thm4", "--p", "0.5", True),
+])
+def test_margins_json_names_only_the_parameter_its_theorem_reads(
+        capsys, spec, theorem, flag, value, kept):
+    code, out, _ = run(capsys, ["margins", "--function", spec, "--theorem",
+                                theorem, flag, value, "--format", "json"] + FAST)
+    assert code == 0
+    payload = json.loads(out)
+    named = {key: payload[key] for key in ("alpha", "p") if key in payload}
+    assert named == ({flag[2:]: float(value)} if kept else {})
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     argv = ["margins", "--function", "koebe", "--theorem", "thm1"] + FAST
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

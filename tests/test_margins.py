@@ -3,17 +3,25 @@
 import cmath
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
-                                 parse_spec)
+from concavemaps.catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane,
+                                 KAlpha, Kp, Laurent, parse_spec)
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
-                                SpecParseError)
+                                NonFiniteJetError, PhiUndefinedError,
+                                PoleProximityError, SampleExclusionError,
+                                SpecParseError, _only)
+from concavemaps.jets import DEGENERACY_FLOOR, schwarzian
 from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
-                                 classify, default_grid, estimate_order,
+                                 _has_pole_at, _margin, _ring, classify,
+                                 default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
-                                 phi_prime_one_diagnostic, scan)
+                                 phi_prime_one_diagnostic, scan, sweep)
+from concavemaps.operators import OperatorPoint, thm3_phi3_origin
 from concavemaps.verify import control_roster, member_roster
 
 SMALL = GridConfig(geometric_radii(8), 32)
@@ -225,7 +233,9 @@ def test_classify_refuses_a_pole_its_class_does_not_have(spec, cls, pole,
     def no_sampling(*args):
         raise AssertionError("sampled before the pole check")
 
-    monkeypatch.setattr(type(spec), "eval_jet", no_sampling)
+    # every evaluation, eval_jet's one-sample calls included, runs the
+    # family's column kernel
+    monkeypatch.setattr(type(spec), "eval_jets", no_sampling)
     with pytest.raises(ValueError) as exc:
         classify(spec, cls, SMALL)
     assert pole in str(exc.value)
@@ -284,22 +294,226 @@ def _family_classes(cls=FamilySpec):
 
 
 def test_classify_evaluates_each_sample_once(monkeypatch):
-    calls = [0]
+    calls, samples = [0], [0]
 
     def counted(fn):
-        def eval_jet(self, z):
+        def eval_jets(self, zs):
             calls[0] += 1
-            return fn(self, z)
-        return eval_jet
+            samples[0] += len(zs)
+            return fn(self, zs)
+        return eval_jets
 
     for fam in _family_classes():
-        if "eval_jet" in vars(fam):
-            monkeypatch.setattr(fam, "eval_jet", counted(vars(fam)["eval_jet"]))
+        if "eval_jets" in vars(fam):
+            monkeypatch.setattr(fam, "eval_jets", counted(vars(fam)["eval_jets"]))
     points = 1 + len(SMALL.radii) * SMALL.angles
-    # phi'(1) takes three evaluations, the phi3 radial limit at an origin
-    # pole four, a_p one
+    kernel_calls = 1 + len(SMALL.radii)
+    # phi'(1) takes three one-sample evaluations, the phi3 radial limit at
+    # an origin pole four, a_p one
     extra = {"co": 3, "coalpha": 0, "co0": 4, "cop": 1}
     for spec, cls in ROSTER:
-        calls[0] = 0
+        calls[0] = samples[0] = 0
         classify(spec, cls, SMALL)
-        assert 0 < calls[0] <= points + extra[parse_class(cls).kind], (str(spec), cls)
+        more = extra[parse_class(cls).kind]
+        assert 0 < samples[0] <= points + more, (str(spec), cls)
+        # one kernel call per ring, the origin's included
+        assert 0 < calls[0] <= kernel_calls + more, (str(spec), cls)
+
+
+# -- token columns against the pointwise formulas they replaced -------------------
+#
+# The sweep runs each token once per ring, over columns. These references are
+# the pointwise formulas that did the work before, applied to one
+# OperatorPoint per sample; every column must agree with them bit for bit and
+# exclude the same samples with the same error class.
+
+def _ref_pre(pt):
+    return pt.jet.v2 / pt.jet.v1
+
+
+def _ref_a_f(pt):
+    z = pt.z
+    return 0.5 * ((1.0 - abs(z) ** 2) * _ref_pre(pt) - 2.0 * z.conjugate())
+
+
+def _ref_schwarzian_norm(pt):
+    jet = pt.jet
+    q = jet.v2 / jet.v1
+    sf = jet.v3 / jet.v1 - 1.5 * q * q
+    if not cmath.isfinite(sf):
+        raise NonFiniteJetError("Schwarzian overflowed")
+    return abs(sf) * (1.0 - abs(pt.z) ** 2) ** 2
+
+
+def _ref_co_alpha_lhs(pt, alpha):
+    z = pt.z
+    val = 0.5 * (alpha + 1.0) * (1.0 + z) / (1.0 - z) - 1.0 - z * _ref_pre(pt)
+    return val.real
+
+
+def _ref_q(p, z):
+    if p == 0.0:
+        return 0j
+    if abs(z - p) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"q has its pole at {p!r}")
+    den = 1.0 - p * z
+    if abs(den) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
+    return 2.0 * p / (z - p) - 2.0 * p * z / den
+
+
+def _ref_thm3_phis(pt):
+    z, v1, v2 = pt.z, pt.jet.v1, pt.jet.v2
+    if abs(v2) < DEGENERACY_FLOOR:
+        raise PhiUndefinedError("phi3")
+    den = z ** 3 * v2
+    if abs(den) < DEGENERACY_FLOOR:
+        raise IndeterminateSampleError("phi3")
+    phi3 = (z * v2 + 2.0 * v1) / den
+    den2 = 1.0 - z * z * phi3
+    if abs(den2) < DEGENERACY_FLOOR:
+        raise PhiUndefinedError("Phi")
+    return phi3, (z.conjugate() - z * phi3) / den2
+
+
+def _ref_thm1(pt):
+    return 2.0 * abs(_ref_a_f(pt)) ** 2 - _ref_schwarzian_norm(pt) - 2.0
+
+
+def _ref_thm2(pt, alpha):
+    lhs = _ref_co_alpha_lhs(pt, alpha)
+    z = pt.z
+    dev = _ref_pre(pt) - (alpha + 1.0) / (1.0 - z)
+    return lhs - abs(dev) ** 2 * (1.0 - abs(z) ** 2) / (2.0 * (alpha - 1.0))
+
+
+def _ref_thm3(pt):
+    phi3, big_phi = _ref_thm3_phis(pt)
+    lead = 2.0 * (2.0 * abs(phi3) + 1.0)
+    return lead * (1.0 - abs(big_phi) ** 2) - _ref_schwarzian_norm(pt)
+
+
+def _ref_co0(z, zp):
+    return -(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
+
+
+def _ref_thm4(z, zp, p, a):
+    zp_plus_q = zp + _ref_q(p, z)
+    m = 1.0 + zp_plus_q
+    t = abs(z)
+    weight = (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t) / (4.0 * (1.0 + a * t) ** 2)
+    return -m.real - weight * abs(zp_plus_q) ** 2
+
+
+def _ref_re_m(z, zp, p):
+    return -(1.0 + zp + _ref_q(p, z)).real
+
+
+def _ref_sf_at_pole(spec):
+    return abs(schwarzian(spec.reciprocal_jet(0j)))
+
+
+def _ref_tokens(alpha, p, a):
+    """token -> (the keyword parameters it takes, its pointwise reference,
+    its reference at a pole at 0 or None)"""
+    def zp(fn, *args):
+        return (lambda pt: fn(pt.z, pt.z * _ref_pre(pt), *args),
+                lambda spec: fn(0j, -2.0 + 0j, *args))
+    return {
+        "thm1": ({}, _ref_thm1, None),
+        "thm2": ({"alpha": alpha}, lambda pt: _ref_thm2(pt, alpha), None),
+        "co0": ({}, *zp(_ref_co0)),
+        "thm3": ({}, _ref_thm3, lambda spec: 2.0 * (
+            2.0 * abs(thm3_phi3_origin(spec)) + 1.0) - _ref_sf_at_pole(spec)),
+        "corollary": ({}, lambda pt: 6.0 - _ref_schwarzian_norm(pt),
+                      lambda spec: 6.0 - _ref_sf_at_pole(spec)),
+        "thm4": ({"p": p, "a": a}, *zp(_ref_thm4, p, a)),
+        "co_alpha_lhs": ({"alpha": alpha},
+                         lambda pt: _ref_co_alpha_lhs(pt, alpha), None),
+        "reM": ({"p": p}, *zp(_ref_re_m, p)),
+    }
+
+
+def _packed(evaluate):
+    """The value as a packed double, or the class of the exclusion error."""
+    try:
+        return struct.pack("<d", evaluate())
+    except SampleExclusionError as exc:
+        return type(exc)
+
+
+small_c = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                             allow_infinity=False)
+
+
+def _angle_map(a, A, B):
+    try:
+        return AngleMap(a, A, B)
+    except ValueError:
+        return None
+
+column_specs = st.one_of(
+    st.just(HalfPlane()),
+    st.builds(KAlpha, st.floats(min_value=1.0, max_value=2.0)),
+    st.builds(_angle_map,
+              st.complex_numbers(min_magnitude=0.05, max_magnitude=0.99),
+              st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0,
+                                 allow_nan=False, allow_infinity=False),
+              small_c).filter(lambda spec: spec is not None),
+    st.builds(Kp, st.floats(min_value=0.05, max_value=0.95)),
+    st.builds(Co0Cubic, small_c),
+    # no pole, a pole at 0 and a pole in (0, 1); short tails reach the
+    # identity, whose f'' = 0 excludes every thm3 sample
+    st.builds(Laurent,
+              st.one_of(st.none(), st.just(0.0),
+                        st.floats(min_value=0.05, max_value=0.95)),
+              st.complex_numbers(min_magnitude=0.1, max_magnitude=4.0,
+                                 allow_nan=False, allow_infinity=False),
+              st.lists(small_c, max_size=5).map(tuple)),
+)
+
+
+@given(column_specs, st.integers(1, 3), st.integers(8, 16),
+       st.floats(min_value=0.001, max_value=0.1),
+       st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+       st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99),
+                 st.sampled_from(geometric_radii(3))),
+       st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=150, deadline=None)
+@example(parse_spec("identity"), 2, 8, 0.05, 1.5, 0.0, 0.0)
+@example(Kp(0.5), 3, 8, 0.05, 1.5, geometric_radii(3)[1], 0.5)
+@example(Laurent(0.0, 1.0 + 0j, ()), 2, 8, 0.05, 2.0, 0.0, 0.0)
+@example(Laurent(None, 0j, (0j, 0j, 1.0 + 0j)), 2, 8, 0.05, 1.5, 0.5, 1.0)
+def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
+                                                alpha, p, a):
+    grid = GridConfig(geometric_radii(nr), angles, epsilon=epsilon)
+    step = 2.0 * math.pi / angles
+    origin_pole = _has_pole_at(spec, 0j)
+    # the origin, attempted whatever epsilon, then the rings
+    rings = [] if origin_pole else [([0j], None)]
+    rings += [([r * cmath.exp(1j * (step * j)) for j in range(angles)], epsilon)
+              for r in grid.radii]
+    for theorem, (kw, ref, ref_at_pole) in _ref_tokens(alpha, p, a).items():
+        margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"),
+                         kw.get("a"))
+        want_swept = []
+        if origin_pole:
+            want_swept.append(None if ref_at_pole is None
+                              else _packed(lambda: ref_at_pole(spec)))
+        for zs, eps in rings:
+            ring, slots = _ring(spec, zs, eps)
+            column = margin[0](ring) if ring.z else []
+            for z, slot in zip(zs, slots):
+                if eps is not None and spec.near_pole(z, eps):
+                    assert slot is None
+                    want_swept.append(None)
+                    continue
+                want = _packed(lambda: ref(OperatorPoint.at(spec, z)))
+                got = _packed(lambda: _only([column[slot]] if type(slot) is int
+                                            else [slot]))
+                assert got == want, (str(spec), theorem, z)
+                assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
+                want_swept.append(want)
+        _, (col,) = sweep(spec, grid, [margin])
+        assert [None if v is None else struct.pack("<d", v) for v in col] == [
+            w if isinstance(w, bytes) else None for w in want_swept]
