@@ -26,8 +26,8 @@ The kernels exclude a sample only on genuine degeneracy (a denominator
 inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
 sample outside the disk raises ValueError for the whole call. Pole
 neighborhoods are excluded by the samplers, through the one rule they
-share, FamilySpec.near_pole, at the radius EXCLUSION_RADIUS unless the
-caller names another.
+share, the column FamilySpec.far_from_poles (near_pole is its one-sample
+call), at the radius EXCLUSION_RADIUS unless the caller names another.
 
 The module also owns the spec mini-grammar used by the CLI:
 
@@ -107,14 +107,22 @@ class FamilySpec:
         """Jet of 1/f at z; overridden where f has a pole the jet must cross."""
         return self.eval_jet(z).reciprocal().checked()
 
-    def near_pole(self, z: complex, epsilon: float) -> bool:
-        """Whether z lies within epsilon of a pole or of the boundary pole:
-        the exclusion rule of the grid scans and the oracle alike."""
-        for q in self.poles:
-            if abs(z - q) < epsilon:
-                return True
+    def far_from_poles(self, zs: Sequence[complex],
+                       epsilon: float) -> list[bool]:
+        """Per sample of zs, whether it lies within epsilon of no pole and
+        not of the boundary pole: the exclusion rule of the grid scans and
+        the oracle alike, which keep the samples it calls far. A NaN sample
+        is near nothing, so it is kept."""
+        far = [True] * len(zs)
         bp = self.boundary_pole
-        return bp is not None and abs(z - bp) < epsilon
+        for q in self.poles if bp is None else (*self.poles, bp):
+            far = [ok and not abs(z - q) < epsilon for ok, z in zip(far, zs)]
+        return far
+
+    def near_pole(self, z: complex, epsilon: float) -> bool:
+        """Whether z lies within epsilon of a pole or of the boundary pole;
+        the one-sample call of far_from_poles."""
+        return not self.far_from_poles((z,), epsilon)[0]
 
     def __str__(self) -> str:
         return format_spec(self)

@@ -6,17 +6,27 @@ acceptance suite), catalog (family grammar). Reports are deterministic:
 identical config and build produce byte-identical JSON/CSV, so there are no
 timestamps and complex numbers serialize as {re, im} pairs, never strings.
 
+Every JSON report, the `verify` bundle included, goes through one writer,
+`_dump`: the bytes json.dumps writes with sorted keys and a two-space
+indent, plus a newline, without the pure-Python encoder that json falls
+back to whenever it indents. A list of flat objects that share one key set,
+or a `_Rows` of columns, is written through one template per row, so the
+curve points need no dict per point.
+
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
-error, 3 numerical degeneracy (every sample excluded, or an evaluation
-degenerated where one was required).
+error (an --out whose directory does not exist is refused before anything
+is sampled, and a failed write is reported on one line), 3 numerical
+degeneracy (every sample excluded, or an evaluation degenerated where one
+was required).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
@@ -40,13 +50,131 @@ def _grid_dict(grid: GridConfig) -> dict:
     }
 
 
+# json's spelling of the floats that float.__repr__ spells nan, inf, -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Rows:
+    """Columns of equal length, keyed by name, written as the JSON list of
+    their rows: one object per index, with no dict built per row."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+
+def _scalar(v) -> str | None:
+    """v as json writes it, or None if v is a container."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NON_FINITE.get(text, text)
+    return None
+
+
+def _column(values: Sequence) -> list[str] | None:
+    """Each of values as json writes it, or None if one is a container."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        texts = list(map(_scalar, values))
+        return None if None in texts else texts
+    if not all(map(math.isfinite, values)):
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _table(columns: dict[str, Sequence], pad: str) -> str | None:
+    """The rows of columns as an indented JSON list of objects, or None if
+    a value is a container."""
+    keys = sorted(columns)
+    texts = [_column(columns[k]) for k in keys]
+    if None in texts:
+        return None
+    if not keys or not texts[0]:
+        return "[]"
+    inner = pad + "  "
+    fields = ",\n".join(f"{inner}  {_quote(k).replace('%', '%%')}: %s"
+                        for k in keys)
+    row = f"{{\n{fields}\n{inner}}}"
+    rows = f",\n{inner}".join(map(row.__mod__, zip(*texts)))
+    return f"[\n{inner}{rows}\n{pad}]"
+
+
+def _flat_rows(items: list) -> dict[str, list] | None:
+    """items as columns, if every item is a dict with the keys of the first."""
+    first = items[0]
+    if not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(d, dict) and d.keys() == keys for d in items):
+        return None
+    return {k: [d[k] for d in items] for k in keys}
+
+
+def _value(v, pad: str) -> str:
+    text = _scalar(v)
+    if text is not None:
+        return text
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        columns = _flat_rows(v)
+        text = None if columns is None else _table(columns, pad)
+        if text is None:
+            text = f",\n{inner}".join(_value(x, inner) for x in v)
+            text = f"[\n{inner}{text}\n{pad}]"
+        return text
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        text = f",\n{inner}".join(f"{_quote(k)}: {_value(v[k], inner)}"
+                                  for k in sorted(v))
+        return f"{{\n{inner}{text}\n{pad}}}"
+    if isinstance(v, _Rows):
+        text = _table(v.columns, pad)
+        if text is None:
+            raise TypeError("a _Rows column holds a container")
+        return text
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """payload as json.dumps writes it with sorted keys and a two-space
+    indent, plus a newline, byte for byte, for payloads of str-keyed dicts,
+    lists, tuples, str, int, float, bool, None and _Rows (written as the
+    list of its rows)."""
+    return _value(payload, "") + "\n"
+
+
+def _check_out(out: str) -> None:
+    """Refuse an output path whose directory does not exist."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise ValueError(f"cannot write {out}: no directory {parent}")
+
+
+def _write(text: str, out: str) -> None:
+    try:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        _write(text, out)
     else:
         sys.stdout.write(text)
 
@@ -134,16 +262,13 @@ def _cmd_margins(args) -> int:
 
 def _curve_csv(curve: CurveSample) -> str:
     step = 2.0 * math.pi / curve.n
-    have = dict(zip(curve.included, curve.points))
-    lines = ["theta,re_w,im_w,excluded"]
-    for j in range(curve.n):
-        theta = step * j
-        w = have.get(j)
-        if w is None:
-            lines.append(f"{theta!r},,,1")
-        else:
-            lines.append(f"{theta!r},{w.real!r},{w.imag!r},0")
-    return "\n".join(lines) + "\n"
+    rows: list[str | None] = [None] * curve.n
+    for j, w in zip(curve.included, curve.points):
+        rows[j] = f"{step * j!r},{w.real!r},{w.imag!r},0"
+    if len(curve.included) < curve.n:
+        rows = [f"{step * j!r},,,1" if row is None else row
+                for j, row in enumerate(rows)]
+    return "theta,re_w,im_w,excluded\n" + "\n".join(rows) + "\n"
 
 
 def _cmd_curve(args) -> int:
@@ -163,8 +288,9 @@ def _cmd_curve(args) -> int:
             "convexity_defect": curve.convexity_defect,
             "excluded_arcs": [{"start": a, "end": b}
                               for a, b in curve.excluded_arcs],
-            "points": [{"theta": t, "re": w.real, "im": w.imag}
-                       for t, w in zip(curve.thetas, curve.points)],
+            "points": _Rows({"theta": curve.thetas,
+                             "re": [w.real for w in curve.points],
+                             "im": [w.imag for w in curve.points]}),
         }
         _emit(_dump(payload), args.out)
     return 0
@@ -178,7 +304,7 @@ def _cmd_verify(args) -> int:
         word = "PASS" if res.passed else "FAIL"
         print(f"{word}  {res.name}: {res.detail}")
     out = args.out or "verify_report.json"
-    Path(out).write_text(bundle_text, encoding="utf-8", newline="")
+    _write(bundle_text, out)
     print(f"report: {out}")
     return 0 if all(r.passed for r in results) else 1
 
@@ -268,6 +394,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return _DISPATCH[args.command](args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

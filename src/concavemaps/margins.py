@@ -24,16 +24,16 @@ checks the parameters once, then loops a scalar formula over the operators
 of `operators`, each written once, and keeps a sample's exclusion error in
 that sample's place. One sweep samples the grid, origin first (it is the
 normalization point of every theorem), then radius-major rings. For each
-ring it applies `FamilySpec.near_pole`, calls the family's column kernel
-`eval_jets` once, applies OperatorPoint's |f'| floor and runs every margin
-its caller asked for once: `classify` sweeps once for all the scans of a
-class. margin_at is the same path for one sample.
+ring it applies the exclusion column `FamilySpec.far_from_poles`, calls the
+family's column kernel `eval_jets` once, applies OperatorPoint's |f'| floor
+and runs every margin its caller asked for once: `classify` sweeps once for
+all the scans of a class. margin_at is the same path for one sample.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
 Laurent tail), Sf through the jet of 1/f, and phi3 by radial limit; tokens
 without such a rule find it indeterminate. Samples inside epsilon of a pole
-(`FamilySpec.near_pole`) are excluded and counted, never interpolated.
+(`FamilySpec.far_from_poles`) are excluded and counted, never interpolated.
 """
 
 from __future__ import annotations
@@ -192,17 +192,14 @@ class _Ring:
 
 def _ring(spec: FamilySpec, zs: list[complex],
           epsilon: float | None) -> tuple[_Ring, list]:
-    """The samples zs through near_pole (unless epsilon is None), the
+    """The samples zs through far_from_poles (unless epsilon is None), the
     family's column kernel and the |f'| floor of OperatorPoint.
 
     Returns the usable samples as a _Ring and, per sample of zs, its row in
     the ring, None near a pole, or the SampleExclusionError that excluded it.
     """
-    if epsilon is None:
-        far = [True] * len(zs)
-    else:
-        near = spec.near_pole
-        far = [not near(z, epsilon) for z in zs]
+    far = ([True] * len(zs) if epsilon is None
+           else spec.far_from_poles(zs, epsilon))
     kept = [z for z, ok in zip(zs, far) if ok]
     jets = iter(zip(kept, spec.eval_jets(kept)))
     ring, slots = _Ring(), []
@@ -343,6 +340,13 @@ def _apply(margins: Sequence[Margin], ring: _Ring, slots: list,
                    else [vals[s] if type(s) is int else None for s in slots])
 
 
+def _units(n: int) -> list[complex]:
+    """exp(i theta_j) at the n angles theta_j = 2 pi j / n; a ring or curve
+    of radius r samples r * e for each e."""
+    step = 2.0 * math.pi / n
+    return [cmath.exp(1j * (step * j)) for j in range(n)]
+
+
 def sweep(spec: FamilySpec, grid: GridConfig,
           margins: Sequence[Margin]) -> tuple[list[complex], list[list[float | None]]]:
     """Evaluate every grid sample once and apply each margin to it.
@@ -356,8 +360,7 @@ def sweep(spec: FamilySpec, grid: GridConfig,
     Each ring goes through the family's column kernel once and through each
     margin's column once.
     """
-    step = 2.0 * math.pi / grid.angles
-    units = [cmath.exp(1j * (step * j)) for j in range(grid.angles)]
+    units = _units(grid.angles)
     zs = [0j]
     cols: list[list[float | None]] = [[] for _ in margins]
     if _has_pole_at(spec, 0j):

@@ -21,20 +21,20 @@ set could be convex by analyzing discrete turning:
 
 Turning angles use atan2 of cross and dot products of successive edges, per
 contiguous run of included angles; arcs near poles (by the scans' own rule,
-`FamilySpec.near_pole`) and samples that fail to evaluate are excluded and
-reported, never bridged.
+`FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
+and reported, never bridged.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 from . import margins as _margins
 from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
 from .errors import EmptyScanError, SampleExclusionError
-from .margins import MAX_SAMPLES, GridConfig
+from .margins import MAX_SAMPLES, GridConfig, _units
 
 COMPLEMENT_INSIDE = "complement-inside"
 COMPLEMENT_OUTSIDE = "complement-outside"
@@ -86,7 +86,12 @@ def natural_orientation(spec: FamilySpec) -> str:
 
 def boundary_curve(spec: FamilySpec, r: float, n: int,
                    epsilon: float = EXCLUSION_RADIUS) -> CurveSample:
-    """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods."""
+    """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods.
+
+    Each stage walks the n samples once: r * e over the unit vectors of
+    margins' rings, one far_from_poles column, one values call over the
+    samples it keeps. Excluded arcs are looked for only when a sample was
+    excluded."""
     r = float(r)
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
@@ -95,30 +100,27 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
     if n > MAX_SAMPLES:
         raise ValueError(f"a curve holds at most {MAX_SAMPLES} angles")
     require_epsilon(epsilon)
-    step = 2.0 * math.pi / n
 
-    kept: list[int] = []
-    zs: list[complex] = []
-    for j in range(n):
-        z = r * cmath.exp(1j * (step * j))
-        if not spec.near_pole(z, epsilon):
-            kept.append(j)
-            zs.append(z)
+    zs = [r * e for e in _units(n)]
+    far = spec.far_from_poles(zs, epsilon)
     included: list[int] = []
     points: list[complex] = []
-    for j, w in zip(kept, spec.values(zs)):
+    for j, w in zip(compress(range(n), far),
+                    spec.values(list(compress(zs, far)))):
         if not isinstance(w, SampleExclusionError):
             included.append(j)
             points.append(w)
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
 
-    gone = sorted(set(range(n)) - set(included))
     arcs = []
-    for run in (_runs(gone, n) if gone else ()):
-        # a run that wraps past theta = 0 ends beyond 2 pi
-        end = gone[run[-1]] + (n if run[-1] < run[0] else 0) + 1
-        arcs.append((step * gone[run[0]], step * end))
+    if len(included) < n:
+        step = 2.0 * math.pi / n
+        gone = sorted(set(range(n)).difference(included))
+        for run in _runs(gone, n):
+            # a run that wraps past theta = 0 ends beyond 2 pi
+            end = gone[run[-1]] + (n if run[-1] < run[0] else 0) + 1
+            arcs.append((step * gone[run[0]], step * end))
     return CurveSample(r, n, tuple(included), tuple(points), tuple(arcs),
                        natural_orientation(spec))
 
@@ -148,31 +150,47 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
     return [[pts[k] for k in run] for run in _runs(curve.included, curve.n)], False
 
 
-def _collapse(points: list[complex]) -> list[complex]:
-    scale = max(1.0, max(abs(w) for w in points))
-    tol = 1e-15 * scale
-    out = [points[0]]
-    for w in points[1:]:
-        if abs(w - out[-1]) > tol:
-            out.append(w)
-    return out
-
-
 def _turns(points: list[complex], closed: bool) -> list[float]:
-    pts = _collapse(points)
-    if closed and len(pts) > 1 and abs(pts[0] - pts[-1]) <= 1e-15 * max(
-            1.0, abs(pts[0])):
-        pts.pop()
-    m = len(pts)
-    out = []
-    ks = range(m) if closed else range(1, m - 1)
-    for k in ks:
-        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % m]
-        e1, e2 = b - a, c - b
-        cross = e1.real * e2.imag - e1.imag * e2.real
-        dot = e1.real * e2.real + e1.imag * e2.imag
-        out.append(math.atan2(cross, dot))
-    return out
+    """Turning angles of the polygon through points, in one pass.
+
+    Successive points closer than 1e-15 * max(1, max |w|) collapse into the
+    first of them; a closed curve whose last point then lies within
+    1e-15 * max(1, |first|) of its first drops it. Each kept edge w - last is
+    the one the collapse measured, and each turn is the atan2 of the cross
+    and dot products of two successive edges: one per inner vertex of an
+    open run, one per vertex of a closed one, the first at points[0].
+    """
+    tol = 1e-15 * max(1.0, max(abs(w) for w in points))
+    first = last = before = points[0]
+    # the first kept edge, the last one and the one before it
+    e0 = e1 = e_before = None
+    turns: list[float] = []
+    for w in points[1:]:
+        e2 = w - last
+        if abs(e2) > tol:
+            if e1 is None:
+                e0 = e2
+            else:
+                turns.append(_turn(e1, e2))
+            before, last = last, w
+            e_before, e1 = e1, e2
+    if not closed:
+        return turns
+    if e1 is not None and abs(first - last) <= 1e-15 * max(1.0, abs(first)):
+        last, e1 = before, e_before
+        if turns:
+            turns.pop()
+    close = first - last
+    if e1 is None:
+        return [_turn(close, close)]
+    turns.insert(0, _turn(close, e0))
+    turns.append(_turn(e1, close))
+    return turns
+
+
+def _turn(e1: complex, e2: complex) -> float:
+    return math.atan2(e1.real * e2.imag - e1.imag * e2.real,
+                      e1.real * e2.real + e1.imag * e2.imag)
 
 
 def convexity_defect(curve: CurveSample, orientation: str) -> float:

@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps import jets
-from concavemaps.catalog import (AngleMap, Co0Cubic, HalfPlane, KAlpha, Kp,
-                                 Laurent, _require_in_disk, format_spec,
+from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
+                                 HalfPlane, KAlpha, Kp, Laurent,
+                                 _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
                                 SampleExclusionError, SpecParseError)
@@ -319,6 +320,38 @@ def test_nan_sample_is_non_finite_after_a_stale_overflow(spec):
         _stale_overflow()
         with pytest.raises(NonFiniteJetError, match="not finite"):
             OperatorPoint(z, Jet3.variable(0.5))
+
+
+# -- the exclusion column -------------------------------------------------------
+
+def _reference_near_pole(spec, z, epsilon):
+    for q in spec.poles:
+        if abs(z - q) < epsilon:
+            return True
+    bp = spec.boundary_pole
+    return bp is not None and abs(z - bp) < epsilon
+
+
+@pytest.mark.parametrize("spec", [
+    HalfPlane(), KAlpha(1.5), AngleMap(-0.5 + 0j), Kp(0.5), Co0Cubic(0.3 + 0.2j),
+    Laurent(None, 0j, (1j,)), Laurent(0.5, 1.0 + 0j, (0j, 1.0 + 0j))], ids=str)
+def test_far_from_poles_is_not_near_pole_per_sample(spec):
+    obstacles = list(spec.poles) + (
+        [] if spec.boundary_pole is None else [spec.boundary_pole])
+    for eps in (0.25, 0.5, EXCLUSION_RADIUS):
+        zs = [0j, 0.5 + 0.5j, complex(math.inf, 0.0), *NAN_SAMPLES]
+        for q in obstacles:
+            # the first four lie eps from q, exactly wherever q and eps are
+            # dyadic: a sample at the distance itself is kept
+            zs += [q + eps, q - eps, q + 1j * eps, q - 1j * eps, q,
+                   q + 0.6 * eps * (1 + 1j), q + complex(math.nan, eps)]
+        want = [not _reference_near_pole(spec, z, eps) for z in zs]
+        assert spec.far_from_poles(zs, eps) == want
+        assert [not spec.near_pole(z, eps) for z in zs] == want
+        assert all(spec.far_from_poles(NAN_SAMPLES, eps))
+        if obstacles:
+            assert not any(spec.far_from_poles(obstacles, eps))
+            assert any(abs(z - q) == eps for z in zs for q in obstacles)
 
 
 # -- tuple-rule kernels against the Jet3 compositions they replaced ---------------

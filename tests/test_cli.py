@@ -1,14 +1,17 @@
 """CLI surface: exit codes, payload shapes, determinism."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from concavemaps import cli
-from concavemaps.catalog import EXCLUSION_RADIUS
-from concavemaps.cli import main
+from concavemaps import cli, verify
+from concavemaps.catalog import EXCLUSION_RADIUS, parse_spec
+from concavemaps.cli import _dump, _Rows, main
 from concavemaps.margins import default_grid
-from concavemaps.oracle import DEFAULT_ANGLES
+from concavemaps.oracle import DEFAULT_ANGLES, boundary_curve
 
 FAST = ["--radii", "6", "--angles", "32"]
 
@@ -252,3 +255,159 @@ def test_oversized_grid_is_refused(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert "at most" in err
+
+
+# -- output paths -----------------------------------------------------------------
+
+COMMANDS = {
+    "classify": ["classify", "--function", "halfplane", "--class", "co",
+                 "--radii", "2", "--angles", "8"],
+    "margins": ["margins", "--function", "halfplane", "--theorem", "thm1"] + FAST,
+    "curve": ["curve", "--function", "kp:p=0.5", "--angles", "64"],
+    "verify": ["verify"],
+}
+
+
+def _no_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before the output path was checked")
+
+    for name in ("classify", "scan", "boundary_curve", "oracle_concave"):
+        monkeypatch.setattr(cli, name, sampled)
+    monkeypatch.setattr(verify, "run_all", sampled)
+
+
+def _cannot_write(err, path):
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_out_in_a_missing_directory_is_refused_before_sampling(
+        command, tmp_path, capsys, monkeypatch):
+    _no_sampling(monkeypatch)
+    path = tmp_path / "missing" / "report.out"
+    code, out, err = run(capsys, COMMANDS[command] + ["--out", str(path)])
+    assert (code, out) == (2, "")
+    _cannot_write(err, path)
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "verify"])
+def test_a_failed_write_is_an_input_error(command, tmp_path, capsys,
+                                          monkeypatch):
+    # the directory exists, so the path passes the check; the write fails
+    monkeypatch.setattr(verify, "run_all", lambda: ([], "{}\n"))
+    code, _, err = run(capsys, COMMANDS[command] + ["--out", str(tmp_path)])
+    assert code == 2
+    _cannot_write(err, tmp_path)
+
+
+# -- the JSON writer --------------------------------------------------------------
+
+def _reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7,
+               math.nan, math.inf, -math.inf)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from(EDGE_FLOATS),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.text(alphabet='%"\\/{}[]:,\n\t\u00e9\u2028\U0001f600', max_size=5))
+keys = st.one_of(st.text(max_size=6), st.sampled_from(("%s", "%", "%%", "")))
+
+
+@st.composite
+def row_tables(draw, values):
+    """A list of dicts that share one key set, one row perhaps differing:
+    a key dropped, a key added or a value that is a container."""
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    rows = [{k: draw(scalars) for k in names}
+            for _ in range(draw(st.integers(1, 5)))]
+    row = draw(st.sampled_from(rows))
+    change = draw(st.sampled_from(("none", "drop", "add", "nest")))
+    name = draw(st.sampled_from(names))
+    if change == "drop":
+        del row[name]
+    elif change == "add":
+        row[draw(keys)] = draw(scalars)
+    elif change == "nest":
+        row[name] = draw(values)
+    return rows
+
+
+payloads = st.recursive(
+    scalars,
+    lambda values: st.one_of(st.lists(values, max_size=4),
+                             st.dictionaries(keys, values, max_size=4),
+                             row_tables(values)),
+    max_leaves=40)
+
+
+@given(payloads)
+@settings(max_examples=250, deadline=None)
+@example({"points": [{"theta": 0.0, "re": 1.0, "im": -0.0},
+                     {"theta": 0.5, "re": math.nan, "im": math.inf}],
+          "empty": [], "none": {}, "nested": [[], {}, [{}], [{"a": []}]]})
+@example([{"%s": 1}, {"%s": 2.5}])
+@example([{"a": 1}, {"b": 1}])
+@example([{}, {}])
+def test_writer_matches_json_dumps(obj):
+    assert _dump(obj) == _reference(obj)
+
+
+@given(st.lists(keys, min_size=1, max_size=4, unique=True),
+       st.integers(0, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_are_written_as_their_list_of_objects(names, n, data):
+    columns = {k: data.draw(st.lists(scalars, min_size=n, max_size=n))
+               for k in names}
+    rows = [{k: columns[k][i] for k in names} for i in range(n)]
+    assert _dump({"rows": _Rows(columns)}) == _reference({"rows": rows})
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--function", "kp:p=0.5", "--class", "cop:p=0.5"] + FAST,
+    ["classify", "--function", "identity", "--class", "co"] + FAST,
+    ["margins", "--function", "halfplane", "--theorem", "thm1",
+     "--format", "json"] + FAST,
+    ["curve", "--function", "halfplane", "--r", "0.9999", "--angles", "256",
+     "--format", "json"],
+    ["curve", "--function", "identity", "--angles", "64", "--format", "json"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_json_reports_are_json_dumps_with_sorted_keys_and_indent(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 1)
+    assert out == _reference(json.loads(out))
+
+
+# -- the curve CSV against the per-angle lookup it replaced -----------------------
+
+def _reference_curve_csv(curve):
+    step = 2.0 * math.pi / curve.n
+    have = dict(zip(curve.included, curve.points))
+    lines = ["theta,re_w,im_w,excluded"]
+    for j in range(curve.n):
+        theta = step * j
+        w = have.get(j)
+        if w is None:
+            lines.append(f"{theta!r},,,1")
+        else:
+            lines.append(f"{theta!r},{w.real!r},{w.imag!r},0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text,r,n", [
+    ("halfplane", 0.9999, 4096),     # the excluded arc wraps past theta = 0
+    ("halfplane", 0.99, 64),
+    ("kp:p=0.5", 0.5, 64),           # theta = 0 sits on the pole
+    ("kp:p=0.5", 0.99, 1024),
+    ("co0cubic:a0=0.3+0.2i", 0.9999, 1024),
+    ("identity", 0.9, 256),          # nothing excluded
+    ("laurent:p=0.98;res=1;b=[0,1]", 0.9999, 1024),
+])
+def test_curve_csv_matches_the_lookup_it_replaced(text, r, n):
+    curve = boundary_curve(parse_spec(text), r, n)
+    assert cli._curve_csv(curve).encode() == _reference_curve_csv(curve).encode()

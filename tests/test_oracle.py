@@ -2,14 +2,18 @@
 
 import cmath
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concavemaps import oracle
-from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
-                                 omitted_segment, parse_spec)
+from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
+                                 Laurent, omitted_segment, parse_spec)
 from concavemaps.errors import EmptyScanError
-from concavemaps.margins import MAX_SAMPLES, GridConfig, geometric_radii
+from concavemaps.margins import (MAX_SAMPLES, GridConfig, geometric_radii,
+                                 sweep)
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
                                 DEFAULT_ANGLES, ORACLE_BAD, ORACLE_OK,
                                 boundary_curve, convexity_defect,
@@ -186,3 +190,100 @@ def test_real_axis_crossings_bracket_omitted_segment():
     assert abs(xs[0] - left) < 1e-2
     assert abs(xs[-1] - right) < 1e-2
     assert xs[0] < left + 1e-12 and xs[-1] > right - 1e-12
+
+
+def test_samplers_apply_the_exclusion_column_once(monkeypatch):
+    calls = []
+    column = FamilySpec.far_from_poles
+
+    def counted(self, zs, epsilon):
+        calls.append(len(zs))
+        return column(self, zs, epsilon)
+
+    monkeypatch.setattr(FamilySpec, "far_from_poles", counted)
+    boundary_curve(Kp(0.5), 0.99, 1024)
+    assert calls == [1024]
+    calls.clear()
+    grid = GridConfig(geometric_radii(3), 16)
+    sweep(Kp(0.5), grid, [])
+    assert calls == [16, 16, 16]
+
+
+# -- the one-pass turning against the collapse-then-turn it replaced --------------
+
+def _reference_collapse(points):
+    scale = max(1.0, max(abs(w) for w in points))
+    tol = 1e-15 * scale
+    out = [points[0]]
+    for w in points[1:]:
+        if abs(w - out[-1]) > tol:
+            out.append(w)
+    return out
+
+
+def _reference_turns(points, closed):
+    pts = _reference_collapse(points)
+    if closed and len(pts) > 1 and abs(pts[0] - pts[-1]) <= 1e-15 * max(
+            1.0, abs(pts[0])):
+        pts.pop()
+    m = len(pts)
+    out = []
+    ks = range(m) if closed else range(1, m - 1)
+    for k in ks:
+        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % m]
+        e1, e2 = b - a, c - b
+        cross = e1.real * e2.imag - e1.imag * e2.real
+        dot = e1.real * e2.real + e1.imag * e2.imag
+        out.append(math.atan2(cross, dot))
+    return out
+
+
+def _packed(turns):
+    return struct.pack(f"<{len(turns)}d", *turns)
+
+
+def _same_turns(points, closed):
+    assert _packed(oracle._turns(list(points), closed)) == _packed(
+        _reference_turns(list(points), closed)), (points, closed)
+
+
+# a few distinct points, each repeated or nudged below the collapse tolerance
+nudges = st.sampled_from((0j, 0j, 1e-16 + 0j, -3e-16j, 2e-16 - 1e-16j, 1e-9j))
+bases = st.one_of(
+    st.sampled_from((0j, 1 + 0j, -1 + 0j, 1j, 0.5 - 0.5j, 1e20 + 0j)),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+runs_with_repeats = st.lists(
+    st.tuples(bases, st.lists(nudges, min_size=1, max_size=3)),
+    min_size=1, max_size=10).map(
+        lambda groups: [w + d for w, ds in groups for d in ds])
+
+
+@given(runs_with_repeats, st.booleans(), st.booleans())
+@settings(max_examples=250, deadline=None)
+@example([0j, 1 + 0j, 1 + 1j], False, False)
+@example([0j, 1 + 0j, 1 + 1j], True, False)
+@example([0j, 0j, 0j], True, False)
+@example([0j, 1 + 0j, 1 + 1e-17j], True, False)
+@example([1 + 0j, 1j, -1 + 0j, -1j], True, True)
+@example([0j, 1 + 0j, 1j, 1e-15 + 0j], True, False)  # last at the tolerance
+def test_turns_match_collapse_then_turn(points, closed, close_up):
+    if close_up:
+        points = points + [points[0]]  # the last point equals the first
+    _same_turns(points, closed)
+
+
+@pytest.mark.parametrize("spec,r", [
+    (HalfPlane(), 0.9999),                # the excluded arc wraps past 0
+    (Kp(0.5), 0.99), (Kp(0.5), 0.5),      # closed; pole on the ring
+    (Co0Cubic(0.3 + 0.2j), 0.9999),
+    (parse_spec("identity"), 0.9),        # closed, nothing excluded
+    (Laurent(0.98, 1.0 + 0j, (0j, 1.0 + 0j)), 0.9999),
+], ids=str)
+def test_curve_turns_match_collapse_then_turn(spec, r):
+    curve = boundary_curve(spec, r, 1024)
+    runs, closed = oracle._runs_of_points(curve)
+    assert any(len(run) >= 3 for run in runs)
+    for run in runs:
+        if len(run) >= 3:
+            _same_turns(run, closed)
+            _same_turns(run[:3], closed)

@@ -10,6 +10,10 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify` JSON for every spec of `member_roster()` and
     `control_roster()` against its class, at the stock grid and at 6x32;
   * `curve` JSON and CSV for the same specs at r = 0.99 and r = 0.9999;
+  * `curve` JSON and CSV at 16,384 angles: the two long curves the
+    benchmark's `export` workload draws, `kp:p=0.5` and
+    `co0cubic:a0=0.3+0.2i`, at each of its radii 0.99, 0.999 and 0.9999,
+    and `halfplane` at r = 0.9999, whose excluded arc wraps past theta = 0;
   * `margins` CSV and JSON for every theorem token, with no parameter,
     alpha = 1.5, p = 0 and p = 0.5, on four specs.
 
@@ -38,6 +42,9 @@ MARGIN_SPECS = ("halfplane", "kp:p=0.5", "co0cubic:a0=0",
                 "laurent:p=0;res=1;b=[0,0,2]")
 MARGIN_PARAMS = ((), ("--alpha", "1.5"), ("--p", "0"), ("--p", "0.5"))
 SMALL_GRID = ("--radii", "6", "--angles", "32")
+LONG_CURVES = (("kp:p=0.5", ("0.99", "0.999", "0.9999")),
+               ("co0cubic:a0=0.3+0.2i", ("0.99", "0.999", "0.9999")),
+               ("halfplane", ("0.9999",)))
 
 
 def _commands():
@@ -53,6 +60,12 @@ def _commands():
             for fmt in ("json", "csv"):
                 yield (f"curve-{k:02d}-r{r}.{fmt}",
                        ["curve", *fn, "--r", r, "--format", fmt])
+    for k, (text, radii) in enumerate(LONG_CURVES):
+        for r in radii:
+            for fmt in ("json", "csv"):
+                yield (f"curve-long-{k}-r{r}.{fmt}",
+                       ["curve", "--function", text, "--r", r,
+                        "--angles", "16384", "--format", fmt])
     for s, text in enumerate(MARGIN_SPECS):
         for theorem in THEOREMS:
             for q, params in enumerate(MARGIN_PARAMS):
