@@ -275,7 +275,7 @@ class Kp(FamilySpec):
     """
 
     p: float
-    # stored, not derived per call: near_pole reads it at every sample
+    # the base class field, set from p in __post_init__ instead of passed in
     poles: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -435,7 +435,8 @@ EXCLUSION_RADIUS = 0.05
 
 
 def require_epsilon(epsilon: float) -> float:
-    """An exclusion radius for near_pole, refused unless finite and positive."""
+    """An exclusion radius for far_from_poles, refused unless finite and
+    positive."""
     if not (0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     return epsilon

@@ -9,9 +9,9 @@ timestamps and complex numbers serialize as {re, im} pairs, never strings.
 Every JSON report, the `verify` bundle included, goes through one writer,
 `_dump`: the bytes json.dumps writes with sorted keys and a two-space
 indent, plus a newline, without the pure-Python encoder that json falls
-back to whenever it indents. A list of flat objects that share one key set,
-or a `_Rows` of columns, is written through one template per row, so the
-curve points need no dict per point.
+back to whenever it indents. A `_Rows` of columns is written through one
+template per row, so the curve points and excluded arcs need no dict per
+row.
 
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
 error (an --out whose directory does not exist is refused before anything
@@ -94,13 +94,12 @@ def _column(values: Sequence) -> list[str] | None:
     return texts
 
 
-def _table(columns: dict[str, Sequence], pad: str) -> str | None:
-    """The rows of columns as an indented JSON list of objects, or None if
-    a value is a container."""
+def _table(columns: dict[str, Sequence], pad: str) -> str:
+    """The rows of columns as an indented JSON list of objects."""
     keys = sorted(columns)
     texts = [_column(columns[k]) for k in keys]
     if None in texts:
-        return None
+        raise TypeError("a _Rows column holds a container")
     if not keys or not texts[0]:
         return "[]"
     inner = pad + "  "
@@ -111,17 +110,6 @@ def _table(columns: dict[str, Sequence], pad: str) -> str | None:
     return f"[\n{inner}{rows}\n{pad}]"
 
 
-def _flat_rows(items: list) -> dict[str, list] | None:
-    """items as columns, if every item is a dict with the keys of the first."""
-    first = items[0]
-    if not isinstance(first, dict) or not first:
-        return None
-    keys = first.keys()
-    if not all(isinstance(d, dict) and d.keys() == keys for d in items):
-        return None
-    return {k: [d[k] for d in items] for k in keys}
-
-
 def _value(v, pad: str) -> str:
     text = _scalar(v)
     if text is not None:
@@ -130,12 +118,8 @@ def _value(v, pad: str) -> str:
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        columns = _flat_rows(v)
-        text = None if columns is None else _table(columns, pad)
-        if text is None:
-            text = f",\n{inner}".join(_value(x, inner) for x in v)
-            text = f"[\n{inner}{text}\n{pad}]"
-        return text
+        text = f",\n{inner}".join(_value(x, inner) for x in v)
+        return f"[\n{inner}{text}\n{pad}]"
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -143,10 +127,7 @@ def _value(v, pad: str) -> str:
                                   for k in sorted(v))
         return f"{{\n{inner}{text}\n{pad}}}"
     if isinstance(v, _Rows):
-        text = _table(v.columns, pad)
-        if text is None:
-            raise TypeError("a _Rows column holds a container")
-        return text
+        return _table(v.columns, pad)
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
@@ -276,6 +257,7 @@ def _cmd_curve(args) -> int:
     n = args.angles if args.angles is not None else DEFAULT_ANGLES
     epsilon = args.epsilon if args.epsilon is not None else EXCLUSION_RADIUS
     curve = boundary_curve(spec, args.r, n, epsilon)
+    arcs = curve.excluded_arcs
     if args.format == "csv":
         _emit(_curve_csv(curve), args.out)
     else:
@@ -286,8 +268,8 @@ def _cmd_curve(args) -> int:
             "epsilon": epsilon,
             "orientation": curve.orientation,
             "convexity_defect": curve.convexity_defect,
-            "excluded_arcs": [{"start": a, "end": b}
-                              for a, b in curve.excluded_arcs],
+            "excluded_arcs": _Rows({"start": [a for a, _ in arcs],
+                                    "end": [b for _, b in arcs]}),
             "points": _Rows({"theta": curve.thetas,
                              "re": [w.real for w in curve.points],
                              "im": [w.imag for w in curve.points]}),
