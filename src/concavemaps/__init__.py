@@ -21,7 +21,7 @@ from .operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs, m_operator,
                         phi_of, q_term, schwarzian_norm, thm3_phi3_origin,
                         thm3_phis, varphi_p)
 from .oracle import (CurveSample, boundary_curve, convexity_defect,
-                     equality_scan, oracle_concave, real_axis_crossings)
+                     oracle_concave, real_axis_crossings)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "OperatorPoint", "PhiUndefinedError", "PoleProximityError",
     "SampleExclusionError", "SpecParseError", "THEOREMS", "a_f", "a_p_of",
     "boundary_curve", "classify", "co_alpha_lhs", "convexity_defect",
-    "default_grid", "equality_scan", "estimate_order", "format_spec",
+    "default_grid", "estimate_order", "format_spec",
     "geometric_radii", "m_operator", "margin_at", "omitted_segment",
     "oracle_concave", "parse_class",
     "parse_spec", "phi_of", "phi_prime_one_diagnostic", "pre_schwarzian",

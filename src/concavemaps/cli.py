@@ -161,7 +161,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
-                 alpha: float | None = None, p: float | None = None) -> dict:
+                 alpha: float | None, p: float | None) -> dict:
+    """The report's JSON object; of alpha and p it names the class
+    parameter its theorem reads, if any."""
     d = {
         "function": format_spec(spec),
         "theorem": report.theorem,
@@ -172,18 +174,10 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
         "argmin_z": _c(report.argmin_z),
         "verdict": report.verdict,
     }
-    if alpha is not None:
-        d["alpha"] = alpha
-    if p is not None:
-        d["p"] = p
+    param = _TOKENS[report.theorem][2]
+    if param is not None:
+        d[param] = alpha if param == "alpha" else p
     return d
-
-
-def _read_by(theorem: str, alpha: float | None, p: float | None) -> dict:
-    """Of alpha and p, the class parameter the theorem reads, by name: the
-    one its report names."""
-    param = _TOKENS[theorem][1]
-    return {} if param is None else {param: {"alpha": alpha, "p": p}[param]}
 
 
 def _resolve_grid(args) -> GridConfig:
@@ -203,8 +197,7 @@ def _cmd_classify(args) -> int:
     result = classify(spec, cls, grid)
     oracle_verdict = oracle_concave(spec, epsilon=grid.epsilon)
 
-    reports = [_report_dict(spec, rep, grid,
-                            **_read_by(rep.theorem, cls.alpha, cls.pole()))
+    reports = [_report_dict(spec, rep, grid, cls.alpha, cls.pole())
                for rep in result.reports]
     payload = {
         "function": format_spec(spec),
@@ -235,8 +228,7 @@ def _cmd_margins(args) -> int:
         lines += [f"{z.real!r},{z.imag!r},{m!r}" for z, m in report.samples]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump(_report_dict(spec, report, grid,
-                                 **_read_by(args.theorem, args.alpha, args.p))),
+        _emit(_dump(_report_dict(spec, report, grid, args.alpha, args.p)),
               args.out)
     return 0 if report.verdict == VERDICT_OK else 1
 
@@ -314,14 +306,15 @@ def _cmd_catalog(args) -> int:
 
 
 def _add_grid_flags(sub) -> None:
+    stock = default_grid()
     sub.add_argument("--radii", type=int, default=None,
-                     help="number of geometric radii (overrides preset)")
+                     help=f"number of geometric radii (default {len(stock.radii)})")
     sub.add_argument("--angles", type=int, default=None,
-                     help="angles per ring")
+                     help=f"angles per ring (default {stock.angles})")
     sub.add_argument("--epsilon", type=float, default=None,
-                     help="pole exclusion radius")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="margin tolerance for verdicts")
+                     help=f"pole exclusion radius (default {stock.epsilon!r})")
+    sub.add_argument("--tol", type=float, default=None, help=(
+        f"margin tolerance for verdicts (default {stock.margin_tol!r})"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     su = subs.add_parser("curve", help="sample the image of a circle |z|=r")
     su.add_argument("--function", required=True)
     su.add_argument("--r", type=float, default=0.99)
-    su.add_argument("--angles", type=int, default=None)
-    su.add_argument("--epsilon", type=float, default=None)
+    su.add_argument("--angles", type=int, default=None,
+                    help=f"angles on the circle (default {DEFAULT_ANGLES})")
+    su.add_argument("--epsilon", type=float, default=None,
+                    help=f"pole exclusion radius (default {EXCLUSION_RADIUS!r})")
     su.add_argument("--out", default=None)
     su.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -14,20 +14,23 @@ scannable:
     thm4          -Re M - (1-t^2)(1+2at+t^2)/(4(1+at)^2) |zP+q|^2 (class Co(p))
 
 with P = f''/f', t = |z|, q = q_term(p, z) and a = a_p_of(spec, p) unless
-supplied. A grid scan can only certify "member-consistent", never membership;
-verdicts say so.
+margin_at is given one. A grid scan can only certify "member-consistent",
+never membership; verdicts say so.
 
-A table maps each token to its column, the class parameter it reads and
-its rule at a pole at the origin. A column is the token's margin over the
-columns of one ring of samples (z, f''/f', the jet fields and z f''/f'): it
-checks the parameters once, then loops a scalar formula over the operators
-of `operators`, each written once, and keeps a sample's exclusion error in
-that sample's place. One sweep samples the grid, origin first (it is the
-normalization point of every theorem), then radius-major rings. For each
-ring it applies the exclusion column `FamilySpec.far_from_poles`, calls the
-family's column kernel `eval_jets` once, applies OperatorPoint's |f'| floor
-and runs every margin its caller asked for once: `classify` sweeps once for
-all the scans of a class. margin_at is the same path for one sample.
+A table holds one row per token: its scalar formula over the operators of
+`operators` (each written once), the ring columns it reads (z, f''/f', the
+jet fields and z f''/f'), the class parameter it reads and its rule at a
+pole at the origin. `_margin` is the one place that looks a token up and
+checks and binds its parameters, once per scan and before anything is
+sampled; the bound margin's column loops the formula over one ring and
+keeps a sample's exclusion error in that sample's place.
+
+One sweep samples the grid, origin first (it is the normalization point of
+every theorem), then radius-major rings. For each ring it applies the
+exclusion column `FamilySpec.far_from_poles`, calls the family's column
+kernel `eval_jets` once, applies OperatorPoint's |f'| floor and runs every
+margin its caller asked for once: `classify` sweeps once for all the scans
+of a class. margin_at is the same path for one sample.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -161,22 +164,6 @@ def _re_m(z: complex, zp: complex, p: float) -> float:
     return -(1.0 + zp + _q(p, z)).real
 
 
-# the parameter checks of the tokens, each giving the checked values
-
-def _alpha_param(alpha: float) -> tuple[float]:
-    return (_check_alpha(alpha),)
-
-
-def _p_param(p: float) -> tuple[float]:
-    return (_check_p(p),)
-
-
-def _thm4_params(p: float, a: float) -> tuple[float, float]:
-    if a < 0.0:
-        raise ValueError(f"a must be nonnegative, got {a!r}")
-    return _check_p(p), a
-
-
 # -- the ring: one call per family and per margin ---------------------------------
 
 class _Ring:
@@ -226,23 +213,6 @@ def _ring(spec: FamilySpec, zs: list[complex],
     return ring, slots
 
 
-def _over(fn, *fields: str, check=lambda: ()):
-    """A token's column: fn at every sample of a ring, from the ring's
-    fields and the parameter values check gives, or the sample's
-    SampleExclusionError. check runs once per ring, before any sample."""
-    def column(ring: _Ring, *args) -> list:
-        params = map(repeat, check(*args))
-        return _each(fn, *[getattr(ring, f) for f in fields], *params)
-    return column
-
-
-def _through_zp(fn, param: str | None, check=lambda: ()):
-    """A zp token's table entry: fn over the columns z and zp, and fn at a
-    simple pole at 0, where zp -> -2 whatever the Laurent tail."""
-    return (_over(fn, "z", "zp", check=check), param,
-            lambda spec, *args: fn(0j, -2.0 + 0j, *check(*args)))
-
-
 # -- the token table ------------------------------------------------------------
 
 def _sf_at_pole(spec: FamilySpec) -> float:
@@ -250,22 +220,26 @@ def _sf_at_pole(spec: FamilySpec) -> float:
     return abs(schwarzian(spec.reciprocal_jet(0j)))
 
 
-# token -> (column, the class parameter it reads, its value at a pole at 0
-# from the spec and the parameters, or None: indeterminate there);
-# thm4 reads a = a_p_of(spec, p) after p unless a is given
+# z f''/f' at a simple pole at 0, whatever the Laurent tail
+_ZP_AT_POLE = -2.0 + 0j
+
+# token -> (formula, the ring columns it reads, the class parameter it reads,
+# its value at a pole at 0 from the spec and the bound parameters, or None:
+# indeterminate there); thm4 also reads a = a_p_of(spec, p) unless a is given
 _TOKENS = {
-    "thm1": (_over(_thm1, "z", "pre", "v1", "v3"), None, None),
-    "thm2": (_over(_thm2, "z", "pre", check=_alpha_param), "alpha", None),
-    "co0": _through_zp(_co0, None),
-    "thm3": (_over(_thm3, "z", "pre", "v1", "v2", "v3"), None,
+    "thm1": (_thm1, ("z", "pre", "v1", "v3"), None, None),
+    "thm2": (_thm2, ("z", "pre"), "alpha", None),
+    "co0": (_co0, ("z", "zp"), None, lambda spec: _co0(0j, _ZP_AT_POLE)),
+    "thm3": (_thm3, ("z", "pre", "v1", "v2", "v3"), None,
              lambda spec: 2.0 * (2.0 * abs(thm3_phi3_origin(spec)) + 1.0)
              - _sf_at_pole(spec)),
-    "corollary": (_over(_corollary, "z", "pre", "v1", "v3"), None,
+    "corollary": (_corollary, ("z", "pre", "v1", "v3"), None,
                   lambda spec: 6.0 - _sf_at_pole(spec)),
-    "thm4": _through_zp(_thm4, "p", _thm4_params),
-    "co_alpha_lhs": (_over(_co_alpha, "z", "pre", check=_alpha_param),
-                     "alpha", None),
-    "reM": _through_zp(_re_m, "p", _p_param),
+    "thm4": (_thm4, ("z", "zp"), "p",
+             lambda spec, p, a: _thm4(0j, _ZP_AT_POLE, p, a)),
+    "co_alpha_lhs": (_co_alpha, ("z", "pre"), "alpha", None),
+    "reM": (_re_m, ("z", "zp"), "p",
+            lambda spec, p: _re_m(0j, _ZP_AT_POLE, p)),
 }
 
 THEOREMS = tuple(_TOKENS)
@@ -275,28 +249,33 @@ THEOREMS = tuple(_TOKENS)
 Margin = tuple[Callable[[_Ring], list], Callable[[], float] | None]
 
 
-def _token(theorem: str, alpha: float | None, p: float | None):
-    """The token's table entry, with the parameter values it reads."""
-    if theorem not in _TOKENS:
-        raise ValueError(f"unknown theorem token {theorem!r}")
-    fn, param, at_pole = _TOKENS[theorem]
-    args = () if param is None else ({"alpha": alpha, "p": p}[param],)
-    if None in args:
-        raise ValueError(f"{theorem} needs {param}")
-    return fn, args, at_pole
-
-
 def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
             p: float | None, a: float | None) -> Margin:
-    """The token's margin with its parameters bound."""
-    fn, args, at_pole = _token(theorem, alpha, p)
-    if theorem == "thm4":
-        if a is None and not _has_pole_at(spec, p):
+    """The token's margin with its parameters checked and bound, before
+    anything is sampled. Its column is the formula at every sample of a
+    ring, or the sample's SampleExclusionError."""
+    if theorem not in _TOKENS:
+        raise ValueError(f"unknown theorem token {theorem!r}")
+    fn, fields, param, at_pole = _TOKENS[theorem]
+    args: tuple[float, ...] = ()
+    if param is not None:
+        value = alpha if param == "alpha" else p
+        if value is None:
+            raise ValueError(f"{theorem} needs {param}")
+        if theorem == "thm4" and a is None and not _has_pole_at(spec, p):
+            # ahead of the range check: p out of range has no pole either
             raise ValueError(
                 f"{format_spec(spec)} has no pole at z = {p!r}; thm4, the test "
                 f"of class cop:p={p!r}, reads a_p, which is defined only there")
-        args += (a_p_of(spec, p) if a is None else a,)
-    return (lambda ring: fn(ring, *args),
+        args = (_check_alpha(value) if param == "alpha" else _check_p(value),)
+    if theorem == "thm4":
+        if a is None:
+            a = a_p_of(spec, p)
+        elif a < 0.0:
+            raise ValueError(f"a must be nonnegative, got {a!r}")
+        args += (a,)
+    return (lambda ring: _each(fn, *[getattr(ring, f) for f in fields],
+                               *map(repeat, args)),
             None if at_pole is None else lambda: at_pole(spec, *args))
 
 
@@ -333,9 +312,8 @@ def _apply(margins: Sequence[Margin], ring: _Ring, slots: list,
            cols: list[list[float | None]]) -> None:
     """Append each margin's values at one ring's samples to its column."""
     for col, (at_ring, _) in zip(cols, margins):
-        # a column checks its parameters: it runs on no ring without samples
         vals = [None if isinstance(v, SampleExclusionError) else v
-                for v in at_ring(ring)] if ring.z else []
+                for v in at_ring(ring)]
         col.extend(vals if len(vals) == len(slots)
                    else [vals[s] if type(s) is int else None for s in slots])
 
@@ -390,7 +368,7 @@ class MarginReport:
 
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
-         a: float | None = None, keep_samples: bool = False,
+         keep_samples: bool = False,
          swept: Iterable[tuple[complex, float | None]] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
@@ -400,14 +378,15 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     normalization point, and the pole-at-origin families get their limit
     conventions there rather than an exclusion.
 
+    The token and its parameters are checked before anything is sampled.
     swept hands over the (sample, value) pairs of a sweep that already
-    applied this margin, as classify does; scan then only reduces them.
+    applied this margin, bound by the caller, as classify does; scan then
+    only reduces them.
     """
     if grid is None:
         grid = default_grid()
-    _token(theorem, alpha, p)
     if swept is None:
-        zs, (col,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, a),))
+        zs, (col,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),))
         swept = zip(zs, col)
 
     rows: list[tuple[complex, float]] = []
@@ -601,7 +580,7 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
     if cls.kind == "co":
         margins.append(_ORDER)
     zs, cols = sweep(spec, grid, margins)
-    reports = [scan(spec, t, grid, alpha=cls.alpha, p=p, swept=zip(zs, col))
+    reports = [scan(spec, t, grid, swept=zip(zs, col))
                for t, col in zip(tokens, cols)]
 
     order = order_ok = None

@@ -17,14 +17,12 @@ agree within 1e-6), and a_p at p=0 is |phi3(0)|.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from . import catalog
 from .errors import (
     CriticalPointError,
     IndeterminateSampleError,
-    NonFiniteJetError,
     PhiUndefinedError,
     PoleProximityError,
 )
@@ -44,11 +42,7 @@ class OperatorPoint:
     jet: Jet3
 
     def __post_init__(self):
-        # before abs(), which can report a stale overflow on a NaN
-        if not cmath.isfinite(self.z):
-            raise NonFiniteJetError(f"sample {self.z!r} is not finite")
-        if abs(self.z) >= 1.0:
-            raise ValueError(f"sample {self.z!r} is not inside the unit disk")
+        catalog._require_in_disk(self.z)
         if self.jet.base_point != self.z:
             raise ValueError("jet was taken at a different point")
         if abs(self.jet.v1) < DEGENERACY_FLOOR:

@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 
-from . import margins as _margins
 from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
 from .errors import EmptyScanError, SampleExclusionError
-from .margins import MAX_SAMPLES, GridConfig, _units
+from .margins import MAX_SAMPLES, _units
 
 COMPLEMENT_INSIDE = "complement-inside"
 COMPLEMENT_OUTSIDE = "complement-outside"
@@ -45,8 +44,8 @@ DEFECT_TOL = 5e-2
 _DEFAULT_RADII = (0.99, 0.999, 0.9999)
 # angles per curve, for the oracle's verdicts and for `curve` by default
 DEFAULT_ANGLES = 4096
-# a grid margin within this of zero puts its sample on the equality locus
-_EQ_TOL = 1e-6
+# a curve point within this of the real axis lies on it
+_AXIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -239,30 +238,18 @@ def oracle_concave(spec: FamilySpec, *,
     return ORACLE_OK if ok else ORACLE_BAD
 
 
-def equality_scan(spec: FamilySpec, theorem: str,
-                  grid: GridConfig | None = None, *,
-                  alpha: float | None = None, p: float | None = None,
-                  a: float | None = None) -> list[complex]:
-    """Grid points where the margin vanishes to 1e-6: the empirical
-    equality locus of the inequality."""
-    report = _margins.scan(spec, theorem, grid, alpha=alpha, p=p, a=a,
-                           keep_samples=True)
-    assert report.samples is not None
-    return [z for z, m in report.samples if abs(m) < _EQ_TOL]
-
-
-def real_axis_crossings(curve: CurveSample, atol: float = 1e-9) -> tuple[float, ...]:
+def real_axis_crossings(curve: CurveSample) -> tuple[float, ...]:
     """Real-axis crossings of the curve: on-axis samples plus sign-change
     interpolations, per contiguous run. Sorted ascending."""
     runs, closed = _runs_of_points(curve)
     out: list[float] = []
     for run in runs:
         pts = run + [run[0]] if closed else run
-        for k, w in enumerate(pts[:-1] if closed else pts):
-            if abs(w.imag) <= atol:
+        for w in pts[:-1] if closed else pts:
+            if abs(w.imag) <= _AXIS_TOL:
                 out.append(w.real)
         for wa, wb in zip(pts, pts[1:]):
-            if abs(wa.imag) > atol and abs(wb.imag) > atol \
+            if abs(wa.imag) > _AXIS_TOL and abs(wb.imag) > _AXIS_TOL \
                     and (wa.imag > 0) != (wb.imag > 0):
                 t = wa.imag / (wa.imag - wb.imag)
                 out.append(wa.real + t * (wb.real - wa.real))

@@ -22,7 +22,7 @@ from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
                       default_grid, estimate_order, margin_at, scan, sweep)
 from .operators import _phi, _phis, _varphi
-from .oracle import (ORACLE_OK, boundary_curve, equality_scan, oracle_concave,
+from .oracle import (ORACLE_OK, boundary_curve, oracle_concave,
                      real_axis_crossings)
 
 
@@ -106,7 +106,8 @@ def _c04(grid: GridConfig) -> CriterionResult:
     m_half = margin_at(spec, 0.5, "co0")
     rep = scan(spec, "co0", grid, keep_samples=True)
     assert rep.samples is not None
-    eq = set(equality_scan(spec, "co0", grid))
+    # the equality locus: samples whose margin vanishes to 1e-6
+    eq = {z for z, m in rep.samples if abs(m) < 1e-6}
     real_axis = [z for z, _ in rep.samples if abs(z.imag) <= 1e-9]
     missing = [z for z in real_axis if z not in eq]
     ok = abs(m_half) <= 1e-10 and len(real_axis) > 0 and not missing
@@ -168,24 +169,20 @@ def _c08(grid: GridConfig) -> CriterionResult:
     left, right = omitted_segment(0.5)
     ok = (len(xs) >= 2 and abs(xs[0] - left) <= 1e-3
           and abs(xs[-1] - right) <= 1e-3)
+    ends = f" ends=({xs[0]!r}, {xs[-1]!r})" if xs else ""
     return _res("omitted-segment-crossings", ok,
-                f"crossings={len(xs)} ends=({xs[0]!r}, {xs[-1]!r}) "
-                f"segment=({left!r}, {right!r})")
+                f"crossings={len(xs)}{ends} segment=({left!r}, {right!r})")
 
 
 def _c09(grid: GridConfig) -> CriterionResult:
     fast = default_grid("fast")
     bad: list[str] = []
-    for spec, cls in member_roster():
-        formula = classify(spec, cls, fast).verdict == CLASS_VERDICT_OK
-        shape = oracle_concave(spec) == ORACLE_OK
-        if not (formula and shape):
-            bad.append(f"{format_spec(spec)}:{int(formula)}{int(shape)}")
-    for spec, cls in control_roster():
-        formula = classify(spec, cls, fast).verdict == CLASS_VERDICT_OK
-        shape = oracle_concave(spec) == ORACLE_OK
-        if formula or shape:
-            bad.append(f"{format_spec(spec)}:{int(formula)}{int(shape)}")
+    for roster, member in ((member_roster(), True), (control_roster(), False)):
+        for spec, cls in roster:
+            formula = classify(spec, cls, fast).verdict == CLASS_VERDICT_OK
+            shape = oracle_concave(spec) == ORACLE_OK
+            if formula != member or shape != member:
+                bad.append(f"{format_spec(spec)}:{int(formula)}{int(shape)}")
     ok = not bad
     detail = "members+controls all agree" if ok else "disagree: " + " ".join(bad)
     return _res("oracle-classifier-agreement", ok, detail)

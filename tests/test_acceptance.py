@@ -56,6 +56,14 @@ def test_c08_omitted_segment_crossings(results):
     show(results, "omitted-segment-crossings")
 
 
+@pytest.mark.parametrize("xs", [(), (0.1,)])
+def test_c08_fails_without_two_crossings(xs, monkeypatch):
+    monkeypatch.setattr(verify, "real_axis_crossings", lambda curve: xs)
+    res = verify._c08(verify.default_grid())
+    assert not res.passed
+    assert res.detail.startswith(f"crossings={len(xs)} ")
+
+
 def test_c09_oracle_classifier_agreement(results):
     show(results, "oracle-classifier-agreement")
 

@@ -347,7 +347,7 @@ def test_far_from_poles_is_not_near_pole_per_sample(spec):
                    q + 0.6 * eps * (1 + 1j), q + complex(math.nan, eps)]
         want = [not _reference_near_pole(spec, z, eps) for z in zs]
         assert spec.far_from_poles(zs, eps) == want
-        assert [not spec.near_pole(z, eps) for z in zs] == want
+        assert [spec.far_from_poles([z], eps)[0] for z in zs] == want
         assert all(spec.far_from_poles(NAN_SAMPLES, eps))
         if obstacles:
             assert not any(spec.far_from_poles(obstacles, eps))

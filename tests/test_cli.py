@@ -113,6 +113,18 @@ def test_overflowing_reciprocal_jet_excludes_the_origin(capsys):
         assert reports[theorem]["samples_used"] == 16, theorem
 
 
+@pytest.mark.parametrize("theorem, param, value",
+                         [("thm2", "alpha", "0.5"), ("reM", "p", "1.5")])
+def test_invalid_margin_parameter_exit_two_without_usable_samples(
+        capsys, theorem, param, value):
+    # f = 0 has no usable sample: the parameter is checked before sampling
+    code, out, err = run(capsys, ["margins", "--function", "laurent:b=[]",
+                                  "--theorem", theorem, f"--{param}", value,
+                                  "--radii", "2", "--angles", "8"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {param} must lie in "), err
+
+
 def test_empty_scan_exit_three(capsys):
     # one radius at 0.05 swallowed by epsilon=0.2, origin indeterminate
     code, _, err = run(capsys, ["margins", "--function", "co0cubic:a0=0",

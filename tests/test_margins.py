@@ -59,6 +59,20 @@ def test_margin_parameter_checks():
         margin_at(Kp(0.5), 0j, "thm4", p=0.5, a=-0.1)
 
 
+def test_parameters_are_checked_before_sampling(monkeypatch):
+    def sample(self, zs):
+        raise AssertionError("sampled before its parameters were checked")
+
+    for cls in FamilySpec.__subclasses__():
+        monkeypatch.setattr(cls, "eval_jets", sample)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        scan(HalfPlane(), "thm2", SMALL, alpha=0.5)
+    with pytest.raises(ValueError, match="p must lie in"):
+        margin_at(Kp(0.5), 0.3, "reM", p=1.5)
+    with pytest.raises(ValueError, match="a must be nonnegative"):
+        margin_at(Kp(0.5), 0.3, "thm4", p=0.5, a=-0.1)
+
+
 def test_grid_config_validation():
     for radii in ((), (0.0, 0.5), (0.5, 1.0), (0.5, 0.5), (0.6, 0.4)):
         with pytest.raises(ValueError):
@@ -504,7 +518,7 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
             ring, slots = _ring(spec, zs, eps)
             column = margin[0](ring) if ring.z else []
             for z, slot in zip(zs, slots):
-                if eps is not None and spec.near_pole(z, eps):
+                if eps is not None and not spec.far_from_poles([z], eps)[0]:
                     assert slot is None
                     want_swept.append(None)
                     continue

@@ -13,11 +13,11 @@ from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                                  Laurent, omitted_segment, parse_spec)
 from concavemaps.errors import EmptyScanError
 from concavemaps.margins import (MAX_SAMPLES, GridConfig, geometric_radii,
-                                 sweep)
+                                 scan, sweep)
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
                                 DEFAULT_ANGLES, ORACLE_BAD, ORACLE_OK,
                                 boundary_curve, convexity_defect,
-                                equality_scan, natural_orientation,
+                                natural_orientation,
                                 oracle_concave, real_axis_crossings)
 
 TWO_PI = 2.0 * math.pi
@@ -54,7 +54,7 @@ def test_curve_excludes_what_near_pole_excludes(spec):
     n, r, eps = 1024, 0.9999, 0.05
     step = TWO_PI / n
     kept = tuple(j for j in range(n)
-                 if not spec.near_pole(r * cmath.exp(1j * (step * j)), eps))
+                 if spec.far_from_poles([r * cmath.exp(1j * (step * j))], eps)[0])
     assert boundary_curve(spec, r, n, eps).included == kept
 
 
@@ -173,12 +173,11 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
 
 
 def test_equality_scan_cubic_is_everywhere():
-    from concavemaps.margins import scan
-
     grid = GridConfig(geometric_radii(6), 16)
-    locus = equality_scan(Co0Cubic(0j), "co0", grid)
+    rep = scan(Co0Cubic(0j), "co0", grid, keep_samples=True)
+    locus = [z for z, m in rep.samples if abs(m) < 1e-6]
     # margin vanishes identically, so the locus is the whole usable grid
-    assert len(locus) == scan(Co0Cubic(0j), "co0", grid).samples_used
+    assert len(locus) == rep.samples_used > 0
 
 
 def test_real_axis_crossings_bracket_omitted_segment():

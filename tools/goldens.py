@@ -15,7 +15,10 @@ line per command: file name, exit code, argv and stderr. The commands:
     `co0cubic:a0=0.3+0.2i`, at each of its radii 0.99, 0.999 and 0.9999,
     and `halfplane` at r = 0.9999, whose excluded arc wraps past theta = 0;
   * `margins` CSV and JSON for every theorem token, with no parameter,
-    alpha = 1.5, p = 0 and p = 0.5, on four specs.
+    alpha = 1.5, p = 0 and p = 0.5, on four specs;
+  * `margins` runs that end in an input error: alpha and p out of range or
+    NaN, thm4 at a p where the spec has no pole, an unknown token, a missing
+    parameter, and an invalid parameter on f = 0, which has no usable sample.
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -42,6 +45,22 @@ MARGIN_SPECS = ("halfplane", "kp:p=0.5", "co0cubic:a0=0",
                 "laurent:p=0;res=1;b=[0,0,2]")
 MARGIN_PARAMS = ((), ("--alpha", "1.5"), ("--p", "0"), ("--p", "0.5"))
 SMALL_GRID = ("--radii", "6", "--angles", "32")
+MARGIN_ERRORS = (
+    ("halfplane", "thm2", "--alpha", "0.5"),
+    ("halfplane", "co_alpha_lhs", "--alpha", "2.5"),
+    ("halfplane", "thm2", "--alpha", "nan"),
+    ("kp:p=0.5", "reM", "--p", "1.5"),
+    ("kp:p=0.5", "reM", "--p", "-0.5"),
+    ("co0cubic:a0=0", "reM", "--p", "nan"),
+    ("kp:p=0.5", "thm4", "--p", "1.5"),
+    ("kp:p=0.5", "thm4", "--p", "0.3"),
+    ("kp:p=0.5", "thm4", "--p", "nan"),
+    ("halfplane", "thm9"),
+    ("halfplane", "co_alpha_lhs"),
+    ("kp:p=0.5", "reM"),
+    ("laurent:b=[]", "thm2", "--alpha", "0.5", "--radii", "2", "--angles", "8"),
+    ("laurent:b=[]", "reM", "--p", "1.5", "--radii", "2", "--angles", "8"),
+)
 LONG_CURVES = (("kp:p=0.5", ("0.99", "0.999", "0.9999")),
                ("co0cubic:a0=0.3+0.2i", ("0.99", "0.999", "0.9999")),
                ("halfplane", ("0.9999",)))
@@ -73,6 +92,9 @@ def _commands():
                     yield (f"margins-{s}-{theorem}-{q}.{fmt}",
                            ["margins", "--function", text, "--theorem", theorem,
                             *params, "--format", fmt])
+    for k, (text, theorem, *params) in enumerate(MARGIN_ERRORS):
+        yield (f"margins-error-{k:02d}.csv",
+               ["margins", "--function", text, "--theorem", theorem, *params])
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
