@@ -18,8 +18,15 @@ values(zs) f alone, which is all the geometric oracle reads. A sample that
 cannot be evaluated gets the SampleExclusionError that excluded it in its
 place. Constants that depend only on the spec are computed once per call.
 values repeats, in the same order, the complex operations that produce v0,
-so the two agree bit for bit, and it raises the same exclusion errors
-through the scalar rules it shares with the jets. eval_jet(z) and value(z)
+so the two agree bit for bit. It works on whole columns: one ordered pass
+checks that the samples lie in the disk (`_Samples`), then each arithmetic
+stage is one comprehension over the samples still live (Laurent's Horner
+loop runs over the coefficients with the samples inside). Between stages
+the column forms of the finiteness, degeneracy-floor and branch-cut tests
+of `jets` name the samples that fail; those are dropped and their errors
+placed as values, never raised and caught. Each error is the one the scalar
+test raises, its message built by the same helper. eval_jets runs per
+sample on the tuple rules and the scalar tests. eval_jet(z) and value(z)
 are one-sample calls into the kernels that raise the stored error again.
 
 The kernels exclude a sample only on genuine degeneracy (a denominator
@@ -52,26 +59,102 @@ import math
 import re as _re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .errors import (NonFiniteJetError, PoleProximityError, SpecParseError,
-                     _each, _only)
-from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp, _inverse, _jadd,
-                   _jconst, _jet, _jfinite, _jmul, _jpow, _jrecip, _jsub,
-                   _jvar, _log, _require_finite)
+from .errors import (NonFiniteJetError, PoleProximityError,
+                     SampleExclusionError, SpecParseError, _each, _only)
+from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
+                   _inverse, _inverse_errors, _jadd, _jconst, _jet, _jfinite,
+                   _jmul, _jpow, _jrecip, _jsub, _jvar, _log_errors)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
 _J_ONE = _jconst(_ONE)
 
 
+def _sample_not_finite(z: complex) -> NonFiniteJetError:
+    return NonFiniteJetError(f"sample {z!r} is not finite")
+
+
+def _outside_disk(z: complex) -> ValueError:
+    return ValueError(f"sample {z!r} is not inside the unit disk")
+
+
 def _require_in_disk(z: complex) -> complex:
     z = complex(z)
     # before abs(), which can report a stale overflow on a NaN
     if not cmath.isfinite(z):
-        raise NonFiniteJetError(f"sample {z!r} is not finite")
+        raise _sample_not_finite(z)
     if abs(z) >= 1.0:
-        raise ValueError(f"sample {z!r} is not inside the unit disk")
+        raise _outside_disk(z)
     return z
+
+
+class _Samples:
+    """The samples of one values call that are still being evaluated.
+
+    zs holds them in call order. The constructor makes, in one ordered pass,
+    the tests _require_in_disk makes per sample: a sample that is not finite
+    is dropped with its error, and the first one outside the disk raises
+    ValueError for the whole call. drop takes out the samples that fail a
+    later test, from zs and from the kernel's column alongside it; result
+    puts each dropped sample's error back in its place.
+    """
+
+    __slots__ = ("n", "zs", "at", "errors")
+
+    def __init__(self, zs: Sequence[complex]):
+        self.zs = zs = list(map(complex, zs))
+        self.n = len(zs)
+        # the position in the call of each of zs; None while none was dropped
+        self.at: list[int] | None = None
+        self.errors: dict[int, SampleExclusionError] = {}
+        try:
+            # finiteness first: abs() can report a stale overflow on a NaN
+            inside = (all(map(cmath.isfinite, zs))
+                      and max(map(abs, zs), default=0.0) < 1.0)
+        except OverflowError:  # an |z| beyond the floats; the loop finds it
+            inside = False
+        if not inside:
+            errors = {}
+            for k, z in enumerate(zs):
+                if not cmath.isfinite(z):
+                    errors[k] = _sample_not_finite(z)
+                elif abs(z) >= 1.0:
+                    raise _outside_disk(z)
+            self.drop(errors, zs)
+
+    def drop(self, errors: dict, ws: list) -> list:
+        """ws without the entries errors names by position; the same samples
+        leave zs, and their errors are kept for the result."""
+        if not errors:
+            return ws
+        at = range(self.n) if self.at is None else self.at
+        for k, exc in errors.items():
+            self.errors[at[k]] = exc
+        keep = [k not in errors for k in range(len(ws))]
+        self.at = list(compress(at, keep))
+        self.zs = list(compress(self.zs, keep))
+        return list(compress(ws, keep))
+
+    def pow(self, ws: list, exponent: complex) -> list:
+        """_exp(_log(w) * exponent) for each of ws that passes their tests."""
+        ws = self.drop(_log_errors(ws), ws)
+        ls = [cmath.log(w) * exponent for w in ws]
+        return list(map(cmath.exp, self.drop(_finite_errors(ls), ls)))
+
+    def result(self, ws: list) -> list:
+        """The call's column: per sample, its entry of ws once tested finite,
+        or the error that dropped it."""
+        ws = self.drop(_finite_errors(ws), ws)
+        if not self.errors:
+            return ws
+        out: list = [None] * self.n
+        for k, w in zip(self.at, ws):
+            out[k] = w
+        for k, exc in self.errors.items():
+            out[k] = exc
+        return out
 
 
 class FamilySpec:
@@ -138,10 +221,8 @@ class HalfPlane(FamilySpec):
         return _each(at, zs)
 
     def values(self, zs: Sequence[complex]) -> list:
-        def at(z):
-            z = _require_in_disk(z)
-            return _require_finite(z * (1.0 / (1.0 - z)))
-        return _each(at, zs)
+        col = _Samples(zs)
+        return col.result([z * (1.0 / (1.0 - z)) for z in col.zs])
 
 
 @dataclass(frozen=True)
@@ -178,12 +259,11 @@ class KAlpha(FamilySpec):
     def values(self, zs: Sequence[complex]) -> list:
         alpha = complex(self.alpha)
         scale = _inverse(complex(2.0 * self.alpha), 0j)
-
-        def at(z):
-            z = _require_in_disk(z)
-            u = (z + _ONE) * _inverse(_ONE - z, z)
-            return _require_finite((_exp(_log(u) * alpha) - _ONE) * scale)
-        return _each(at, zs)
+        col = _Samples(zs)
+        ds = [_ONE - z for z in col.zs]
+        ds = col.drop(_inverse_errors(ds, col.zs), ds)
+        us = [(z + _ONE) * (1.0 / d) for z, d in zip(col.zs, ds)]
+        return col.result([(e - _ONE) * scale for e in col.pow(us, alpha)])
 
 
 @dataclass(frozen=True)
@@ -253,12 +333,11 @@ class AngleMap(FamilySpec):
     def values(self, zs: Sequence[complex]) -> list:
         lam, lead, B = self.lam, self.lead, self.B
         power = complex(1.0 + self.b)
-
-        def at(z):
-            z = _require_in_disk(z)
-            s = (z - lam) * _inverse((z - _ONE) * lam, z)
-            return _require_finite(_exp(_log(s) * power) * lead + B)
-        return _each(at, zs)
+        col = _Samples(zs)
+        ds = [(z - _ONE) * lam for z in col.zs]
+        ds = col.drop(_inverse_errors(ds, col.zs), ds)
+        ss = [(z - lam) * (1.0 / d) for z, d in zip(col.zs, ds)]
+        return col.result([e * lead + B for e in col.pow(ss, power)])
 
 
 @dataclass(frozen=True)
@@ -285,7 +364,7 @@ class Kp(FamilySpec):
         """d = 1 - cz + z^2, refused inside the floor."""
         d = 1.0 - c * z + z * z
         if abs(d) < DEGENERACY_FLOOR:
-            raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
+            raise _kp_pole(z)
         return d
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
@@ -306,11 +385,14 @@ class Kp(FamilySpec):
 
     def values(self, zs: Sequence[complex]) -> list:
         c = self.p + 1.0 / self.p
+        col = _Samples(zs)
+        ds = [1.0 - c * z + z * z for z in col.zs]
+        ds = col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
+        return col.result([z / d for z, d in zip(col.zs, ds)])
 
-        def at(z):
-            z = _require_in_disk(z)
-            return _require_finite(z / self._denominator(c, z))
-        return _each(at, zs)
+
+def _kp_pole(z: complex) -> PoleProximityError:
+    return PoleProximityError(f"k_p denominator vanishes at {z!r}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +409,7 @@ class Co0Cubic(FamilySpec):
     def _off_pole(z: complex) -> complex:
         z = _require_in_disk(z)
         if abs(z) < DEGENERACY_FLOOR:
-            raise PoleProximityError("1/z + a0 + z has its pole at 0")
+            raise _cubic_pole()
         return z
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
@@ -342,17 +424,19 @@ class Co0Cubic(FamilySpec):
 
     def values(self, zs: Sequence[complex]) -> list:
         a0 = self.a0
-
-        def at(z):
-            z = self._off_pole(z)
-            return _require_finite(1.0 / z + a0 + z)
-        return _each(at, zs)
+        col = _Samples(zs)
+        col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
+        return col.result([1.0 / z + a0 + z for z in col.zs])
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0
         z = _require_in_disk(z)
         zj = Jet3.variable(z)
         return (zj / (1.0 + self.a0 * zj + zj * zj)).checked()
+
+
+def _cubic_pole() -> PoleProximityError:
+    return PoleProximityError("1/z + a0 + z has its pole at 0")
 
 
 @dataclass(frozen=True)
@@ -387,10 +471,11 @@ class Laurent(FamilySpec):
             acc = acc * u + c
         return acc
 
-    def _poly_value(self, u: complex) -> complex:
-        acc = 0j
+    def _poly_values(self, us: list) -> list:
+        # Horner, as _poly_jet runs it, with the samples inside
+        acc = [0j] * len(us)
         for c in reversed(self.coeffs):
-            acc = acc * u + c
+            acc = [a * u + c for a, u in zip(acc, us)]
         return acc
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
@@ -406,14 +491,14 @@ class Laurent(FamilySpec):
         return _each(at, zs)
 
     def values(self, zs: Sequence[complex]) -> list:
-        def at(z):
-            z = _require_in_disk(z)
-            if self.pole is None:
-                return _require_finite(self._poly_value(z))
-            u = z - complex(self.pole)
-            return _require_finite(_inverse(u, z) * self.residue
-                                   + self._poly_value(u))
-        return _each(at, zs)
+        col = _Samples(zs)
+        if self.pole is None:
+            return col.result(self._poly_values(col.zs))
+        pole, residue = complex(self.pole), self.residue
+        us = [z - pole for z in col.zs]
+        us = col.drop(_inverse_errors(us, col.zs), us)
+        return col.result([1.0 / u * residue + b
+                           for u, b in zip(us, self._poly_values(us))])
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         if self.pole is None:

@@ -368,8 +368,12 @@ _DISPATCH = {
 }
 
 
+# built once per process: parse_args leaves the parser as it found it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out)

@@ -7,9 +7,11 @@ value (`NonFiniteJetError`) is one of them. Everything else
 (`BasePointMismatchError`, `SpecParseError`, `EmptyScanError`) signals a
 caller bug or unusable input and propagates.
 
-The column kernels evaluate many samples in one call; `_each` keeps a
-sample's exclusion error in that sample's place, so that one bad sample
-excludes itself alone and a one-sample call (`_only`) raises it again.
+The column kernels evaluate many samples in one call and keep a sample's
+exclusion error in that sample's place, so that one bad sample excludes
+itself alone and a one-sample call (`_only`) raises it again. The jet
+kernels do so through `_each`, per sample; the values kernels build the
+errors as values and place them a column at a time.
 """
 
 from __future__ import annotations

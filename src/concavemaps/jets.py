@@ -45,9 +45,13 @@ to another layer checks it: `checked()` on a Jet3, as the catalog's
 `reciprocal_jet` does, or `_jfinite` on tuple fields, as its `eval_jets`
 kernels do. A cube in the quotient and chain rules that overflows raises
 `NonFiniteJetError` too (`_cube`), where complex `**` would raise a bare
-`OverflowError`. `_inverse`, `_log` and
-`_exp` hold the scalar rules (finiteness, degeneracy floor, branch cut),
-which the catalog's value-only path shares.
+`OverflowError`. `_require_finite`, `_inverse`, `_log` and `_exp` hold the
+scalar tests (finiteness, degeneracy floor, branch cut), which the tuple
+rules run. Their column forms (`_finite_errors`, `_floored`,
+`_inverse_errors`, `_log_errors`) run the same tests over a whole column
+for the catalog's values kernels and return, by position, the error each
+failing entry gets; one helper builds each message (`_not_finite`,
+`_no_inverse`, `_on_cut`), so the two forms say the same.
 """
 
 from __future__ import annotations
@@ -71,9 +75,23 @@ DEGENERACY_FLOOR = 1e-12
 _isfinite = cmath.isfinite
 
 
+def _not_finite(w: complex) -> NonFiniteJetError:
+    return NonFiniteJetError(f"value {w!r} is not finite")
+
+
+def _no_inverse(w: complex, z: complex) -> JetDivisionError:
+    return JetDivisionError(
+        f"reciprocal of a jet with |value| = {abs(w):.3e} at {z!r}")
+
+
+def _on_cut(w: complex) -> BranchCutError:
+    return BranchCutError(
+        f"log operand {w!r} lies within 1e-12 of the cut (-inf, 0]")
+
+
 def _require_finite(w: complex) -> complex:
     if not _isfinite(w):
-        raise NonFiniteJetError(f"value {w!r} is not finite")
+        raise _not_finite(w)
     return w
 
 
@@ -82,9 +100,7 @@ def _inverse(w: complex, z: complex) -> complex:
     point in the error."""
     _require_finite(w)
     if abs(w) < DEGENERACY_FLOOR:
-        raise JetDivisionError(
-            f"reciprocal of a jet with |value| = {abs(w):.3e} at {z!r}"
-        )
+        raise _no_inverse(w, z)
     return 1.0 / w
 
 
@@ -92,9 +108,7 @@ def _log(w: complex) -> complex:
     """Principal log of a finite w clear of the cut (-inf, 0]."""
     _require_finite(w)
     if abs(w) < DEGENERACY_FLOOR or (w.real <= 0.0 and abs(w.imag) <= 1e-12):
-        raise BranchCutError(
-            f"log operand {w!r} lies within 1e-12 of the cut (-inf, 0]"
-        )
+        raise _on_cut(w)
     return cmath.log(w)
 
 
@@ -109,6 +123,51 @@ def _cube(w: complex) -> complex:
         return w ** 3
     except OverflowError:
         raise NonFiniteJetError(f"cube of {w!r} overflowed") from None
+
+
+# -- column forms of the tests above ------------------------------------------
+#
+# Each takes a column of operands and returns, keyed by position, the error
+# the scalar rule raises on each entry that fails, its tests in the scalar
+# order (`_floored` gives the positions alone). Where every entry passes the
+# finiteness and floor tests, a C-level screen (all(map(...)),
+# min(map(abs, ...))) says so without a Python step per entry. The catalog's
+# values kernels drop the failing samples and place their errors.
+
+def _finite_errors(ws: list) -> dict:
+    """Column form of _require_finite (and of _exp's test)."""
+    if all(map(_isfinite, ws)):
+        return {}
+    return {k: _not_finite(w) for k, w in enumerate(ws) if not _isfinite(w)}
+
+
+def _floored(ws: list, skip=()) -> list[int]:
+    """Positions of the entries of ws, outside skip, with |w| below the
+    degeneracy floor. abs() runs on every entry outside skip, as the scalar
+    tests run it; a rule that tests finiteness first passes its failures as
+    skip, so that abs() never meets their NaNs."""
+    if not skip and min(map(abs, ws), default=1.0) >= DEGENERACY_FLOOR:
+        return []
+    return [k for k, w in enumerate(ws)
+            if k not in skip and abs(w) < DEGENERACY_FLOOR]
+
+
+def _inverse_errors(ws: list, zs: list) -> dict:
+    """Column form of _inverse's tests; zs names the base points."""
+    errors = _finite_errors(ws)
+    for k in _floored(ws, errors):
+        errors[k] = _no_inverse(ws[k], zs[k])
+    return errors
+
+
+def _log_errors(ws: list) -> dict:
+    """Column form of _log's tests."""
+    errors = _finite_errors(ws)
+    cut = [k for k, w in enumerate(ws) if w.real <= 0.0 and abs(w.imag) <= 1e-12]
+    for k in _floored(ws, errors) + cut:
+        if k not in errors:
+            errors[k] = _on_cut(ws[k])
+    return errors
 
 
 # -- tuple jets (see the module docstring) -----------------------------------

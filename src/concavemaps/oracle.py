@@ -22,13 +22,16 @@ set could be convex by analyzing discrete turning:
 Turning angles use atan2 of cross and dot products of successive edges, per
 contiguous run of included angles; arcs near poles (by the scans' own rule,
 `FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
-and reported, never bridged.
+and reported, never bridged. A curve measures its turning defect when the
+defect is first read, and keeps it: the oracle reads it once per curve, a
+`curve` JSON report once, and a CSV report, which does not hold it, never.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
@@ -55,8 +58,7 @@ class CurveSample:
     included holds the surviving angle indices (theta_j = 2 pi j / n, strictly
     increasing), points the image values aligned with them. excluded_arcs are
     half-open angle intervals; an arc that straddles theta = 0 has its end
-    beyond 2 pi. convexity_defect is computed at construction against
-    orientation, the one the spec's pole placement dictates.
+    beyond 2 pi. orientation is the one the spec's pole placement dictates.
     """
 
     r: float
@@ -65,11 +67,12 @@ class CurveSample:
     points: tuple[complex, ...]
     excluded_arcs: tuple[tuple[float, float], ...]
     orientation: str
-    convexity_defect: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "convexity_defect",
-                           convexity_defect(self, self.orientation))
+    @cached_property
+    def convexity_defect(self) -> float:
+        """The defect against orientation, computed when first read and kept:
+        the oracle and a JSON curve report read it, a CSV one never does."""
+        return convexity_defect(self, self.orientation)
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -102,13 +105,11 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
 
     zs = [r * e for e in _units(n)]
     far = spec.far_from_poles(zs, epsilon)
-    included: list[int] = []
-    points: list[complex] = []
-    for j, w in zip(compress(range(n), far),
-                    spec.values(list(compress(zs, far)))):
-        if not isinstance(w, SampleExclusionError):
-            included.append(j)
-            points.append(w)
+    included = list(compress(range(n), far))
+    points = spec.values(list(compress(zs, far)))
+    ok = [not isinstance(w, SampleExclusionError) for w in points]
+    if not all(ok):
+        included, points = list(compress(included, ok)), list(compress(points, ok))
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
 

@@ -15,8 +15,11 @@ from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
                                  _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
-                                SampleExclusionError, SpecParseError)
-from concavemaps.jets import Jet3
+                                SampleExclusionError, SpecParseError, _each)
+from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp,
+                              _finite_errors, _floored, _inverse,
+                              _inverse_errors, _log, _log_errors,
+                              _require_finite)
 from concavemaps.operators import OperatorPoint
 
 
@@ -410,3 +413,179 @@ def test_kernels_match_jet3_composition(spec, z):
         lambda u: _ref_eval_jet(spec, u), z), (spec, z)
     assert _bits(spec.reciprocal_jet, z) == _bits(
         lambda u: _ref_eval_jet(spec, u).reciprocal().checked(), z), (spec, z)
+
+
+# -- column values kernels against the per-sample kernels they replaced ----------
+#
+# Each family's values(zs) runs one comprehension per arithmetic stage over
+# the whole column and puts each excluded sample's error in its place. The
+# references are the per-sample kernels that did the work before, applied one
+# sample at a time through _each. The columns must agree with them bit for
+# bit, signed zeros included, with the same error classes and messages, and
+# raise the same error for the whole call where a sample lies outside the
+# disk.
+
+def _ref_poly(spec, u):
+    acc = 0j
+    for c in reversed(spec.coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def _ref_value(spec, z):
+    if isinstance(spec, Co0Cubic):
+        z = Co0Cubic._off_pole(z)
+        return _require_finite(1.0 / z + spec.a0 + z)
+    z = _require_in_disk(z)
+    if isinstance(spec, HalfPlane):
+        return _require_finite(z * (1.0 / (1.0 - z)))
+    if isinstance(spec, KAlpha):
+        scale = _inverse(complex(2.0 * spec.alpha), 0j)
+        u = (z + _ONE) * _inverse(_ONE - z, z)
+        return _require_finite(
+            (_exp(_log(u) * complex(spec.alpha)) - _ONE) * scale)
+    if isinstance(spec, AngleMap):
+        s = (z - spec.lam) * _inverse((z - _ONE) * spec.lam, z)
+        return _require_finite(
+            _exp(_log(s) * complex(1.0 + spec.b)) * spec.lead + spec.B)
+    if isinstance(spec, Kp):
+        return _require_finite(z / Kp._denominator(spec.p + 1.0 / spec.p, z))
+    if spec.pole is None:
+        return _require_finite(_ref_poly(spec, z))
+    u = z - complex(spec.pole)
+    return _require_finite(_inverse(u, z) * spec.residue + _ref_poly(spec, u))
+
+
+def _column_bits(values, zs):
+    """Per sample, the value's packed doubles or the error's class and
+    message; or the class and message of an error the whole call raised."""
+    try:
+        out = values(zs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(type(w), str(w)) if isinstance(w, SampleExclusionError)
+            else (type(w), struct.pack("<2d", w.real, w.imag)) for w in out]
+
+
+def _kernel_exclusions(spec):
+    """Samples that reach a kernel's own exclusion tests, or sit just clear
+    of them, for spec."""
+    out = [0j, complex(-0.0, -0.0)]
+    for q in spec.poles:
+        if abs(q) < 1.0:
+            out += [q, q + 1e-13, q - 1e-13j, q + 1e-11]
+    # 1 - z inside the floor; (1 + z)/(1 - z) within it of the cut
+    out += [1.0 - 1e-13 + 0j, complex(-1.0 + 1e-13, 1e-17),
+            complex(-1.0 + 1e-13, 0.0), -1.0 + 1e-11 + 0j]
+    if isinstance(spec, AngleMap):
+        # s = (z - lam)/(lam (z - 1)) within the floor of the cut's tip
+        out += [spec.lam * (1.0 - 1e-13), spec.lam * (1.0 - 1e-11)]
+    return out
+
+
+NON_FINITE = (complex(math.nan, 0.0), complex(0.0, math.inf),
+              complex(-math.inf, 0.0), complex(math.nan, math.nan),
+              complex(math.inf, math.nan))
+# the last one is finite, but its |z| does not fit a float
+OUTSIDE = (1.0 + 0j, 1.5 - 0.5j, complex(0.0, -1.0), complex(1.5e308, 1.5e308))
+
+
+@st.composite
+def spec_columns(draw):
+    spec = draw(family_specs)
+    sample = st.one_of(disk_z, st.sampled_from(NON_FINITE),
+                       st.sampled_from(_kernel_exclusions(spec)))
+    zs = draw(st.lists(sample, max_size=24))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        zs.insert(draw(st.integers(min_value=0, max_value=len(zs))),
+                  draw(st.sampled_from(OUTSIDE)))
+    return spec, zs
+
+
+@given(spec_columns())
+@settings(max_examples=600, deadline=None)
+@example((Kp(0.5), [0.5 + 0j, 0.3j, 0.5000000000001 + 0j, complex("nan")]))
+@example((Laurent(0.5, 1.0 + 0j, ()), [0.5 + 1e-13j, 0.5 + 0j, -0.2 + 0j]))
+@example((Co0Cubic(0.3 + 0.2j), [0.5 + 0j, 0j, 1e-13j, 0.5j]))
+@example((KAlpha(1.5), [complex(-1.0 + 1e-13, 0.0), 0.1 + 0j,
+                        1.0 - 1e-13 + 0j]))
+@example((AngleMap(-0.5 + 0j), [AngleMap(-0.5 + 0j).lam * (1.0 - 1e-13),
+                                0.2j]))
+@example((HalfPlane(), [complex(math.nan, 0.0), 0.5 + 0j, 1.5 + 0j,
+                        2.0 + 0j]))
+@example((Kp(0.5), [0.3 + 0j, complex(1.5e308, 1.5e308), 1.5 + 0j]))
+@example((Kp(0.5), [0.3 + 0j, 1.5 + 0j, complex(1.5e308, 1.5e308)]))
+@example((Laurent(None, 0j, (complex(-0.0, -0.0), 1.0 + 0j)),
+          [complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 + 0j]))
+@example((Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), [0.9 + 0j, 0.1j]))
+@example((AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), [0.5 + 0j, 0.1j]))
+@example((Kp(5e-324), [0.5 + 0j, 0.5j, 0j]))
+def test_values_columns_match_the_per_sample_kernels(spec_and_zs):
+    spec, zs = spec_and_zs
+    assert _column_bits(spec.values, zs) == _column_bits(
+        lambda col: _each(lambda z: _ref_value(spec, z), col), zs), (spec, zs)
+
+
+# Operands for the column rules: anything complex, plus entries on each
+# side of the floor and of the cut, signed zeros, NaNs and an |w| too large
+# for a float.
+rule_operands = st.one_of(st.complex_numbers(), st.sampled_from([
+    0j, complex(-0.0, 0.0), complex(-0.0, -0.0), 1e-13 + 0j,
+    complex(0.0, -9e-13), complex(1e-12, 0.0), complex(0.0, 1e-12),
+    complex(-0.0, -1e-12), -1.0 + 0j,
+    complex(-1.0, 1e-12), complex(-1.0, -1e-12), complex(-1.0, 1.1e-12),
+    complex(-2.0, -0.0), complex(0.0, 1.0), complex(-math.inf, 0.0),
+    complex(math.nan, 0.0), complex(math.nan, -1.0),
+    complex(1.5e308, 1.5e308)]))
+
+
+def _scalar_errors(rule, *columns):
+    """By position, the class and message of the SampleExclusionError the
+    scalar rule raises on each row; or the class and message of another
+    error it raised, which ends the column."""
+    out = {}
+    for k, row in enumerate(zip(*columns)):
+        try:
+            rule(*row)
+        except SampleExclusionError as exc:
+            out[k] = type(exc), str(exc)
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+    return out
+
+
+def _column_errors(rule, *columns):
+    try:
+        errors = rule(*columns)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return {k: (type(exc), str(exc)) for k, exc in errors.items()}
+
+
+@given(st.lists(rule_operands, max_size=12))
+@settings(max_examples=400, deadline=None)
+@example([complex(math.nan, 0.0), 1e-13 + 0j, complex(-1.0, 0.0)])
+@example([complex(-math.inf, 0.0), complex(-1.0, 1e-12), 0j])
+def test_column_rules_match_the_scalar_rules(ws):
+    zs = [complex(k, 0.5) for k in range(len(ws))]
+    assert _column_errors(_finite_errors, ws) == _scalar_errors(
+        _require_finite, ws)
+    assert _column_errors(_inverse_errors, ws, zs) == _scalar_errors(
+        _inverse, ws, zs)
+    assert _column_errors(_log_errors, ws) == _scalar_errors(_log, ws)
+    finite = [w for w in ws if cmath.isfinite(w) and abs(w.real) < 1e300]
+    assert _floored(finite) == [k for k, w in enumerate(finite)
+                                if abs(w) < DEGENERACY_FLOOR]
+
+
+def test_column_rules_keep_abs_off_nans_after_a_stale_overflow():
+    # abs() of a complex NaN reports a stale overflow: the floor tests must
+    # skip the entries the finiteness test already refused
+    ws = [*NAN_SAMPLES, 1e-13 + 0j, -1.0 + 0j, 0.5 + 0j]
+    zs = [0.25j] * len(ws)
+    for errors_of, args, refused in ((_inverse_errors, (ws, zs), 5),
+                                     (_log_errors, (ws,), 6)):
+        _stale_overflow()
+        errors = errors_of(*args)
+        assert sorted(errors) == list(range(refused))
+        assert {type(errors[k]) for k in range(4)} == {NonFiniteJetError}

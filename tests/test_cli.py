@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concavemaps import cli, verify
+from concavemaps import cli, oracle, verify
 from concavemaps.catalog import EXCLUSION_RADIUS, parse_spec
 from concavemaps.cli import _dump, _Rows, main
 from concavemaps.margins import default_grid
@@ -212,6 +212,49 @@ def test_curve_defaults_are_the_oracle_angles_and_the_stock_radius(capsys):
     assert (payload["n"], payload["epsilon"]) == (DEFAULT_ANGLES,
                                                   EXCLUSION_RADIUS)
     assert len(payload["points"]) < DEFAULT_ANGLES
+
+
+@pytest.mark.parametrize("fmt, reads", [("csv", 0), ("json", 1)])
+def test_curve_turning_is_measured_only_for_json(fmt, reads, tmp_path,
+                                                 monkeypatch):
+    defect, calls = oracle.convexity_defect, []
+
+    def counted(curve, orientation):
+        calls.append(orientation)
+        return defect(curve, orientation)
+
+    monkeypatch.setattr(oracle, "convexity_defect", counted)
+    for text in ("kp:p=0.5", "halfplane", "identity"):
+        calls.clear()
+        assert main(["curve", "--function", text, "--angles", "256",
+                     "--format", fmt, "--out", str(tmp_path / "c")]) == 0
+        assert calls == [oracle.natural_orientation(parse_spec(text))] * reads
+
+
+def test_curve_csv_exports_a_curve_without_turning(capsys):
+    # f varies by about 2e-12 around a value of 1e6, so every point collapses
+    # into one and no turn is left to measure: the JSON report, which holds
+    # the defect, is a degeneracy; the CSV, which does not, is written
+    argv = ["curve", "--function", "laurent:p=0.5;res=1e-12;b=[1000000]",
+            "--r", "0.99", "--epsilon", "0.6", "--angles", "256"]
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, out) == (3, "")
+    assert err == "degeneracy: fewer than 3 usable points after exclusions\n"
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 257 and lines[1].endswith(",,,1")
+    assert sum(1 for ln in lines[1:] if ln.endswith(",0")) > 100
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, ["catalog"])[0] == 0
+    assert run(capsys, ["curve", "--function", "halfplane",
+                        "--angles", "64"])[0] == 0
 
 
 @pytest.mark.parametrize("value", ["fast", ""])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from concavemaps import oracle
 from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                                  Laurent, omitted_segment, parse_spec)
-from concavemaps.errors import EmptyScanError
+from concavemaps.errors import EmptyScanError, SampleExclusionError
 from concavemaps.margins import (MAX_SAMPLES, GridConfig, geometric_radii,
                                  scan, sweep)
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
@@ -172,6 +172,21 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
     assert calls == [natural] * len(RADII)
 
 
+def test_a_curve_measures_its_defect_when_first_read(monkeypatch):
+    calls = []
+
+    def counted(curve, orientation):
+        calls.append(orientation)
+        return convexity_defect(curve, orientation)
+
+    monkeypatch.setattr(oracle, "convexity_defect", counted)
+    curve = boundary_curve(Kp(0.5), 0.99, 1024)
+    assert calls == []
+    first = curve.convexity_defect
+    assert curve.convexity_defect == first
+    assert calls == [COMPLEMENT_INSIDE]
+
+
 def test_equality_scan_cubic_is_everywhere():
     grid = GridConfig(geometric_radii(6), 16)
     rep = scan(Co0Cubic(0j), "co0", grid, keep_samples=True)
@@ -189,6 +204,24 @@ def test_real_axis_crossings_bracket_omitted_segment():
     assert abs(xs[0] - left) < 1e-2
     assert abs(xs[-1] - right) < 1e-2
     assert xs[0] < left + 1e-12 and xs[-1] > right - 1e-12
+
+
+@pytest.mark.parametrize("text,r", [
+    ("kp:p=0.5", 0.5000000000001), ("laurent:p=0.5;res=1;b=[]", 0.5000000000001),
+    ("kalpha:alpha=1.5", 0.9999999999999)])
+def test_curve_drops_what_the_kernel_excludes(text, r):
+    # at epsilon = 1e-300 the pole-distance rule keeps every sample, and the
+    # kernel's own floor or branch cut excludes those at theta = 0 (and pi)
+    spec, n = parse_spec(text), 64
+    curve = boundary_curve(spec, r, n, 1e-300)
+    zs = [r * cmath.exp(1j * (2.0 * math.pi / n * j)) for j in range(n)]
+    values = [spec.values([z])[0] for z in zs]
+    kept = [j for j, w in enumerate(values)
+            if not isinstance(w, SampleExclusionError)]
+    assert 0 not in kept and len(kept) >= n - 2
+    assert curve.included == tuple(kept)
+    assert curve.points == tuple(values[j] for j in kept)
+    assert curve.excluded_arcs[0][0] == 0.0
 
 
 def test_samplers_apply_the_exclusion_column_once(monkeypatch):

@@ -14,6 +14,8 @@ line per command: file name, exit code, argv and stderr. The commands:
     benchmark's `export` workload draws, `kp:p=0.5` and
     `co0cubic:a0=0.3+0.2i`, at each of its radii 0.99, 0.999 and 0.9999,
     and `halfplane` at r = 0.9999, whose excluded arc wraps past theta = 0;
+  * `curve` JSON and CSV at 64 angles and epsilon = 1e-300 whose samples
+    reach a kernel's own exclusion test (see KERNEL_CURVES);
   * `margins` CSV and JSON for every theorem token, with no parameter,
     alpha = 1.5, p = 0 and p = 0.5, on four specs;
   * `margins` runs that end in an input error: alpha and p out of range or
@@ -64,6 +66,15 @@ MARGIN_ERRORS = (
 LONG_CURVES = (("kp:p=0.5", ("0.99", "0.999", "0.9999")),
                ("co0cubic:a0=0.3+0.2i", ("0.99", "0.999", "0.9999")),
                ("halfplane", ("0.9999",)))
+# At r = 0.5 the sample at theta = 0 is the pole of kp:p=0.5 and of the
+# Laurent spec itself, so the pole-distance rule excludes it even at
+# epsilon = 1e-300. At r = 0.5000000000001 it lies 1e-13 from the pole: past
+# that rule, inside the kernels' 1e-12 floor. At r = 1 - 1e-13, kalpha's
+# sample at theta = 0 meets the floor of 1/(1 - z) and the one at theta = pi
+# the branch cut.
+KERNEL_CURVES = (("kp:p=0.5", ("0.5", "0.5000000000001")),
+                 ("laurent:p=0.5;res=1;b=[]", ("0.5", "0.5000000000001")),
+                 ("kalpha:alpha=1.5", ("0.9999999999999",)))
 
 
 def _commands():
@@ -85,6 +96,12 @@ def _commands():
                 yield (f"curve-long-{k}-r{r}.{fmt}",
                        ["curve", "--function", text, "--r", r,
                         "--angles", "16384", "--format", fmt])
+    for k, (text, radii) in enumerate(KERNEL_CURVES):
+        for r in radii:
+            for fmt in ("json", "csv"):
+                yield (f"curve-kernel-{k}-r{r}.{fmt}",
+                       ["curve", "--function", text, "--r", r, "--angles", "64",
+                        "--epsilon", "1e-300", "--format", fmt])
     for s, text in enumerate(MARGIN_SPECS):
         for theorem in THEOREMS:
             for q, params in enumerate(MARGIN_PARAMS):
