@@ -23,6 +23,7 @@ was required).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -368,12 +369,15 @@ _DISPATCH = {
 }
 
 
-# built once per process: parse_args leaves the parser as it found it
-_PARSER = build_parser()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call in a process and kept:
+    parse_args leaves it as it found it."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out)

@@ -247,9 +247,11 @@ def test_curve_csv_exports_a_curve_without_turning(capsys):
     assert sum(1 for ln in lines[1:] if ln.endswith(",0")) > 100
 
 
-def test_main_builds_no_parser(monkeypatch, capsys):
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    assert run(capsys, ["catalog"])[0] == 0
+
     def refuse():
-        raise AssertionError("main built a parser")
+        raise AssertionError("main built a second parser")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
     assert run(capsys, ["catalog"])[0] == 0
