@@ -127,15 +127,19 @@ class _Samples:
     def drop(self, errors: dict, ws: list) -> list:
         """ws without the entries errors names by position; the same samples
         leave zs, and their errors are kept for the result."""
+        return self.drop_rows(errors, ws)[0]
+
+    def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
+        """drop for several columns aligned with zs at once."""
         if not errors:
-            return ws
+            return columns
         at = range(self.n) if self.at is None else self.at
         for k, exc in errors.items():
             self.errors[at[k]] = exc
-        keep = [k not in errors for k in range(len(ws))]
+        keep = [k not in errors for k in range(len(self.zs))]
         self.at = list(compress(at, keep))
         self.zs = list(compress(self.zs, keep))
-        return list(compress(ws, keep))
+        return tuple(list(compress(ws, keep)) for ws in columns)
 
     def pow(self, ws: list, exponent: complex) -> list:
         """_exp(_log(w) * exponent) for each of ws that passes their tests."""
@@ -146,14 +150,19 @@ class _Samples:
     def result(self, ws: list) -> list:
         """The call's column: per sample, its entry of ws once tested finite,
         or the error that dropped it."""
-        ws = self.drop(_finite_errors(ws), ws)
-        if not self.errors:
+        out = self.placed(self.drop(_finite_errors(ws), ws))
+        for k, exc in self.errors.items():
+            out[k] = exc
+        return out
+
+    def placed(self, ws: list) -> list:
+        """Per sample of the call, its entry of ws, or None where it was
+        dropped; ws itself while none was."""
+        if self.at is None:
             return ws
         out: list = [None] * self.n
         for k, w in zip(self.at, ws):
             out[k] = w
-        for k, exc in self.errors.items():
-            out[k] = exc
         return out
 
 

@@ -175,7 +175,7 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
         "argmin_z": _c(report.argmin_z),
         "verdict": report.verdict,
     }
-    param = _TOKENS[report.theorem][2]
+    param = _TOKENS[report.theorem][1]
     if param is not None:
         d[param] = alpha if param == "alpha" else p
     return d

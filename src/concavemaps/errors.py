@@ -10,8 +10,9 @@ caller bug or unusable input and propagates.
 The column kernels evaluate many samples in one call and keep a sample's
 exclusion error in that sample's place, so that one bad sample excludes
 itself alone and a one-sample call (`_only`) raises it again. The jet
-kernels do so through `_each`, per sample; the values kernels build the
-errors as values and place them a column at a time.
+kernels do so through `_each`, per sample; the values kernels and the
+margin columns build the errors as values and place them a column at a
+time.
 """
 
 from __future__ import annotations

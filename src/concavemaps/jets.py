@@ -21,8 +21,8 @@ allocates besides the rule's tuples. Both routes do the same complex
 operations in the same order, so they agree bit for bit. The rules and
 `_lift` stay private: perfbench's tracer spans every public function of this
 module, and a span per arithmetic step would swamp a traced run.
-`_schwarzian` is the Schwarzian from fields, which the grid scans call per
-sample and `schwarzian` per jet.
+`_schwarzians` is the Schwarzian from fields over a column, which the grid
+scans call once per ring and `schwarzian` for one jet.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -51,7 +51,9 @@ rules run. Their column forms (`_finite_errors`, `_floored`,
 `_inverse_errors`, `_log_errors`) run the same tests over a whole column
 for the catalog's values kernels and return, by position, the error each
 failing entry gets; one helper builds each message (`_not_finite`,
-`_no_inverse`, `_on_cut`), so the two forms say the same.
+`_no_inverse`, `_on_cut`, and `_overflowed`, which the cube, the
+pre-Schwarzian, the Schwarzian and the margins share), so the two forms say
+the same.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ def _on_cut(w: complex) -> BranchCutError:
         f"log operand {w!r} lies within 1e-12 of the cut (-inf, 0]")
 
 
+def _overflowed(what: str) -> NonFiniteJetError:
+    return NonFiniteJetError(f"{what} overflowed")
+
+
 def _require_finite(w: complex) -> complex:
     if not _isfinite(w):
         raise _not_finite(w)
@@ -122,7 +128,7 @@ def _cube(w: complex) -> complex:
     try:
         return w ** 3
     except OverflowError:
-        raise NonFiniteJetError(f"cube of {w!r} overflowed") from None
+        raise _overflowed(f"cube of {w!r}") from None
 
 
 # -- column forms of the tests above ------------------------------------------
@@ -446,7 +452,7 @@ def pre_schwarzian(jet: Jet3) -> complex:
         raise CriticalPointError(f"f'({jet.base_point!r}) = 0")
     out = jet.v2 / jet.v1
     if not _isfinite(out):
-        raise NonFiniteJetError("pre-Schwarzian overflowed")
+        raise _overflowed("pre-Schwarzian")
     return out
 
 
@@ -459,12 +465,14 @@ def schwarzian(jet: Jet3) -> complex:
     """
     if jet.v1 == 0:
         raise CriticalPointError(f"f'({jet.base_point!r}) = 0")
-    return _schwarzian(jet.v1, jet.v3, jet.v2 / jet.v1)
-
-
-def _schwarzian(v1: complex, v3: complex, q: complex) -> complex:
-    """The Schwarzian from a nonzero f', f''' and q = f''/f'."""
-    out = v3 / v1 - 1.5 * q * q
-    if not _isfinite(out):
-        raise NonFiniteJetError("Schwarzian overflowed")
+    (out,), errors = _schwarzians((jet.v1,), (jet.v3,), (jet.v2 / jet.v1,))
+    if errors:
+        raise errors[0]
     return out
+
+
+def _schwarzians(v1s, v3s, qs) -> tuple[list, dict]:
+    """Column form of the Schwarzian from nonzero f', f''' and q = f''/f':
+    the values, and by position the error of each that is not finite."""
+    ss = [v3 / v1 - 1.5 * q * q for v1, v3, q in zip(v1s, v3s, qs)]
+    return ss, {k: _overflowed("Schwarzian") for k in _finite_errors(ss)}

@@ -17,20 +17,29 @@ with P = f''/f', t = |z|, q = q_term(p, z) and a = a_p_of(spec, p) unless
 margin_at is given one. A grid scan can only certify "member-consistent",
 never membership; verdicts say so.
 
-A table holds one row per token: its scalar formula over the operators of
-`operators` (each written once), the ring columns it reads (z, f''/f', the
-jet fields and z f''/f'), the class parameter it reads and its rule at a
+A table holds one row per token: its column over a ring, written on the
+ring forms of `operators`, the class parameter it reads and its rule at a
 pole at the origin. `_margin` is the one place that looks a token up and
 checks and binds its parameters, once per scan and before anything is
-sampled; the bound margin's column loops the formula over one ring and
-keeps a sample's exclusion error in that sample's place.
+sampled. A token's column copies the ring and runs each formula stage as
+one comprehension over the samples still live; its tests, in the order the
+formula meets them, drop the samples that fail with their errors. Then
+`_column` excludes a sample whose margin arithmetic overflows, raising
+OverflowError or giving a value that is not finite, with NonFiniteJetError;
+only an OverflowError, which stops the whole comprehension, sends the ring
+through the token one sample at a time.
 
 One sweep samples the grid, origin first (it is the normalization point of
 every theorem), then radius-major rings. For each ring it applies the
 exclusion column `FamilySpec.far_from_poles`, calls the family's column
-kernel `eval_jets` once, applies OperatorPoint's |f'| floor and runs every
+kernel `eval_jets` once, builds the ring (`operators._Ring`, which applies
+the |f'| floor and excludes an f''/f' that is not finite) and runs every
 margin its caller asked for once: `classify` sweeps once for all the scans
-of a class. margin_at is the same path for one sample.
+of a class, thm1 and the Co order estimate read one |A_f| column, and thm3
+and the corollary one Schwarzian column. A scan reduces a margin's column
+directly: it counts the excluded samples, takes the minimum and the first
+sample within the tie band of it. margin_at is the same path for one
+sample.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -43,17 +52,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
 from .errors import (EmptyScanError, IndeterminateSampleError,
-                     SampleExclusionError, SpecParseError, _each, _only)
-from .jets import DEGENERACY_FLOOR, schwarzian
-from .operators import (OperatorPoint, _a_f, _check_alpha, _check_p,
-                        _co_alpha, _critical, _phis, _q, _sf_norm, a_p_of,
-                        phi_of, thm3_phi3_origin)
+                     SampleExclusionError, SpecParseError)
+from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
+from .operators import (OperatorPoint, _check_alpha, _check_p, _co_alpha, _m,
+                        _one, _phis, _q, _Ring, _sf_kept, a_p_of, phi_of,
+                        thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -121,96 +130,110 @@ def default_grid(preset: str = "default") -> GridConfig:
     return GridConfig(geometric_radii(nr), na)
 
 
-# -- the margins at one sample, over the scalar operators ---------------------
+# -- the margins over a ring, on the operators' ring forms ---------------------
+#
+# Each takes the ring and the bound parameters and returns a copy of the ring
+# with the samples the margin excludes dropped, and its values at the others.
 
-def _thm1(z: complex, pre: complex, v1: complex, v3: complex) -> float:
-    return 2.0 * abs(_a_f(z, pre)) ** 2 - _sf_norm(z, pre, v1, v3) - 2.0
-
-
-def _thm2(z: complex, pre: complex, alpha: float) -> float:
-    lhs = _co_alpha(z, pre, alpha)
-    dev = pre - (alpha + 1.0) / (1.0 - z)
-    return lhs - abs(dev) ** 2 * (1.0 - abs(z) ** 2) / (2.0 * (alpha - 1.0))
-
-
-def _thm3(z: complex, pre: complex, v1: complex, v2: complex,
-          v3: complex) -> float:
-    phi3, big_phi = _phis(z, v1, v2)
-    lead = 2.0 * (2.0 * abs(phi3) + 1.0)
-    return lead * (1.0 - abs(big_phi) ** 2) - _sf_norm(z, pre, v1, v3)
+def _thm1(ring: _Ring) -> tuple[_Ring, list[float]]:
+    abs_a, sfn = ring.abs_a(), ring.sf_norm()
+    col = ring.copy()
+    sfn, abs_a = _sf_kept(col, sfn, abs_a)
+    return col, [2.0 * a ** 2 - s - 2.0 for a, s in zip(abs_a, sfn)]
 
 
-def _corollary(z: complex, pre: complex, v1: complex, v3: complex) -> float:
-    return 6.0 - _sf_norm(z, pre, v1, v3)
+def _co_alpha_lhs(ring: _Ring, alpha: float) -> tuple[_Ring, list[float]]:
+    col = ring.copy()
+    return col, _co_alpha(col, alpha)
+
+
+def _thm2(ring: _Ring, alpha: float) -> tuple[_Ring, list[float]]:
+    col = ring.copy()
+    lhs = _co_alpha(col, alpha)
+    c, w = alpha + 1.0, 2.0 * (alpha - 1.0)
+    return col, [m - abs(q - c / (1.0 - z)) ** 2 * (1.0 - abs(z) ** 2) / w
+                 for m, z, q in zip(lhs, col.zs, col.pre)]
+
+
+def _thm3(ring: _Ring) -> tuple[_Ring, list[float]]:
+    sfn = ring.sf_norm()
+    col = ring.copy()
+    phi3, big_phi, sfn = _phis(col, sfn)
+    # every test before the arithmetic, whose overflow excludes last
+    sfn, phi3, big_phi = _sf_kept(col, sfn, phi3, big_phi)
+    return col, [2.0 * (2.0 * abs(f) + 1.0) * (1.0 - abs(b) ** 2) - s
+                 for f, b, s in zip(phi3, big_phi, sfn)]
+
+
+def _corollary(ring: _Ring) -> tuple[_Ring, list[float]]:
+    sfn = ring.sf_norm()
+    col = ring.copy()
+    (sfn,) = _sf_kept(col, sfn)
+    return col, [6.0 - s for s in sfn]
 
 
 # co0, thm4 and reM read f''/f' only through zp = z f''/f'
 
-def _co0(z: complex, zp: complex) -> float:
-    return -(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
+def _co0(ring: _Ring) -> tuple[_Ring, list[float]]:
+    col = ring.copy()
+    return col, [-(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
+                 for z, zp in zip(col.zs, col.zp)]
 
 
-def _thm4_weight(t: float, a: float) -> float:
-    return (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t) / (4.0 * (1.0 + a * t) ** 2)
+def _thm4(ring: _Ring, p: float, a: float) -> tuple[_Ring, list[float]]:
+    col = ring.copy()
+    qs = _q(col, p)
+    # -Re M - w(|z|, a) |zp + q|^2 with M = 1 + (zp + q)
+    return col, [-(1.0 + s).real
+                 - (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t)
+                 / (4.0 * (1.0 + a * t) ** 2) * abs(s) ** 2
+                 for s, t in zip([zp + q for zp, q in zip(col.zp, qs)],
+                                 map(abs, col.zs))]
 
 
-def _thm4(z: complex, zp: complex, p: float, a: float) -> float:
-    zp_plus_q = zp + _q(p, z)
-    m = 1.0 + zp_plus_q
-    return -m.real - _thm4_weight(abs(z), a) * abs(zp_plus_q) ** 2
+def _re_m(ring: _Ring, p: float) -> tuple[_Ring, list[float]]:
+    col = ring.copy()
+    return col, [-m.real for m in _m(col, p)]
 
 
-def _re_m(z: complex, zp: complex, p: float) -> float:
-    return -(1.0 + zp + _q(p, z)).real
+def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
+    """The token fn over the ring: a copy of the ring without the samples fn
+    excludes, and fn's margin at each sample left.
 
-
-# -- the ring: one call per family and per margin ---------------------------------
-
-class _Ring:
-    """The usable samples of one ring as columns: z, pre = f''/f', the jet
-    fields v1, v2, v3 and zp = z f''/f'."""
-
-    __slots__ = ("z", "pre", "v1", "v2", "v3", "zp")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, [])
-
-
-def _ring(spec: FamilySpec, zs: list[complex],
-          epsilon: float | None) -> tuple[_Ring, list]:
-    """The samples zs through far_from_poles (unless epsilon is None), the
-    family's column kernel and the |f'| floor of OperatorPoint.
-
-    Returns the usable samples as a _Ring and, per sample of zs, its row in
-    the ring, None near a pole, or the SampleExclusionError that excluded it.
+    A sample whose margin arithmetic overflows, raising OverflowError or
+    giving a value that is not finite, is excluded with NonFiniteJetError,
+    as jets._cube excludes a jet. OverflowError stops the whole column, so
+    then the ring goes through fn again one sample at a time.
     """
-    far = ([True] * len(zs) if epsilon is None
-           else spec.far_from_poles(zs, epsilon))
-    kept = [z for z, ok in zip(zs, far) if ok]
-    jets = iter(zip(kept, spec.eval_jets(kept)))
-    ring, slots = _Ring(), []
-    for ok in far:
-        if not ok:
-            slots.append(None)
-            continue
-        z, jet = next(jets)
-        if isinstance(jet, SampleExclusionError):
-            slots.append(jet)
-            continue
-        _, v1, v2, v3 = jet
-        if abs(v1) < DEGENERACY_FLOOR:
-            slots.append(_critical(z))
-            continue
-        slots.append(len(ring.z))
-        pre = v2 / v1
-        ring.z.append(z)
-        ring.pre.append(pre)
-        ring.v1.append(v1)
-        ring.v2.append(v2)
-        ring.v3.append(v3)
-        ring.zp.append(z * pre)
-    return ring, slots
+    try:
+        col, ms = fn(ring, *args)
+    except OverflowError:
+        col, ms, errors = ring.copy(), [], {}
+        for k, z in enumerate(ring.zs):
+            try:
+                ms.append(_one(*fn(ring.row(k), *args)))
+                continue
+            except OverflowError:
+                errors[k] = _overflowed(f"margin at {z!r}")
+            except SampleExclusionError as exc:
+                errors[k] = exc
+            ms.append(None)
+        ms = col.drop(errors, ms)
+    return col, col.drop({k: _overflowed(f"margin at {col.zs[k]!r}")
+                          for k in _finite_errors(ms)}, ms)
+
+
+# -- the ring -----------------------------------------------------------------
+
+def _ring(spec: FamilySpec, zs: list[complex], epsilon: float | None) -> _Ring:
+    """The samples zs through far_from_poles (unless epsilon is None; a
+    sample near a pole is dropped with None for its error), the family's
+    column kernel and the ring's own tests (see _Ring.take)."""
+    ring = _Ring(zs)
+    if epsilon is not None:
+        far = spec.far_from_poles(ring.zs, epsilon)
+        ring.drop({k: None for k, ok in enumerate(far) if not ok}, ring.zs)
+    return ring.take(spec.eval_jets(ring.zs))
 
 
 # -- the token table ------------------------------------------------------------
@@ -223,40 +246,45 @@ def _sf_at_pole(spec: FamilySpec) -> float:
 # z f''/f' at a simple pole at 0, whatever the Laurent tail
 _ZP_AT_POLE = -2.0 + 0j
 
-# token -> (formula, the ring columns it reads, the class parameter it reads,
-# its value at a pole at 0 from the spec and the bound parameters, or None:
+
+def _at_pole(fn, *args) -> float:
+    """fn at a pole at 0, for a token that reads f''/f' only through zp."""
+    ring = _Ring([0j])
+    ring.zp = [_ZP_AT_POLE]
+    return _one(*fn(ring, *args))
+
+
+# token -> (its column over a ring, the class parameter it reads, its value
+# at a pole at 0 from the spec and the bound parameters, or None:
 # indeterminate there); thm4 also reads a = a_p_of(spec, p) unless a is given
 _TOKENS = {
-    "thm1": (_thm1, ("z", "pre", "v1", "v3"), None, None),
-    "thm2": (_thm2, ("z", "pre"), "alpha", None),
-    "co0": (_co0, ("z", "zp"), None, lambda spec: _co0(0j, _ZP_AT_POLE)),
-    "thm3": (_thm3, ("z", "pre", "v1", "v2", "v3"), None,
+    "thm1": (_thm1, None, None),
+    "thm2": (_thm2, "alpha", None),
+    "co0": (_co0, None, lambda spec: _at_pole(_co0)),
+    "thm3": (_thm3, None,
              lambda spec: 2.0 * (2.0 * abs(thm3_phi3_origin(spec)) + 1.0)
              - _sf_at_pole(spec)),
-    "corollary": (_corollary, ("z", "pre", "v1", "v3"), None,
-                  lambda spec: 6.0 - _sf_at_pole(spec)),
-    "thm4": (_thm4, ("z", "zp"), "p",
-             lambda spec, p, a: _thm4(0j, _ZP_AT_POLE, p, a)),
-    "co_alpha_lhs": (_co_alpha, ("z", "pre"), "alpha", None),
-    "reM": (_re_m, ("z", "zp"), "p",
-            lambda spec, p: _re_m(0j, _ZP_AT_POLE, p)),
+    "corollary": (_corollary, None, lambda spec: 6.0 - _sf_at_pole(spec)),
+    "thm4": (_thm4, "p", lambda spec, p, a: _at_pole(_thm4, p, a)),
+    "co_alpha_lhs": (_co_alpha_lhs, "alpha", None),
+    "reM": (_re_m, "p", lambda spec, p: _at_pole(_re_m, p)),
 }
 
 THEOREMS = tuple(_TOKENS)
 
-# A margin as the sweep applies it: its column over a ring, and its value at
-# the origin of a pole-at-origin spec (None: indeterminate there).
-Margin = tuple[Callable[[_Ring], list], Callable[[], float] | None]
+# A margin as the sweep applies it: its column over a ring (see _column), and
+# its value at the origin of a pole-at-origin spec (None: indeterminate there).
+Margin = tuple[Callable[[_Ring], tuple[_Ring, list[float]]],
+               Callable[[], float] | None]
 
 
 def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
             p: float | None, a: float | None) -> Margin:
     """The token's margin with its parameters checked and bound, before
-    anything is sampled. Its column is the formula at every sample of a
-    ring, or the sample's SampleExclusionError."""
+    anything is sampled."""
     if theorem not in _TOKENS:
         raise ValueError(f"unknown theorem token {theorem!r}")
-    fn, fields, param, at_pole = _TOKENS[theorem]
+    fn, param, at_pole = _TOKENS[theorem]
     args: tuple[float, ...] = ()
     if param is not None:
         value = alpha if param == "alpha" else p
@@ -274,8 +302,7 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
         elif a < 0.0:
             raise ValueError(f"a must be nonnegative, got {a!r}")
         args += (a,)
-    return (lambda ring: _each(fn, *[getattr(ring, f) for f in fields],
-                               *map(repeat, args)),
+    return (lambda ring: _column(fn, ring, args),
             None if at_pole is None else lambda: at_pole(spec, *args))
 
 
@@ -294,9 +321,7 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
             raise IndeterminateSampleError(
                 f"{theorem} needs f''/f' alone, which diverges at the pole at 0")
         return at_pole()
-    ring, slots = _ring(spec, [z], None)
-    _only(slots)
-    return _only(at_ring(ring))
+    return _one(*at_ring(_ring(spec, [z], None)))
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -308,14 +333,12 @@ def _excluding(fn, *args) -> float | None:
         return None
 
 
-def _apply(margins: Sequence[Margin], ring: _Ring, slots: list,
+def _apply(margins: Sequence[Margin], ring: _Ring,
            cols: list[list[float | None]]) -> None:
     """Append each margin's values at one ring's samples to its column."""
     for col, (at_ring, _) in zip(cols, margins):
-        vals = [None if isinstance(v, SampleExclusionError) else v
-                for v in at_ring(ring)]
-        col.extend(vals if len(vals) == len(slots)
-                   else [vals[s] if type(s) is int else None for s in slots])
+        kept, ms = at_ring(ring)
+        col.extend(kept.placed(ms))
 
 
 def _units(n: int) -> list[complex]:
@@ -345,11 +368,11 @@ def sweep(spec: FamilySpec, grid: GridConfig,
         for col, (_, at_pole) in zip(cols, margins):
             col.append(None if at_pole is None else _excluding(at_pole))
     else:
-        _apply(margins, *_ring(spec, [0j], None), cols)
+        _apply(margins, _ring(spec, [0j], None), cols)
     for r in grid.radii:
         ring = [r * e for e in units]
         zs += ring
-        _apply(margins, *_ring(spec, ring, grid.epsilon), cols)
+        _apply(margins, _ring(spec, ring, grid.epsilon), cols)
     return zs, cols
 
 
@@ -369,7 +392,8 @@ class MarginReport:
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
          keep_samples: bool = False,
-         swept: Iterable[tuple[complex, float | None]] | None = None) -> MarginReport:
+         swept: tuple[list[complex], list[float | None]] | None = None
+         ) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
     Samples within epsilon of a pole (or of z=1 for the boundary-pole
@@ -379,54 +403,51 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     conventions there rather than an exclusion.
 
     The token and its parameters are checked before anything is sampled.
-    swept hands over the (sample, value) pairs of a sweep that already
-    applied this margin, bound by the caller, as classify does; scan then
+    swept hands over the samples and this margin's column from a sweep that
+    already applied it, bound by the caller, as classify does; scan then
     only reduces them.
     """
     if grid is None:
         grid = default_grid()
     if swept is None:
         zs, (col,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),))
-        swept = zip(zs, col)
+    else:
+        zs, col = swept
 
-    rows: list[tuple[complex, float]] = []
-    excluded = 0
-    for z, m in swept:
-        if m is None:
-            excluded += 1
-        else:
-            rows.append((z, m))
-    if not rows:
+    used = [m for m in col if m is not None]
+    if not used:
         raise EmptyScanError(f"every sample of the {theorem} scan was excluded")
-
-    min_margin = min(m for _, m in rows)
-    argmin = next(z for z, m in rows if m <= min_margin + _ARGMIN_TIE)
+    if len(used) < len(col):
+        zs = [z for z, m in zip(zs, col) if m is not None]
+    min_margin = min(used)
+    # the first sample within the tie band
+    first = next(compress(count(), map((min_margin + _ARGMIN_TIE).__ge__, used)))
     verdict = VERDICT_OK if min_margin >= -grid.margin_tol else VERDICT_BAD
     return MarginReport(
         theorem=theorem,
-        samples_used=len(rows),
-        samples_excluded=excluded,
+        samples_used=len(used),
+        samples_excluded=len(col) - len(used),
         min_margin=min_margin,
-        argmin_z=argmin,
+        argmin_z=zs[first],
         verdict=verdict,
-        samples=tuple(rows) if keep_samples else None,
+        samples=tuple(zip(zs, used)) if keep_samples else None,
     )
 
 
-# |A_f| at a sample; the order estimate is its grid inf and sup
-_ORDER: Margin = (lambda ring: [abs(_a_f(z, pre))
-                                for z, pre in zip(ring.z, ring.pre)], None)
+def _abs_a(ring: _Ring) -> tuple[_Ring, list[float]]:
+    return ring.copy(), ring.abs_a()
 
 
-def _order(values: Iterable[float | None]) -> tuple[float, float]:
-    lo, hi = math.inf, -math.inf
-    for v in values:
-        if v is not None:
-            lo = min(lo, v)
-            hi = max(hi, v)
-    if lo is math.inf:
+# |A_f| at a sample, the column thm1 reads too; the order estimate is its
+# grid inf and sup
+_ORDER: Margin = (lambda ring: _column(_abs_a, ring, ()), None)
+
+
+def _order(values: list[float | None]) -> tuple[float, float]:
+    values = [v for v in values if v is not None]
+    if not values:
         raise EmptyScanError("every sample of the order estimate was excluded")
-    return lo, hi
+    return min(values), max(values)
 
 
 def estimate_order(spec: FamilySpec, grid: GridConfig | None = None) -> tuple[float, float]:
@@ -580,7 +601,7 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
     if cls.kind == "co":
         margins.append(_ORDER)
     zs, cols = sweep(spec, grid, margins)
-    reports = [scan(spec, t, grid, swept=zip(zs, col))
+    reports = [scan(spec, t, grid, swept=(zs, col))
                for t, col in zip(tokens, cols)]
 
     order = order_ok = None

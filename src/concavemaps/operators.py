@@ -2,13 +2,26 @@
 
 Everything here is a function of z, f''/f' and Sf (plus the class parameters
 alpha and p), so every operator is invariant under affine post-composition
-f -> c f + d. Each operator is written once, as a private scalar function
-of z, pre = f''/f' and the jet fields it reads; the grid scans loop these
-over the columns of a ring of samples. The public operators take an
-OperatorPoint, which pairs one sample z with the function's jet there, and
-check the class parameters before they call the scalar function.
-Degenerate samples (vanishing denominators inside the 1e-12 floor) raise
-SampleExclusionError subclasses so scanning layers can drop and count them.
+f -> c f + d.
+
+Each operator is written once, over a ring of samples. `_Ring` holds the
+samples as columns: z, the jet fields v1, v2 and v3, pre = f''/f' and
+zp = z f''/f'. It is built once per ring of a grid from the family's column
+kernel, and it excludes a sample whose |f'| lies inside the 1e-12 floor
+(CriticalPointError) or whose f''/f' is not finite (NonFiniteJetError,
+pre_schwarzian's test). Each formula stage is one comprehension over the
+samples still live. Between stages the column tests of `jets` (`_floored`,
+`_finite_errors`) name the samples whose denominator lies inside the floor;
+a drop takes them out of every column at once and keeps each one's
+SampleExclusionError, to be placed back in the sample's position: the
+drop-and-place of `catalog._Samples`, which `_Ring` extends. |A_f| and
+|Sf|(1-|z|^2)^2 are computed at most once per ring, however many margins
+read them.
+
+The public operators take an OperatorPoint, which pairs one sample z with
+the function's jet there. They check the class parameters and make a
+one-sample call into the ring forms that raises the stored error again, as
+eval_jet does into eval_jets.
 
 The pole-at-origin families need two limit conventions, both resolved here:
 phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
@@ -17,16 +30,19 @@ agree within 1e-6), and a_p at p=0 is |phi3(0)|.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import catalog
+from .catalog import _Samples
 from .errors import (
     CriticalPointError,
     IndeterminateSampleError,
     PhiUndefinedError,
     PoleProximityError,
 )
-from .jets import DEGENERACY_FLOOR, Jet3, _schwarzian
+from .jets import (DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
+                   _overflowed, _schwarzians)
 
 
 def _critical(z: complex) -> CriticalPointError:
@@ -58,64 +74,194 @@ class OperatorPoint:
         return self.jet.v2 / self.jet.v1
 
 
-# -- scalar operators (see the module docstring) -----------------------------------
+# -- the ring: samples as columns ----------------------------------------------
 
-def _a_f(z: complex, pre: complex) -> complex:
-    return 0.5 * ((1.0 - abs(z) ** 2) * pre - 2.0 * z.conjugate())
+class _Ring(_Samples):
+    """Samples as the columns the operators read: zs, the jet fields v1, v2
+    and v3, pre = f''/f' and zp = z f''/f'. A drop takes the samples it
+    names out of every column at once, and out of the columns it is handed,
+    keeping their errors for the result. A copy drops without touching the
+    ring it was copied from; |A_f| and the Schwarzian norm, which several
+    margins read, are computed once per ring, before any copy drops.
+
+    The ring makes no disk test of its own: the kernel that take() reads
+    makes it (and a ring for q alone, which is defined off the disk too,
+    needs none).
+    """
+
+    __slots__ = ("v1", "v2", "v3", "pre", "zp", "_abs_a", "_sf_norm")
+
+    def __init__(self, zs: Sequence[complex]):
+        self._set(len(zs), list(zs), None, {}, ((), (), (), (), ()))
+
+    def _set(self, n, zs, at, errors, columns) -> "_Ring":
+        self.n, self.zs, self.at, self.errors = n, zs, at, errors
+        self.v1, self.v2, self.v3, self.pre, self.zp = columns
+        self._abs_a = self._sf_norm = None
+        return self
+
+    def take(self, jets: list) -> "_Ring":
+        """The ring with the kernel's column at its samples (eval_jets(zs)):
+        a kernel error is placed as it is; |f'| inside the degeneracy floor
+        excludes a sample as a critical point, and an f''/f' that is not
+        finite as an overflowed pre-Schwarzian, pre_schwarzian's test. The
+        tuples are transposed in one step, and the kernel's entries are
+        looked at one by one only when one of them is an error."""
+        if not all(map(tuple.__instancecheck__, jets)):  # a C-level screen
+            jets = self.drop({k: j for k, j in enumerate(jets)
+                              if type(j) is not tuple}, jets)
+        if jets:
+            _, self.v1, self.v2, self.v3 = zip(*jets)
+        zs = self.zs
+        self.drop({k: _critical(zs[k]) for k in _floored(self.v1)}, zs)
+        pre = [v2 / v1 for v1, v2 in zip(self.v1, self.v2)]
+        self.pre = self.drop({k: _overflowed("pre-Schwarzian")
+                              for k in _finite_errors(pre)}, pre)
+        self.zp = [z * q for z, q in zip(self.zs, self.pre)]
+        return self
+
+    def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
+        if not errors:
+            return columns
+        self._abs_a = self._sf_norm = None
+        self.v1, self.v2, self.v3, self.pre, self.zp, *rest = super().drop_rows(
+            errors, self.v1, self.v2, self.v3, self.pre, self.zp, *columns)
+        return tuple(rest)
+
+    def _columns(self) -> tuple:
+        return self.v1, self.v2, self.v3, self.pre, self.zp
+
+    def copy(self) -> "_Ring":
+        return _Ring.__new__(_Ring)._set(self.n, self.zs, self.at,
+                                         dict(self.errors), self._columns())
+
+    def live(self) -> "_Ring":
+        """The samples of this ring that are still live, as a ring of their
+        own, whose positions are this ring's rows."""
+        return _Ring.__new__(_Ring)._set(len(self.zs), self.zs, None, {},
+                                         self._columns())
+
+    def row(self, k: int) -> "_Ring":
+        """The k-th live sample alone, as a one-sample ring."""
+        return _Ring.__new__(_Ring)._set(1, [self.zs[k]], None, {},
+                                         [[c[k]] for c in self._columns()])
+
+    def abs_a(self) -> list[float]:
+        """|A_f| at each live sample."""
+        if self._abs_a is None:
+            self._abs_a = list(map(abs, _a_f(self)))
+        return self._abs_a
+
+    def sf_norm(self) -> list:
+        """|Sf|(1-|z|^2)^2 at each live sample, or the error of a sample
+        whose Schwarzian is not finite."""
+        if self._sf_norm is None:
+            live = self.live()
+            ss, errors = _schwarzians(live.v1, live.v3, live.pre)
+            ss = live.drop(errors, ss)
+            self._sf_norm = live.result([abs(s) * (1.0 - abs(z) ** 2) ** 2
+                                         for s, z in zip(ss, live.zs)])
+        return self._sf_norm
 
 
-def _phi(z: complex, v1: complex, v2: complex) -> complex:
-    if abs(v2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi is undefined")
-    return z + 2.0 * v1 / v2
+def _point(pt: "OperatorPoint") -> _Ring:
+    """The one-sample ring of pt."""
+    return _Ring((pt.z,)).take([(pt.jet.v0, pt.jet.v1, pt.jet.v2, pt.jet.v3)])
 
 
-def _sf_norm(z: complex, pre: complex, v1: complex, v3: complex) -> float:
-    return abs(_schwarzian(v1, v3, pre)) * (1.0 - abs(z) ** 2) ** 2
+def _one(col: _Ring, ws: list):
+    """The value of a one-sample column, or the error that dropped it."""
+    for exc in col.errors.values():
+        raise exc
+    (w,) = ws
+    return w
 
 
-def _co_alpha(z: complex, pre: complex, alpha: float) -> float:
-    val = 0.5 * (alpha + 1.0) * (1.0 + z) / (1.0 - z) - 1.0 - z * pre
-    return val.real
+# -- the operators over a ring (see the module docstring) ---------------------
+
+def _a_f(col: _Ring) -> list[complex]:
+    return [0.5 * ((1.0 - abs(z) ** 2) * q - 2.0 * z.conjugate())
+            for z, q in zip(col.zs, col.pre)]
 
 
-def _q(p: float, z: complex) -> complex:
+def _phi_undefined(z: complex, what: str) -> PhiUndefinedError:
+    return PhiUndefinedError(f"f''({z!r}) vanishes; {what} is undefined")
+
+
+def _pz_pole(z: complex) -> PoleProximityError:
+    return PoleProximityError(f"1 - pz vanishes at {z!r}")
+
+
+def _phi(col: _Ring) -> list[complex]:
+    col.drop({k: _phi_undefined(col.zs[k], "phi") for k in _floored(col.v2)},
+             col.zs)
+    return [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
+
+
+def _sf_kept(col: _Ring, sfn: list, *carry: list) -> tuple[list, ...]:
+    """sfn, a column of col.sf_norm() handed through col's drops, and carry,
+    without the samples whose Schwarzian is not finite."""
+    return col.drop_rows({k: s for k, s in enumerate(sfn) if type(s) is not float},
+                         sfn, *carry)
+
+
+def _co_alpha(col: _Ring, alpha: float) -> list[float]:
+    c = 0.5 * (alpha + 1.0)
+    return [(c * (1.0 + z) / (1.0 - z) - 1.0 - zp).real
+            for z, zp in zip(col.zs, col.zp)]
+
+
+def _q(col: _Ring, p: float) -> list[complex]:
     if p == 0.0:
-        return 0j
-    if abs(z - p) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"q has its pole at {p!r}")
-    den = 1.0 - p * z
-    if abs(den) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
-    return 2.0 * p / (z - p) - 2.0 * p * z / den
+        return [0j] * len(col.zs)
+    ds = [z - p for z in col.zs]
+    ds = col.drop({k: PoleProximityError(f"q has its pole at {p!r}")
+                   for k in _floored(ds)}, ds)
+    dens = [1.0 - p * z for z in col.zs]
+    dens, ds = col.drop_rows({k: _pz_pole(col.zs[k]) for k in _floored(dens)},
+                             dens, ds)
+    return [2.0 * p / d - 2.0 * p * z / den
+            for z, d, den in zip(col.zs, ds, dens)]
 
 
-def _varphi(z: complex, pre: complex, p: float) -> complex:
-    den0 = 1.0 - p * z
-    if abs(den0) < DEGENERACY_FLOOR:
-        raise PoleProximityError(f"1 - pz vanishes at {z!r}")
-    w = (z - p) / den0
-    num = (z - p) * pre + 2.0 - 2.0 * p * w
-    den = z * (z - p) * pre + 2.0 * p - 2.0 * p * z * w
-    if abs(den) < DEGENERACY_FLOOR:
-        raise IndeterminateSampleError(f"sample indeterminate: phi_p at {z!r}")
-    return num / den
+def _m(col: _Ring, p: float) -> list[complex]:
+    qs = _q(col, p)
+    return [1.0 + zp + q for zp, q in zip(col.zp, qs)]
 
 
-def _phis(z: complex, v1: complex, v2: complex) -> tuple[complex, complex]:
-    if abs(v2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi3 is undefined")
-    den = z ** 3 * v2
-    if abs(den) < DEGENERACY_FLOOR:
-        raise IndeterminateSampleError(
-            f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {z!r}"
-        )
-    phi3 = (z * v2 + 2.0 * v1) / den
-    den2 = 1.0 - z * z * phi3
-    if abs(den2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError(f"1 - z^2 phi3 vanishes at {z!r}")
-    big_phi = (z.conjugate() - z * phi3) / den2
-    return phi3, big_phi
+def _varphi(col: _Ring, p: float) -> list[complex]:
+    dens = [1.0 - p * z for z in col.zs]
+    dens = col.drop({k: _pz_pole(col.zs[k]) for k in _floored(dens)}, dens)
+    ws = [(z - p) / den for z, den in zip(col.zs, dens)]
+    nums = [(z - p) * q + 2.0 - 2.0 * p * w
+            for z, q, w in zip(col.zs, col.pre, ws)]
+    dens = [z * (z - p) * q + 2.0 * p - 2.0 * p * z * w
+            for z, q, w in zip(col.zs, col.pre, ws)]
+    dens, nums = col.drop_rows(
+        {k: IndeterminateSampleError(
+            f"sample indeterminate: phi_p at {col.zs[k]!r}")
+         for k in _floored(dens)}, dens, nums)
+    return [num / den for num, den in zip(nums, dens)]
+
+
+def _phis(col: _Ring, *carry: list) -> tuple[list, ...]:
+    """phi3 and Phi at the samples where both are defined, and carry with
+    the others dropped."""
+    carry = col.drop_rows(
+        {k: _phi_undefined(col.zs[k], "phi3") for k in _floored(col.v2)}, *carry)
+    dens = [z ** 3 * v2 for z, v2 in zip(col.zs, col.v2)]
+    dens, *carry = col.drop_rows(
+        {k: IndeterminateSampleError(
+            f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {col.zs[k]!r}")
+         for k in _floored(dens)}, dens, *carry)
+    phi3 = [(z * v2 + 2.0 * v1) / den
+            for z, v1, v2, den in zip(col.zs, col.v1, col.v2, dens)]
+    dens = [1.0 - z * z * f for z, f in zip(col.zs, phi3)]
+    dens, phi3, *carry = col.drop_rows(
+        {k: PhiUndefinedError(f"1 - z^2 phi3 vanishes at {col.zs[k]!r}")
+         for k in _floored(dens)}, dens, phi3, *carry)
+    return (phi3, [(z.conjugate() - z * f) / den
+                   for z, f, den in zip(col.zs, phi3, dens)], *carry)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -132,36 +278,45 @@ def _check_p(p: float) -> float:
     return p
 
 
-# -- operators at a point ----------------------------------------------------------
+# -- operators at a point: one-sample calls into the ring forms -----------------
 
 def a_f(pt: OperatorPoint) -> complex:
     """A_f(z) = ((1-|z|^2) f''/f' - 2 conj(z))/2; |A_f| >= 1 marks concavity."""
-    return _a_f(pt.z, pt.pre_schwarzian)
+    col = _point(pt)
+    return _one(col, _a_f(col))
 
 
 def phi_of(pt: OperatorPoint) -> complex:
     """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
-    return _phi(pt.z, pt.jet.v1, pt.jet.v2)
+    col = _point(pt)
+    return _one(col, _phi(col))
 
 
 def schwarzian_norm(pt: OperatorPoint) -> float:
     """|Sf(z)| (1-|z|^2)^2, the invariant Schwarzian magnitude."""
-    return _sf_norm(pt.z, pt.pre_schwarzian, pt.jet.v1, pt.jet.v3)
+    col = _point(pt)
+    return _one(col, _sf_kept(col, col.sf_norm())[0])
 
 
 def co_alpha_lhs(pt: OperatorPoint, alpha: float) -> float:
     """Re{(alpha+1)/2 * (1+z)/(1-z) - 1 - z f''/f'}; positive for members."""
-    return _co_alpha(pt.z, pt.pre_schwarzian, _check_alpha(alpha))
+    alpha = _check_alpha(alpha)
+    col = _point(pt)
+    return _one(col, _co_alpha(col, alpha))
 
 
 def q_term(p: float, z: complex) -> complex:
     """q(z) = 2p/(z-p) - 2pz/(1-pz); identically 0 when p = 0."""
-    return _q(_check_p(p), complex(z))
+    p = _check_p(p)
+    col = _Ring([complex(z)])
+    return _one(col, _q(col, p))
 
 
 def m_operator(pt: OperatorPoint, p: float) -> complex:
     """M(z) = 1 + z f''/f' + q(z); Re M < 0 characterizes pole-p members."""
-    return 1.0 + pt.z * pt.pre_schwarzian + q_term(p, pt.z)
+    p = _check_p(p)
+    col = _point(pt)
+    return _one(col, _m(col, p))
 
 
 def varphi_p(pt: OperatorPoint, p: float) -> complex:
@@ -173,7 +328,8 @@ def varphi_p(pt: OperatorPoint, p: float) -> complex:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    return _varphi(pt.z, pt.pre_schwarzian, p)
+    col = _point(pt)
+    return _one(col, _varphi(col, p))
 
 
 def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
@@ -182,7 +338,9 @@ def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
 
     Undefined at z=0; pole-at-origin callers use thm3_phi3_origin instead.
     """
-    return _phis(pt.z, pt.jet.v1, pt.jet.v2)
+    col = _point(pt)
+    phi3, big_phi = _phis(col)
+    return _one(col, list(zip(phi3, big_phi)))
 
 
 _LIMIT_RADIUS = 1e-4

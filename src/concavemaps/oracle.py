@@ -86,24 +86,34 @@ def natural_orientation(spec: FamilySpec) -> str:
     return COMPLEMENT_OUTSIDE
 
 
+def _require_angles(n: int) -> None:
+    if n < 64:
+        raise ValueError("need at least 64 angles")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"a curve holds at most {MAX_SAMPLES} angles")
+
+
 def boundary_curve(spec: FamilySpec, r: float, n: int,
-                   epsilon: float = EXCLUSION_RADIUS) -> CurveSample:
+                   epsilon: float = EXCLUSION_RADIUS, *,
+                   units: list[complex] | None = None) -> CurveSample:
     """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods.
 
     Each stage walks the n samples once: r * e over the unit vectors of
     margins' rings, one far_from_poles column, one values call over the
     samples it keeps. Excluded arcs are looked for only when a sample was
-    excluded."""
+    excluded. units hands over those n unit vectors when the caller holds
+    them already, as oracle_concave does for its radii."""
     r = float(r)
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
-    if n < 64:
-        raise ValueError("need at least 64 angles")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"a curve holds at most {MAX_SAMPLES} angles")
+    _require_angles(n)
     require_epsilon(epsilon)
+    if units is None:
+        units = _units(n)
+    elif len(units) != n:
+        raise ValueError(f"units holds {len(units)} vectors, not {n}")
 
-    zs = [r * e for e in _units(n)]
+    zs = [r * e for e in units]
     far = spec.far_from_poles(zs, epsilon)
     included = list(compress(range(n), far))
     points = spec.values(list(compress(zs, far)))
@@ -229,9 +239,11 @@ def oracle_concave(spec: FamilySpec, *,
     Each curve is judged under the spec's natural orientation (see
     natural_orientation), through the defect it stores. Consistency needs
     every defect below DEFECT_TOL and no growth beyond a 0.2*DEFECT_TOL
-    slack as r -> 1.
+    slack as r -> 1. The curves share one list of unit vectors.
     """
-    defects = [boundary_curve(spec, r, n, epsilon).convexity_defect
+    _require_angles(n)  # before the unit vectors are allocated
+    units = _units(n)
+    defects = [boundary_curve(spec, r, n, epsilon, units=units).convexity_defect
                for r in r_list]
     ok = all(d < DEFECT_TOL for d in defects)
     slack = 0.2 * DEFECT_TOL

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       Laurent, format_spec, omitted_segment, parse_spec)
 from .cli import _dump
-from .errors import _each
 from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
                       default_grid, estimate_order, margin_at, scan, sweep)
@@ -304,11 +303,12 @@ def _c10(grid: GridConfig) -> CriterionResult:
                 f"max_rel_err={worst!r} max_cocycle_err={worst_s!r}")
 
 
-def _grid_max(spec: FamilySpec, grid: GridConfig, value) -> float:
-    """The largest value(z, f''/f', f', f'') over the grid samples where it
-    is defined."""
+def _grid_max(spec: FamilySpec, grid: GridConfig, operator, *args) -> float:
+    """The largest |operator| over the grid samples where it is defined;
+    operator is one of the ring forms of `operators`."""
     def column(ring):
-        return _each(value, ring.z, ring.pre, ring.v1, ring.v2)
+        col = ring.copy()
+        return col, list(map(abs, operator(col, *args)))
     _, (col,) = sweep(spec, grid, ((column, None),))
     return max([0.0] + [v for v in col if v is not None])
 
@@ -316,14 +316,9 @@ def _grid_max(spec: FamilySpec, grid: GridConfig, value) -> float:
 def _c11(grid: GridConfig) -> CriterionResult:
     boundary_members = [HalfPlane(), KAlpha(2.0), KAlpha(1.5),
                         AngleMap(-0.5 + 0j), AngleMap(0.9j)]
-    max_phi = max(_grid_max(spec, grid,
-                            lambda z, pre, v1, v2: abs(_phi(z, v1, v2)))
-                  for spec in boundary_members)
-    max_varphi = max(_grid_max(Kp(p), grid,
-                               lambda z, pre, v1, v2, p=p: abs(_varphi(z, pre, p)))
-                     for p in (0.2, 0.5, 0.8))
-    max_big_phi = max(_grid_max(spec, grid,
-                                lambda z, pre, v1, v2: abs(_phis(z, v1, v2)[1]))
+    max_phi = max(_grid_max(spec, grid, _phi) for spec in boundary_members)
+    max_varphi = max(_grid_max(Kp(p), grid, _varphi, p) for p in (0.2, 0.5, 0.8))
+    max_big_phi = max(_grid_max(spec, grid, lambda col: _phis(col)[1])
                       for spec in (Co0Cubic(0j), Co0Cubic(0.3 + 0.2j),
                                    Laurent(0.0, 1.0 + 0j, ())))
     ok = (max_phi <= 1.0 + 1e-9 and max_varphi <= 1.0 + 1e-9

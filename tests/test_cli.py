@@ -113,6 +113,25 @@ def test_overflowing_reciprocal_jet_excludes_the_origin(capsys):
         assert reports[theorem]["samples_used"] == 16, theorem
 
 
+@pytest.mark.parametrize("spec, cls, theorems", [
+    # f''/f' = inf at the origin
+    ("laurent:b=[0,1e-12,1e300]", "coalpha:alpha=1.5", ("co_alpha_lhs", "thm2")),
+    # a finite f''/f' at the origin whose Schwarzian and |A_f|^2 overflow
+    ("laurent:b=[0,1e-11,1e190]", "co", ("thm1",)),
+])
+def test_overflowing_margin_excludes_the_origin(spec, cls, theorems, capsys):
+    code, out, err = run(capsys, ["classify", "--function", spec, "--class",
+                                  cls, "--radii", "2", "--angles", "8"])
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "violation"
+    assert [r["theorem"] for r in payload["reports"]] == list(theorems)
+    for report in payload["reports"]:
+        assert report["samples_excluded"] == 1
+        assert report["samples_used"] == 16
+        assert math.isfinite(report["min_margin"])
+
+
 @pytest.mark.parametrize("theorem, param, value",
                          [("thm2", "alpha", "0.5"), ("reM", "p", "1.5")])
 def test_invalid_margin_parameter_exit_two_without_usable_samples(

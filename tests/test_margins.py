@@ -14,14 +14,14 @@ from concavemaps.catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane,
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError, SampleExclusionError,
-                                SpecParseError, _only)
+                                SpecParseError)
 from concavemaps.jets import DEGENERACY_FLOOR, schwarzian
 from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
                                  _has_pole_at, _margin, _ring, classify,
                                  default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan, sweep)
-from concavemaps.operators import OperatorPoint, thm3_phi3_origin
+from concavemaps.operators import OperatorPoint, q_term, thm3_phi3_origin
 from concavemaps.verify import control_roster, member_roster
 
 SMALL = GridConfig(geometric_radii(8), 32)
@@ -267,6 +267,49 @@ def test_thm4_needs_a_pole_at_p():
     assert math.isfinite(margin_at(Kp(0.5), 0.3 + 0.1j, "thm4", p=0.0, a=0.0))
 
 
+def test_overflowing_margins_are_excluded():
+    # f''/f' = inf at 0: the ring excludes the sample for every token
+    spec = parse_spec("laurent:b=[0,1e-12,1e300]")
+    for theorem in ("co_alpha_lhs", "thm2"):
+        with pytest.raises(NonFiniteJetError, match="^pre-Schwarzian overflowed$"):
+            margin_at(spec, 0j, theorem, alpha=1.5)
+    # f''/f' = 2e201 at 0: thm1 fails the Schwarzian's test, thm2's square
+    # overflows, and the order estimate keeps the finite |A_f| = 1e201
+    spec = parse_spec("laurent:b=[0,1e-11,1e190]")
+    with pytest.raises(NonFiniteJetError, match="^Schwarzian overflowed$"):
+        margin_at(spec, 0j, "thm1")
+    with pytest.raises(NonFiniteJetError, match=r"^margin at 0j overflowed$"):
+        margin_at(spec, 0j, "thm2", alpha=1.5)
+    grid = GridConfig(geometric_radii(2), 8)
+    res = classify(spec, "co", grid)
+    assert res.reports[0].samples_excluded == 1
+    assert res.order == estimate_order(spec, grid)
+    assert res.order[1] == 1.0000000000000002e+201
+
+
+def test_a_drop_keeps_a_ring_shared_columns_aligned():
+    # the Schwarzian overflows at 0, so sf_norm holds an error there
+    spec = parse_spec("laurent:b=[0,1e-11,1e190]")
+    zs = [0j, 0.5 + 0j, 0.25j]
+    ring = _ring(spec, zs, None)
+    ring.abs_a(), ring.sf_norm()
+    ring.drop({0: None}, ring.zs)
+    fresh = _ring(spec, zs[1:], None)
+    assert ring.abs_a() == fresh.abs_a()
+    assert ring.sf_norm() == fresh.sf_norm()
+
+
+def test_q_rejects_its_second_pole_as_its_reference_does():
+    # inside the disk |1 - pz| > |z - p|, so only a z outside it gets past
+    # q's first test to its second
+    for p, z in ((0.5, 2.0 + 0j), (0.8, 1.25 + 0j)):
+        with pytest.raises(PoleProximityError) as got:
+            q_term(p, z)
+        with pytest.raises(PoleProximityError) as want:
+            _ref_q(p, z)
+        assert str(got.value) == str(want.value) == f"1 - pz vanishes at {z!r}"
+
+
 # the scans each class prescribes, with the parameters classify hands them
 def _class_scans(cls: MappingClass):
     if cls.kind == "co":
@@ -334,15 +377,26 @@ def test_classify_evaluates_each_sample_once(monkeypatch):
         assert 0 < calls[0] <= kernel_calls + more, (str(spec), cls)
 
 
-# -- token columns against the pointwise formulas they replaced -------------------
+# -- token columns against per-sample references --------------------------------
 #
 # The sweep runs each token once per ring, over columns. These references are
-# the pointwise formulas that did the work before, applied to one
-# OperatorPoint per sample; every column must agree with them bit for bit and
-# exclude the same samples with the same error class.
+# the pointwise formulas, applied to one OperatorPoint per sample; every
+# column must agree with them bit for bit and exclude the same samples with
+# the same error, class and message. Each sample's tests run in the order
+# the columns run them, and an overflow in a margin's arithmetic, raised or
+# left as a value that is not finite, excludes the sample last.
+
+def _ref_point(spec, z):
+    pt = OperatorPoint.at(spec, z)
+    _ref_pre(pt)  # the ring's test, which every token's samples pass
+    return pt
+
 
 def _ref_pre(pt):
-    return pt.jet.v2 / pt.jet.v1
+    pre = pt.jet.v2 / pt.jet.v1
+    if not cmath.isfinite(pre):
+        raise NonFiniteJetError("pre-Schwarzian overflowed")
+    return pre
 
 
 def _ref_a_f(pt):
@@ -379,19 +433,22 @@ def _ref_q(p, z):
 def _ref_thm3_phis(pt):
     z, v1, v2 = pt.z, pt.jet.v1, pt.jet.v2
     if abs(v2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError("phi3")
+        raise PhiUndefinedError(f"f''({z!r}) vanishes; phi3 is undefined")
     den = z ** 3 * v2
     if abs(den) < DEGENERACY_FLOOR:
-        raise IndeterminateSampleError("phi3")
+        raise IndeterminateSampleError(
+            f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {z!r}")
     phi3 = (z * v2 + 2.0 * v1) / den
     den2 = 1.0 - z * z * phi3
     if abs(den2) < DEGENERACY_FLOOR:
-        raise PhiUndefinedError("Phi")
+        raise PhiUndefinedError(f"1 - z^2 phi3 vanishes at {z!r}")
     return phi3, (z.conjugate() - z * phi3) / den2
 
 
 def _ref_thm1(pt):
-    return 2.0 * abs(_ref_a_f(pt)) ** 2 - _ref_schwarzian_norm(pt) - 2.0
+    a = abs(_ref_a_f(pt))
+    sfn = _ref_schwarzian_norm(pt)
+    return 2.0 * a ** 2 - sfn - 2.0
 
 
 def _ref_thm2(pt, alpha):
@@ -403,8 +460,9 @@ def _ref_thm2(pt, alpha):
 
 def _ref_thm3(pt):
     phi3, big_phi = _ref_thm3_phis(pt)
+    sfn = _ref_schwarzian_norm(pt)
     lead = 2.0 * (2.0 * abs(phi3) + 1.0)
-    return lead * (1.0 - abs(big_phi) ** 2) - _ref_schwarzian_norm(pt)
+    return lead * (1.0 - abs(big_phi) ** 2) - sfn
 
 
 def _ref_co0(z, zp):
@@ -448,12 +506,32 @@ def _ref_tokens(alpha, p, a):
     }
 
 
+def _ref_margin(ref, spec, z):
+    """ref at the sample z, where an overflow in its arithmetic excludes the
+    sample as the columns exclude it."""
+    pt = _ref_point(spec, z)
+    try:
+        m = ref(pt)
+    except OverflowError:
+        m = math.nan
+    if not math.isfinite(m):
+        raise NonFiniteJetError(f"margin at {z!r} overflowed")
+    return m
+
+
 def _packed(evaluate):
-    """The value as a packed double, or the class of the exclusion error."""
+    """The value as a packed double, or the class and message of the
+    exclusion error."""
     try:
         return struct.pack("<d", evaluate())
     except SampleExclusionError as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def _raised(entry):
+    if isinstance(entry, SampleExclusionError):
+        raise entry
+    return entry
 
 
 small_c = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
@@ -487,6 +565,13 @@ column_specs = st.one_of(
 )
 
 
+# laurent:b=[0,1e-12,1e300] has f''/f' = inf at 0; laurent:b=[0,1e-11,1e190]
+# a finite f''/f' at 0 whose Schwarzian and thm2 square overflow;
+# laurent:b=[0,1e305,1] a phi3 that overflows to inf on the ring 0.05, where
+# thm3 is NaN; laurent:b=[0,-1e5+1e-9,1e6] has 1 - z^2 phi3 inside the floor
+# at z = 0.05; identity f'' = 0; every spec without a pole at 0 has
+# z^3 f'' = 0 there; and kp:p=0.5 with p = geometric_radii(3)[1] puts a
+# sample on q's pole.
 @given(column_specs, st.integers(1, 3), st.integers(8, 16),
        st.floats(min_value=0.001, max_value=0.1),
        st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
@@ -498,6 +583,11 @@ column_specs = st.one_of(
 @example(Kp(0.5), 3, 8, 0.05, 1.5, geometric_radii(3)[1], 0.5)
 @example(Laurent(0.0, 1.0 + 0j, ()), 2, 8, 0.05, 2.0, 0.0, 0.0)
 @example(Laurent(None, 0j, (0j, 0j, 1.0 + 0j)), 2, 8, 0.05, 1.5, 0.5, 1.0)
+@example(parse_spec("laurent:b=[0,1e-12,1e300]"), 1, 8, 0.05, 1.5, 0.0, 0.0)
+@example(parse_spec("laurent:b=[0,1e-11,1e190]"), 1, 8, 0.05, 1.5, 0.0, 0.0)
+@example(parse_spec("laurent:b=[0,1e305,1]"), 1, 8, 0.05, 1.5, 0.0, 0.0)
+@example(Laurent(None, 0j, (0j, complex(-1e5 + 1e-9), 1e6 + 0j)), 1, 8, 0.05,
+         1.5, 0.0, 0.0)
 def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
                                                 alpha, p, a):
     grid = GridConfig(geometric_radii(nr), angles, epsilon=epsilon)
@@ -507,6 +597,8 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
     rings = [] if origin_pole else [([0j], None)]
     rings += [([r * cmath.exp(1j * (step * j)) for j in range(angles)], epsilon)
               for r in grid.radii]
+    # one ring for every token, as the sweep has it
+    rings = [(zs, eps, _ring(spec, zs, eps)) for zs, eps in rings]
     for theorem, (kw, ref, ref_at_pole) in _ref_tokens(alpha, p, a).items():
         margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"),
                          kw.get("a"))
@@ -514,18 +606,16 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
         if origin_pole:
             want_swept.append(None if ref_at_pole is None
                               else _packed(lambda: ref_at_pole(spec)))
-        for zs, eps in rings:
-            ring, slots = _ring(spec, zs, eps)
-            column = margin[0](ring) if ring.z else []
-            for z, slot in zip(zs, slots):
+        for zs, eps, ring in rings:
+            kept, ms = margin[0](ring)
+            for z, got in zip(zs, kept.result(ms)):
                 if eps is not None and not spec.far_from_poles([z], eps)[0]:
-                    assert slot is None
+                    assert got is None
                     want_swept.append(None)
                     continue
-                want = _packed(lambda: ref(OperatorPoint.at(spec, z)))
-                got = _packed(lambda: _only([column[slot]] if type(slot) is int
-                                            else [slot]))
-                assert got == want, (str(spec), theorem, z)
+                want = _packed(lambda: _ref_margin(ref, spec, z))
+                assert _packed(lambda: _raised(got)) == want, (
+                    str(spec), theorem, z)
                 assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
                 want_swept.append(want)
         _, (col,) = sweep(spec, grid, [margin])

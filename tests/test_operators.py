@@ -7,7 +7,7 @@ import pytest
 
 from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
-                                PhiUndefinedError)
+                                PhiUndefinedError, PoleProximityError)
 from concavemaps.jets import Jet3
 from concavemaps.operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs,
                                    m_operator, phi_of, q_term, schwarzian_norm,
@@ -142,6 +142,12 @@ def test_varphi_p_origin_closed_form():
         for p in (0.3, 0.7):
             want = (-p * p0 + 2.0 + 2.0 * p * p) / (2.0 * p)
             assert abs(varphi_p(pt(spec, 0j), p) - want) < 1e-12
+
+
+def test_varphi_p_refuses_a_sample_where_1_minus_pz_vanishes():
+    # inside the floor only for p and |z| within about 1e-13 of 1
+    with pytest.raises(PoleProximityError, match=r"^1 - pz vanishes at "):
+        varphi_p(pt(parse_spec("identity"), 1.0 - 5e-14), 1.0 - 1e-13)
 
 
 def test_a_p_of_cubic_origin():

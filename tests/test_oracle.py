@@ -241,6 +241,31 @@ def test_samplers_apply_the_exclusion_column_once(monkeypatch):
     assert calls == [16, 16, 16]
 
 
+def test_oracle_curves_share_one_list_of_unit_vectors(monkeypatch):
+    calls = []
+    units = oracle._units
+
+    def counted(n):
+        calls.append(n)
+        return units(n)
+
+    monkeypatch.setattr(oracle, "_units", counted)
+    oracle_concave(KAlpha(2.0), n=256)
+    assert calls == [256]
+    calls.clear()
+    curve = boundary_curve(KAlpha(2.0), 0.99, 256)
+    assert calls == [256]
+    assert boundary_curve(KAlpha(2.0), 0.99, 256, units=units(256)) == curve
+    with pytest.raises(ValueError, match="units holds 128 vectors, not 256"):
+        boundary_curve(KAlpha(2.0), 0.99, 256, units=units(128))
+    # the angle count is refused before any unit vector is computed
+    calls.clear()
+    for n in (0, 63, MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="angles"):
+            oracle_concave(KAlpha(2.0), n=n)
+    assert calls == []
+
+
 # -- the one-pass turning against the collapse-then-turn it replaced --------------
 
 def _reference_collapse(points):
