@@ -59,13 +59,13 @@ import math
 import re as _re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import (NonFiniteJetError, PoleProximityError,
                      SampleExclusionError, SpecParseError, _each, _only)
 from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
                    _inverse, _inverse_errors, _jadd, _jconst, _jet, _jfinite,
-                   _jmul, _jpow, _jrecip, _jsub, _jvar, _log_errors)
+                   _jmul, _jpow, _jrecip, _jsub, _log_errors)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -150,18 +150,15 @@ class _Samples:
     def result(self, ws: list) -> list:
         """The call's column: per sample, its entry of ws once tested finite,
         or the error that dropped it."""
-        out = self.placed(self.drop(_finite_errors(ws), ws))
-        for k, exc in self.errors.items():
-            out[k] = exc
-        return out
+        return self.placed(self.drop(_finite_errors(ws), ws))
 
     def placed(self, ws: list) -> list:
-        """Per sample of the call, its entry of ws, or None where it was
-        dropped; ws itself while none was."""
+        """Per sample of the call, its entry of ws, or the error that dropped
+        it; ws itself while none was."""
         if self.at is None:
             return ws
         out: list = [None] * self.n
-        for k, w in zip(self.at, ws):
+        for k, w in chain(zip(self.at, ws), self.errors.items()):
             out[k] = w
         return out
 
@@ -260,7 +257,7 @@ class KAlpha(FamilySpec):
 
         def at(z):
             z = _require_in_disk(z)
-            x = _jvar(z)
+            x = (z, _ONE, 0j, 0j)
             u = _jmul(_jadd(x, _J_ONE), _jrecip(_jsub(_J_ONE, x), z))
             return _jfinite(_jmul(_jsub(_jpow(u, alpha), _J_ONE), scale))
         return _each(at, zs)
@@ -334,7 +331,7 @@ class AngleMap(FamilySpec):
 
         def at(z):
             z = _require_in_disk(z)
-            x = _jvar(z)
+            x = (z, _ONE, 0j, 0j)
             s = _jmul(_jsub(x, lam), _jrecip(_jmul(_jsub(x, _J_ONE), lam), z))
             return _jfinite(_jadd(_jmul(_jpow(s, power), lead), B))
         return _each(at, zs)

@@ -191,13 +191,6 @@ def _jconst(c) -> tuple:
     return (complex(c), 0j, 0j, 0j)
 
 
-def _jvar(z: complex) -> tuple:
-    """The identity map at z, refused where Jet3.variable refuses it."""
-    if not _isfinite(z):
-        Jet3.variable(z)  # raises, naming the base point
-    return (z, _ONE, 0j, 0j)
-
-
 def _jfinite(a: tuple) -> tuple:
     """a, after the constructor's finiteness check on its fields."""
     v0, v1, v2, v3 = a

@@ -35,9 +35,10 @@ exclusion column `FamilySpec.far_from_poles`, calls the family's column
 kernel `eval_jets` once, builds the ring (`operators._Ring`, which applies
 the |f'| floor and excludes an f''/f' that is not finite) and runs every
 margin its caller asked for once: `classify` sweeps once for all the scans
-of a class, thm1 and the Co order estimate read one |A_f| column, and thm3
-and the corollary one Schwarzian column. A scan reduces a margin's column
-directly: it counts the excluded samples, takes the minimum and the first
+of a class, and a ring form that several margins read is computed once
+per ring (`_Ring.shared`). The sweep returns the number of grid samples
+and, per margin, the samples it kept with its value at each; a scan
+reduces those directly, to the excluded count, the minimum and the first
 sample within the tie band of it. margin_at is the same path for one
 sample.
 
@@ -60,9 +61,9 @@ from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      SampleExclusionError, SpecParseError)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
-from .operators import (OperatorPoint, _check_alpha, _check_p, _co_alpha, _m,
-                        _one, _phis, _q, _Ring, _sf_kept, a_p_of, phi_of,
-                        thm3_phi3_origin)
+from .operators import (OperatorPoint, _a_f, _check_alpha, _check_p,
+                        _co_alpha, _kept, _m, _one, _phis, _q, _Ring,
+                        _sf_norm, a_p_of, phi_of, thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -132,68 +133,57 @@ def default_grid(preset: str = "default") -> GridConfig:
 
 # -- the margins over a ring, on the operators' ring forms ---------------------
 #
-# Each takes the ring and the bound parameters and returns a copy of the ring
-# with the samples the margin excludes dropped, and its values at the others.
+# Each takes a copy of the ring and the bound parameters, drops from the copy
+# the samples the margin excludes, and returns its values at the others.
 
-def _thm1(ring: _Ring) -> tuple[_Ring, list[float]]:
-    abs_a, sfn = ring.abs_a(), ring.sf_norm()
-    col = ring.copy()
-    sfn, abs_a = _sf_kept(col, sfn, abs_a)
-    return col, [2.0 * a ** 2 - s - 2.0 for a, s in zip(abs_a, sfn)]
-
-
-def _co_alpha_lhs(ring: _Ring, alpha: float) -> tuple[_Ring, list[float]]:
-    col = ring.copy()
-    return col, _co_alpha(col, alpha)
+def _thm1(col: _Ring) -> list[float]:
+    a, sfn = col.shared(_a_f), col.shared(_sf_norm)
+    sfn, a = _kept(col, sfn, a)
+    return [2.0 * abs(w) ** 2 - s - 2.0 for w, s in zip(a, sfn)]
 
 
-def _thm2(ring: _Ring, alpha: float) -> tuple[_Ring, list[float]]:
-    col = ring.copy()
-    lhs = _co_alpha(col, alpha)
+def _co_alpha_lhs(col: _Ring, alpha: float) -> list[float]:
+    return col.shared(_co_alpha, alpha)
+
+
+def _thm2(col: _Ring, alpha: float) -> list[float]:
     c, w = alpha + 1.0, 2.0 * (alpha - 1.0)
-    return col, [m - abs(q - c / (1.0 - z)) ** 2 * (1.0 - abs(z) ** 2) / w
-                 for m, z, q in zip(lhs, col.zs, col.pre)]
+    return [m - abs(q - c / (1.0 - z)) ** 2 * (1.0 - abs(z) ** 2) / w
+            for m, z, q in zip(col.shared(_co_alpha, alpha), col.zs, col.pre)]
 
 
-def _thm3(ring: _Ring) -> tuple[_Ring, list[float]]:
-    sfn = ring.sf_norm()
-    col = ring.copy()
-    phi3, big_phi, sfn = _phis(col, sfn)
+def _thm3(col: _Ring) -> list[float]:
+    phi3, big_phi, sfn = _phis(col, col.shared(_sf_norm))
     # every test before the arithmetic, whose overflow excludes last
-    sfn, phi3, big_phi = _sf_kept(col, sfn, phi3, big_phi)
-    return col, [2.0 * (2.0 * abs(f) + 1.0) * (1.0 - abs(b) ** 2) - s
-                 for f, b, s in zip(phi3, big_phi, sfn)]
+    sfn, phi3, big_phi = _kept(col, sfn, phi3, big_phi)
+    return [2.0 * (2.0 * abs(f) + 1.0) * (1.0 - abs(b) ** 2) - s
+            for f, b, s in zip(phi3, big_phi, sfn)]
 
 
-def _corollary(ring: _Ring) -> tuple[_Ring, list[float]]:
-    sfn = ring.sf_norm()
-    col = ring.copy()
-    (sfn,) = _sf_kept(col, sfn)
-    return col, [6.0 - s for s in sfn]
+def _corollary(col: _Ring) -> list[float]:
+    (sfn,) = _kept(col, col.shared(_sf_norm))
+    return [6.0 - s for s in sfn]
 
 
 # co0, thm4 and reM read f''/f' only through zp = z f''/f'
 
-def _co0(ring: _Ring) -> tuple[_Ring, list[float]]:
-    col = ring.copy()
-    return col, [-(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
-                 for z, zp in zip(col.zs, col.zp)]
+def _co0(col: _Ring) -> list[float]:
+    return [-(1.0 + zp).real - 0.25 * (1.0 - abs(z) ** 4) * abs(zp) ** 2
+            for z, zp in zip(col.zs, col.zp)]
 
 
-def _thm4(ring: _Ring, p: float, a: float) -> tuple[_Ring, list[float]]:
-    col = ring.copy()
-    qs = _q(col, p)
+def _thm4(col: _Ring, p: float, a: float) -> list[float]:
+    (qs,) = _kept(col, col.shared(_q, p))
     # -Re M - w(|z|, a) |zp + q|^2 with M = 1 + (zp + q)
-    return col, [-(1.0 + s).real
-                 - (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t)
-                 / (4.0 * (1.0 + a * t) ** 2) * abs(s) ** 2
-                 for s, t in zip([zp + q for zp, q in zip(col.zp, qs)],
-                                 map(abs, col.zs))]
+    return [-(1.0 + s).real
+            - (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t)
+            / (4.0 * (1.0 + a * t) ** 2) * abs(s) ** 2
+            for s, t in zip([zp + q for zp, q in zip(col.zp, qs)],
+                            map(abs, col.zs))]
 
 
-def _re_m(ring: _Ring, p: float) -> tuple[_Ring, list[float]]:
-    col = ring.copy()
-    return col, [-m.real for m in _m(col, p)]
+def _re_m(col: _Ring, p: float) -> list[float]:
+    return [-m.real for m in _m(col, p)]
 
 
 def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
@@ -205,20 +195,19 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
     as jets._cube excludes a jet. OverflowError stops the whole column, so
     then the ring goes through fn again one sample at a time.
     """
+    col = ring.copy()
     try:
-        col, ms = fn(ring, *args)
+        ms = fn(col, *args)
     except OverflowError:
         col, ms, errors = ring.copy(), [], {}
         for k, z in enumerate(ring.zs):
             try:
-                ms.append(_one(*fn(ring.row(k), *args)))
-                continue
+                ms.append(_one(row := ring.row(k), fn(row, *args)))
             except OverflowError:
                 errors[k] = _overflowed(f"margin at {z!r}")
             except SampleExclusionError as exc:
                 errors[k] = exc
-            ms.append(None)
-        ms = col.drop(errors, ms)
+        col.drop(errors, col.zs)
     return col, col.drop({k: _overflowed(f"margin at {col.zs[k]!r}")
                           for k in _finite_errors(ms)}, ms)
 
@@ -251,7 +240,7 @@ def _at_pole(fn, *args) -> float:
     """fn at a pole at 0, for a token that reads f''/f' only through zp."""
     ring = _Ring([0j])
     ring.zp = [_ZP_AT_POLE]
-    return _one(*fn(ring, *args))
+    return _one(ring, fn(ring, *args))
 
 
 # token -> (its column over a ring, the class parameter it reads, its value
@@ -326,19 +315,17 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
 
 # -- the sweep ------------------------------------------------------------------
 
-def _excluding(fn, *args) -> float | None:
-    try:
-        return fn(*args)
-    except SampleExclusionError:
-        return None
+# A margin's samples kept by a sweep: their zs and the margin's value at each
+Kept = tuple[list[complex], list[float]]
 
 
-def _apply(margins: Sequence[Margin], ring: _Ring,
-           cols: list[list[float | None]]) -> None:
-    """Append each margin's values at one ring's samples to its column."""
-    for col, (at_ring, _) in zip(cols, margins):
-        kept, ms = at_ring(ring)
-        col.extend(kept.placed(ms))
+def _apply(margins: Sequence[Margin], ring: _Ring, kept: list[Kept]) -> None:
+    """Add each margin's values at one ring's samples, and the samples it
+    keeps, to its entry of kept."""
+    for (zs, ms), (at_ring, _) in zip(kept, margins):
+        col, values = at_ring(ring)
+        zs += col.zs
+        ms += values
 
 
 def _units(n: int) -> list[complex]:
@@ -349,31 +336,33 @@ def _units(n: int) -> list[complex]:
 
 
 def sweep(spec: FamilySpec, grid: GridConfig,
-          margins: Sequence[Margin]) -> tuple[list[complex], list[list[float | None]]]:
+          margins: Sequence[Margin]) -> tuple[int, list[Kept]]:
     """Evaluate every grid sample once and apply each margin to it.
 
-    Returns the samples, origin first and then radius-major rings, and per
-    margin a column aligned with them: the margin's value, or None where the
-    sample was excluded. Samples near a pole are excluded for every margin;
-    the origin is always attempted, through each margin's limit rule at a
-    pole there. A margin that fails excludes the sample for itself alone.
+    Returns the number of grid samples (the origin, then radius-major
+    rings) and, per margin, the samples it kept, in that order, with its
+    value at each. Samples near a pole are excluded for every margin; the
+    origin is always attempted, through each margin's limit rule at a pole
+    there. A margin that fails excludes the sample for itself alone.
 
     Each ring goes through the family's column kernel once and through each
     margin's column once.
     """
     units = _units(grid.angles)
-    zs = [0j]
-    cols: list[list[float | None]] = [[] for _ in margins]
+    kept: list[Kept] = [([], []) for _ in margins]
     if _has_pole_at(spec, 0j):
-        for col, (_, at_pole) in zip(cols, margins):
-            col.append(None if at_pole is None else _excluding(at_pole))
+        for (zs, ms), (_, at_pole) in zip(kept, margins):
+            if at_pole is not None:
+                try:
+                    ms.append(at_pole())
+                    zs.append(0j)
+                except SampleExclusionError:
+                    pass
     else:
-        _apply(margins, _ring(spec, [0j], None), cols)
+        _apply(margins, _ring(spec, [0j], None), kept)
     for r in grid.radii:
-        ring = [r * e for e in units]
-        zs += ring
-        _apply(margins, _ring(spec, ring, grid.epsilon), cols)
-    return zs, cols
+        _apply(margins, _ring(spec, [r * e for e in units], grid.epsilon), kept)
+    return 1 + len(grid.radii) * grid.angles, kept
 
 
 # -- scanning -----------------------------------------------------------------
@@ -392,8 +381,7 @@ class MarginReport:
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
          keep_samples: bool = False,
-         swept: tuple[list[complex], list[float | None]] | None = None
-         ) -> MarginReport:
+         swept: tuple[int, Kept] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
     Samples within epsilon of a pole (or of z=1 for the boundary-pole
@@ -403,22 +391,19 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     conventions there rather than an exclusion.
 
     The token and its parameters are checked before anything is sampled.
-    swept hands over the samples and this margin's column from a sweep that
-    already applied it, bound by the caller, as classify does; scan then
-    only reduces them.
+    swept hands over the number of grid samples and the samples this margin
+    kept, with its values, from a sweep that already applied it, bound by
+    the caller, as classify does; scan then only reduces them.
     """
     if grid is None:
         grid = default_grid()
     if swept is None:
-        zs, (col,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),))
+        n, (kept,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),))
     else:
-        zs, col = swept
-
-    used = [m for m in col if m is not None]
+        n, kept = swept
+    zs, used = kept
     if not used:
         raise EmptyScanError(f"every sample of the {theorem} scan was excluded")
-    if len(used) < len(col):
-        zs = [z for z, m in zip(zs, col) if m is not None]
     min_margin = min(used)
     # the first sample within the tie band
     first = next(compress(count(), map((min_margin + _ARGMIN_TIE).__ge__, used)))
@@ -426,7 +411,7 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     return MarginReport(
         theorem=theorem,
         samples_used=len(used),
-        samples_excluded=len(col) - len(used),
+        samples_excluded=n - len(used),
         min_margin=min_margin,
         argmin_z=zs[first],
         verdict=verdict,
@@ -434,17 +419,17 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     )
 
 
-def _abs_a(ring: _Ring) -> tuple[_Ring, list[float]]:
-    return ring.copy(), ring.abs_a()
+def _abs_a(col: _Ring) -> list[float]:
+    return list(map(abs, col.shared(_a_f)))
 
 
-# |A_f| at a sample, the column thm1 reads too; the order estimate is its
-# grid inf and sup
+# |A_f| at a sample, from the A_f column thm1 reads too; the order estimate
+# is its grid inf and sup
 _ORDER: Margin = (lambda ring: _column(_abs_a, ring, ()), None)
 
 
-def _order(values: list[float | None]) -> tuple[float, float]:
-    values = [v for v in values if v is not None]
+def _order(kept: Kept) -> tuple[float, float]:
+    _, values = kept
     if not values:
         raise EmptyScanError("every sample of the order estimate was excluded")
     return min(values), max(values)
@@ -454,8 +439,8 @@ def estimate_order(spec: FamilySpec, grid: GridConfig | None = None) -> tuple[fl
     """Grid inf and sup of |A_f|; inf = 1 marks concavity, sup the order."""
     if grid is None:
         grid = default_grid()
-    _, (col,) = sweep(spec, grid, (_ORDER,))
-    return _order(col)
+    _, (kept,) = sweep(spec, grid, (_ORDER,))
+    return _order(kept)
 
 
 _PHI1_RADII = (0.99, 0.999, 0.9999)
@@ -600,14 +585,13 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
     margins = [_margin(spec, t, cls.alpha, p, None) for t in tokens]
     if cls.kind == "co":
         margins.append(_ORDER)
-    zs, cols = sweep(spec, grid, margins)
-    reports = [scan(spec, t, grid, swept=(zs, col))
-               for t, col in zip(tokens, cols)]
+    n, kept = sweep(spec, grid, margins)
+    reports = [scan(spec, t, grid, swept=(n, k)) for t, k in zip(tokens, kept)]
 
     order = order_ok = None
     phi1_est, phi1_warn = None, False
     if cls.kind == "co":
-        order = _order(cols[-1])
+        order = _order(kept[-1])
         order_ok = order[0] >= 1.0 - _ORDER_TOL
         phi1_est, _ = phi_prime_one_diagnostic(spec)
         phi1_warn = phi1_est is not None and not (

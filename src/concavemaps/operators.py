@@ -14,9 +14,13 @@ samples still live. Between stages the column tests of `jets` (`_floored`,
 `_finite_errors`) name the samples whose denominator lies inside the floor;
 a drop takes them out of every column at once and keeps each one's
 SampleExclusionError, to be placed back in the sample's position: the
-drop-and-place of `catalog._Samples`, which `_Ring` extends. |A_f| and
-|Sf|(1-|z|^2)^2 are computed at most once per ring, however many margins
-read them.
+drop-and-place of `catalog._Samples`, which `_Ring` extends.
+
+A ring form that several margins read (A_f, the Schwarzian norm, q and the
+Co(alpha) column) goes through the ring's one cache, `_Ring.shared`, which
+its copies share until they drop a sample: it is computed once per ring,
+with each sample it drops holding its error in its place, and `_kept`
+drops those samples from the copy that reads it.
 
 The public operators take an OperatorPoint, which pairs one sample z with
 the function's jet there. They check the class parameters and make a
@@ -40,6 +44,7 @@ from .errors import (
     IndeterminateSampleError,
     PhiUndefinedError,
     PoleProximityError,
+    SampleExclusionError,
 )
 from .jets import (DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
                    _overflowed, _schwarzians)
@@ -71,7 +76,10 @@ class OperatorPoint:
 
     @property
     def pre_schwarzian(self) -> complex:
-        return self.jet.v2 / self.jet.v1
+        """f''/f' at z, as the point's ring checks it: NonFiniteJetError
+        where it overflows."""
+        col = _point(self)
+        return _one(col, col.pre)
 
 
 # -- the ring: samples as columns ----------------------------------------------
@@ -81,23 +89,22 @@ class _Ring(_Samples):
     and v3, pre = f''/f' and zp = z f''/f'. A drop takes the samples it
     names out of every column at once, and out of the columns it is handed,
     keeping their errors for the result. A copy drops without touching the
-    ring it was copied from; |A_f| and the Schwarzian norm, which several
-    margins read, are computed once per ring, before any copy drops.
+    ring it was copied from.
 
     The ring makes no disk test of its own: the kernel that take() reads
     makes it (and a ring for q alone, which is defined off the disk too,
     needs none).
     """
 
-    __slots__ = ("v1", "v2", "v3", "pre", "zp", "_abs_a", "_sf_norm")
+    __slots__ = ("v1", "v2", "v3", "pre", "zp", "_shared")
 
     def __init__(self, zs: Sequence[complex]):
         self._set(len(zs), list(zs), None, {}, ((), (), (), (), ()))
 
-    def _set(self, n, zs, at, errors, columns) -> "_Ring":
+    def _set(self, n, zs, at, errors, columns, shared=None) -> "_Ring":
         self.n, self.zs, self.at, self.errors = n, zs, at, errors
         self.v1, self.v2, self.v3, self.pre, self.zp = columns
-        self._abs_a = self._sf_norm = None
+        self._shared = {} if shared is None else shared
         return self
 
     def take(self, jets: list) -> "_Ring":
@@ -123,7 +130,7 @@ class _Ring(_Samples):
     def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
         if not errors:
             return columns
-        self._abs_a = self._sf_norm = None
+        self._shared = {}
         self.v1, self.v2, self.v3, self.pre, self.zp, *rest = super().drop_rows(
             errors, self.v1, self.v2, self.v3, self.pre, self.zp, *columns)
         return tuple(rest)
@@ -133,35 +140,26 @@ class _Ring(_Samples):
 
     def copy(self) -> "_Ring":
         return _Ring.__new__(_Ring)._set(self.n, self.zs, self.at,
-                                         dict(self.errors), self._columns())
-
-    def live(self) -> "_Ring":
-        """The samples of this ring that are still live, as a ring of their
-        own, whose positions are this ring's rows."""
-        return _Ring.__new__(_Ring)._set(len(self.zs), self.zs, None, {},
-                                         self._columns())
+                                         dict(self.errors), self._columns(),
+                                         self._shared)
 
     def row(self, k: int) -> "_Ring":
         """The k-th live sample alone, as a one-sample ring."""
         return _Ring.__new__(_Ring)._set(1, [self.zs[k]], None, {},
                                          [[c[k]] for c in self._columns()])
 
-    def abs_a(self) -> list[float]:
-        """|A_f| at each live sample."""
-        if self._abs_a is None:
-            self._abs_a = list(map(abs, _a_f(self)))
-        return self._abs_a
-
-    def sf_norm(self) -> list:
-        """|Sf|(1-|z|^2)^2 at each live sample, or the error of a sample
-        whose Schwarzian is not finite."""
-        if self._sf_norm is None:
-            live = self.live()
-            ss, errors = _schwarzians(live.v1, live.v3, live.pre)
-            ss = live.drop(errors, ss)
-            self._sf_norm = live.result([abs(s) * (1.0 - abs(z) ** 2) ** 2
-                                         for s, z in zip(ss, live.zs)])
-        return self._sf_norm
+    def shared(self, fn, *args) -> list:
+        """The ring form fn(ring, *args) at each live sample, or the error
+        of a sample it drops: computed once however many margins read it.
+        A copy shares the cache of its ring until either drops a sample;
+        a reader hands the column through its own drops (see _kept)."""
+        key = (fn, *args)
+        ws = self._shared.get(key)
+        if ws is None:
+            live = _Ring.__new__(_Ring)._set(len(self.zs), self.zs, None, {},
+                                             self._columns())
+            ws = self._shared[key] = live.placed(fn(live, *args))
+        return ws
 
 
 def _point(pt: "OperatorPoint") -> _Ring:
@@ -198,11 +196,18 @@ def _phi(col: _Ring) -> list[complex]:
     return [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
 
 
-def _sf_kept(col: _Ring, sfn: list, *carry: list) -> tuple[list, ...]:
-    """sfn, a column of col.sf_norm() handed through col's drops, and carry,
-    without the samples whose Schwarzian is not finite."""
-    return col.drop_rows({k: s for k, s in enumerate(sfn) if type(s) is not float},
-                         sfn, *carry)
+def _kept(col: _Ring, ws: list, *carry: list) -> tuple[list, ...]:
+    """ws, a column of _Ring.shared handed through col's drops, and carry,
+    without the samples whose entry of ws is an error."""
+    return col.drop_rows({k: w for k, w in enumerate(ws)
+                          if isinstance(w, SampleExclusionError)}, ws, *carry)
+
+
+def _sf_norm(col: _Ring) -> list[float]:
+    """|Sf|(1-|z|^2)^2 at each sample whose Schwarzian is finite."""
+    ss, errors = _schwarzians(col.v1, col.v3, col.pre)
+    ss = col.drop(errors, ss)
+    return [abs(s) * (1.0 - abs(z) ** 2) ** 2 for s, z in zip(ss, col.zs)]
 
 
 def _co_alpha(col: _Ring, alpha: float) -> list[float]:
@@ -225,7 +230,7 @@ def _q(col: _Ring, p: float) -> list[complex]:
 
 
 def _m(col: _Ring, p: float) -> list[complex]:
-    qs = _q(col, p)
+    (qs,) = _kept(col, col.shared(_q, p))
     return [1.0 + zp + q for zp, q in zip(col.zp, qs)]
 
 
@@ -295,7 +300,7 @@ def phi_of(pt: OperatorPoint) -> complex:
 def schwarzian_norm(pt: OperatorPoint) -> float:
     """|Sf(z)| (1-|z|^2)^2, the invariant Schwarzian magnitude."""
     col = _point(pt)
-    return _one(col, _sf_kept(col, col.sf_norm())[0])
+    return _one(col, _sf_norm(col))
 
 
 def co_alpha_lhs(pt: OperatorPoint, alpha: float) -> float:

@@ -22,9 +22,13 @@ set could be convex by analyzing discrete turning:
 Turning angles use atan2 of cross and dot products of successive edges, per
 contiguous run of included angles; arcs near poles (by the scans' own rule,
 `FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
-and reported, never bridged. A curve measures its turning defect when the
-defect is first read, and keeps it: the oracle reads it once per curve, a
-`curve` JSON report once, and a CSV report, which does not hold it, never.
+and reported, never bridged. A sample where f overflows stops the curve
+(NonFiniteJetError): the arc it would open would pass for a pole's. A run
+with a point of modulus 2^500 or more is scaled down by a power of two
+before it is turned, so that the cross and dot products stay finite. A curve
+measures its turning defect when the defect is first read, and keeps it:
+the oracle reads it once per curve, a `curve` JSON report once, and a CSV
+report, which does not hold it, never.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import cached_property
 from itertools import compress
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
-from .errors import EmptyScanError, SampleExclusionError
+from .errors import EmptyScanError, NonFiniteJetError, SampleExclusionError
 from .margins import MAX_SAMPLES, _units
 
 COMPLEMENT_INSIDE = "complement-inside"
@@ -49,6 +53,8 @@ _DEFAULT_RADII = (0.99, 0.999, 0.9999)
 DEFAULT_ANGLES = 4096
 # a curve point within this of the real axis lies on it
 _AXIS_TOL = 1e-9
+# a run with a point this far out is scaled down before it is turned
+_TURN_BIG = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,9 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
     points = spec.values(list(compress(zs, far)))
     ok = [not isinstance(w, SampleExclusionError) for w in points]
     if not all(ok):
+        for w in points:
+            if isinstance(w, NonFiniteJetError):
+                raise NonFiniteJetError(f"f overflows on |z| = {r!r}: {w}")
         included, points = list(compress(included, ok)), list(compress(points, ok))
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
@@ -163,14 +172,25 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
 def _turns(points: list[complex], closed: bool) -> list[float]:
     """Turning angles of the polygon through points, in one pass.
 
-    Successive points closer than 1e-15 * max(1, max |w|) collapse into the
-    first of them; a closed curve whose last point then lies within
-    1e-15 * max(1, |first|) of its first drops it. Each kept edge w - last is
-    the one the collapse measured, and each turn is the atan2 of the cross
-    and dot products of two successive edges: one per inner vertex of an
-    open run, one per vertex of a closed one, the first at points[0].
+    A run with a point of modulus 2^500 or more is first scaled by the power
+    of two that takes its largest coordinate into [1, 2). Successive points
+    closer than 1e-15 * max(1, max |w|) collapse into the first of them; a
+    closed curve whose last point then lies within 1e-15 * max(1, |first|)
+    of its first drops it. Each kept edge w - last is the one the collapse
+    measured, and each turn is the atan2 of the cross and dot products of
+    two successive edges: one per inner vertex of an open run, one per
+    vertex of a closed one, the first at points[0].
     """
-    tol = 1e-15 * max(1.0, max(abs(w) for w in points))
+    try:
+        big = max(map(abs, points))
+    except OverflowError:  # an |w| beyond the floats
+        big = math.inf
+    if big >= _TURN_BIG:
+        e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
+        points = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
+                  for w in points]
+        big = max(map(abs, points))
+    tol = 1e-15 * max(1.0, big)
     first = last = before = points[0]
     # the first kept edge, the last one and the one before it
     e0 = e1 = e_before = None

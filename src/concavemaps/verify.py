@@ -309,8 +309,8 @@ def _grid_max(spec: FamilySpec, grid: GridConfig, operator, *args) -> float:
     def column(ring):
         col = ring.copy()
         return col, list(map(abs, operator(col, *args)))
-    _, (col,) = sweep(spec, grid, ((column, None),))
-    return max([0.0] + [v for v in col if v is not None])
+    _, ((_, values),) = sweep(spec, grid, ((column, None),))
+    return max(values, default=0.0)
 
 
 def _c11(grid: GridConfig) -> CriterionResult:

@@ -486,3 +486,27 @@ def _reference_curve_csv(curve):
 def test_curve_csv_matches_the_lookup_it_replaced(text, r, n):
     curve = boundary_curve(parse_spec(text), r, n)
     assert cli._curve_csv(curve).encode() == _reference_curve_csv(curve).encode()
+
+
+# -- curves scaled near the float range ------------------------------------------
+
+def _curve_json(b):
+    return ["curve", "--function", f"laurent:b=[0,{b}]", "--r", "0.99",
+            "--angles", "64", "--format", "json"]
+
+
+def test_curve_of_a_scaled_map_has_the_map_own_defect(capsys):
+    defects = []
+    for b in ("1", "1e160"):
+        code, out, _ = run(capsys, _curve_json(b))
+        assert code == 0
+        defects.append(json.loads(out)["convexity_defect"])
+    assert math.isfinite(defects[1])
+    assert abs(defects[1] - defects[0]) < 1e-9
+
+
+def test_curve_where_f_overflows_exits_three(capsys):
+    code, out, err = run(capsys, _curve_json("1e308,1e308"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degeneracy: f overflows on |z| = 0.99: ")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from concavemaps import margins, operators
 from concavemaps.catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane,
                                  KAlpha, Kp, Laurent, parse_spec)
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
@@ -21,7 +22,8 @@ from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
                                  default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan, sweep)
-from concavemaps.operators import OperatorPoint, q_term, thm3_phi3_origin
+from concavemaps.operators import (OperatorPoint, _a_f, _co_alpha, _q,
+                                   _sf_norm, q_term, thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
 
 SMALL = GridConfig(geometric_radii(8), 32)
@@ -287,16 +289,29 @@ def test_overflowing_margins_are_excluded():
     assert res.order[1] == 1.0000000000000002e+201
 
 
+def _entries(ws):
+    """A shared column with each error as its class and message."""
+    return [(type(w), str(w)) if isinstance(w, SampleExclusionError) else w
+            for w in ws]
+
+
+# the four ring forms that margins share, with the parameters they read
+SHARED_FORMS = ((_a_f,), (_sf_norm,), (_q, 0.5), (_co_alpha, 1.5))
+
+
 def test_a_drop_keeps_a_ring_shared_columns_aligned():
-    # the Schwarzian overflows at 0, so sf_norm holds an error there
+    # the Schwarzian overflows at 0, so the Schwarzian norm holds an error
+    # there, and q, whose pole is at 0.5, one at 0.5
     spec = parse_spec("laurent:b=[0,1e-11,1e190]")
     zs = [0j, 0.5 + 0j, 0.25j]
     ring = _ring(spec, zs, None)
-    ring.abs_a(), ring.sf_norm()
+    shared = [ring.shared(*form) for form in SHARED_FORMS]
+    assert isinstance(shared[1][0], NonFiniteJetError)
+    assert isinstance(shared[2][1], PoleProximityError)
     ring.drop({0: None}, ring.zs)
     fresh = _ring(spec, zs[1:], None)
-    assert ring.abs_a() == fresh.abs_a()
-    assert ring.sf_norm() == fresh.sf_norm()
+    for form in SHARED_FORMS:
+        assert _entries(ring.shared(*form)) == _entries(fresh.shared(*form))
 
 
 def test_q_rejects_its_second_pole_as_its_reference_does():
@@ -375,6 +390,25 @@ def test_classify_evaluates_each_sample_once(monkeypatch):
         assert 0 < samples[0] <= points + more, (str(spec), cls)
         # one kernel call per ring, the origin's included
         assert 0 < calls[0] <= kernel_calls + more, (str(spec), cls)
+
+
+def test_classify_computes_each_shared_column_once_per_ring(monkeypatch):
+    # q, which reM and thm4 read, and the Co(alpha) column, which
+    # co_alpha_lhs and thm2 read, each run once per ring, the origin's
+    # included
+    rings = 1 + len(SMALL.radii)
+    for name, spec, cls in (("_q", Kp(0.5), "cop:p=0.5"),
+                            ("_co_alpha", KAlpha(1.5), "coalpha:alpha=1.5")):
+        calls = [0]
+
+        def counted(col, *args, form=getattr(operators, name)):
+            calls[0] += 1
+            return form(col, *args)
+
+        monkeypatch.setattr(operators, name, counted)
+        monkeypatch.setattr(margins, name, counted)
+        classify(spec, cls, SMALL)
+        assert calls[0] == rings, name
 
 
 # -- token columns against per-sample references --------------------------------
@@ -528,6 +562,10 @@ def _packed(evaluate):
         return type(exc), str(exc)
 
 
+def _packed_z(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
 def _raised(entry):
     if isinstance(entry, SampleExclusionError):
         raise entry
@@ -602,22 +640,27 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
     for theorem, (kw, ref, ref_at_pole) in _ref_tokens(alpha, p, a).items():
         margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"),
                          kw.get("a"))
+        # per grid sample, its z and its packed reference: the margin, the
+        # class and message of its exclusion, or None near a pole
         want_swept = []
         if origin_pole:
-            want_swept.append(None if ref_at_pole is None
-                              else _packed(lambda: ref_at_pole(spec)))
+            want_swept.append((0j, None if ref_at_pole is None
+                               else _packed(lambda: ref_at_pole(spec))))
         for zs, eps, ring in rings:
             kept, ms = margin[0](ring)
             for z, got in zip(zs, kept.result(ms)):
                 if eps is not None and not spec.far_from_poles([z], eps)[0]:
                     assert got is None
-                    want_swept.append(None)
+                    want_swept.append((z, None))
                     continue
                 want = _packed(lambda: _ref_margin(ref, spec, z))
                 assert _packed(lambda: _raised(got)) == want, (
                     str(spec), theorem, z)
                 assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
-                want_swept.append(want)
-        _, (col,) = sweep(spec, grid, [margin])
-        assert [None if v is None else struct.pack("<d", v) for v in col] == [
-            w if isinstance(w, bytes) else None for w in want_swept]
+                want_swept.append((z, want))
+        # the sweep keeps exactly the samples with a margin, in grid order
+        n, ((zs, values),) = sweep(spec, grid, [margin])
+        assert n == len(want_swept)
+        assert [(_packed_z(z), struct.pack("<d", v))
+                for z, v in zip(zs, values, strict=True)] == [
+            (_packed_z(z), w) for z, w in want_swept if isinstance(w, bytes)]

@@ -7,8 +7,9 @@ import pytest
 
 from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
-                                PhiUndefinedError, PoleProximityError)
-from concavemaps.jets import Jet3
+                                NonFiniteJetError, PhiUndefinedError,
+                                PoleProximityError)
+from concavemaps.jets import Jet3, pre_schwarzian
 from concavemaps.operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs,
                                    m_operator, phi_of, q_term, schwarzian_norm,
                                    thm3_phi3_origin, thm3_phis, varphi_p)
@@ -179,6 +180,16 @@ def test_operator_point_validation():
     with pytest.raises(CriticalPointError):
         OperatorPoint(0j, Jet3.constant(0j, 5.0 + 0j))
     assert pt(HalfPlane(), 0j).pre_schwarzian == 2.0 + 0j
+
+
+def test_pre_schwarzian_raises_where_a_f_does():
+    # f'(0) = 1e-12 and f''(0) = 2e300, so f''/f' overflows at 0
+    point = pt(parse_spec("laurent:b=[0,1e-12,1e300]"), 0j)
+    for read in (lambda: point.pre_schwarzian, lambda: a_f(point),
+                 lambda: pre_schwarzian(point.jet)):
+        with pytest.raises(NonFiniteJetError,
+                           match="^pre-Schwarzian overflowed$"):
+            read()
 
 
 def test_phi_undefined_for_identity():

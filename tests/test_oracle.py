@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from concavemaps import oracle
 from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                                  Laurent, omitted_segment, parse_spec)
-from concavemaps.errors import EmptyScanError, SampleExclusionError
+from concavemaps.errors import (EmptyScanError, NonFiniteJetError,
+                                SampleExclusionError)
 from concavemaps.margins import (MAX_SAMPLES, GridConfig, geometric_radii,
                                  scan, sweep)
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
@@ -344,3 +345,50 @@ def test_curve_turns_match_collapse_then_turn(spec, r):
         if len(run) >= 3:
             _same_turns(run, closed)
             _same_turns(run[:3], closed)
+
+
+# -- curves scaled near the float range ------------------------------------------
+
+def _defects(spec):
+    return [boundary_curve(spec, r, DEFAULT_ANGLES).convexity_defect
+            for r in (0.99, 0.999, 0.9999)]
+
+
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+def test_a_scaled_control_is_rejected_as_the_control_is(c):
+    # the recipcubic control times c: unscaled, each defect is 4 pi
+    spec = parse_spec(f"laurent:p=0;res={c!r};b=[0,0,{2.0 * c!r}]")
+    assert all(abs(d - 2.0 * TWO_PI) < 1e-9 for d in _defects(spec))
+    assert oracle_concave(spec) == ORACLE_BAD
+
+
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e300])
+def test_a_scaled_angle_map_keeps_its_defects(c):
+    want = _defects(parse_spec("anglemap:a=-0.5"))
+    got = _defects(parse_spec(f"anglemap:a=-0.5,A={c!r}"))
+    assert all(abs(g - w) < 1e-9 for g, w in zip(got, want, strict=True))
+
+
+@given(runs_with_repeats.filter(lambda ws: any(ws)), st.booleans(),
+       st.sampled_from((500, 700, 1000)))
+@settings(max_examples=100, deadline=None)
+def test_a_run_past_2_to_the_500_turns_as_it_does_scaled_down(points, closed, k):
+    # a power of two takes the run's largest coordinate into [1, 2), where
+    # the turning reads it as it is, and then to [2^k, 2^(k+1))
+    e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
+    near_one = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
+                for w in points]
+    far = [complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
+           for w in near_one]
+    assert _packed(oracle._turns(far, closed)) == _packed(
+        oracle._turns(near_one, closed))
+
+
+def test_an_overflow_on_the_curve_is_no_excluded_arc():
+    # f = 1e308 (z + z^2) overflows around theta = 0 on |z| = 0.99; the arc
+    # it opened passed for a boundary pole's, with defect 0
+    spec = parse_spec("laurent:b=[0,1e308,1e308]")
+    with pytest.raises(NonFiniteJetError, match=r"^f overflows on \|z\| = 0\.99: "):
+        boundary_curve(spec, 0.99, 64)
+    with pytest.raises(NonFiniteJetError):
+        oracle_concave(spec)

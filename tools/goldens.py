@@ -20,7 +20,9 @@ line per command: file name, exit code, argv and stderr. The commands:
     alpha = 1.5, p = 0 and p = 0.5, on four specs;
   * `margins` runs that end in an input error: alpha and p out of range or
     NaN, thm4 at a p where the spec has no pole, an unknown token, a missing
-    parameter, and an invalid parameter on f = 0, which has no usable sample.
+    parameter, and an invalid parameter on f = 0, which has no usable sample;
+  * `classify` and `curve` runs on specs scaled near the float range, whose
+    turning must match the unscaled spec's (see SCALED_RUNS).
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -76,6 +78,20 @@ KERNEL_CURVES = (("kp:p=0.5", ("0.5", "0.5000000000001")),
                  ("laurent:p=0.5;res=1;b=[]", ("0.5", "0.5000000000001")),
                  ("kalpha:alpha=1.5", ("0.9999999999999",)))
 
+# The recipcubic control and anglemap:a=-0.5 times 1e160, whose turning
+# products overflow unless the oracle scales the curve down; f = 1e160 z,
+# likewise; and f = 1e308 (z + z^2), which overflows on the curve itself.
+SCALED_RUNS = (
+    ("classify", "--function", "laurent:p=0;res=1e160;b=[0,0,2e160]",
+     "--class", "co0"),
+    ("classify", "--function", "anglemap:a=-0.5,A=1e160", "--class", "co"),
+    ("curve", "--function", "laurent:b=[0,1e160]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+    ("curve", "--function", "laurent:b=[0,1e308,1e308]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+    ("classify", "--function", "laurent:b=[0,1e308,1e308]", "--class", "co"),
+)
+
 
 def _commands():
     """(file name, argv) for every golden run, in a fixed order."""
@@ -112,6 +128,8 @@ def _commands():
     for k, (text, theorem, *params) in enumerate(MARGIN_ERRORS):
         yield (f"margins-error-{k:02d}.csv",
                ["margins", "--function", text, "--theorem", theorem, *params])
+    for k, argv in enumerate(SCALED_RUNS):
+        yield f"scaled-{k}.json", list(argv)
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
