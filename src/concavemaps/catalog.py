@@ -5,11 +5,10 @@ half-plane map z/(1-z), the angle family k_alpha (alpha=2 is the Koebe map),
 affine sector maps built from a disk automorphism parameter a, the
 interior-pole extremal k_p, the cubic 1/z + a0 + z, and general truncated
 Laurent series with an optional simple pole. The half-plane map, k_p and
-the cubic carry hand-derived derivative formulas; Laurent series compose
-Jet3 arithmetic. k_alpha and the sector maps compose their jets from the
-tuple rules of `jets`, so the branch handling lives in one place (the log
-rule). Each of the two repeats the complex operations of the Jet3 expression
-in its comment, in the same order, so the two agree bit for bit.
+the cubic carry hand-derived derivative formulas. k_alpha, the sector maps
+and the pole term of a Laurent series compose their jets from the column
+forms of the tuple rules of `jets`, so the branch handling lives in one
+place (the log rule); a Laurent series runs its Horner in Jet3 arithmetic.
 
 Each family has two column kernels, which take a list of samples (one ring
 of a grid, or one oracle curve) and return one entry per sample:
@@ -18,16 +17,17 @@ values(zs) f alone, which is all the geometric oracle reads. A sample that
 cannot be evaluated gets the SampleExclusionError that excluded it in its
 place. Constants that depend only on the spec are computed once per call.
 values repeats, in the same order, the complex operations that produce v0,
-so the two agree bit for bit. It works on whole columns: one ordered pass
+so the two agree bit for bit. Both work on whole columns: one ordered pass
 checks that the samples lie in the disk (`_Samples`), then each arithmetic
-stage is one comprehension over the samples still live (Laurent's Horner
-loop runs over the coefficients with the samples inside). Between stages
-the column forms of the finiteness, degeneracy-floor and branch-cut tests
-of `jets` name the samples that fail; those are dropped and their errors
-placed as values, never raised and caught. Each error is the one the scalar
-test raises, its message built by the same helper. eval_jets runs per
-sample on the tuple rules and the scalar tests. eval_jet(z) and value(z)
-are one-sample calls into the kernels that raise the stored error again.
+stage is one comprehension over the samples still live (Laurent's values
+Horner loop runs over the coefficients with the samples inside; its jet
+Horner runs per sample in Jet3 arithmetic, after the column tests).
+Between stages the column forms of the finiteness, degeneracy-floor and
+branch-cut tests of `jets` name the samples that fail; those are dropped
+and their errors placed as values, never raised and caught. Each error is
+the one the scalar test raises, its message built by the same helper.
+eval_jet(z) and value(z) are one-sample calls into the kernels that raise
+the stored error again.
 
 The kernels exclude a sample only on genuine degeneracy (a denominator
 inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
@@ -59,13 +59,14 @@ import math
 import re as _re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 from .errors import (NonFiniteJetError, PoleProximityError,
-                     SampleExclusionError, SpecParseError, _each, _only)
+                     SampleExclusionError, SpecParseError, _only)
 from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
-                   _inverse, _inverse_errors, _jadd, _jconst, _jet, _jfinite,
-                   _jmul, _jpow, _jrecip, _jsub, _log_errors)
+                   _inverse, _inverse_errors, _jadds, _jconst, _jet,
+                   _jexps, _jfinite_errors, _jlogs, _jmuls, _jrecips, _jsubs,
+                   _log_errors)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -91,14 +92,16 @@ def _require_in_disk(z: complex) -> complex:
 
 
 class _Samples:
-    """The samples of one values call that are still being evaluated.
+    """The samples of one kernel call that are still being evaluated.
 
     zs holds them in call order. The constructor makes, in one ordered pass,
     the tests _require_in_disk makes per sample: a sample that is not finite
     is dropped with its error, and the first one outside the disk raises
     ValueError for the whole call. drop takes out the samples that fail a
     later test, from zs and from the kernel's column alongside it; result
-    puts each dropped sample's error back in its place.
+    and jets put each dropped sample's error back in its place. pow, jrecip
+    and jpow run a rule's tests, drop the samples that fail them, and
+    compute the rule over the rest.
     """
 
     __slots__ = ("n", "zs", "at", "errors")
@@ -147,10 +150,33 @@ class _Samples:
         ls = [cmath.log(w) * exponent for w in ws]
         return list(map(cmath.exp, self.drop(_finite_errors(ls), ls)))
 
+    def jrecip(self, js: list, *carry: list) -> tuple[list, ...]:
+        """_jrecip of each of js (tuple jets at zs) that passes its tests,
+        and carry, columns aligned with js, without the samples that fail."""
+        js, *carry = self.drop_rows(_jfinite_errors(js), js, *carry)
+        js, *carry = self.drop_rows(
+            _inverse_errors([j[0] for j in js], self.zs), js, *carry)
+        rs, errors = _jrecips(js)
+        return self.drop_rows(errors, rs, *carry)
+
+    def jpow(self, js: list, exponent: complex) -> list:
+        """_jpow(j, exponent) for each of js that passes its tests."""
+        js = self.drop(_jfinite_errors(js), js)
+        js = self.drop(_log_errors([j[0] for j in js]), js)
+        ls, errors = _jlogs(js)
+        ms = _jmuls(self.drop(errors, ls), repeat(_jconst(exponent)))
+        es, errors = _jexps(self.drop(_jfinite_errors(ms), ms))
+        return self.drop(errors, es)
+
     def result(self, ws: list) -> list:
         """The call's column: per sample, its entry of ws once tested finite,
         or the error that dropped it."""
         return self.placed(self.drop(_finite_errors(ws), ws))
+
+    def jets(self, js: list) -> list:
+        """The call's column of tuple jets: per sample, its jet once each
+        field is tested finite, or the error that dropped it."""
+        return self.placed(self.drop(_jfinite_errors(js), js))
 
     def placed(self, ws: list) -> list:
         """Per sample of the call, its entry of ws, or the error that dropped
@@ -219,12 +245,9 @@ class HalfPlane(FamilySpec):
     boundary_pole = 1.0 + 0j
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
-        def at(z):
-            z = _require_in_disk(z)
-            u = 1.0 - z
-            iu = 1.0 / u
-            return _jfinite((z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4))
-        return _each(at, zs)
+        col = _Samples(zs)
+        return col.jets([(z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
+                         for z in col.zs for iu in [1.0 / (1.0 - z)]])
 
     def values(self, zs: Sequence[complex]) -> list:
         col = _Samples(zs)
@@ -252,15 +275,14 @@ class KAlpha(FamilySpec):
         # (u.pow(alpha) - 1.0) / (2.0 * alpha) with u = (1 + zj) / (1 - zj),
         # which maps the disk to Re u > 0, clear of the cut
         alpha = self.alpha
-        # 1/(2 alpha) as a jet; 2 alpha >= 2, so no base point is ever named
-        scale = _jrecip(_jconst(2.0 * alpha), 0j)
-
-        def at(z):
-            z = _require_in_disk(z)
-            x = (z, _ONE, 0j, 0j)
-            u = _jmul(_jadd(x, _J_ONE), _jrecip(_jsub(_J_ONE, x), z))
-            return _jfinite(_jmul(_jsub(_jpow(u, alpha), _J_ONE), scale))
-        return _each(at, zs)
+        # 1/(2 alpha) as a jet; 2 alpha >= 2 passes the reciprocal's tests
+        (scale,), _ = _jrecips([_jconst(2.0 * alpha)])
+        col = _Samples(zs)
+        xs = [(z, _ONE, 0j, 0j) for z in col.zs]
+        rs, xs = col.jrecip(_jsubs(repeat(_J_ONE), xs), xs)
+        us = _jmuls(_jadds(xs, repeat(_J_ONE)), rs)
+        return col.jets(_jmuls(_jsubs(col.jpow(us, alpha), repeat(_J_ONE)),
+                               repeat(scale)))
 
     def values(self, zs: Sequence[complex]) -> list:
         alpha = complex(self.alpha)
@@ -327,14 +349,12 @@ class AngleMap(FamilySpec):
     def eval_jets(self, zs: Sequence[complex]) -> list:
         # lead * s.pow(1.0 + b) + B with s = (zj - lam) / (lam * (zj - 1.0))
         lam, lead, B = _jconst(self.lam), _jconst(self.lead), _jconst(self.B)
-        power = 1.0 + self.b
-
-        def at(z):
-            z = _require_in_disk(z)
-            x = (z, _ONE, 0j, 0j)
-            s = _jmul(_jsub(x, lam), _jrecip(_jmul(_jsub(x, _J_ONE), lam), z))
-            return _jfinite(_jadd(_jmul(_jpow(s, power), lead), B))
-        return _each(at, zs)
+        col = _Samples(zs)
+        xs = [(z, _ONE, 0j, 0j) for z in col.zs]
+        rs, xs = col.jrecip(_jmuls(_jsubs(xs, repeat(_J_ONE)), repeat(lam)), xs)
+        ss = _jmuls(_jsubs(xs, repeat(lam)), rs)
+        return col.jets(_jadds(_jmuls(col.jpow(ss, 1.0 + self.b), repeat(lead)),
+                               repeat(B)))
 
     def values(self, zs: Sequence[complex]) -> list:
         lam, lead, B = self.lam, self.lead, self.B
@@ -365,35 +385,27 @@ class Kp(FamilySpec):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
-    @staticmethod
-    def _denominator(c: float, z: complex) -> complex:
-        """d = 1 - cz + z^2, refused inside the floor."""
-        d = 1.0 - c * z + z * z
-        if abs(d) < DEGENERACY_FLOOR:
-            raise _kp_pole(z)
-        return d
+    def _denominators(self, col: _Samples) -> tuple[float, list]:
+        """c and d = 1 - cz + z^2 at each of col's samples whose d lies
+        outside the floor; the others are dropped."""
+        c = self.p + 1.0 / self.p
+        ds = [1.0 - c * z + z * z for z in col.zs]
+        return c, col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
-        c = self.p + 1.0 / self.p
-
-        def at(z):
-            z = _require_in_disk(z)
-            d = self._denominator(c, z)
-            id2 = 1.0 / (d * d)
-            z2 = z * z
-            return _jfinite((
-                z / d,
-                (1.0 - z2) * id2,
-                2 * (c - 3 * z + z * z2) * id2 / d,
-                6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
-            ))
-        return _each(at, zs)
+        col = _Samples(zs)
+        c, ds = self._denominators(col)
+        return col.jets([
+            (z / d,
+             (1.0 - z2) * id2,
+             2 * (c - 3 * z + z * z2) * id2 / d,
+             6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2)
+            for z, d in zip(col.zs, ds)
+            for id2 in [1.0 / (d * d)] for z2 in [z * z]])
 
     def values(self, zs: Sequence[complex]) -> list:
-        c = self.p + 1.0 / self.p
         col = _Samples(zs)
-        ds = [1.0 - c * z + z * z for z in col.zs]
-        ds = col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
+        _, ds = self._denominators(col)
         return col.result([z / d for z, d in zip(col.zs, ds)])
 
 
@@ -412,26 +424,21 @@ class Co0Cubic(FamilySpec):
         object.__setattr__(self, "a0", complex(self.a0))
 
     @staticmethod
-    def _off_pole(z: complex) -> complex:
-        z = _require_in_disk(z)
-        if abs(z) < DEGENERACY_FLOOR:
-            raise _cubic_pole()
-        return z
+    def _off_pole(zs: Sequence[complex]) -> _Samples:
+        """The samples of zs, without those inside the floor of the pole."""
+        col = _Samples(zs)
+        col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
+        return col
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
         a0 = self.a0
-
-        def at(z):
-            z = self._off_pole(z)
-            iz = 1.0 / z
-            iz2 = iz * iz
-            return _jfinite((iz + a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2))
-        return _each(at, zs)
+        col = self._off_pole(zs)
+        return col.jets([(iz + a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2)
+                         for z in col.zs for iz in [1.0 / z] for iz2 in [iz * iz]])
 
     def values(self, zs: Sequence[complex]) -> list:
         a0 = self.a0
-        col = _Samples(zs)
-        col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
+        col = self._off_pole(zs)
         return col.result([1.0 / z + a0 + z for z in col.zs])
 
     def reciprocal_jet(self, z: complex) -> Jet3:
@@ -472,7 +479,9 @@ class Laurent(FamilySpec):
                            () if self.pole is None else (complex(self.pole),))
 
     def _poly_jet(self, u: Jet3) -> Jet3:
-        acc = Jet3.constant(u.base_point, 0j)
+        # u sits at a sample that passed the disk test, so the zero jet
+        # needs no finiteness check
+        acc = _jet(u.base_point, 0j, 0j, 0j, 0j)
         for c in reversed(self.coeffs):
             acc = acc * u + c
         return acc
@@ -484,17 +493,23 @@ class Laurent(FamilySpec):
             acc = [a * u + c for a, u in zip(acc, us)]
         return acc
 
+    def _poly_jets(self, zs: list, us: list) -> list:
+        """_poly_jet of each tuple jet of us, at its sample of zs: the Horner
+        runs per sample in Jet3 arithmetic, whose operator calls perfbench
+        counts."""
+        return [(j.v0, j.v1, j.v2, j.v3)
+                for j in (self._poly_jet(_jet(z, *u)) for z, u in zip(zs, us))]
+
     def eval_jets(self, zs: Sequence[complex]) -> list:
-        # Jet3 arithmetic per sample, whose operator calls perfbench counts
-        def at(z):
-            zj = Jet3.variable(_require_in_disk(z))
-            if self.pole is None:
-                j = self._poly_jet(zj)
-            else:
-                u = zj - self.pole
-                j = self.residue * u.reciprocal() + self._poly_jet(u)
-            return _jfinite((j.v0, j.v1, j.v2, j.v3))
-        return _each(at, zs)
+        # residue * (zj - pole).reciprocal() + poly(zj - pole), or poly(zj)
+        col = _Samples(zs)
+        xs = [(z, _ONE, 0j, 0j) for z in col.zs]
+        if self.pole is None:
+            return col.jets(self._poly_jets(col.zs, xs))
+        us = _jsubs(xs, repeat(_jconst(self.pole)))
+        rs, us = col.jrecip(us, us)
+        return col.jets(_jadds(_jmuls(rs, repeat(_jconst(self.residue))),
+                               self._poly_jets(col.zs, us)))
 
     def values(self, zs: Sequence[complex]) -> list:
         col = _Samples(zs)

@@ -9,10 +9,9 @@ caller bug or unusable input and propagates.
 
 The column kernels evaluate many samples in one call and keep a sample's
 exclusion error in that sample's place, so that one bad sample excludes
-itself alone and a one-sample call (`_only`) raises it again. The jet
-kernels do so through `_each`, per sample; the values kernels and the
-margin columns build the errors as values and place them a column at a
-time.
+itself alone and a one-sample call (`_only`) raises it again. The kernels
+and the margin columns build the errors as values and place them a column
+at a time; none is raised and caught per sample.
 """
 
 from __future__ import annotations
@@ -64,18 +63,6 @@ class SpecParseError(ValueError):
 
 class EmptyScanError(RuntimeError):
     """Every sample of a scan was excluded; no margin statistics exist."""
-
-
-def _each(fn, *columns) -> list:
-    """fn applied to each row of the columns; a row that raises a
-    SampleExclusionError gets the error in place of its value."""
-    out = []
-    for row in zip(*columns):
-        try:
-            out.append(fn(*row))
-        except SampleExclusionError as exc:
-            out.append(exc)
-    return out
 
 
 def _only(results: list):

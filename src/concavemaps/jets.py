@@ -7,15 +7,22 @@ third-order chain rules), so nothing downstream ever finite-differences.
 Third order is deliberately the ceiling: the Schwarzian derivative consumes
 f''' and no consumer needs more.
 
-Each of those rules is written once, as a private function on tuple jets:
-plain (v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`,
-`_jsub`, `_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`,
-`_jpow` built on it). The catalog's k_alpha and sector kernels call them
-directly and hand out plain tuples, which spares them an object per step.
-Jet3's operators run straight into the same rules: `_lift` turns the operand
-into a tuple jet, testing the exact types a caller passes (Jet3, complex,
-float, int) before the slower `numbers.Complex` check that catches every
-other number; the operator reads its own fields once, calls its rule and
+Each of those rules is written as a private function on tuple jets: plain
+(v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`, `_jsub`,
+`_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`, `_jpow`
+built on it), and once more as a column form over a list of tuple jets
+(`_jadds`, `_jsubs`, `_jmuls`, `_jrecips`, `_jlogs`, `_jexps`), one
+comprehension per stage with the same complex operations in the same
+order, so the two agree bit for bit. The catalog's k_alpha and sector
+kernels run the column forms over whole rings (`catalog._Samples` runs the
+tests between them and composes the power). The scalar rules serve Jet3's
+operators alone, which Laurent's jet Horner, the catalog's `reciprocal_jet`
+and `verify`'s second derivative route still call; once Laurent's kernel
+runs on the column forms, the scalar rules go along with the operators.
+Jet3's operators run straight into the scalar rules: `_lift` turns the
+operand into a tuple jet, testing the exact types a caller passes (Jet3,
+complex, float, int) before the slower `numbers.Complex` check that catches
+every other number; the operator reads its own fields once, calls its rule and
 unpacks the result into one unchecked Jet3 (`_jet`), the only object it
 allocates besides the rule's tuples. Both routes do the same complex
 operations in the same order, so they agree bit for bit. The rules and
@@ -42,24 +49,26 @@ operations cannot turn an inf or NaN back into a finite number, so only 1/w
 and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
 and exp rules check their operand on entry, and whoever hands a computed jet
 to another layer checks it: `checked()` on a Jet3, as the catalog's
-`reciprocal_jet` does, or `_jfinite` on tuple fields, as its `eval_jets`
-kernels do. A cube in the quotient and chain rules that overflows raises
-`NonFiniteJetError` too (`_cube`), where complex `**` would raise a bare
-`OverflowError`. `_require_finite`, `_inverse`, `_log` and `_exp` hold the
-scalar tests (finiteness, degeneracy floor, branch cut), which the tuple
-rules run. Their column forms (`_finite_errors`, `_floored`,
-`_inverse_errors`, `_log_errors`) run the same tests over a whole column
-for the catalog's values kernels and return, by position, the error each
-failing entry gets; one helper builds each message (`_not_finite`,
-`_no_inverse`, `_on_cut`, and `_overflowed`, which the cube, the
-pre-Schwarzian, the Schwarzian and the margins share), so the two forms say
-the same.
+`reciprocal_jet` does, or `_jfinite_errors` on a column of tuple jets, as
+its `eval_jets` kernels do. A cube in the quotient and chain rules that
+overflows raises `NonFiniteJetError` too (`_cube`), where complex `**`
+would raise a bare `OverflowError`; a column form reports it by position
+(`_cubed`). `_require_finite`, `_inverse`, `_log` and `_exp` hold the
+scalar tests (finiteness, degeneracy floor, branch cut), which the scalar
+tuple rules run. Their column forms (`_finite_errors`, `_floored`,
+`_inverse_errors`, `_log_errors`, and `_jfinite_errors` for `_jfinite`)
+run the same tests over a whole column for the catalog's kernels and
+return, by position, the error each failing entry gets; one helper builds
+each message (`_not_finite`, `_no_inverse`, `_on_cut`, `_field_not_finite`,
+and `_overflowed`, which the cube, the pre-Schwarzian, the Schwarzian and
+the margins share), so the two forms say the same.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Complex as _Number
 
 from .errors import (
@@ -264,6 +273,108 @@ def _jpow(a: tuple, exponent: complex) -> tuple:
     return _jexp(_jmul(_jlog(a), _jconst(exponent)))
 
 
+# -- column forms of the tuple rules -------------------------------------------
+#
+# Each runs its scalar rule over a list of tuple jets, one comprehension per
+# stage, doing the same complex operations in the same order, so the two
+# agree bit for bit. An operand that every row shares (a lifted constant) is
+# passed as itertools.repeat(c). The rules' tests are column tests that the
+# caller runs first, dropping the rows they name: _jfinite_errors for every
+# rule with an operand test, then _inverse_errors (the reciprocal) or
+# _log_errors (the log) on the values; the exp rule has no other. What can
+# still fail is a cube, which _cubed reports by position.
+
+_FIELDS = ("v0", "v1", "v2", "v3")
+
+
+def _field_not_finite(name: str, w: complex) -> NonFiniteJetError:
+    return NonFiniteJetError(f"jet field {name} is not finite: {w!r}")
+
+
+def _jfinite_errors(js: list) -> dict:
+    """Column form of _jfinite: by position, the error of each jet with a
+    field that is not finite, naming the first, as the constructor does."""
+    if all(map(_isfinite, chain.from_iterable(js))):
+        return {}
+    errors = {}
+    for k, j in enumerate(js):
+        for name, w in zip(_FIELDS, j):
+            if not _isfinite(w):
+                errors[k] = _field_not_finite(name, w)
+                break
+    return errors
+
+
+def _cubed(stage):
+    """The column form stage(js, *columns), a comprehension in which only the
+    cube of field v1 of each of js can overflow, returning its column and,
+    by position, the error _cube raises where that cube overflows. An
+    overflowing ** raises OverflowError out of the whole comprehension, so
+    then the rows go through stage again one at a time; a row whose cube
+    overflows holds None, for the caller to drop with its error."""
+    def rows(js: list, *columns: list) -> tuple[list, dict]:
+        try:
+            return stage(js, *columns), {}
+        except OverflowError:
+            out, errors = [], {}
+            for k, row in enumerate(zip(js, *columns)):
+                try:
+                    out += stage(*([c] for c in row))
+                except OverflowError:
+                    errors[k] = _overflowed(f"cube of {row[0][1]!r}")
+                    out.append(None)
+            return out, errors
+    return rows
+
+
+def _jadds(a, b) -> list:
+    return [(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
+
+
+def _jsubs(a, b) -> list:
+    return [(a0 - b0, a1 - b1, a2 - b2, a3 - b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
+
+
+def _jmuls(a, b) -> list:
+    return [(a0 * b0,
+             a1 * b0 + a0 * b1,
+             a2 * b0 + 2 * a1 * b1 + a0 * b2,
+             a3 * b0 + 3 * a2 * b1 + 3 * a1 * b2 + a0 * b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
+
+
+@_cubed
+def _jrecips(js: list) -> list:
+    """Column form of _jrecip, on jets that passed its tests."""
+    return [(w, -v1 * w2, (2 * v1 * v1 * w - v2) * w2,
+             (-v3 + (6 * v1 * v2 - 6 * v1 ** 3 * w) * w) * w2)
+            for v0, v1, v2, v3 in js for w in [1.0 / v0] for w2 in [w * w]]
+
+
+@_cubed
+def _jlogs(js: list) -> list:
+    """Column form of _jlog, on jets that passed its tests."""
+    return [(cmath.log(w), iw * f1, iw * f2 + g2 * f1 * f1,
+             iw * f3 + 3 * g2 * f1 * f2 + g3 * f1 ** 3)
+            for w, f1, f2, f3 in js
+            for iw in [1.0 / w] for g2 in [-iw * iw] for g3 in [2 * iw ** 3]]
+
+
+@_cubed
+def _exps(js: list, es: list) -> list:
+    return [(e, e * f1, e * f2 + e * f1 * f1,
+             e * f3 + 3 * e * f1 * f2 + e * f1 ** 3)
+            for (_, f1, f2, f3), e in zip(js, es)]
+
+
+def _jexps(js: list) -> tuple[list, dict]:
+    """Column form of _jexp, on jets that passed its test. An exp that
+    overflows raises OverflowError for the whole column, as _exp's does."""
+    return _exps(js, [cmath.exp(j[0]) for j in js])
+
+
 @dataclass(frozen=True, slots=True)
 class Jet3:
     """Value and first three derivatives of an analytic map at `base_point`."""
@@ -278,7 +389,7 @@ class Jet3:
         for name in ("base_point", "v0", "v1", "v2", "v3"):
             w = getattr(self, name)
             if not _isfinite(complex(w)):
-                raise NonFiniteJetError(f"jet field {name} is not finite: {w!r}")
+                raise _field_not_finite(name, w)
 
     def checked(self) -> "Jet3":
         """This jet, after the constructor's finiteness check."""

@@ -59,7 +59,7 @@ from itertools import compress, count
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
 from .errors import (EmptyScanError, IndeterminateSampleError,
-                     SampleExclusionError, SpecParseError)
+                     PoleProximityError, SampleExclusionError, SpecParseError)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
 from .operators import (OperatorPoint, _a_f, _check_alpha, _check_p,
                         _co_alpha, _kept, _m, _one, _phis, _q, _Ring,
@@ -216,13 +216,18 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
 
 def _ring(spec: FamilySpec, zs: list[complex], epsilon: float | None) -> _Ring:
     """The samples zs through far_from_poles (unless epsilon is None; a
-    sample near a pole is dropped with None for its error), the family's
+    sample near a pole is dropped with a PoleProximityError), the family's
     column kernel and the ring's own tests (see _Ring.take)."""
     ring = _Ring(zs)
     if epsilon is not None:
         far = spec.far_from_poles(ring.zs, epsilon)
-        ring.drop({k: None for k, ok in enumerate(far) if not ok}, ring.zs)
+        ring.drop({k: _near_pole(ring.zs[k], epsilon)
+                   for k, ok in enumerate(far) if not ok}, ring.zs)
     return ring.take(spec.eval_jets(ring.zs))
+
+
+def _near_pole(z: complex, epsilon: float) -> PoleProximityError:
+    return PoleProximityError(f"sample {z!r} lies within {epsilon!r} of a pole")
 
 
 # -- the token table ------------------------------------------------------------

@@ -24,8 +24,11 @@ contiguous run of included angles; arcs near poles (by the scans' own rule,
 `FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
 and reported, never bridged. A sample where f overflows stops the curve
 (NonFiniteJetError): the arc it would open would pass for a pole's. A run
-with a point of modulus 2^500 or more is scaled down by a power of two
-before it is turned, so that the cross and dot products stay finite. A curve
+with a point of modulus 2^500 or more, or with none of modulus 2^-500, is
+scaled by a power of two before it is turned, so that the cross and dot
+products of a run that far from unit size neither overflow nor underflow;
+points collapse into one only when they lie closer than the run's own size
+allows (1e-15 of its largest modulus). A curve
 measures its turning defect when the defect is first read, and keeps it:
 the oracle reads it once per curve, a `curve` JSON report once, and a CSV
 report, which does not hold it, never.
@@ -53,8 +56,10 @@ _DEFAULT_RADII = (0.99, 0.999, 0.9999)
 DEFAULT_ANGLES = 4096
 # a curve point within this of the real axis lies on it
 _AXIS_TOL = 1e-9
-# a run with a point this far out is scaled down before it is turned
+# a run with a point this far out, or with none this far, is scaled by a
+# power of two before it is turned
 _TURN_BIG = 2.0 ** 500
+_TURN_SMALL = 2.0 ** -500
 
 
 @dataclass(frozen=True)
@@ -172,25 +177,25 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
 def _turns(points: list[complex], closed: bool) -> list[float]:
     """Turning angles of the polygon through points, in one pass.
 
-    A run with a point of modulus 2^500 or more is first scaled by the power
-    of two that takes its largest coordinate into [1, 2). Successive points
-    closer than 1e-15 * max(1, max |w|) collapse into the first of them; a
-    closed curve whose last point then lies within 1e-15 * max(1, |first|)
-    of its first drops it. Each kept edge w - last is the one the collapse
-    measured, and each turn is the atan2 of the cross and dot products of
-    two successive edges: one per inner vertex of an open run, one per
-    vertex of a closed one, the first at points[0].
+    A run whose largest modulus reaches 2^500 or lies below 2^-500 is first
+    scaled by the power of two that takes its largest coordinate into
+    [1, 2). Successive points closer than 1e-15 * max |w| collapse into the
+    first of them; a closed curve whose last point then lies within
+    1e-15 * |first| of its first drops it. Each kept edge w - last is the
+    one the collapse measured, and each turn is the atan2 of the cross and
+    dot products of two successive edges: one per inner vertex of an open
+    run, one per vertex of a closed one, the first at points[0].
     """
     try:
         big = max(map(abs, points))
     except OverflowError:  # an |w| beyond the floats
         big = math.inf
-    if big >= _TURN_BIG:
+    if big >= _TURN_BIG or big < _TURN_SMALL:
         e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
         points = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
                   for w in points]
         big = max(map(abs, points))
-    tol = 1e-15 * max(1.0, big)
+    tol = 1e-15 * big
     first = last = before = points[0]
     # the first kept edge, the last one and the one before it
     e0 = e1 = e_before = None
@@ -206,7 +211,7 @@ def _turns(points: list[complex], closed: bool) -> list[float]:
             e_before, e1 = e1, e2
     if not closed:
         return turns
-    if e1 is not None and abs(first - last) <= 1e-15 * max(1.0, abs(first)):
+    if e1 is not None and abs(first - last) <= 1e-15 * abs(first):
         last, e1 = before, e_before
         if turns:
             turns.pop()

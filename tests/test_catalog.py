@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import struct
+from itertools import repeat
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,15 +12,17 @@ from hypothesis import strategies as st
 
 from concavemaps import jets
 from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
-                                 HalfPlane, KAlpha, Kp, Laurent,
+                                 HalfPlane, KAlpha, Kp, Laurent, _Samples,
                                  _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
-                                SampleExclusionError, SpecParseError, _each)
+                                SampleExclusionError, SpecParseError)
 from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _exp,
                               _finite_errors, _floored, _inverse,
-                              _inverse_errors, _log, _log_errors,
-                              _require_finite)
+                              _inverse_errors, _jadd, _jadds, _jconst, _jexp,
+                              _jexps, _jfinite, _jfinite_errors, _jlog,
+                              _jlogs, _jmul, _jmuls, _jpow, _jrecip, _jsub,
+                              _jsubs, _log, _log_errors, _require_finite)
 from concavemaps.operators import OperatorPoint
 
 
@@ -415,15 +418,28 @@ def test_kernels_match_jet3_composition(spec, z):
         lambda u: _ref_eval_jet(spec, u).reciprocal().checked(), z), (spec, z)
 
 
-# -- column values kernels against the per-sample kernels they replaced ----------
+# -- column kernels against the per-sample kernels they replaced ---------------
 #
-# Each family's values(zs) runs one comprehension per arithmetic stage over
-# the whole column and puts each excluded sample's error in its place. The
-# references are the per-sample kernels that did the work before, applied one
-# sample at a time through _each. The columns must agree with them bit for
-# bit, signed zeros included, with the same error classes and messages, and
-# raise the same error for the whole call where a sample lies outside the
-# disk.
+# Each family's values(zs) and eval_jets(zs) run one comprehension per
+# arithmetic stage over the whole column and put each excluded sample's
+# error in its place (Laurent's eval_jets keeps a per-sample Jet3 Horner).
+# The references are the per-sample kernels that did the work before,
+# applied one sample at a time through _each. The columns must agree with
+# them bit for bit, signed zeros included, with the same error classes and
+# messages, and raise the same error for the whole call where a sample lies
+# outside the disk.
+
+def _each(fn, *columns):
+    """fn applied to each row of the columns; a row that raises a
+    SampleExclusionError gets the error in place of its value."""
+    out = []
+    for row in zip(*columns):
+        try:
+            out.append(fn(*row))
+        except SampleExclusionError as exc:
+            out.append(exc)
+    return out
+
 
 def _ref_poly(spec, u):
     acc = 0j
@@ -432,9 +448,23 @@ def _ref_poly(spec, u):
     return acc
 
 
+def _ref_off_pole(z):
+    z = _require_in_disk(z)
+    if abs(z) < DEGENERACY_FLOOR:
+        raise PoleProximityError("1/z + a0 + z has its pole at 0")
+    return z
+
+
+def _ref_kp_denominator(c, z):
+    d = 1.0 - c * z + z * z
+    if abs(d) < DEGENERACY_FLOOR:
+        raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
+    return d
+
+
 def _ref_value(spec, z):
     if isinstance(spec, Co0Cubic):
-        z = Co0Cubic._off_pole(z)
+        z = _ref_off_pole(z)
         return _require_finite(1.0 / z + spec.a0 + z)
     z = _require_in_disk(z)
     if isinstance(spec, HalfPlane):
@@ -449,22 +479,80 @@ def _ref_value(spec, z):
         return _require_finite(
             _exp(_log(s) * complex(1.0 + spec.b)) * spec.lead + spec.B)
     if isinstance(spec, Kp):
-        return _require_finite(z / Kp._denominator(spec.p + 1.0 / spec.p, z))
+        return _require_finite(
+            z / _ref_kp_denominator(spec.p + 1.0 / spec.p, z))
     if spec.pole is None:
         return _require_finite(_ref_poly(spec, z))
     u = z - complex(spec.pole)
     return _require_finite(_inverse(u, z) * spec.residue + _ref_poly(spec, u))
 
 
+_J_ONE = _jconst(_ONE)
+
+
+def _ref_jets(spec, z):
+    """The jet fields at z, as each family's per-sample kernel built them."""
+    if isinstance(spec, HalfPlane):
+        z = _require_in_disk(z)
+        u = 1.0 - z
+        iu = 1.0 / u
+        return _jfinite((z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4))
+    if isinstance(spec, KAlpha):
+        scale = _jrecip(_jconst(2.0 * spec.alpha), 0j)
+        z = _require_in_disk(z)
+        x = (z, _ONE, 0j, 0j)
+        u = _jmul(_jadd(x, _J_ONE), _jrecip(_jsub(_J_ONE, x), z))
+        return _jfinite(_jmul(_jsub(_jpow(u, spec.alpha), _J_ONE), scale))
+    if isinstance(spec, AngleMap):
+        lam, lead = _jconst(spec.lam), _jconst(spec.lead)
+        z = _require_in_disk(z)
+        x = (z, _ONE, 0j, 0j)
+        s = _jmul(_jsub(x, lam), _jrecip(_jmul(_jsub(x, _J_ONE), lam), z))
+        return _jfinite(_jadd(_jmul(_jpow(s, 1.0 + spec.b), lead),
+                              _jconst(spec.B)))
+    if isinstance(spec, Kp):
+        c = spec.p + 1.0 / spec.p
+        z = _require_in_disk(z)
+        d = _ref_kp_denominator(c, z)
+        id2 = 1.0 / (d * d)
+        z2 = z * z
+        return _jfinite((
+            z / d,
+            (1.0 - z2) * id2,
+            2 * (c - 3 * z + z * z2) * id2 / d,
+            6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
+        ))
+    if isinstance(spec, Co0Cubic):
+        z = _ref_off_pole(z)
+        iz = 1.0 / z
+        iz2 = iz * iz
+        return _jfinite((iz + spec.a0 + z, 1.0 - iz2, 2 * iz2 * iz,
+                         -6 * iz2 * iz2))
+    zj = Jet3.variable(_require_in_disk(z))
+    if spec.pole is None:
+        j = spec._poly_jet(zj)
+    else:
+        u = zj - spec.pole
+        j = spec.residue * u.reciprocal() + spec._poly_jet(u)
+    return _jfinite((j.v0, j.v1, j.v2, j.v3))
+
+
+def _packed(w):
+    """A value or a tuple jet as packed doubles."""
+    ws = w if isinstance(w, tuple) else (w,)
+    return struct.pack(f"<{2 * len(ws)}d",
+                       *(x for v in ws for x in (v.real, v.imag)))
+
+
 def _column_bits(values, zs):
-    """Per sample, the value's packed doubles or the error's class and
+    """Per sample, the entry's packed doubles or the error's class and
     message; or the class and message of an error the whole call raised."""
     try:
         out = values(zs)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return [(type(w), str(w)) if isinstance(w, SampleExclusionError)
-            else (type(w), struct.pack("<2d", w.real, w.imag)) for w in out]
+            else (type(w), _packed(w)) for w in out]
 
 
 def _kernel_exclusions(spec):
@@ -526,6 +614,38 @@ def test_values_columns_match_the_per_sample_kernels(spec_and_zs):
         lambda col: _each(lambda z: _ref_value(spec, z), col), zs), (spec, zs)
 
 
+@given(spec_columns())
+@settings(max_examples=600, deadline=None)
+@example((Kp(0.5), [0.5 + 0j, 0.3j, 0.5000000000001 + 0j, 0.5 - 1e-13j,
+                    complex("nan")]))
+@example((Co0Cubic(0.3 + 0.2j), [0.5 + 0j, 0j, 1e-13j, complex(-1e-13, 0.0),
+                                 0.5j]))
+@example((Laurent(0.5, 1.0 + 0j, (0j, 1.0 + 0j)),
+          [0.5 + 1e-13j, 0.5 + 0j, 0.5 - 1e-13 + 0j, 0.5 + 1e-13 + 0j,
+           -0.2 + 0j]))
+@example((Laurent(0.0, 2.0 - 1j, (1j,)), [1e-13 + 0j, 0j, -1e-13j, 0.5j]))
+@example((KAlpha(1.5), [1.0 - 1e-13 + 0j, complex(-1.0 + 1e-13, 0.0),
+                        complex(-1.0 + 1e-13, 1e-17), 0.1 + 0j,
+                        -1.0 + 1e-11 + 0j]))
+@example((AngleMap(-0.5 + 0j), [AngleMap(-0.5 + 0j).lam * (1.0 - 1e-13),
+                                AngleMap(-0.5 + 0j).lam * (1.0 - 1e-11),
+                                1.0 - 1e-13 + 0j, 0.2j]))
+@example((HalfPlane(), [complex(math.nan, 0.0), 0.5 + 0j, 1.5 + 0j,
+                        2.0 + 0j]))
+@example((KAlpha(2.0), [complex(0.0, math.inf), 0.5 + 0j,
+                        complex(math.nan, math.nan)]))
+@example((Kp(0.5), [0.3 + 0j, complex(1.5e308, 1.5e308), 1.5 + 0j]))
+@example((Laurent(None, 0j, (complex(-0.0, -0.0), 1.0 + 0j)),
+          [complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 + 0j]))
+@example((Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), [0.9 + 0j, 0.1j]))
+@example((AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), [0.5 + 0j, 0.1j]))
+@example((Kp(5e-324), [0.5 + 0j, 0.5j, 0j]))
+def test_eval_jets_columns_match_the_per_sample_kernels(spec_and_zs):
+    spec, zs = spec_and_zs
+    assert _column_bits(spec.eval_jets, zs) == _column_bits(
+        lambda col: _each(lambda z: _ref_jets(spec, z), col), zs), (spec, zs)
+
+
 # Operands for the column rules: anything complex, plus entries on each
 # side of the floor and of the cut, signed zeros, NaNs and an |w| too large
 # for a float.
@@ -576,6 +696,83 @@ def test_column_rules_match_the_scalar_rules(ws):
     finite = [w for w in ws if cmath.isfinite(w) and abs(w.real) < 1e300]
     assert _floored(finite) == [k for k, w in enumerate(finite)
                                 if abs(w) < DEGENERACY_FLOOR]
+
+
+# Tuple jets for the column forms of the tuple rules: fields drawn from the
+# operands above, plus entries large enough that a cube or an exp overflows.
+jet_fields = st.one_of(rule_operands, st.sampled_from([
+    1e200 + 0j, complex(0.0, -1e110), 800.0 + 0j, complex(1e300, 1e300)]))
+tuple_jets = st.tuples(jet_fields, jet_fields, jet_fields, jet_fields)
+
+
+def _rows_by_scalar(rule, js, *args):
+    """Per row, the scalar rule's packed jet or its error's class and
+    message; or the class of another error it raised, which ends the call."""
+    out = []
+    for j, *row in zip(js, *args):
+        try:
+            out.append(_packed(rule(j, *row)))
+        except SampleExclusionError as exc:
+            out.append((type(exc), str(exc)))
+        except ArithmeticError as exc:
+            return type(exc)
+    return out
+
+
+def _rows_by_columns(evaluate, js):
+    """The same through the column forms: evaluate(col, js) on a column
+    whose samples are the rows' base points, each dropped row's error put
+    back in its place."""
+    col = _Samples([0.01j * k for k in range(len(js))])
+    try:
+        ws = col.placed(evaluate(col, js))
+    except ArithmeticError as exc:
+        return type(exc)
+    return [(type(w), str(w)) if isinstance(w, SampleExclusionError)
+            else _packed(w) for w in ws]
+
+
+def _staged(tests, stage):
+    """The column rule stage after its tests, each dropping what it names."""
+    def evaluate(col, js):
+        for test in tests:
+            js = col.drop(test(js), js)
+        ws, errors = stage(js)
+        return col.drop(errors, ws)
+    return evaluate
+
+
+def _log_test(js):
+    return _log_errors([j[0] for j in js])
+
+
+@given(st.lists(tuple_jets, max_size=8), st.lists(tuple_jets, max_size=8),
+       st.sampled_from((1.0, 1.5, 2.0, 0.5 - 2j)))
+@settings(max_examples=200, deadline=None)
+@example([(1.0 + 0j, 1e200 + 0j, 0j, 0j), (0.5 + 0j, _ONE, 0j, 0j)], [],
+         1.5)  # a cube overflows in the reciprocal and the log
+@example([(0j, 1e200 + 0j, 0j, 0j), (0.5 + 0j, _ONE, 0j, 0j)], [], 1.5)
+@example([(2.0 + 0j, complex(math.nan, 0.0), 0j, 0j),
+          (complex(-1.0, 1e-12), _ONE, 0j, 0j), (1e-13 + 0j, _ONE, 0j, 0j)],
+         [(_ONE, 0j, complex(0.0, math.inf), 0j)], 2.0)
+def test_column_tuple_rules_match_the_scalar_rules(js, others, exponent):
+    pairs = min(len(js), len(others))
+    for column, scalar in ((_jadds, _jadd), (_jsubs, _jsub), (_jmuls, _jmul)):
+        assert [_packed(j) for j in column(js, others)] == [
+            _packed(scalar(a, b)) for a, b in zip(js[:pairs], others)]
+        assert [_packed(j) for j in column(js, repeat(_J_ONE))] == [
+            _packed(scalar(a, _J_ONE)) for a in js]
+    assert {k: (type(e), str(e)) for k, e in _jfinite_errors(js).items()} \
+        == _scalar_errors(_jfinite, js)
+    zs = [0.01j * k for k in range(len(js))]
+    for evaluate, scalar, args in (
+            (lambda col, js: col.jrecip(js)[0], _jrecip, (zs,)),
+            (_staged((_jfinite_errors, _log_test), _jlogs), _jlog, ()),
+            (_staged((_jfinite_errors,), _jexps), _jexp, ()),
+            (lambda col, js: col.jpow(js, exponent), _jpow,
+             (repeat(exponent),))):
+        assert _rows_by_columns(evaluate, js) == _rows_by_scalar(
+            scalar, js, *args), scalar.__name__
 
 
 def test_column_rules_keep_abs_off_nans_after_a_stale_overflow():

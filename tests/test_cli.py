@@ -497,12 +497,12 @@ def _curve_json(b):
 
 def test_curve_of_a_scaled_map_has_the_map_own_defect(capsys):
     defects = []
-    for b in ("1", "1e160"):
+    for b in ("1", "1e160", "1e-16"):
         code, out, _ = run(capsys, _curve_json(b))
         assert code == 0
         defects.append(json.loads(out)["convexity_defect"])
-    assert math.isfinite(defects[1])
-    assert abs(defects[1] - defects[0]) < 1e-9
+    assert all(math.isfinite(d) for d in defects)
+    assert all(abs(d - defects[0]) < 1e-9 for d in defects[1:])
 
 
 def test_curve_where_f_overflows_exits_three(capsys):

@@ -641,7 +641,8 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
         margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"),
                          kw.get("a"))
         # per grid sample, its z and its packed reference: the margin, the
-        # class and message of its exclusion, or None near a pole
+        # class and message of its exclusion, or None near a pole, where
+        # the ring holds a PoleProximityError naming the sample and epsilon
         want_swept = []
         if origin_pole:
             want_swept.append((0j, None if ref_at_pole is None
@@ -650,7 +651,8 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
             kept, ms = margin[0](ring)
             for z, got in zip(zs, kept.result(ms)):
                 if eps is not None and not spec.far_from_poles([z], eps)[0]:
-                    assert got is None
+                    assert type(got) is PoleProximityError
+                    assert str(got) == f"sample {z!r} lies within {eps!r} of a pole"
                     want_swept.append((z, None))
                     continue
                 want = _packed(lambda: _ref_margin(ref, spec, z))

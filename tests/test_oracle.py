@@ -5,7 +5,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps import oracle
@@ -270,8 +270,7 @@ def test_oracle_curves_share_one_list_of_unit_vectors(monkeypatch):
 # -- the one-pass turning against the collapse-then-turn it replaced --------------
 
 def _reference_collapse(points):
-    scale = max(1.0, max(abs(w) for w in points))
-    tol = 1e-15 * scale
+    tol = 1e-15 * max(abs(w) for w in points)
     out = [points[0]]
     for w in points[1:]:
         if abs(w - out[-1]) > tol:
@@ -281,8 +280,8 @@ def _reference_collapse(points):
 
 def _reference_turns(points, closed):
     pts = _reference_collapse(points)
-    if closed and len(pts) > 1 and abs(pts[0] - pts[-1]) <= 1e-15 * max(
-            1.0, abs(pts[0])):
+    if closed and len(pts) > 1 and abs(pts[0] - pts[-1]) <= 1e-15 * abs(
+            pts[0]):
         pts.pop()
     m = len(pts)
     out = []
@@ -324,9 +323,16 @@ runs_with_repeats = st.lists(
 @example([0j, 1 + 0j, 1 + 1e-17j], True, False)
 @example([1 + 0j, 1j, -1 + 0j, -1j], True, True)
 @example([0j, 1 + 0j, 1j, 1e-15 + 0j], True, False)  # last at the tolerance
+# smaller than 1e-15 in all, and turned as the unit-sized runs are
+@example([0j, 1e-16 + 0j, 1e-16 + 1e-16j], True, False)
+@example([1e-16 + 0j, 1e-16j, -1e-16 + 0j, 1e-16 + 1e-31j], True, False)
+@example([0.5 + 0j, 0.5 + 6e-16j, 0.5 + 1e-15j], False, False)
 def test_turns_match_collapse_then_turn(points, closed, close_up):
     if close_up:
         points = points + [points[0]]  # the last point equals the first
+    # the reference does not scale: keep its products clear of underflow
+    big = max(abs(w) for w in points)
+    assume(big == 0.0 or big >= 2.0 ** -500)
     _same_turns(points, closed)
 
 
@@ -370,18 +376,34 @@ def test_a_scaled_angle_map_keeps_its_defects(c):
 
 
 @given(runs_with_repeats.filter(lambda ws: any(ws)), st.booleans(),
-       st.sampled_from((500, 700, 1000)))
+       st.sampled_from((500, 700, 1000, -502, -700, -1000)))
 @settings(max_examples=100, deadline=None)
 def test_a_run_past_2_to_the_500_turns_as_it_does_scaled_down(points, closed, k):
     # a power of two takes the run's largest coordinate into [1, 2), where
-    # the turning reads it as it is, and then to [2^k, 2^(k+1))
+    # the turning reads it as it is, and then to [2^k, 2^(k+1)), where every
+    # modulus lies past 2^500 or below 2^-500: there the products would
+    # overflow unscaled, or underflow
     e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
     near_one = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
                 for w in points]
     far = [complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
            for w in near_one]
+    # only a scaling that loses no bit to the subnormals is the same run
+    assume(all(complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k)) == v
+               for w, v in zip(far, near_one)))
     assert _packed(oracle._turns(far, closed)) == _packed(
         oracle._turns(near_one, closed))
+
+
+@pytest.mark.parametrize("c", ["1e-13", "1e-16", "1e-200", "1e-310"])
+def test_a_tiny_identity_is_rejected_as_the_identity_is(c):
+    # every point of its curve lay within the absolute 1e-15 that once
+    # collapsed them, so the closed curve turned by 0 and passed
+    got = _defects(parse_spec(f"laurent:b=[0,{c}]"))
+    want = _defects(parse_spec("identity"))
+    assert all(abs(d - TWO_PI) < 1e-9 for d in want)
+    assert all(abs(g - w) < 1e-9 for g, w in zip(got, want, strict=True))
+    assert oracle_concave(parse_spec(f"laurent:b=[0,{c}]")) == ORACLE_BAD
 
 
 def test_an_overflow_on_the_curve_is_no_excluded_arc():

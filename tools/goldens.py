@@ -21,8 +21,9 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `margins` runs that end in an input error: alpha and p out of range or
     NaN, thm4 at a p where the spec has no pole, an unknown token, a missing
     parameter, and an invalid parameter on f = 0, which has no usable sample;
-  * `classify` and `curve` runs on specs scaled near the float range, whose
-    turning must match the unscaled spec's (see SCALED_RUNS).
+  * `classify` and `curve` runs on specs scaled near the float range, or
+    far below unit size, whose turning must match the unscaled spec's (see
+    SCALED_RUNS).
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -80,7 +81,9 @@ KERNEL_CURVES = (("kp:p=0.5", ("0.5", "0.5000000000001")),
 
 # The recipcubic control and anglemap:a=-0.5 times 1e160, whose turning
 # products overflow unless the oracle scales the curve down; f = 1e160 z,
-# likewise; and f = 1e308 (z + z^2), which overflows on the curve itself.
+# likewise; f = 1e308 (z + z^2), which overflows on the curve itself; and
+# f = 1e-16 z, whose whole curve is smaller than an absolute collapse
+# tolerance of 1e-15.
 SCALED_RUNS = (
     ("classify", "--function", "laurent:p=0;res=1e160;b=[0,0,2e160]",
      "--class", "co0"),
@@ -90,6 +93,9 @@ SCALED_RUNS = (
     ("curve", "--function", "laurent:b=[0,1e308,1e308]", "--r", "0.99",
      "--angles", "64", "--format", "json"),
     ("classify", "--function", "laurent:b=[0,1e308,1e308]", "--class", "co"),
+    ("curve", "--function", "laurent:b=[0,1e-16]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+    ("classify", "--function", "laurent:b=[0,1e-16]", "--class", "co"),
 )
 
 
