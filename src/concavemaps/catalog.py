@@ -7,8 +7,8 @@ interior-pole extremal k_p, the cubic 1/z + a0 + z, and general truncated
 Laurent series with an optional simple pole. The half-plane map, k_p and
 the cubic carry hand-derived derivative formulas. k_alpha, the sector maps
 and the pole term of a Laurent series compose their jets from the column
-forms of the tuple rules of `jets`, so the branch handling lives in one
-place (the log rule); a Laurent series runs its Horner in Jet3 arithmetic.
+rules of `jets`, so the branch handling lives in one place (the log rule);
+a Laurent series runs its Horner in Jet3 arithmetic.
 
 Each family has two column kernels, which take a list of samples (one ring
 of a grid, or one oracle curve) and return one entry per sample:
@@ -22,10 +22,10 @@ checks that the samples lie in the disk (`_Samples`), then each arithmetic
 stage is one comprehension over the samples still live (Laurent's values
 Horner loop runs over the coefficients with the samples inside; its jet
 Horner runs per sample in Jet3 arithmetic, after the column tests).
-Between stages the column forms of the finiteness, degeneracy-floor and
-branch-cut tests of `jets` name the samples that fail; those are dropped
-and their errors placed as values, never raised and caught. Each error is
-the one the scalar test raises, its message built by the same helper.
+Between stages the finiteness, degeneracy-floor and branch-cut tests of
+`jets` name the samples that fail; those are dropped and their errors
+placed as values, never raised and caught. Each message is built by the
+one helper of `jets` that Jet3's operators use too.
 eval_jet(z) and value(z) are one-sample calls into the kernels that raise
 the stored error again.
 
@@ -64,9 +64,8 @@ from itertools import chain, compress, repeat
 from .errors import (NonFiniteJetError, PoleProximityError,
                      SampleExclusionError, SpecParseError, _only)
 from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
-                   _inverse, _inverse_errors, _jadds, _jconst, _jet,
-                   _jexps, _jfinite_errors, _jlogs, _jmuls, _jrecips, _jsubs,
-                   _log_errors)
+                   _inverse_errors, _jadds, _jconst, _jet, _jfinite_errors,
+                   _jmuls, _jrecips, _jsubs, _log_errors, _Rows)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -91,7 +90,7 @@ def _require_in_disk(z: complex) -> complex:
     return z
 
 
-class _Samples:
+class _Samples(_Rows):
     """The samples of one kernel call that are still being evaluated.
 
     zs holds them in call order. The constructor makes, in one ordered pass,
@@ -99,9 +98,9 @@ class _Samples:
     is dropped with its error, and the first one outside the disk raises
     ValueError for the whole call. drop takes out the samples that fail a
     later test, from zs and from the kernel's column alongside it; result
-    and jets put each dropped sample's error back in its place. pow, jrecip
-    and jpow run a rule's tests, drop the samples that fail them, and
-    compute the rule over the rest.
+    and jets put each dropped sample's error back in its place. pow, and the
+    jet rules of `_Rows` (jrecip, jpow), run a rule's tests, drop the
+    samples that fail them, and compute the rule over the rest.
     """
 
     __slots__ = ("n", "zs", "at", "errors")
@@ -127,13 +126,10 @@ class _Samples:
                     raise _outside_disk(z)
             self.drop(errors, zs)
 
-    def drop(self, errors: dict, ws: list) -> list:
-        """ws without the entries errors names by position; the same samples
-        leave zs, and their errors are kept for the result."""
-        return self.drop_rows(errors, ws)[0]
-
     def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
-        """drop for several columns aligned with zs at once."""
+        """The columns, aligned with zs, without the entries errors names by
+        position; the same samples leave zs, and their errors are kept for
+        the result."""
         if not errors:
             return columns
         at = range(self.n) if self.at is None else self.at
@@ -145,28 +141,11 @@ class _Samples:
         return tuple(list(compress(ws, keep)) for ws in columns)
 
     def pow(self, ws: list, exponent: complex) -> list:
-        """_exp(_log(w) * exponent) for each of ws that passes their tests."""
+        """exp(log(w) * exponent) for each of ws that passes the tests of
+        the log and then of the exp."""
         ws = self.drop(_log_errors(ws), ws)
         ls = [cmath.log(w) * exponent for w in ws]
         return list(map(cmath.exp, self.drop(_finite_errors(ls), ls)))
-
-    def jrecip(self, js: list, *carry: list) -> tuple[list, ...]:
-        """_jrecip of each of js (tuple jets at zs) that passes its tests,
-        and carry, columns aligned with js, without the samples that fail."""
-        js, *carry = self.drop_rows(_jfinite_errors(js), js, *carry)
-        js, *carry = self.drop_rows(
-            _inverse_errors([j[0] for j in js], self.zs), js, *carry)
-        rs, errors = _jrecips(js)
-        return self.drop_rows(errors, rs, *carry)
-
-    def jpow(self, js: list, exponent: complex) -> list:
-        """_jpow(j, exponent) for each of js that passes its tests."""
-        js = self.drop(_jfinite_errors(js), js)
-        js = self.drop(_log_errors([j[0] for j in js]), js)
-        ls, errors = _jlogs(js)
-        ms = _jmuls(self.drop(errors, ls), repeat(_jconst(exponent)))
-        es, errors = _jexps(self.drop(_jfinite_errors(ms), ms))
-        return self.drop(errors, es)
 
     def result(self, ws: list) -> list:
         """The call's column: per sample, its entry of ws once tested finite,
@@ -286,7 +265,7 @@ class KAlpha(FamilySpec):
 
     def values(self, zs: Sequence[complex]) -> list:
         alpha = complex(self.alpha)
-        scale = _inverse(complex(2.0 * self.alpha), 0j)
+        scale = 1.0 / complex(2.0 * self.alpha)  # 2 alpha >= 2: no test fails
         col = _Samples(zs)
         ds = [_ONE - z for z in col.zs]
         ds = col.drop(_inverse_errors(ds, col.zs), ds)

@@ -7,29 +7,29 @@ third-order chain rules), so nothing downstream ever finite-differences.
 Third order is deliberately the ceiling: the Schwarzian derivative consumes
 f''' and no consumer needs more.
 
-Each of those rules is written as a private function on tuple jets: plain
-(v0, v1, v2, v3) tuples at a base point the caller keeps (`_jadd`, `_jsub`,
-`_jconst`, `_jmul`, `_jrecip`, `_jcompose`, and `_jlog`, `_jexp`, `_jpow`
-built on it), and once more as a column form over a list of tuple jets
-(`_jadds`, `_jsubs`, `_jmuls`, `_jrecips`, `_jlogs`, `_jexps`), one
-comprehension per stage with the same complex operations in the same
-order, so the two agree bit for bit. The catalog's k_alpha and sector
-kernels run the column forms over whole rings (`catalog._Samples` runs the
-tests between them and composes the power). The scalar rules serve Jet3's
-operators alone, which Laurent's jet Horner, the catalog's `reciprocal_jet`
-and `verify`'s second derivative route still call; once Laurent's kernel
-runs on the column forms, the scalar rules go along with the operators.
-Jet3's operators run straight into the scalar rules: `_lift` turns the
-operand into a tuple jet, testing the exact types a caller passes (Jet3,
-complex, float, int) before the slower `numbers.Complex` check that catches
-every other number; the operator reads its own fields once, calls its rule and
-unpacks the result into one unchecked Jet3 (`_jet`), the only object it
-allocates besides the rule's tuples. Both routes do the same complex
-operations in the same order, so they agree bit for bit. The rules and
-`_lift` stay private: perfbench's tracer spans every public function of this
-module, and a span per arithmetic step would swamp a traced run.
-`_schwarzians` is the Schwarzian from fields over a column, which the grid
-scans call once per ring and `schwarzian` for one jet.
+Each rule is written once, on columns of tuple jets: lists of plain
+(v0, v1, v2, v3) tuples at base points the caller keeps (`_jadds`,
+`_jsubs`, `_jmuls`, `_jrecips`, `_jlogs`, `_jexps`), one comprehension per
+stage. So are the tests of a rule (finiteness, degeneracy floor, branch
+cut), which return by position the error each failing entry gets. `_Rows`
+runs the tests of the reciprocal, log, exp and power in their one order,
+then the rule over the rows that pass; its subclass says what becomes of a
+failing row. The catalog's kernels run it over whole rings as
+`catalog._Samples`, which drops the row and places its error in the
+kernel's result. Jet3's operators run it on one row (`_Row`), which raises
+the error; each lifts its operand to a tuple jet (`_lift`) and unpacks the
+rule's one row into one unchecked Jet3 (`_jet`).
+
+Sum and product alone have a per-sample form besides (`_jadd`, `_jmul`),
+which Jet3's + and * run: Laurent's jet Horner runs them about thirty times
+per sample, where a one-row column costs twice as much. They stay until
+the benchmark counts column rules in place of Jet3's operators and the
+Horner moves onto columns. Each does its column form's complex operations
+in the same order, so the two agree bit for bit. The rules and `_lift` stay
+private: perfbench's tracer spans every public function of this module,
+and a span per arithmetic step would swamp a traced run. `_schwarzians` is
+the Schwarzian from fields over a column, which the grid scans call once
+per ring and `schwarzian` for one jet.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -47,28 +47,22 @@ test each of their fields once and call it only when one fails, so their
 errors read the same. Jet operations build their results unchecked. Ring
 operations cannot turn an inf or NaN back into a finite number, so only 1/w
 and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
-and exp rules check their operand on entry, and whoever hands a computed jet
-to another layer checks it: `checked()` on a Jet3, as the catalog's
-`reciprocal_jet` does, or `_jfinite_errors` on a column of tuple jets, as
-its `eval_jets` kernels do. A cube in the quotient and chain rules that
-overflows raises `NonFiniteJetError` too (`_cube`), where complex `**`
-would raise a bare `OverflowError`; a column form reports it by position
-(`_cubed`). `_require_finite`, `_inverse`, `_log` and `_exp` hold the
-scalar tests (finiteness, degeneracy floor, branch cut), which the scalar
-tuple rules run. Their column forms (`_finite_errors`, `_floored`,
-`_inverse_errors`, `_log_errors`, and `_jfinite_errors` for `_jfinite`)
-run the same tests over a whole column for the catalog's kernels and
-return, by position, the error each failing entry gets; one helper builds
-each message (`_not_finite`, `_no_inverse`, `_on_cut`, `_field_not_finite`,
-and `_overflowed`, which the cube, the pre-Schwarzian, the Schwarzian and
-the margins share), so the two forms say the same.
+and exp rules test their operand's fields first (`_jfinite_errors`), and
+whoever hands a computed jet to another layer checks it: `checked()` on a
+Jet3, as the catalog's `reciprocal_jet` does, or `_jfinite_errors` on a
+column of tuple jets, as its `eval_jets` kernels do. A cube in the quotient
+and chain rules that overflows, where complex `**` raises a bare
+`OverflowError`, gives its row `NonFiniteJetError` (`_cubed`), as an inf
+field does. One helper builds each message (`_not_finite`, `_no_inverse`,
+`_on_cut`, `_field_not_finite`, and `_overflowed`, which the cube, the
+pre-Schwarzian, the Schwarzian and the margins share).
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Complex as _Number
 
 from .errors import (
@@ -104,53 +98,17 @@ def _overflowed(what: str) -> NonFiniteJetError:
     return NonFiniteJetError(f"{what} overflowed")
 
 
-def _require_finite(w: complex) -> complex:
-    if not _isfinite(w):
-        raise _not_finite(w)
-    return w
-
-
-def _inverse(w: complex, z: complex) -> complex:
-    """1/w for a finite w clear of the degeneracy floor; z names the base
-    point in the error."""
-    _require_finite(w)
-    if abs(w) < DEGENERACY_FLOOR:
-        raise _no_inverse(w, z)
-    return 1.0 / w
-
-
-def _log(w: complex) -> complex:
-    """Principal log of a finite w clear of the cut (-inf, 0]."""
-    _require_finite(w)
-    if abs(w) < DEGENERACY_FLOOR or (w.real <= 0.0 and abs(w.imag) <= 1e-12):
-        raise _on_cut(w)
-    return cmath.log(w)
-
-
-def _exp(w: complex) -> complex:
-    return cmath.exp(_require_finite(w))
-
-
-def _cube(w: complex) -> complex:
-    """w ** 3. Complex ** raises OverflowError where * would give inf; that
-    overflow is raised as NonFiniteJetError, as an inf field is."""
-    try:
-        return w ** 3
-    except OverflowError:
-        raise _overflowed(f"cube of {w!r}") from None
-
-
-# -- column forms of the tests above ------------------------------------------
+# -- the tests, over columns ----------------------------------------------------
 #
 # Each takes a column of operands and returns, keyed by position, the error
-# the scalar rule raises on each entry that fails, its tests in the scalar
-# order (`_floored` gives the positions alone). Where every entry passes the
-# finiteness and floor tests, a C-level screen (all(map(...)),
-# min(map(abs, ...))) says so without a Python step per entry. The catalog's
-# values kernels drop the failing samples and place their errors.
+# each entry that fails gets, naming the first test it fails (`_floored`
+# gives the positions alone). Where every entry passes the finiteness and
+# floor tests, a C-level screen (all(map(...)), min(map(abs, ...))) says so
+# without a Python step per entry. The catalog's values kernels drop the
+# failing samples and place their errors.
 
 def _finite_errors(ws: list) -> dict:
-    """Column form of _require_finite (and of _exp's test)."""
+    """By position, the error of each entry of ws that is not finite."""
     if all(map(_isfinite, ws)):
         return {}
     return {k: _not_finite(w) for k, w in enumerate(ws) if not _isfinite(w)}
@@ -158,9 +116,9 @@ def _finite_errors(ws: list) -> dict:
 
 def _floored(ws: list, skip=()) -> list[int]:
     """Positions of the entries of ws, outside skip, with |w| below the
-    degeneracy floor. abs() runs on every entry outside skip, as the scalar
-    tests run it; a rule that tests finiteness first passes its failures as
-    skip, so that abs() never meets their NaNs."""
+    degeneracy floor. abs() runs on every entry outside skip; a rule that
+    tests finiteness first passes its failures as skip, so that abs() never
+    meets their NaNs."""
     if not skip and min(map(abs, ws), default=1.0) >= DEGENERACY_FLOOR:
         return []
     return [k for k, w in enumerate(ws)
@@ -168,7 +126,8 @@ def _floored(ws: list, skip=()) -> list[int]:
 
 
 def _inverse_errors(ws: list, zs: list) -> dict:
-    """Column form of _inverse's tests; zs names the base points."""
+    """The tests of 1/w on each of ws, a finite w clear of the degeneracy
+    floor; zs names the base points in the errors."""
     errors = _finite_errors(ws)
     for k in _floored(ws, errors):
         errors[k] = _no_inverse(ws[k], zs[k])
@@ -176,7 +135,8 @@ def _inverse_errors(ws: list, zs: list) -> dict:
 
 
 def _log_errors(ws: list) -> dict:
-    """Column form of _log's tests."""
+    """The tests of the principal log of each of ws, a finite w clear of
+    the cut (-inf, 0]."""
     errors = _finite_errors(ws)
     cut = [k for k, w in enumerate(ws) if w.real <= 0.0 and abs(w.imag) <= 1e-12]
     for k in _floored(ws, errors) + cut:
@@ -185,7 +145,28 @@ def _log_errors(ws: list) -> dict:
     return errors
 
 
-# -- tuple jets (see the module docstring) -----------------------------------
+_FIELDS = ("v0", "v1", "v2", "v3")
+
+
+def _field_not_finite(name: str, w: complex) -> NonFiniteJetError:
+    return NonFiniteJetError(f"jet field {name} is not finite: {w!r}")
+
+
+def _jfinite_errors(js: list) -> dict:
+    """By position, the error of each tuple jet of js with a field that is
+    not finite, naming the first, as the Jet3 constructor does."""
+    if all(map(_isfinite, chain.from_iterable(js))):
+        return {}
+    errors = {}
+    for k, j in enumerate(js):
+        for name, w in zip(_FIELDS, j):
+            if not _isfinite(w):
+                errors[k] = _field_not_finite(name, w)
+                break
+    return errors
+
+
+# -- the rules, on tuple jets (see the module docstring) ----------------------
 #
 # Every rule keeps the terms whose operand is a lifted constant's exact 0j
 # derivative: they can decide a signed zero or turn an infinity into a NaN,
@@ -200,28 +181,15 @@ def _jconst(c) -> tuple:
     return (complex(c), 0j, 0j, 0j)
 
 
-def _jfinite(a: tuple) -> tuple:
-    """a, after the constructor's finiteness check on its fields."""
-    v0, v1, v2, v3 = a
-    if not (_isfinite(v0) and _isfinite(v1) and _isfinite(v2) and _isfinite(v3)):
-        Jet3(0j, v0, v1, v2, v3)  # raises, naming the first bad field
-    return a
-
-
 def _jadd(a: tuple, b: tuple) -> tuple:
+    """_jadds for one pair of tuple jets."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
 
 
-def _jsub(a: tuple, b: tuple) -> tuple:
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 - b0, a1 - b1, a2 - b2, a3 - b3)
-
-
 def _jmul(a: tuple, b: tuple) -> tuple:
-    """Leibniz rule to third order."""
+    """_jmuls for one pair of tuple jets."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (
@@ -232,83 +200,16 @@ def _jmul(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _jrecip(a: tuple, z: complex) -> tuple:
-    """1/f by the quotient rule to third order; z names the base point in
-    the error."""
-    v0, v1, v2, v3 = _jfinite(a)
-    w = _inverse(v0, z)
-    w2 = w * w
-    r1 = -v1 * w2
-    r2 = (2 * v1 * v1 * w - v2) * w2
-    r3 = (-v3 + (6 * v1 * v2 - 6 * _cube(v1) * w) * w) * w2
-    return (w, r1, r2, r3)
-
-
-def _jcompose(a: tuple, g0: complex, g1: complex, g2: complex,
-              g3: complex) -> tuple:
-    """g o f by Faa di Bruno at order 3, g's derivatives taken at f's value."""
-    _, f1, f2, f3 = a
-    return (
-        g0,
-        g1 * f1,
-        g1 * f2 + g2 * f1 * f1,
-        g1 * f3 + 3 * g2 * f1 * f2 + g3 * _cube(f1),
-    )
-
-
-def _jlog(a: tuple) -> tuple:
-    w = _jfinite(a)[0]
-    g0 = _log(w)
-    iw = 1.0 / w
-    return _jcompose(a, g0, iw, -iw * iw, 2 * iw ** 3)
-
-
-def _jexp(a: tuple) -> tuple:
-    e = _exp(_jfinite(a)[0])
-    return _jcompose(a, e, e, e, e)
-
-
-def _jpow(a: tuple, exponent: complex) -> tuple:
-    """Principal-branch power, computed as exp(exponent * log(a))."""
-    return _jexp(_jmul(_jlog(a), _jconst(exponent)))
-
-
-# -- column forms of the tuple rules -------------------------------------------
-#
-# Each runs its scalar rule over a list of tuple jets, one comprehension per
-# stage, doing the same complex operations in the same order, so the two
-# agree bit for bit. An operand that every row shares (a lifted constant) is
-# passed as itertools.repeat(c). The rules' tests are column tests that the
-# caller runs first, dropping the rows they name: _jfinite_errors for every
-# rule with an operand test, then _inverse_errors (the reciprocal) or
-# _log_errors (the log) on the values; the exp rule has no other. What can
-# still fail is a cube, which _cubed reports by position.
-
-_FIELDS = ("v0", "v1", "v2", "v3")
-
-
-def _field_not_finite(name: str, w: complex) -> NonFiniteJetError:
-    return NonFiniteJetError(f"jet field {name} is not finite: {w!r}")
-
-
-def _jfinite_errors(js: list) -> dict:
-    """Column form of _jfinite: by position, the error of each jet with a
-    field that is not finite, naming the first, as the constructor does."""
-    if all(map(_isfinite, chain.from_iterable(js))):
-        return {}
-    errors = {}
-    for k, j in enumerate(js):
-        for name, w in zip(_FIELDS, j):
-            if not _isfinite(w):
-                errors[k] = _field_not_finite(name, w)
-                break
-    return errors
-
+# Each rule below runs over a list of tuple jets, one comprehension per
+# stage. An operand that every row shares (a lifted constant) is passed as
+# itertools.repeat(c). The rules' tests are column tests that run first,
+# dropping the rows they name (`_Rows`); what can still fail is a cube,
+# which _cubed reports by position.
 
 def _cubed(stage):
     """The column form stage(js, *columns), a comprehension in which only the
     cube of field v1 of each of js can overflow, returning its column and,
-    by position, the error _cube raises where that cube overflows. An
+    by position, NonFiniteJetError where that cube overflows. An
     overflowing ** raises OverflowError out of the whole comprehension, so
     then the rows go through stage again one at a time; a row whose cube
     overflows holds None, for the caller to drop with its error."""
@@ -338,6 +239,7 @@ def _jsubs(a, b) -> list:
 
 
 def _jmuls(a, b) -> list:
+    """Leibniz rule to third order."""
     return [(a0 * b0,
              a1 * b0 + a0 * b1,
              a2 * b0 + 2 * a1 * b1 + a0 * b2,
@@ -347,7 +249,8 @@ def _jmuls(a, b) -> list:
 
 @_cubed
 def _jrecips(js: list) -> list:
-    """Column form of _jrecip, on jets that passed its tests."""
+    """1/f by the quotient rule to third order, on jets that passed its
+    tests."""
     return [(w, -v1 * w2, (2 * v1 * v1 * w - v2) * w2,
              (-v3 + (6 * v1 * v2 - 6 * v1 ** 3 * w) * w) * w2)
             for v0, v1, v2, v3 in js for w in [1.0 / v0] for w2 in [w * w]]
@@ -355,7 +258,8 @@ def _jrecips(js: list) -> list:
 
 @_cubed
 def _jlogs(js: list) -> list:
-    """Column form of _jlog, on jets that passed its tests."""
+    """The principal log, by Faa di Bruno at order 3, on jets that passed
+    its tests."""
     return [(cmath.log(w), iw * f1, iw * f2 + g2 * f1 * f1,
              iw * f3 + 3 * g2 * f1 * f2 + g3 * f1 ** 3)
             for w, f1, f2, f3 in js
@@ -370,9 +274,62 @@ def _exps(js: list, es: list) -> list:
 
 
 def _jexps(js: list) -> tuple[list, dict]:
-    """Column form of _jexp, on jets that passed its test. An exp that
-    overflows raises OverflowError for the whole column, as _exp's does."""
+    """exp, by Faa di Bruno at order 3, on jets that passed its test. An
+    exp that overflows raises OverflowError for the whole column."""
     return _exps(js, [cmath.exp(j[0]) for j in js])
+
+
+class _Rows:
+    """Rows of tuple jets at the base points zs: jrecip, jlog, jexp and jpow
+    each run the tests of their rule in its one order, then the rule over
+    the rows that pass. Each test hands its errors, by position, to the
+    subclass's drop_rows(errors, *columns), which returns the columns
+    without the rows they name, or raises; drop does it for one column.
+    """
+
+    __slots__ = ()
+
+    def drop(self, errors: dict, ws: list) -> list:
+        return self.drop_rows(errors, ws)[0]
+
+    def jrecip(self, js: list, *carry: list) -> tuple[list, ...]:
+        """1/f of each of js, tuple jets at zs, that passes its tests, and
+        carry, columns aligned with js, without the rows that fail."""
+        js, *carry = self.drop_rows(_jfinite_errors(js), js, *carry)
+        js, *carry = self.drop_rows(
+            _inverse_errors([j[0] for j in js], self.zs), js, *carry)
+        rs, errors = _jrecips(js)
+        return self.drop_rows(errors, rs, *carry)
+
+    def jlog(self, js: list) -> list:
+        js = self.drop(_jfinite_errors(js), js)
+        js = self.drop(_log_errors([j[0] for j in js]), js)
+        ls, errors = _jlogs(js)
+        return self.drop(errors, ls)
+
+    def jexp(self, js: list) -> list:
+        es, errors = _jexps(self.drop(_jfinite_errors(js), js))
+        return self.drop(errors, es)
+
+    def jpow(self, js: list, exponent: complex) -> list:
+        """The principal-branch power exp(exponent * log(j)) of each of js."""
+        return self.jexp(_jmuls(self.jlog(js), repeat(_jconst(exponent))))
+
+
+class _Row(_Rows):
+    """The one row at the base point z of a Jet3 operator, which raises the
+    first error its rule's tests find."""
+
+    __slots__ = ("zs",)
+
+    def __init__(self, z: complex):
+        self.zs = (z,)
+
+    @staticmethod
+    def drop_rows(errors: dict, *columns: list) -> tuple[list, ...]:
+        if errors:
+            raise errors[0]
+        return columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,16 +393,16 @@ class Jet3:
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        v0, v1, v2, v3 = _jsub((self.v0, self.v1, self.v2, self.v3), o)
-        return _jet(z, v0, v1, v2, v3)
+        (v,) = _jsubs([(self.v0, self.v1, self.v2, self.v3)], [o])
+        return _jet(z, *v)
 
     def __rsub__(self, other) -> "Jet3":
         z = self.base_point
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        v0, v1, v2, v3 = _jsub(o, (self.v0, self.v1, self.v2, self.v3))
-        return _jet(z, v0, v1, v2, v3)
+        (v,) = _jsubs([o], [(self.v0, self.v1, self.v2, self.v3)])
+        return _jet(z, *v)
 
     def __mul__(self, other) -> "Jet3":
         z = self.base_point
@@ -460,41 +417,42 @@ class Jet3:
     def reciprocal(self) -> "Jet3":
         """Jet of 1/f. Quotient rule to third order."""
         z = self.base_point
-        v0, v1, v2, v3 = _jrecip((self.v0, self.v1, self.v2, self.v3), z)
-        return _jet(z, v0, v1, v2, v3)
+        (r,), = _Row(z).jrecip([(self.v0, self.v1, self.v2, self.v3)])
+        return _jet(z, *r)
 
     def __truediv__(self, other) -> "Jet3":
         z = self.base_point
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        v0, v1, v2, v3 = _jmul((self.v0, self.v1, self.v2, self.v3),
-                               _jrecip(o, z))
-        return _jet(z, v0, v1, v2, v3)
+        (r,), = _Row(z).jrecip([o])
+        return _jet(z, *_jmul((self.v0, self.v1, self.v2, self.v3), r))
 
     def __rtruediv__(self, other) -> "Jet3":
         z = self.base_point
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        v0, v1, v2, v3 = _jmul(o, _jrecip((self.v0, self.v1, self.v2, self.v3),
-                                          z))
-        return _jet(z, v0, v1, v2, v3)
+        (r,), = _Row(z).jrecip([(self.v0, self.v1, self.v2, self.v3)])
+        return _jet(z, *_jmul(o, r))
 
     # -- elementary functions --------------------------------------------------
 
     def log(self) -> "Jet3":
-        v0, v1, v2, v3 = _jlog((self.v0, self.v1, self.v2, self.v3))
-        return _jet(self.base_point, v0, v1, v2, v3)
+        z = self.base_point
+        (v,) = _Row(z).jlog([(self.v0, self.v1, self.v2, self.v3)])
+        return _jet(z, *v)
 
     def exp(self) -> "Jet3":
-        v0, v1, v2, v3 = _jexp((self.v0, self.v1, self.v2, self.v3))
-        return _jet(self.base_point, v0, v1, v2, v3)
+        z = self.base_point
+        (v,) = _Row(z).jexp([(self.v0, self.v1, self.v2, self.v3)])
+        return _jet(z, *v)
 
     def pow(self, exponent: complex) -> "Jet3":
         """Principal-branch power, computed as exp(exponent * log(self))."""
-        v0, v1, v2, v3 = _jpow((self.v0, self.v1, self.v2, self.v3), exponent)
-        return _jet(self.base_point, v0, v1, v2, v3)
+        z = self.base_point
+        (v,) = _Row(z).jpow([(self.v0, self.v1, self.v2, self.v3)], exponent)
+        return _jet(z, *v)
 
     def __pow__(self, exponent) -> "Jet3":
         if isinstance(exponent, _Number):

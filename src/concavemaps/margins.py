@@ -192,7 +192,7 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
 
     A sample whose margin arithmetic overflows, raising OverflowError or
     giving a value that is not finite, is excluded with NonFiniteJetError,
-    as jets._cube excludes a jet. OverflowError stops the whole column, so
+    as jets._cubed excludes a jet. OverflowError stops the whole column, so
     then the ring goes through fn again one sample at a time.
     """
     col = ring.copy()

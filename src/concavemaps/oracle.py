@@ -24,7 +24,7 @@ contiguous run of included angles; arcs near poles (by the scans' own rule,
 `FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
 and reported, never bridged. A sample where f overflows stops the curve
 (NonFiniteJetError): the arc it would open would pass for a pole's. A run
-with a point of modulus 2^500 or more, or with none of modulus 2^-500, is
+with a point of modulus 2^500 or more, or with none of modulus 2^-250, is
 scaled by a power of two before it is turned, so that the cross and dot
 products of a run that far from unit size neither overflow nor underflow;
 points collapse into one only when they lie closer than the run's own size
@@ -57,9 +57,11 @@ DEFAULT_ANGLES = 4096
 # a curve point within this of the real axis lies on it
 _AXIS_TOL = 1e-9
 # a run with a point this far out, or with none this far, is scaled by a
-# power of two before it is turned
+# power of two before it is turned. Kept edges are longer than 1e-15 * big,
+# so max(|cross|, |dot|) >= |e1| |e2| / sqrt(2) > 0.7e-30 * big^2, a normal
+# float for every big >= 2^-250: no right angle is lost as atan2(0, 0)
 _TURN_BIG = 2.0 ** 500
-_TURN_SMALL = 2.0 ** -500
+_TURN_SMALL = 2.0 ** -250
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
 def _turns(points: list[complex], closed: bool) -> list[float]:
     """Turning angles of the polygon through points, in one pass.
 
-    A run whose largest modulus reaches 2^500 or lies below 2^-500 is first
+    A run whose largest modulus reaches 2^500 or lies below 2^-250 is first
     scaled by the power of two that takes its largest coordinate into
     [1, 2). Successive points closer than 1e-15 * max |w| collapse into the
     first of them; a closed curve whose last point then lies within

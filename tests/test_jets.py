@@ -2,9 +2,11 @@
 
 import cmath
 import inspect
+import math
 import struct
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Complex
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +16,9 @@ from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 CriticalPointError, JetDivisionError,
                                 NonFiniteJetError)
 from concavemaps import jets as jets_module
-from concavemaps.jets import (Jet3, _jadd, _jconst, _jmul, _jrecip, _jsub,
+from concavemaps.jets import (Jet3, _jadd, _jconst, _jet, _jmul,
                               pre_schwarzian, schwarzian)
+from jet_reference import _jexp, _jlog, _jpow, _jrecip, _jsub
 
 
 def close(a: complex, b: complex, tol: float = 1e-12) -> bool:
@@ -281,7 +284,7 @@ def test_overflowing_cube_raises_non_finite():
         Jet3(_BASE, 0j, 1e200 + 0j, 0j, 0j).exp()
 
 
-# -- operators run straight into the tuple rules -----------------------------
+# -- operators against the tuple rules they ran, kept in jet_reference ---------
 
 def _fields(j: Jet3) -> tuple:
     return (j.v0, j.v1, j.v2, j.v3)
@@ -304,12 +307,85 @@ _RULES = {
     "__rtruediv__": lambda a, o, z: _jmul(o, _jrecip(a, z)),
 }
 
-# every operand type the operators lift; plain floats include inf and NaN
-operands = st.one_of(
-    st.builds(jet_at, st.just(_BASE), wide_c, wide_c, wide_c, wide_c),
-    st.builds(Jet3.constant, st.just(_BASE), wide_c),
-    wide_c, st.floats(), st.integers(min_value=-10 ** 300, max_value=10 ** 300),
-    st.booleans(), st.fractions(max_denominator=10 ** 6))
+# Jets as an operation may build them, unchecked: fields anywhere in the
+# floats, NaN and inf among them, signed zeros, values at the floor and on
+# the cut, and v1 or v0 large enough that a cube or an exp overflows; base
+# points inside the disk and outside it.
+_SPECIAL = (0j, complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+            1e-13 + 0j, complex(0.0, -9e-13), complex(1e-12, 0.0),
+            -1.0 + 0j, complex(-1.0, 1e-12), complex(-2.0, -0.0),
+            complex(-1.0, 1.1e-12), complex(math.inf, 0.0),
+            complex(0.0, -math.inf), complex(math.nan, 0.0),
+            complex(math.nan, -1.0), 1e200 + 0j, 800.0 + 0j,
+            complex(1e300, 1e300), complex(1.5e308, 1.5e308))
+any_field = st.one_of(wide_c, st.sampled_from(_SPECIAL))
+base_points = st.one_of(
+    st.sampled_from((_BASE, 0j, complex(-0.0, 0.0), 0.99 + 0j, 1.5 + 0j,
+                     -3j, 1e300 + 0j)),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False))
+
+
+def _any_jet(base_point):
+    return st.builds(_jet, st.just(base_point), any_field, any_field,
+                     any_field, any_field)
+
+
+@st.composite
+def jet_and_operand(draw):
+    """A jet, and an operand of every type the operators meet: a jet at its
+    base point or at another, a constant jet, a complex, float (inf and NaN
+    among them), int, bool or Fraction, or something that is not a
+    number."""
+    a = draw(base_points.flatmap(_any_jet))
+    other = draw(st.one_of(
+        _any_jet(a.base_point), base_points.flatmap(_any_jet),
+        st.builds(Jet3.constant, st.just(a.base_point), wide_c),
+        any_field, st.floats(),
+        st.integers(min_value=-10 ** 300, max_value=10 ** 300),
+        st.booleans(), st.fractions(max_denominator=10 ** 6),
+        st.sampled_from(("x", None, Decimal("1.5")))))
+    return a, other
+
+
+def _ref_lift(z, other):
+    """other as a tuple jet at z, as the operators lift it."""
+    if isinstance(other, Jet3):
+        if other.base_point != z:
+            raise BasePointMismatchError(
+                f"base points differ: {z!r} vs {other.base_point!r}")
+        return _fields(other)
+    if isinstance(other, Complex):
+        return _jconst(other)
+    return NotImplemented
+
+
+def _ref_binary(rule):
+    def ref(a, other):
+        lifted = _ref_lift(a.base_point, other)
+        if lifted is NotImplemented:
+            return NotImplemented
+        return rule(_fields(a), lifted, a.base_point)
+    return ref
+
+
+def _ref_pow(a, exponent):
+    if not isinstance(exponent, Complex):
+        return NotImplemented
+    return _jpow(_fields(a), complex(exponent))
+
+
+# every operator of Jet3 -> (how to call it, its reference on tuple jets)
+_OPERATORS = {
+    **{name: (lambda a, o, name=name: getattr(a, name)(o), _ref_binary(rule))
+       for name, rule in _RULES.items()},
+    "__neg__": (lambda a, o: -a, lambda a, o: tuple(-w for w in _fields(a))),
+    "reciprocal": (lambda a, o: a.reciprocal(),
+                   lambda a, o: _jrecip(_fields(a), a.base_point)),
+    "log": (lambda a, o: a.log(), lambda a, o: _jlog(_fields(a))),
+    "exp": (lambda a, o: a.exp(), lambda a, o: _jexp(_fields(a))),
+    "__pow__": (lambda a, o: a.__pow__(o), _ref_pow),
+}
 
 
 def _outcome(fn):
@@ -320,29 +396,45 @@ def _outcome(fn):
         return None, (type(exc), str(exc))
 
 
-@given(st.builds(jet_at, st.just(_BASE), wide_c, wide_c, wide_c, wide_c),
-       operands)
-@settings(max_examples=300, deadline=None)
-@example(Jet3(_BASE, 1.0 + 0j, 1e200 + 0j, 0j, 0j), 2.0)
-@example(Jet3(_BASE, 0j, 1.0 + 0j, 0j, 0j), Fraction(1, 3))
-@example(Jet3(_BASE, complex(-0.0, 0.0), 0j, 0j, 0j), True)
-@example(Jet3(_BASE, 1e-13 + 0j, 0j, 0j, 0j), float("nan"))
-@example(Jet3.constant(_BASE, 1e200), Jet3(_BASE, 1e200 + 0j, 1e200 + 0j,
-                                           0j, 0j))
-def test_operators_equal_their_tuple_rules(a, other):
+@given(jet_and_operand())
+@settings(max_examples=400, deadline=None)
+@example((_jet(_BASE, 1.0 + 0j, 1e200 + 0j, 0j, 0j), 2.0))  # a cube overflows
+@example((_jet(_BASE, 800.0 + 0j, 1.0 + 0j, 0j, 0j), 1.5))  # exp overflows
+@example((_jet(_BASE, 0j, 1.0 + 0j, 0j, 0j), Fraction(1, 3)))
+@example((_jet(_BASE, complex(-0.0, 0.0), 0j, 0j, 0j), True))
+@example((_jet(_BASE, 1e-13 + 0j, 0j, 0j, 0j), float("nan")))
+@example((_jet(_BASE, 1e-13 + 0j, 1.0 + 0j, 0j, 0j), complex(-2.0, -0.0)))
+@example((_jet(_BASE, complex(-1.0, 1e-12), 1.0 + 0j, 0j, 0j), 0.5))
+@example((_jet(1.5 + 0j, complex(math.nan, 0.0), 1.0 + 0j, 0j, 0j), True))
+@example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, complex(0.0, -math.inf), 0j),
+          float("nan")))
+@example((Jet3.constant(_BASE, 1e200),
+          Jet3(_BASE, 1e200 + 0j, 1e200 + 0j, 0j, 0j)))
+@example((_jet(0.1 + 0j, 2.0 + 0j, 1.0 + 0j, 0j, 0j),
+          _jet(0.2 + 0j, 1.0 + 0j, 0j, 0j, 0j)))  # a second base point
+@example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, 0j, 0j), Decimal("1.5")))
+# NaNs of either sign, whose sums keep the first operand's
+@example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, 0j, 0j),
+          _jet(_BASE, complex(math.nan, 0.0), complex(-math.nan, 0.0), 0j, 0j)))
+def test_operators_equal_their_tuple_rules(jet_and_other):
+    a, other = jet_and_other
     z = a.base_point
-    lifted = (_fields(other) if isinstance(other, Jet3) else _jconst(other))
-    for name, rule in _RULES.items():
-        got, got_error = _outcome(lambda: getattr(a, name)(other))
-        want, want_error = _outcome(lambda: rule(_fields(a), lifted, z))
+    for name, (call, ref) in _OPERATORS.items():
+        got, got_error = _outcome(lambda: call(a, other))
+        want, want_error = _outcome(lambda: ref(a, other))
         assert got_error == want_error, name
-        if want_error is None:
+        if want is NotImplemented or want_error is not None:
+            assert got is want, name
+        else:
             assert type(got) is Jet3, name
             assert _bits(got.base_point, _fields(got)) == _bits(z, want), name
-    neg = -a
-    assert type(neg) is Jet3
-    assert _bits(neg.base_point, _fields(neg)) == _bits(
-        z, tuple(-w for w in _fields(a)))
+    if isinstance(other, Complex):
+        # the pow method, which __pow__ calls with a complex exponent
+        got, got_error = _outcome(lambda: a.pow(other))
+        want, want_error = _outcome(lambda: _jpow(_fields(a), other))
+        assert got_error == want_error
+        if want_error is None:
+            assert _bits(got.base_point, _fields(got)) == _bits(z, want)
 
 
 def test_operators_refuse_what_is_not_a_number():

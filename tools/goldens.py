@@ -96,6 +96,9 @@ SCALED_RUNS = (
     ("curve", "--function", "laurent:b=[0,1e-16]", "--r", "0.99",
      "--angles", "64", "--format", "json"),
     ("classify", "--function", "laurent:b=[0,1e-16]", "--class", "co"),
+    # the identity times 2^-499, whose short edges once lost their turns
+    ("curve", "--function", "laurent:b=[0,6.10987272699921e-151]", "--r",
+     "0.99", "--angles", "65536", "--format", "json"),
 )
 
 
