@@ -20,16 +20,18 @@ kernel's result. Jet3's operators run it on one row (`_Row`), which raises
 the error; each lifts its operand to a tuple jet (`_lift`) and unpacks the
 rule's one row into one unchecked Jet3 (`_jet`).
 
-Sum and product alone have a per-sample form besides (`_jadd`, `_jmul`),
-which Jet3's + and * run: Laurent's jet Horner runs them about thirty times
-per sample, where a one-row column costs twice as much. They stay until
-the benchmark counts column rules in place of Jet3's operators and the
-Horner moves onto columns. Each does its column form's complex operations
-in the same order, so the two agree bit for bit. The rules and `_lift` stay
-private: perfbench's tracer spans every public function of this module,
-and a span per arithmetic step would swamp a traced run. `_schwarzians` is
-the Schwarzian from fields over a column, which the grid scans call once
-per ring and `schwarzian` for one jet.
+Sum and product alone have a per-sample form besides: Jet3's + and * run
+the sum and Leibniz rules inline, on the fields of a jet at the same base
+point or of a lifted complex, and build their result in place. Each does
+its column form's (`_jadds`, `_jmuls`) complex operations in the same
+order, so the two agree bit for bit. Laurent's jet Horner runs them about
+thirty times per sample, where a one-row column costs twice as much. They
+stay operators because the benchmark counts Jet3's operator calls; they go
+when it counts column rules instead and the Horner moves onto columns. The
+rules and `_lift` stay private: perfbench's tracer spans every public
+function of this module, and a span per arithmetic step would swamp a
+traced run. `_schwarzians` is the Schwarzian from fields over a column,
+which the grid scans call once per ring and `schwarzian` for one jet.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12
@@ -179,25 +181,6 @@ _ONE = 1.0 + 0j
 def _jconst(c) -> tuple:
     """The constant map c, lifted as Jet3's operators lift a plain number."""
     return (complex(c), 0j, 0j, 0j)
-
-
-def _jadd(a: tuple, b: tuple) -> tuple:
-    """_jadds for one pair of tuple jets."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
-
-
-def _jmul(a: tuple, b: tuple) -> tuple:
-    """_jmuls for one pair of tuple jets."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0,
-        a1 * b0 + a0 * b1,
-        a2 * b0 + 2 * a1 * b1 + a0 * b2,
-        a3 * b0 + 3 * a2 * b1 + 3 * a1 * b2 + a0 * b3,
-    )
 
 
 # Each rule below runs over a list of tuple jets, one comprehension per
@@ -376,12 +359,26 @@ class Jet3:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "Jet3":
+        # _jadds on one row, inline: see the module docstring
         z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
-            return NotImplemented
-        v0, v1, v2, v3 = _jadd((self.v0, self.v1, self.v2, self.v3), o)
-        return _jet(z, v0, v1, v2, v3)
+        t = type(other)
+        if t is Jet3 and other.base_point == z:
+            b0, b1, b2, b3 = other.v0, other.v1, other.v2, other.v3
+        elif t is complex:
+            b0, b1, b2, b3 = other, 0j, 0j, 0j
+        else:
+            o = _lift(z, other)
+            if o is NotImplemented:
+                return NotImplemented
+            b0, b1, b2, b3 = o
+        j = _Draft()
+        j.base_point = z
+        j.v0 = self.v0 + b0
+        j.v1 = self.v1 + b1
+        j.v2 = self.v2 + b2
+        j.v3 = self.v3 + b3
+        j.__class__ = Jet3
+        return j
 
     __radd__ = __add__
 
@@ -405,12 +402,24 @@ class Jet3:
         return _jet(z, *v)
 
     def __mul__(self, other) -> "Jet3":
+        # _jmuls on one row, inline: see the module docstring
         z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
-            return NotImplemented
-        v0, v1, v2, v3 = _jmul((self.v0, self.v1, self.v2, self.v3), o)
-        return _jet(z, v0, v1, v2, v3)
+        if type(other) is Jet3 and other.base_point == z:
+            b0, b1, b2, b3 = other.v0, other.v1, other.v2, other.v3
+        else:
+            o = _lift(z, other)
+            if o is NotImplemented:
+                return NotImplemented
+            b0, b1, b2, b3 = o
+        a0, a1, a2, a3 = self.v0, self.v1, self.v2, self.v3
+        j = _Draft()
+        j.base_point = z
+        j.v0 = a0 * b0
+        j.v1 = a1 * b0 + a0 * b1
+        j.v2 = a2 * b0 + 2 * a1 * b1 + a0 * b2
+        j.v3 = a3 * b0 + 3 * a2 * b1 + 3 * a1 * b2 + a0 * b3
+        j.__class__ = Jet3
+        return j
 
     __rmul__ = __mul__
 
@@ -426,7 +435,8 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         (r,), = _Row(z).jrecip([o])
-        return _jet(z, *_jmul((self.v0, self.v1, self.v2, self.v3), r))
+        (v,) = _jmuls([(self.v0, self.v1, self.v2, self.v3)], [r])
+        return _jet(z, *v)
 
     def __rtruediv__(self, other) -> "Jet3":
         z = self.base_point
@@ -434,7 +444,8 @@ class Jet3:
         if o is NotImplemented:
             return NotImplemented
         (r,), = _Row(z).jrecip([(self.v0, self.v1, self.v2, self.v3)])
-        return _jet(z, *_jmul(o, r))
+        (v,) = _jmuls([o], [r])
+        return _jet(z, *v)
 
     # -- elementary functions --------------------------------------------------
 
@@ -486,10 +497,10 @@ def _lift(z: complex, other) -> tuple:
 
 
 class _Draft:
-    """A mutable twin of Jet3 with the same slots, so that `_jet` can fill one
-    with plain attribute stores and then make it a Jet3 by switching its
-    class; setting a frozen dataclass's fields through their descriptors
-    costs about twice as much."""
+    """A mutable twin of Jet3 with the same slots, so that `_jet` (and + and
+    *, inline) can fill one with plain attribute stores and then make it a
+    Jet3 by switching its class; setting a frozen dataclass's fields through
+    their descriptors costs about twice as much."""
 
     __slots__ = Jet3.__slots__
 

@@ -11,8 +11,7 @@ messages included. Each raises the first error its tests find.
 import cmath
 
 from concavemaps.jets import (DEGENERACY_FLOOR, Jet3, _isfinite, _jconst,
-                              _jmul, _no_inverse, _not_finite, _on_cut,
-                              _overflowed)
+                              _no_inverse, _not_finite, _on_cut, _overflowed)
 
 
 def _require_finite(w: complex) -> complex:
@@ -57,6 +56,25 @@ def _jfinite(a: tuple) -> tuple:
     if not (_isfinite(v0) and _isfinite(v1) and _isfinite(v2) and _isfinite(v3)):
         Jet3(0j, v0, v1, v2, v3)  # raises, naming the first bad field
     return a
+
+
+def _jadd(a: tuple, b: tuple) -> tuple:
+    """_jadds for one pair of tuple jets."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+
+
+def _jmul(a: tuple, b: tuple) -> tuple:
+    """_jmuls for one pair of tuple jets."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0,
+        a1 * b0 + a0 * b1,
+        a2 * b0 + 2 * a1 * b1 + a0 * b2,
+        a3 * b0 + 3 * a2 * b1 + 3 * a1 * b2 + a0 * b3,
+    )
 
 
 def _jsub(a: tuple, b: tuple) -> tuple:

@@ -17,12 +17,12 @@ from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
                                 SampleExclusionError, SpecParseError)
 from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors,
-                              _floored, _inverse_errors, _jadd, _jadds,
-                              _jconst, _jfinite_errors, _jmul, _jmuls, _jsubs,
-                              _log_errors)
+                              _floored, _inverse_errors, _jadds, _jconst,
+                              _jfinite_errors, _jmuls, _jsubs, _log_errors)
 from concavemaps.operators import OperatorPoint
-from jet_reference import (_cube, _exp, _inverse, _jexp, _jfinite, _jlog,
-                           _jpow, _jrecip, _jsub, _log, _require_finite)
+from jet_reference import (_cube, _exp, _inverse, _jadd, _jexp, _jfinite,
+                           _jlog, _jmul, _jpow, _jrecip, _jsub, _log,
+                           _require_finite)
 
 
 def close(a, b, tol=1e-12):

@@ -16,9 +16,9 @@ from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 CriticalPointError, JetDivisionError,
                                 NonFiniteJetError)
 from concavemaps import jets as jets_module
-from concavemaps.jets import (Jet3, _jadd, _jconst, _jet, _jmul,
-                              pre_schwarzian, schwarzian)
-from jet_reference import _jexp, _jlog, _jpow, _jrecip, _jsub
+from concavemaps.jets import (_ONE, Jet3, _jconst, _jet, pre_schwarzian,
+                              schwarzian)
+from jet_reference import _jadd, _jexp, _jlog, _jmul, _jpow, _jrecip, _jsub
 
 
 def close(a: complex, b: complex, tol: float = 1e-12) -> bool:
@@ -331,17 +331,39 @@ def _any_jet(base_point):
                      any_field, any_field)
 
 
+class _OwnComplex(complex):
+    """A complex with arithmetic of its own, which an operand escapes only
+    when the operators lift it to an exact complex, as `_lift` does."""
+
+    def _own(self, other):
+        return complex(-7.0, 7.0)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _own
+
+
+def _other_zeros(z: complex) -> complex:
+    """z with the sign of each zero part flipped: equal to z, other bits."""
+    return complex(-z.real if z.real == 0 else z.real,
+                   -z.imag if z.imag == 0 else z.imag)
+
+
+_NAN_BASES = (complex(math.nan, 0.0), complex(0.5, -math.nan))
+
+
 @st.composite
 def jet_and_operand(draw):
     """A jet, and an operand of every type the operators meet: a jet at its
-    base point or at another, a constant jet, a complex, float (inf and NaN
-    among them), int, bool or Fraction, or something that is not a
-    number."""
+    base point, at the same point with its zero parts' signs flipped, at
+    another or at a NaN; a constant jet; a complex or an instance of a
+    complex subclass, float (inf and NaN among them), int, bool or Fraction;
+    or something that is not a number."""
     a = draw(base_points.flatmap(_any_jet))
     other = draw(st.one_of(
-        _any_jet(a.base_point), base_points.flatmap(_any_jet),
+        _any_jet(a.base_point), _any_jet(_other_zeros(a.base_point)),
+        base_points.flatmap(_any_jet),
+        st.sampled_from(_NAN_BASES).flatmap(_any_jet),
         st.builds(Jet3.constant, st.just(a.base_point), wide_c),
-        any_field, st.floats(),
+        any_field, st.builds(_OwnComplex, any_field), st.floats(),
         st.integers(min_value=-10 ** 300, max_value=10 ** 300),
         st.booleans(), st.fractions(max_denominator=10 ** 6),
         st.sampled_from(("x", None, Decimal("1.5")))))
@@ -413,9 +435,20 @@ def _outcome(fn):
 @example((_jet(0.1 + 0j, 2.0 + 0j, 1.0 + 0j, 0j, 0j),
           _jet(0.2 + 0j, 1.0 + 0j, 0j, 0j, 0j)))  # a second base point
 @example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, 0j, 0j), Decimal("1.5")))
+@example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, 0j, 0j), _OwnComplex(0.5, -1.0)))
+# a NaN base point is equal to nothing, not even itself
+@example((_jet(_NAN_BASES[0], 2.0 + 0j, 1.0 + 0j, 0j, 0j),
+          _jet(_NAN_BASES[0], 1.0 + 0j, 0j, 0j, 0j)))
+@example((_jet(0j, 2.0 + 0j, 1.0 + 0j, 0j, 0j),
+          _jet(complex(-0.0, -0.0), 1.0 + 0j, complex(-0.0, 0.0), 0j, 0j)))
 # NaNs of either sign, whose sums keep the first operand's
 @example((_jet(_BASE, 2.0 + 0j, 1.0 + 0j, 0j, 0j),
           _jet(_BASE, complex(math.nan, 0.0), complex(-math.nan, 0.0), 0j, 0j)))
+@example((_jet(_BASE, *[complex(math.nan, -math.nan)] * 4),
+          _jet(_BASE, *[complex(-math.nan, math.nan)] * 4)))
+# and products, which keep the first factor's where both hold one
+@example((_jet(_BASE, complex(math.nan, -math.nan), _ONE, _ONE, _ONE),
+          _jet(_BASE, _ONE, _ONE, complex(-math.nan, math.nan), _ONE)))
 def test_operators_equal_their_tuple_rules(jet_and_other):
     a, other = jet_and_other
     z = a.base_point

@@ -23,7 +23,9 @@ line per command: file name, exit code, argv and stderr. The commands:
     parameter, and an invalid parameter on f = 0, which has no usable sample;
   * `classify` and `curve` runs on specs scaled near the float range, or
     far below unit size, whose turning must match the unscaled spec's (see
-    SCALED_RUNS).
+    SCALED_RUNS);
+  * `classify` and `margins` runs on Laurent specs whose jet Horner runs on
+    u = z - p off the origin or has complex coefficients (see HORNER_RUNS).
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -101,6 +103,17 @@ SCALED_RUNS = (
      "0.99", "--angles", "65536", "--format", "json"),
 )
 
+# Laurent's jet Horner on u = z - 0.5 with a complex residue and tail, and
+# on u = z with a complex tail: no roster spec has either
+HORNER_SPECS = (("laurent:p=0.5;res=1+2i;b=[1,2+1i,3]", "cop:p=0.5"),
+                ("laurent:b=[0,1,0.3+0.2i,-0.1i]", "co"))
+HORNER_RUNS = (
+    *(("classify", "--function", text, "--class", cls, *grid)
+      for text, cls in HORNER_SPECS for grid in ((), SMALL_GRID)),
+    ("margins", "--function", HORNER_SPECS[0][0], "--theorem", "reM",
+     "--p", "0.5", "--format", "csv"),
+)
+
 
 def _commands():
     """(file name, argv) for every golden run, in a fixed order."""
@@ -139,6 +152,9 @@ def _commands():
                ["margins", "--function", text, "--theorem", theorem, *params])
     for k, argv in enumerate(SCALED_RUNS):
         yield f"scaled-{k}.json", list(argv)
+    for k, argv in enumerate(HORNER_RUNS):
+        ext = "csv" if argv[0] == "margins" else "json"
+        yield f"horner-{k}.{ext}", list(argv)
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
