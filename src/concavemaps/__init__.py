@@ -12,13 +12,12 @@ from .errors import (BasePointMismatchError, BranchCutError,
                      IndeterminateSampleError, JetDivisionError,
                      NonFiniteJetError, PhiUndefinedError, PoleProximityError,
                      SampleExclusionError, SpecParseError)
-from .jets import DEGENERACY_FLOOR, Jet3, pre_schwarzian, schwarzian
+from .jets import DEGENERACY_FLOOR, Jet3, schwarzian
 from .margins import (THEOREMS, ClassifyResult, GridConfig, MappingClass,
                       MarginReport, classify, default_grid, estimate_order,
                       geometric_radii, margin_at, parse_class,
                       phi_prime_one_diagnostic, scan)
-from .operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs, m_operator,
-                        phi_of, q_term, schwarzian_norm, thm3_phi3_origin,
+from .operators import (OperatorPoint, a_p_of, phi_of, thm3_phi3_origin,
                         thm3_phis, varphi_p)
 from .oracle import (CurveSample, boundary_curve, convexity_defect,
                      oracle_concave, real_axis_crossings)
@@ -32,12 +31,10 @@ __all__ = [
     "IndeterminateSampleError", "Jet3", "JetDivisionError", "KAlpha", "Kp",
     "Laurent", "MappingClass", "MarginReport", "NonFiniteJetError",
     "OperatorPoint", "PhiUndefinedError", "PoleProximityError",
-    "SampleExclusionError", "SpecParseError", "THEOREMS", "a_f", "a_p_of",
-    "boundary_curve", "classify", "co_alpha_lhs", "convexity_defect",
-    "default_grid", "estimate_order", "format_spec",
-    "geometric_radii", "m_operator", "margin_at", "omitted_segment",
-    "oracle_concave", "parse_class",
-    "parse_spec", "phi_of", "phi_prime_one_diagnostic", "pre_schwarzian",
-    "q_term", "real_axis_crossings", "scan", "schwarzian", "schwarzian_norm",
-    "thm3_phi3_origin", "thm3_phis", "varphi_p",
+    "SampleExclusionError", "SpecParseError", "THEOREMS", "a_p_of",
+    "boundary_curve", "classify", "convexity_defect", "default_grid",
+    "estimate_order", "format_spec", "geometric_radii", "margin_at",
+    "omitted_segment", "oracle_concave", "parse_class", "parse_spec",
+    "phi_of", "phi_prime_one_diagnostic", "real_axis_crossings", "scan",
+    "schwarzian", "thm3_phi3_origin", "thm3_phis", "varphi_p",
 ]

@@ -48,8 +48,9 @@ The module also owns the spec mini-grammar used by the CLI:
     laurent:p=<r>;res=<c>;b=[<c>,...]
     laurent:b=[<c>,...]
 
-with complex literals written <re>+<im>i. format_spec emits the canonical
-form; parse_spec(format_spec(s)) == s for every spec.
+with complex literals written <re>+<im>i; a literal that overflows a float
+is refused. format_spec emits the canonical form; parse_spec(format_spec(s))
+== s for every spec.
 """
 
 from __future__ import annotations
@@ -361,6 +362,8 @@ class Kp(FamilySpec):
         p = float(self.p)
         if not (0.0 < p < 1.0):
             raise ValueError(f"p must lie in (0, 1), got {p!r}")
+        if not math.isfinite(1.0 / p):
+            raise ValueError(f"1/p overflows for p = {p!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
@@ -551,12 +554,13 @@ def _parse_complex(text: str, pos: int) -> complex:
         raise SpecParseError(f"malformed complex literal {text!r}", pos)
     head, rest = m.group(0), s[m.end():]
     if rest == "":
-        return complex(float(head), 0.0)
+        return complex(_literal_float(head, text, pos), 0.0)
     if rest == "i":
-        return complex(0.0, float(head))
+        return complex(0.0, _literal_float(head, text, pos))
     m2 = _FLOAT_RE.match(rest)
     if m2 and rest[m2.end():] == "i" and rest[0] in "+-":
-        return complex(float(head), float(m2.group(0)))
+        return complex(_literal_float(head, text, pos),
+                       _literal_float(m2.group(0), text, pos))
     raise SpecParseError(f"malformed complex literal {text!r}", pos)
 
 
@@ -564,7 +568,16 @@ def _parse_real(text: str, pos: int) -> float:
     m = _FLOAT_RE.match(text.strip())
     if not m or m.group(0) != text.strip():
         raise SpecParseError(f"malformed real literal {text!r}", pos)
-    return float(text)
+    return _literal_float(text, text, pos)
+
+
+def _literal_float(digits: str, text: str, pos: int) -> float:
+    """The float of a matched literal, refused where it overflows to inf,
+    which format_spec could not write back."""
+    x = float(digits)
+    if not math.isfinite(x):
+        raise SpecParseError(f"literal {text!r} overflows a float", pos)
+    return x
 
 
 def _split_kv(part: str, base: int) -> tuple[str, str, int]:

@@ -32,9 +32,9 @@ from pathlib import Path
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
 from .errors import EmptyScanError, SampleExclusionError, SpecParseError
-from .margins import (_TOKENS, CLASS_VERDICT_OK, VERDICT_OK, GridConfig,
-                      MarginReport, classify, default_grid, geometric_radii,
-                      parse_class, scan)
+from .margins import (_TOKENS, CLASS_VERDICT_OK, THEOREMS, VERDICT_OK,
+                      GridConfig, MarginReport, classify, default_grid,
+                      geometric_radii, parse_class, scan)
 from .oracle import DEFAULT_ANGLES, CurveSample, boundary_curve, oracle_concave
 
 
@@ -297,8 +297,7 @@ families:
   laurent:b=[<c>,...]             pole-free polynomial (controls)
 complex literals: <re>, <im>i, or <re>+<im>i (also <re>-<im>i)
 classes: co | coalpha:alpha=<r> | co0 | cop:p=<r>
-theorems: thm1 thm2 co0 thm3 corollary thm4 co_alpha_lhs reM
-"""
+theorems: """ + " ".join(THEOREMS) + "\n"
 
 
 def _cmd_catalog(args) -> int:
@@ -334,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm = subs.add_parser("margins", help="scan one inequality margin")
     sm.add_argument("--function", required=True)
     sm.add_argument("--theorem", required=True,
-                    help="thm1 | thm2 | co0 | thm3 | corollary | thm4 | "
-                         "co_alpha_lhs | reM")
+                    help=" | ".join(THEOREMS))
     sm.add_argument("--alpha", type=float, default=None)
     sm.add_argument("--p", type=float, default=None)
     _add_grid_flags(sm)

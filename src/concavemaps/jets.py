@@ -519,16 +519,6 @@ def _jet(base_point: complex, v0: complex, v1: complex, v2: complex,
     return j
 
 
-def pre_schwarzian(jet: Jet3) -> complex:
-    """f''/f' at the jet's base point."""
-    if jet.v1 == 0:
-        raise CriticalPointError(f"f'({jet.base_point!r}) = 0")
-    out = jet.v2 / jet.v1
-    if not _isfinite(out):
-        raise _overflowed("pre-Schwarzian")
-    return out
-
-
 def schwarzian(jet: Jet3) -> complex:
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at the base point.
 

@@ -13,9 +13,10 @@ scannable:
     corollary     6 - |Sf|(1-|z|^2)^2
     thm4          -Re M - (1-t^2)(1+2at+t^2)/(4(1+at)^2) |zP+q|^2 (class Co(p))
 
-with P = f''/f', t = |z|, q = q_term(p, z) and a = a_p_of(spec, p) unless
-margin_at is given one. A grid scan can only certify "member-consistent",
-never membership; verdicts say so.
+with P = f''/f', t = |z|, q = 2p/(z-p) - 2pz/(1-pz) (0 when p = 0),
+M = 1 + zP + q and a = a_p_of(spec, p) unless margin_at is given one. A grid
+scan can only certify "member-consistent", never membership; verdicts say
+so.
 
 A table holds one row per token: its column over a ring, written on the
 ring forms of `operators`, the class parameter it reads and its rule at a
@@ -61,9 +62,9 @@ from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      PoleProximityError, SampleExclusionError, SpecParseError)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
-from .operators import (OperatorPoint, _a_f, _check_alpha, _check_p,
-                        _co_alpha, _kept, _m, _one, _phis, _q, _Ring,
-                        _sf_norm, a_p_of, phi_of, thm3_phi3_origin)
+from .operators import (OperatorPoint, _a_f, _check_p, _co_alpha, _kept,
+                        _one, _phis, _q, _Ring, _sf_norm, a_p_of, phi_of,
+                        thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -183,7 +184,8 @@ def _thm4(col: _Ring, p: float, a: float) -> list[float]:
 
 
 def _re_m(col: _Ring, p: float) -> list[float]:
-    return [-m.real for m in _m(col, p)]
+    (qs,) = _kept(col, col.shared(_q, p))
+    return [-(1.0 + zp + q).real for zp, q in zip(col.zp, qs)]
 
 
 def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
@@ -298,6 +300,13 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
         args += (a,)
     return (lambda ring: _column(fn, ring, args),
             None if at_pole is None else lambda: at_pole(spec, *args))
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (1.0 < alpha <= 2.0):
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
+    return alpha
 
 
 def _has_pole_at(spec: FamilySpec, q: complex) -> bool:

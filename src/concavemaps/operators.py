@@ -8,13 +8,13 @@ Each operator is written once, over a ring of samples. `_Ring` holds the
 samples as columns: z, the jet fields v1, v2 and v3, pre = f''/f' and
 zp = z f''/f'. It is built once per ring of a grid from the family's column
 kernel, and it excludes a sample whose |f'| lies inside the 1e-12 floor
-(CriticalPointError) or whose f''/f' is not finite (NonFiniteJetError,
-pre_schwarzian's test). Each formula stage is one comprehension over the
-samples still live. Between stages the column tests of `jets` (`_floored`,
-`_finite_errors`) name the samples whose denominator lies inside the floor;
-a drop takes them out of every column at once and keeps each one's
-SampleExclusionError, to be placed back in the sample's position: the
-drop-and-place of `catalog._Samples`, which `_Ring` extends.
+(CriticalPointError) or whose f''/f' is not finite (NonFiniteJetError).
+Each formula stage is one comprehension over the samples still live.
+Between stages the column tests of `jets` (`_floored`, `_finite_errors`)
+name the samples whose denominator lies inside the floor; a drop takes them
+out of every column at once and keeps each one's SampleExclusionError, to
+be placed back in the sample's position: the drop-and-place of
+`catalog._Samples`, which `_Ring` extends.
 
 A ring form that several margins read (A_f, the Schwarzian norm, q and the
 Co(alpha) column) goes through the ring's one cache, `_Ring.shared`, which
@@ -22,10 +22,14 @@ its copies share until they drop a sample: it is computed once per ring,
 with each sample it drops holding its error in its place, and `_kept`
 drops those samples from the copy that reads it.
 
-The public operators take an OperatorPoint, which pairs one sample z with
-the function's jet there. They check the class parameters and make a
-one-sample call into the ring forms that raises the stored error again, as
-eval_jet does into eval_jets.
+The public operators are the five that `margins` reads, directly or through
+each other, at one sample. phi_of, varphi_p and thm3_phis take an
+OperatorPoint, which pairs one sample z with the function's jet there, and
+make a one-sample call into the ring forms that raises the stored error
+again, as eval_jet does into eval_jets; thm3_phi3_origin and a_p_of read
+them at the origin of a spec. Every other ring form is read through the
+margin table (`margins.margin_at` at one sample), which checks the class
+parameters.
 
 The pole-at-origin families need two limit conventions, both resolved here:
 phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
@@ -74,13 +78,6 @@ class OperatorPoint:
         z = complex(z)
         return OperatorPoint(z, spec.eval_jet(z))
 
-    @property
-    def pre_schwarzian(self) -> complex:
-        """f''/f' at z, as the point's ring checks it: NonFiniteJetError
-        where it overflows."""
-        col = _point(self)
-        return _one(col, col.pre)
-
 
 # -- the ring: samples as columns ----------------------------------------------
 
@@ -111,9 +108,9 @@ class _Ring(_Samples):
         """The ring with the kernel's column at its samples (eval_jets(zs)):
         a kernel error is placed as it is; |f'| inside the degeneracy floor
         excludes a sample as a critical point, and an f''/f' that is not
-        finite as an overflowed pre-Schwarzian, pre_schwarzian's test. The
-        tuples are transposed in one step, and the kernel's entries are
-        looked at one by one only when one of them is an error."""
+        finite as an overflowed pre-Schwarzian. The tuples are transposed in
+        one step, and the kernel's entries are looked at one by one only
+        when one of them is an error."""
         if not all(map(tuple.__instancecheck__, jets)):  # a C-level screen
             jets = self.drop({k: j for k, j in enumerate(jets)
                               if type(j) is not tuple}, jets)
@@ -229,11 +226,6 @@ def _q(col: _Ring, p: float) -> list[complex]:
             for z, d, den in zip(col.zs, ds, dens)]
 
 
-def _m(col: _Ring, p: float) -> list[complex]:
-    (qs,) = _kept(col, col.shared(_q, p))
-    return [1.0 + zp + q for zp, q in zip(col.zp, qs)]
-
-
 def _varphi(col: _Ring, p: float) -> list[complex]:
     dens = [1.0 - p * z for z in col.zs]
     dens = col.drop({k: _pz_pole(col.zs[k]) for k in _floored(dens)}, dens)
@@ -269,13 +261,6 @@ def _phis(col: _Ring, *carry: list) -> tuple[list, ...]:
                    for z, f, den in zip(col.zs, phi3, dens)], *carry)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha!r}")
-    return alpha
-
-
 def _check_p(p: float) -> float:
     p = float(p)
     if not (0.0 <= p < 1.0):
@@ -285,43 +270,10 @@ def _check_p(p: float) -> float:
 
 # -- operators at a point: one-sample calls into the ring forms -----------------
 
-def a_f(pt: OperatorPoint) -> complex:
-    """A_f(z) = ((1-|z|^2) f''/f' - 2 conj(z))/2; |A_f| >= 1 marks concavity."""
-    col = _point(pt)
-    return _one(col, _a_f(col))
-
-
 def phi_of(pt: OperatorPoint) -> complex:
     """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
     col = _point(pt)
     return _one(col, _phi(col))
-
-
-def schwarzian_norm(pt: OperatorPoint) -> float:
-    """|Sf(z)| (1-|z|^2)^2, the invariant Schwarzian magnitude."""
-    col = _point(pt)
-    return _one(col, _sf_norm(col))
-
-
-def co_alpha_lhs(pt: OperatorPoint, alpha: float) -> float:
-    """Re{(alpha+1)/2 * (1+z)/(1-z) - 1 - z f''/f'}; positive for members."""
-    alpha = _check_alpha(alpha)
-    col = _point(pt)
-    return _one(col, _co_alpha(col, alpha))
-
-
-def q_term(p: float, z: complex) -> complex:
-    """q(z) = 2p/(z-p) - 2pz/(1-pz); identically 0 when p = 0."""
-    p = _check_p(p)
-    col = _Ring([complex(z)])
-    return _one(col, _q(col, p))
-
-
-def m_operator(pt: OperatorPoint, p: float) -> complex:
-    """M(z) = 1 + z f''/f' + q(z); Re M < 0 characterizes pole-p members."""
-    p = _check_p(p)
-    col = _point(pt)
-    return _one(col, _m(col, p))
 
 
 def varphi_p(pt: OperatorPoint, p: float) -> complex:

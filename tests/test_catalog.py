@@ -201,6 +201,29 @@ def test_parse_errors_carry_position():
         parse_spec("co0cubic:a0=1+2x")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("laurent:b=[0,1,1e999]", 15),
+    ("laurent:p=0.5;res=1e999;b=[]", 18),
+    ("laurent:b=[1e999]", 11),
+    ("co0cubic:a0=1-1e999i", 12),
+    ("kalpha:alpha=1e999", 13),
+])
+def test_non_finite_literals_are_refused_at_their_position(text, position):
+    # an inf would build a spec whose canonical form does not parse back
+    with pytest.raises(SpecParseError, match="overflows a float") as exc:
+        parse_spec(text)
+    assert exc.value.position == position
+
+
+def test_kp_refuses_a_p_whose_reciprocal_overflows():
+    # its second pole, 1/p, would be inf
+    with pytest.raises(ValueError, match="1/p overflows"):
+        Kp(1e-320)
+    with pytest.raises(SpecParseError, match="1/p overflows"):
+        parse_spec("kp:p=1e-320")
+    assert Kp(1e-300).poles[1] == complex(1.0 / 1e-300)
+
+
 def test_format_parse_roundtrip():
     specs = [
         HalfPlane(),
@@ -245,7 +268,8 @@ family_specs = st.one_of(
     st.builds(_angle_map,
               st.complex_numbers(min_magnitude=0.05, max_magnitude=0.99),
               nonzero_c, coeff_c).filter(lambda spec: spec is not None),
-    st.builds(Kp, open_unit),
+    # Kp refuses a p whose 1/p, its second pole, overflows
+    st.builds(Kp, open_unit.filter(lambda p: 1.0 / p < math.inf)),
     st.builds(Co0Cubic, coeff_c),
     st.builds(Laurent, laurent_pole, nonzero_c,
               st.lists(coeff_c, max_size=16).map(tuple)),
@@ -606,7 +630,7 @@ def spec_columns(draw):
           [complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 + 0j]))
 @example((Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), [0.9 + 0j, 0.1j]))
 @example((AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), [0.5 + 0j, 0.1j]))
-@example((Kp(5e-324), [0.5 + 0j, 0.5j, 0j]))
+@example((Kp(1e-308), [0.5 + 0j, 0.5j, 0j]))
 def test_values_columns_match_the_per_sample_kernels(spec_and_zs):
     spec, zs = spec_and_zs
     assert _column_bits(spec.values, zs) == _column_bits(
@@ -638,7 +662,7 @@ def test_values_columns_match_the_per_sample_kernels(spec_and_zs):
           [complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 + 0j]))
 @example((Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), [0.9 + 0j, 0.1j]))
 @example((AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), [0.5 + 0j, 0.1j]))
-@example((Kp(5e-324), [0.5 + 0j, 0.5j, 0j]))
+@example((Kp(1e-308), [0.5 + 0j, 0.5j, 0j]))
 def test_eval_jets_columns_match_the_per_sample_kernels(spec_and_zs):
     spec, zs = spec_and_zs
     assert _column_bits(spec.eval_jets, zs) == _column_bits(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from concavemaps import cli, oracle, verify
 from concavemaps.catalog import EXCLUSION_RADIUS, parse_spec
 from concavemaps.cli import _dump, _Rows, main
-from concavemaps.margins import default_grid
+from concavemaps.margins import THEOREMS, default_grid
 from concavemaps.oracle import DEFAULT_ANGLES, boundary_curve
 
 FAST = ["--radii", "6", "--angles", "32"]
@@ -57,6 +57,21 @@ def test_malformed_class_number_exit_two(capsys):
                                     "--class", cls] + FAST)
         assert code == 2
         assert "error:" in err and "position" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--function", "laurent:b=[0,1,1e999]", "--class", "co",
+     "--radii", "2", "--angles", "8"],
+    ["classify", "--function", "laurent:p=0.5;res=1e999;b=[]",
+     "--class", "cop:p=0.5"],
+    ["curve", "--function", "laurent:b=[1e999]", "--angles", "64"],
+    ["curve", "--function", "kp:p=1e-320", "--angles", "64"],
+])
+def test_non_finite_spec_exit_two(argv, capsys):
+    # refused as input, before anything is sampled, not as a degeneracy
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "position" in err, err
 
 
 def test_classify_oracle_uses_grid_epsilon(capsys, monkeypatch):
@@ -292,9 +307,27 @@ def test_classify_grid_ignores_the_environment(value, capsys, monkeypatch):
 def test_catalog_lists_grammar(capsys):
     code, out, _ = run(capsys, ["catalog"])
     assert code == 0
-    assert out.startswith("families:")
-    for token in ("kp:p=<r>", "co0cubic:a0=<c>", "laurent:", "classes:"):
-        assert token in out
+    assert out == """\
+families:
+  halfplane                       z/(1-z); boundary pole at z=1
+  koebe                           z/(1-z)^2; boundary pole at z=1
+  identity                        z (not concave; control)
+  kalpha:alpha=<r>                alpha in [1, 2]; kalpha:alpha=2 = koebe
+  anglemap:a=<c>[,A=<c>,B=<c>]    0 < |a| < 1 and (1-|a|^2)/|1-a|^2 <= 1/3
+  kp:p=<r>                        p in (0, 1); interior pole at z=p
+  co0cubic:a0=<c>                 1/z + a0 + z; pole at z=0
+  laurent:p=<r>;res=<c>;b=[...]   simple pole at p in [0, 1), res != 0
+  laurent:b=[<c>,...]             pole-free polynomial (controls)
+complex literals: <re>, <im>i, or <re>+<im>i (also <re>-<im>i)
+classes: co | coalpha:alpha=<r> | co0 | cop:p=<r>
+theorems: thm1 thm2 co0 thm3 corollary thm4 co_alpha_lhs reM
+"""
+
+
+def test_margins_help_lists_every_theorem_token(capsys):
+    with pytest.raises(SystemExit):
+        main(["margins", "--help"])
+    assert " | ".join(THEOREMS) in " ".join(capsys.readouterr().out.split())
 
 
 def test_zero_grid_flags_are_refused(capsys):

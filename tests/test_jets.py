@@ -16,9 +16,10 @@ from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 CriticalPointError, JetDivisionError,
                                 NonFiniteJetError)
 from concavemaps import jets as jets_module
-from concavemaps.jets import (_ONE, Jet3, _jconst, _jet, pre_schwarzian,
-                              schwarzian)
+from concavemaps.jets import _ONE, Jet3, _jconst, _jet, schwarzian
+from concavemaps.operators import OperatorPoint
 from jet_reference import _jadd, _jexp, _jlog, _jmul, _jpow, _jrecip, _jsub
+from test_operators import _pre, at
 
 
 def close(a: complex, b: complex, tol: float = 1e-12) -> bool:
@@ -170,7 +171,7 @@ def test_schwarzian_vanishes_on_mobius():
     zj = Jet3.variable(z)
     m = (2.0 * zj + 1.0) / (1.0 - 0.5 * zj)
     assert abs(schwarzian(m)) < 1e-12
-    assert close(pre_schwarzian(m), m.v2 / m.v1)
+    assert close(at(_pre, OperatorPoint(z, m)), m.v2 / m.v1)
 
 
 def test_schwarzian_of_koebe_at_zero_is_minus_six():
@@ -180,9 +181,10 @@ def test_schwarzian_of_koebe_at_zero_is_minus_six():
 
 
 def test_pre_schwarzian_needs_nonzero_derivative():
+    # f''/f' is read only off an OperatorPoint's ring, which refuses f' = 0
     flat = Jet3(0j, 1.0 + 0j, 0, 1, 0)
     with pytest.raises(CriticalPointError):
-        pre_schwarzian(flat)
+        OperatorPoint(0j, flat)
 
 
 # -- finiteness is checked at the boundary, not on every operation -------------
@@ -515,4 +517,4 @@ def test_jets_keeps_its_per_step_rules_private():
     public = sorted(name for name, fn in vars(jets_module).items()
                     if not name.startswith("_") and inspect.isfunction(fn)
                     and fn.__module__ == jets_module.__name__)
-    assert public == ["pre_schwarzian", "schwarzian"]
+    assert public == ["schwarzian"]

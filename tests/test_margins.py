@@ -23,8 +23,9 @@ from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan, sweep)
 from concavemaps.operators import (OperatorPoint, _a_f, _co_alpha, _q,
-                                   _sf_norm, q_term, thm3_phi3_origin)
+                                   _sf_norm, thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
+from test_operators import at
 
 SMALL = GridConfig(geometric_radii(8), 32)
 
@@ -319,7 +320,7 @@ def test_q_rejects_its_second_pole_as_its_reference_does():
     # q's first test to its second
     for p, z in ((0.5, 2.0 + 0j), (0.8, 1.25 + 0j)):
         with pytest.raises(PoleProximityError) as got:
-            q_term(p, z)
+            at(_q, z, p)
         with pytest.raises(PoleProximityError) as want:
             _ref_q(p, z)
         assert str(got.value) == str(want.value) == f"1 - pz vanishes at {z!r}"

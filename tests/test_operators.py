@@ -1,22 +1,42 @@
 """Operator fixtures against hand-computed closed forms, plus invariances."""
 
 import cmath
+import inspect
 import random
 
 import pytest
 
+import concavemaps
+from concavemaps import operators
 from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError)
-from concavemaps.jets import Jet3, pre_schwarzian
-from concavemaps.operators import (OperatorPoint, a_f, a_p_of, co_alpha_lhs,
-                                   m_operator, phi_of, q_term, schwarzian_norm,
+from concavemaps.jets import Jet3
+from concavemaps.margins import _re_m, margin_at
+from concavemaps.operators import (OperatorPoint, _a_f, _one, _point, _q,
+                                   _Ring, _sf_norm, a_p_of, phi_of,
                                    thm3_phi3_origin, thm3_phis, varphi_p)
 
 
 def pt(spec, z):
     return OperatorPoint.at(spec, complex(z))
+
+
+def at(form, where, *args):
+    """The ring form form(ring, *args) at one sample: where is an
+    OperatorPoint, or a bare z for a form that reads no jet (q). Raises the
+    error that dropped the sample."""
+    if isinstance(where, OperatorPoint):
+        col = _point(where)
+    else:
+        col = _Ring([complex(where)])
+    return _one(col, form(col, *args))
+
+
+def _pre(col):
+    """f''/f', the ring's own column."""
+    return col.pre
 
 
 def rand_disk(rng, rmax=0.9):
@@ -29,7 +49,7 @@ def test_a_f_halfplane_closed_form():
     spec = HalfPlane()
     for _ in range(50):
         z = rand_disk(rng)
-        got = a_f(pt(spec, z))
+        got = at(_a_f, pt(spec, z))
         want = (1.0 - z.conjugate()) / (1.0 - z)
         assert abs(got - want) < 1e-12
         assert abs(abs(got) - 1.0) < 1e-12
@@ -60,38 +80,39 @@ def test_a_f_from_phi_identity():
                 phi = phi_of(p)
             except PhiUndefinedError:
                 continue
-            lhs = abs(a_f(p))
+            lhs = abs(at(_a_f, p))
             rhs = abs(1.0 - z.conjugate() * phi) / abs(phi - z)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, rhs)
 
 
 def test_co_alpha_lhs_origin_is_half_alpha_minus_one():
     for alpha in (1.25, 1.5, 1.75, 2.0):
-        got = co_alpha_lhs(pt(KAlpha(alpha), 0j), alpha)
+        got = margin_at(KAlpha(alpha), 0j, "co_alpha_lhs", alpha=alpha)
         assert abs(got - 0.5 * (alpha - 1.0)) < 1e-12
 
 
 def test_alpha_range_enforced():
-    p = pt(HalfPlane(), 0j)
     for bad in (1.0, 0.5, 2.5):
         with pytest.raises(ValueError):
-            co_alpha_lhs(p, bad)
+            margin_at(HalfPlane(), 0j, "co_alpha_lhs", alpha=bad)
 
 
 def test_q_term_values():
-    assert q_term(0.0, 0.3 + 0.4j) == 0j
-    assert q_term(0.5, 0j) == -2.0 + 0j
-    got = q_term(0.5, 0.5j)
+    assert at(_q, 0.3 + 0.4j, 0.0) == 0j
+    assert at(_q, 0j, 0.5) == -2.0 + 0j
+    got = at(_q, 0.5j, 0.5)
     assert abs(got - complex(-15.0 / 17.0, -25.0 / 17.0)) < 1e-14
+    # p is checked where the margins that read q bind it
     with pytest.raises(ValueError):
-        q_term(1.0, 0j)
+        margin_at(HalfPlane(), 0j, "reM", p=1.0)
     with pytest.raises(ValueError):
-        q_term(-0.1, 0j)
+        margin_at(HalfPlane(), 0j, "reM", p=-0.1)
 
 
 def test_m_operator_fixtures():
-    assert abs(m_operator(pt(Co0Cubic(0j), 0.5), 0.0) + 5.0 / 3.0) < 1e-12
-    assert m_operator(pt(parse_spec("identity"), 0j), 0.0) == 1.0 + 0j
+    # the reM token is -Re M
+    assert abs(margin_at(Co0Cubic(0j), 0.5, "reM", p=0.0) - 5.0 / 3.0) < 1e-12
+    assert margin_at(parse_spec("identity"), 0j, "reM", p=0.0) == -1.0
 
 
 def test_thm3_phis_cubic():
@@ -139,7 +160,7 @@ def test_varphi_p_on_kp_is_z():
 def test_varphi_p_origin_closed_form():
     # phi_p(0) = (-p P(0) + 2 + 2 p^2) / (2 p)
     for spec in (HalfPlane(), KAlpha(1.5)):
-        p0 = pt(spec, 0j).pre_schwarzian
+        p0 = at(_pre, pt(spec, 0j))
         for p in (0.3, 0.7):
             want = (-p * p0 + 2.0 + 2.0 * p * p) / (2.0 * p)
             assert abs(varphi_p(pt(spec, 0j), p) - want) < 1e-12
@@ -166,10 +187,10 @@ def test_affine_invariance():
         z = rand_disk(rng)
         base = pt(spec, z)
         moved = OperatorPoint(z, base.jet * c + d)
-        assert abs(a_f(base) - a_f(moved)) < 1e-12
+        assert abs(at(_a_f, base) - at(_a_f, moved)) < 1e-12
         assert abs(phi_of(base) - phi_of(moved)) < 1e-10
-        assert abs(schwarzian_norm(base) - schwarzian_norm(moved)) < 1e-9
-        assert abs(m_operator(base, 0.5) - m_operator(moved, 0.5)) < 1e-10
+        assert abs(at(_sf_norm, base) - at(_sf_norm, moved)) < 1e-9
+        assert abs(at(_re_m, base, 0.5) - at(_re_m, moved, 0.5)) < 1e-10
 
 
 def test_operator_point_validation():
@@ -179,14 +200,15 @@ def test_operator_point_validation():
         OperatorPoint(0.1 + 0j, Jet3.variable(0.2 + 0j))
     with pytest.raises(CriticalPointError):
         OperatorPoint(0j, Jet3.constant(0j, 5.0 + 0j))
-    assert pt(HalfPlane(), 0j).pre_schwarzian == 2.0 + 0j
+    assert at(_pre, pt(HalfPlane(), 0j)) == 2.0 + 0j
 
 
 def test_pre_schwarzian_raises_where_a_f_does():
     # f'(0) = 1e-12 and f''(0) = 2e300, so f''/f' overflows at 0
-    point = pt(parse_spec("laurent:b=[0,1e-12,1e300]"), 0j)
-    for read in (lambda: point.pre_schwarzian, lambda: a_f(point),
-                 lambda: pre_schwarzian(point.jet)):
+    spec = parse_spec("laurent:b=[0,1e-12,1e300]")
+    point = pt(spec, 0j)
+    for read in (lambda: at(_pre, point), lambda: at(_a_f, point),
+                 lambda: margin_at(spec, 0j, "co_alpha_lhs", alpha=1.5)):
         with pytest.raises(NonFiniteJetError,
                            match="^pre-Schwarzian overflowed$"):
             read()
@@ -202,3 +224,21 @@ def test_phi_undefined_for_identity():
 def test_thm3_indeterminate_at_origin():
     with pytest.raises(IndeterminateSampleError):
         thm3_phis(pt(KAlpha(2.0), 0j))
+
+
+def _public_functions(module):
+    return sorted(name for name, fn in vars(module).items()
+                  if not name.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == module.__name__)
+
+
+def test_operators_exports_only_what_margins_reads():
+    # every other ring form is read through the margin table
+    assert _public_functions(operators) == [
+        "a_p_of", "phi_of", "thm3_phi3_origin", "thm3_phis", "varphi_p"]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(concavemaps.__all__)) == len(concavemaps.__all__)
+    for name in concavemaps.__all__:
+        assert getattr(concavemaps, name) is not None, name

@@ -25,7 +25,9 @@ line per command: file name, exit code, argv and stderr. The commands:
     far below unit size, whose turning must match the unscaled spec's (see
     SCALED_RUNS);
   * `classify` and `margins` runs on Laurent specs whose jet Horner runs on
-    u = z - p off the origin or has complex coefficients (see HORNER_RUNS).
+    u = z - p off the origin or has complex coefficients (see HORNER_RUNS);
+  * `classify` and `curve` runs on specs with a literal that overflows a
+    float, or a k_p whose 1/p does (see NONFINITE_RUNS).
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -114,6 +116,20 @@ HORNER_RUNS = (
      "--p", "0.5", "--format", "csv"),
 )
 
+# A literal that overflows to inf, in a coefficient, a residue and a lone
+# coefficient (whose canonical form would not parse back), and kp at a p
+# whose second pole 1/p is inf: each refused as input
+NONFINITE_RUNS = (
+    ("classify", "--function", "laurent:b=[0,1,1e999]", "--class", "co",
+     "--radii", "2", "--angles", "8"),
+    ("classify", "--function", "laurent:p=0.5;res=1e999;b=[]",
+     "--class", "cop:p=0.5"),
+    ("curve", "--function", "laurent:b=[1e999]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+    ("curve", "--function", "kp:p=1e-320", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+)
+
 
 def _commands():
     """(file name, argv) for every golden run, in a fixed order."""
@@ -155,6 +171,8 @@ def _commands():
     for k, argv in enumerate(HORNER_RUNS):
         ext = "csv" if argv[0] == "margins" else "json"
         yield f"horner-{k}.{ext}", list(argv)
+    for k, argv in enumerate(NONFINITE_RUNS):
+        yield f"nonfinite-{k}.json", list(argv)
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
