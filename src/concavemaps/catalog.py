@@ -64,9 +64,10 @@ from itertools import chain, compress, repeat
 
 from .errors import (NonFiniteJetError, PoleProximityError,
                      SampleExclusionError, SpecParseError, _only)
-from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
-                   _inverse_errors, _jadds, _jconst, _jet, _jfinite_errors,
-                   _jmuls, _jrecips, _jsubs, _log_errors, _Rows)
+from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
+                   _floored, _inverse_errors, _jadds, _jconst, _jet,
+                   _jfinite_errors, _jmuls, _jrecips, _jsubs, _log_errors,
+                   _Rows)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -83,10 +84,9 @@ def _outside_disk(z: complex) -> ValueError:
 
 def _require_in_disk(z: complex) -> complex:
     z = complex(z)
-    # before abs(), which can report a stale overflow on a NaN
     if not cmath.isfinite(z):
         raise _sample_not_finite(z)
-    if abs(z) >= 1.0:
+    if not _below(z, 1.0):
         raise _outside_disk(z)
     return z
 
@@ -123,7 +123,7 @@ class _Samples(_Rows):
             for k, z in enumerate(zs):
                 if not cmath.isfinite(z):
                     errors[k] = _sample_not_finite(z)
-                elif abs(z) >= 1.0:
+                elif not _below(z, 1.0):
                     raise _outside_disk(z)
             self.drop(errors, zs)
 
@@ -452,7 +452,7 @@ class Laurent(FamilySpec):
             p = float(self.pole)
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"pole must lie in [0, 1), got {p!r}")
-            if abs(complex(self.residue)) < DEGENERACY_FLOOR:
+            if _below(complex(self.residue), DEGENERACY_FLOOR):
                 raise ValueError("a pole needs a nonzero residue")
             object.__setattr__(self, "pole", p)
         object.__setattr__(self, "residue", complex(self.residue))

@@ -6,12 +6,12 @@ acceptance suite), catalog (family grammar). Reports are deterministic:
 identical config and build produce byte-identical JSON/CSV, so there are no
 timestamps and complex numbers serialize as {re, im} pairs, never strings.
 
-Every JSON report, the `verify` bundle included, goes through one writer,
-`_dump`: the bytes json.dumps writes with sorted keys and a two-space
-indent, plus a newline, without the pure-Python encoder that json falls
-back to whenever it indents. A `_Rows` of columns is written through one
-template per row, so the curve points and excluded arcs need no dict per
-row.
+Every JSON report is the bytes json.dumps writes with sorted keys and a
+two-space indent, plus a newline (`_dump`). Only a curve's tables, the
+points and the excluded arcs, go another way: each is a `_Rows` of
+columns, written through one template per row, so that they need no dict
+per row and skip the pure-Python encoder json falls back to whenever it
+indents.
 
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
 error (an --out whose directory does not exist is refused before anything
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from collections.abc import Sequence
@@ -51,10 +52,6 @@ def _grid_dict(grid: GridConfig) -> dict:
     }
 
 
-# json's spelling of the floats that float.__repr__ spells nan, inf, -inf
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 class _Rows:
     """Columns of equal length, keyed by name, written as the JSON list of
     their rows: one object per index, with no dict built per row."""
@@ -65,42 +62,23 @@ class _Rows:
         self.columns = columns
 
 
-def _scalar(v) -> str | None:
-    """v as json writes it, or None if v is a container."""
-    if isinstance(v, str):
-        return _quote(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _NON_FINITE.get(text, text)
-    return None
-
-
-def _column(values: Sequence) -> list[str] | None:
-    """Each of values as json writes it, or None if one is a container."""
+def _column(values: Sequence) -> list[str]:
+    """Each of values as json writes it; TypeError if one is a container."""
     try:
         texts = list(map(float.__repr__, values))
-    except TypeError:
-        texts = list(map(_scalar, values))
-        return None if None in texts else texts
-    if not all(map(math.isfinite, values)):
-        texts = [_NON_FINITE.get(t, t) for t in texts]
-    return texts
+        if all(map(math.isfinite, values)):
+            return texts
+    except TypeError:  # not all floats
+        pass
+    if any(isinstance(v, (list, tuple, dict)) for v in values):
+        raise TypeError("a _Rows column holds a container")
+    return list(map(json.dumps, values))
 
 
 def _table(columns: dict[str, Sequence], pad: str) -> str:
     """The rows of columns as an indented JSON list of objects."""
     keys = sorted(columns)
     texts = [_column(columns[k]) for k in keys]
-    if None in texts:
-        raise TypeError("a _Rows column holds a container")
     if not keys or not texts[0]:
         return "[]"
     inner = pad + "  "
@@ -111,33 +89,21 @@ def _table(columns: dict[str, Sequence], pad: str) -> str:
     return f"[\n{inner}{rows}\n{pad}]"
 
 
-def _value(v, pad: str) -> str:
-    text = _scalar(v)
-    if text is not None:
-        return text
-    inner = pad + "  "
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        text = f",\n{inner}".join(_value(x, inner) for x in v)
-        return f"[\n{inner}{text}\n{pad}]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        text = f",\n{inner}".join(f"{_quote(k)}: {_value(v[k], inner)}"
-                                  for k in sorted(v))
-        return f"{{\n{inner}{text}\n{pad}}}"
-    if isinstance(v, _Rows):
-        return _table(v.columns, pad)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _dump(payload: dict) -> str:
+def _dump(payload) -> str:
     """payload as json.dumps writes it with sorted keys and a two-space
-    indent, plus a newline, byte for byte, for payloads of str-keyed dicts,
-    lists, tuples, str, int, float, bool, None and _Rows (written as the
-    list of its rows)."""
-    return _value(payload, "") + "\n"
+    indent, plus a newline. A _Rows at the top level of a dict payload is
+    written as the list of its rows, by _table; the dict's other values go
+    through json.dumps, indented one level."""
+    if not (isinstance(payload, dict)
+            and any(isinstance(v, _Rows) for v in payload.values())):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # one generator and one format, so that no more than two copies of a
+    # long table are alive at once
+    body = ",\n".join(f"  {_quote(k)}: " + (
+        _table(v.columns, "  ") if isinstance(v, _Rows)
+        else json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for k, v in sorted(payload.items()))
+    return f"{{\n{body}\n}}\n"
 
 
 def _check_out(out: str) -> None:

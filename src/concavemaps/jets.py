@@ -116,15 +116,26 @@ def _finite_errors(ws: list) -> dict:
     return {k: _not_finite(w) for k, w in enumerate(ws) if not _isfinite(w)}
 
 
+def _below(w: complex, bound: float) -> bool:
+    """|w| < bound, for a bound below 1e308. abs() runs only when both parts
+    of w lie below bound: a part at or above it (or a NaN) decides alone, so
+    a finite w whose modulus overflows the floats gives False, where abs()
+    raises OverflowError."""
+    return abs(w.real) < bound and abs(w.imag) < bound and abs(w) < bound
+
+
 def _floored(ws: list, skip=()) -> list[int]:
     """Positions of the entries of ws, outside skip, with |w| below the
-    degeneracy floor. abs() runs on every entry outside skip; a rule that
-    tests finiteness first passes its failures as skip, so that abs() never
-    meets their NaNs."""
-    if not skip and min(map(abs, ws), default=1.0) >= DEGENERACY_FLOOR:
-        return []
+    degeneracy floor. A rule that tests finiteness first passes its failures
+    as skip; the C-level screen runs only when there are none."""
+    if not skip:
+        try:
+            if min(map(abs, ws), default=1.0) >= DEGENERACY_FLOOR:
+                return []
+        except OverflowError:  # an |w| beyond the floats; _below decides
+            pass
     return [k for k, w in enumerate(ws)
-            if k not in skip and abs(w) < DEGENERACY_FLOOR]
+            if k not in skip and _below(w, DEGENERACY_FLOOR)]
 
 
 def _inverse_errors(ws: list, zs: list) -> dict:

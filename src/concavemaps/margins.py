@@ -14,7 +14,8 @@ scannable:
     thm4          -Re M - (1-t^2)(1+2at+t^2)/(4(1+at)^2) |zP+q|^2 (class Co(p))
 
 with P = f''/f', t = |z|, q = 2p/(z-p) - 2pz/(1-pz) (0 when p = 0),
-M = 1 + zP + q and a = a_p_of(spec, p) unless margin_at is given one. A grid
+M = 1 + zP + q and a = a_p_of(spec, p) unless margin_at is given one; a_p
+is read at the origin, so a p with 0 < p < 1e-12 is refused. A grid
 scan can only certify "member-consistent", never membership; verdicts say
 so.
 
@@ -294,6 +295,11 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
         args = (_check_alpha(value) if param == "alpha" else _check_p(value),)
     if theorem == "thm4":
         if a is None:
+            if 0.0 < args[0] < DEGENERACY_FLOOR:
+                raise ValueError(
+                    f"p = {p!r} lies within the {DEGENERACY_FLOOR:g} floor of "
+                    f"the origin, where thm4 reads a_p; for a pole at the "
+                    f"origin use cop:p=0")
             a = a_p_of(spec, p)
         elif a < 0.0:
             raise ValueError(f"a must be nonnegative, got {a!r}")

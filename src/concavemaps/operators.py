@@ -50,8 +50,8 @@ from .errors import (
     PoleProximityError,
     SampleExclusionError,
 )
-from .jets import (DEGENERACY_FLOOR, Jet3, _finite_errors, _floored,
-                   _overflowed, _schwarzians)
+from .jets import (DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
+                   _floored, _overflowed, _schwarzians)
 
 
 def _critical(z: complex) -> CriticalPointError:
@@ -70,7 +70,7 @@ class OperatorPoint:
         catalog._require_in_disk(self.z)
         if self.jet.base_point != self.z:
             raise ValueError("jet was taken at a different point")
-        if abs(self.jet.v1) < DEGENERACY_FLOOR:
+        if _below(self.jet.v1, DEGENERACY_FLOOR):
             raise _critical(self.z)
 
     @staticmethod

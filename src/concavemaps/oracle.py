@@ -51,7 +51,7 @@ ORACLE_OK = "concave-consistent"
 ORACLE_BAD = "not-concave-consistent"
 
 DEFECT_TOL = 5e-2
-_DEFAULT_RADII = (0.99, 0.999, 0.9999)
+_RADII = (0.99, 0.999, 0.9999)
 # angles per curve, for the oracle's verdicts and for `curve` by default
 DEFAULT_ANGLES = 4096
 # a curve point within this of the real axis lies on it
@@ -85,7 +85,7 @@ class CurveSample:
     def convexity_defect(self) -> float:
         """The defect against orientation, computed when first read and kept:
         the oracle and a JSON curve report read it, a CSV one never does."""
-        return convexity_defect(self, self.orientation)
+        return convexity_defect(self)
 
     @property
     def thetas(self) -> tuple[float, ...]:
@@ -230,9 +230,10 @@ def _turn(e1: complex, e2: complex) -> float:
                       e1.real * e2.real + e1.imag * e2.imag)
 
 
-def convexity_defect(curve: CurveSample, orientation: str) -> float:
+def convexity_defect(curve: CurveSample) -> float:
     """Wrong-sign turning measure of the image curve; ~0 certifies that the
-    omitted region is discretely convex under the declared orientation."""
+    omitted region is discretely convex under the curve's orientation."""
+    orientation = curve.orientation
     if orientation not in (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE):
         raise ValueError(f"unknown orientation {orientation!r}")
     runs, closed = _runs_of_points(curve)
@@ -257,11 +258,9 @@ def convexity_defect(curve: CurveSample, orientation: str) -> float:
     return max((abs(t) for t in turns if t * expected < 0.0), default=0.0)
 
 
-def oracle_concave(spec: FamilySpec, *,
-                   r_list: tuple[float, ...] = _DEFAULT_RADII,
-                   n: int = DEFAULT_ANGLES,
+def oracle_concave(spec: FamilySpec, *, n: int = DEFAULT_ANGLES,
                    epsilon: float = EXCLUSION_RADIUS) -> str:
-    """Verdict from image-curve convexity at several radii.
+    """Verdict from image-curve convexity at the radii _RADII.
 
     Each curve is judged under the spec's natural orientation (see
     natural_orientation), through the defect it stores. Consistency needs
@@ -271,7 +270,7 @@ def oracle_concave(spec: FamilySpec, *,
     _require_angles(n)  # before the unit vectors are allocated
     units = _units(n)
     defects = [boundary_curve(spec, r, n, epsilon, units=units).convexity_defect
-               for r in r_list]
+               for r in _RADII]
     ok = all(d < DEFECT_TOL for d in defects)
     slack = 0.2 * DEFECT_TOL
     ok = ok and all(b <= a + slack for a, b in zip(defects, defects[1:]))

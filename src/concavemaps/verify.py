@@ -11,12 +11,12 @@ bundle is byte-identical.
 from __future__ import annotations
 
 import cmath
+import json
 import random
 from dataclasses import dataclass
 
 from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       Laurent, format_spec, omitted_segment, parse_spec)
-from .cli import _dump
 from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
                       default_grid, estimate_order, margin_at, scan, sweep)
@@ -347,7 +347,7 @@ def bundle_text(results: list[CriterionResult]) -> str:
             for r in results
         ],
     }
-    return _dump(payload)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def run_all() -> tuple[list[CriterionResult], str]:

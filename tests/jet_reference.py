@@ -10,8 +10,9 @@ messages included. Each raises the first error its tests find.
 
 import cmath
 
-from concavemaps.jets import (DEGENERACY_FLOOR, Jet3, _isfinite, _jconst,
-                              _no_inverse, _not_finite, _on_cut, _overflowed)
+from concavemaps.jets import (DEGENERACY_FLOOR, Jet3, _below, _isfinite,
+                              _jconst, _no_inverse, _not_finite, _on_cut,
+                              _overflowed)
 
 
 def _require_finite(w: complex) -> complex:
@@ -24,7 +25,7 @@ def _inverse(w: complex, z: complex) -> complex:
     """1/w for a finite w clear of the degeneracy floor; z names the base
     point in the error."""
     _require_finite(w)
-    if abs(w) < DEGENERACY_FLOOR:
+    if _below(w, DEGENERACY_FLOOR):
         raise _no_inverse(w, z)
     return 1.0 / w
 
@@ -32,7 +33,7 @@ def _inverse(w: complex, z: complex) -> complex:
 def _log(w: complex) -> complex:
     """Principal log of a finite w clear of the cut (-inf, 0]."""
     _require_finite(w)
-    if abs(w) < DEGENERACY_FLOOR or (w.real <= 0.0 and abs(w.imag) <= 1e-12):
+    if _below(w, DEGENERACY_FLOOR) or (w.real <= 0.0 and abs(w.imag) <= 1e-12):
         raise _on_cut(w)
     return cmath.log(w)
 

@@ -103,6 +103,20 @@ def test_out_of_disk_rejected():
             spec.eval_jet(1.2 + 0j)
 
 
+def test_a_modulus_beyond_the_floats_is_outside_the_disk():
+    # finite, but abs() of it raises OverflowError
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="not inside the unit disk"):
+        _require_in_disk(huge)
+    for spec in (HalfPlane(), Kp(0.5), Laurent(0.5, 1 + 0j, (0j, 1 + 0j))):
+        with pytest.raises(ValueError, match="not inside the unit disk"):
+            spec.eval_jet(huge)
+        with pytest.raises(ValueError, match="not inside the unit disk"):
+            spec.eval_jets([0.5j, huge])
+        with pytest.raises(ValueError, match="not inside the unit disk"):
+            spec.values([-huge])
+
+
 def test_anglemap_derived_parameters():
     rng = random.Random(73)
     found = 0
@@ -161,6 +175,10 @@ def test_laurent_validation():
     with pytest.raises(ValueError):
         Laurent(1.0, 1.0 + 0j, ())  # pole must be interior
     assert Laurent(None, 0j, (0j, 1 + 0j)).poles == ()
+    with pytest.raises(ValueError):
+        Laurent(0.5, 9e-13j, ())  # inside the degeneracy floor
+    # a residue whose modulus overflows a float clears the floor
+    assert Laurent(0.5, 1.5e308 + 1.5e308j, ()).residue == 1.5e308 + 1.5e308j
 
 
 def test_parse_fixtures():

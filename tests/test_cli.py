@@ -74,6 +74,38 @@ def test_non_finite_spec_exit_two(argv, capsys):
     assert err.startswith("error: ") and "position" in err, err
 
 
+HUGE_SPEC = "laurent:b=[0,1.5e308+1.5e308i]"
+
+
+@pytest.mark.parametrize("argv,want", [
+    # the formula lane runs; the oracle's f overflows on |z| = 0.99
+    (["classify", "--function", HUGE_SPEC, "--class", "co",
+      "--radii", "2", "--angles", "8"], 3),
+    (["margins", "--function", HUGE_SPEC, "--theorem", "co0",
+      "--radii", "2", "--angles", "8"], 1),
+    # the residue clears its floor; f at the origin overflows
+    (["classify", "--function", "laurent:p=0.5;res=1.5e308+1.5e308i;b=[]",
+      "--class", "cop:p=0.5"], 3),
+])
+def test_a_modulus_beyond_the_floats_is_no_traceback(argv, want, capsys):
+    # abs() of 1.5e308+1.5e308i raises OverflowError; no test calls it
+    code, _, err = run(capsys, argv)
+    assert code == want
+    assert err.startswith("degeneracy: ") if want == 3 else err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--function", "laurent:p=1e-320;res=1;b=[]",
+     "--class", "cop:p=1e-320", "--radii", "2", "--angles", "8"],
+    ["margins", "--function", "laurent:p=1e-320;res=1;b=[]",
+     "--theorem", "thm4", "--p", "1e-320"],
+])
+def test_a_pole_inside_the_floor_of_the_origin_exit_two(argv, capsys):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: p = 1e-320 ") and "cop:p=0" in err, err
+
+
 def test_classify_oracle_uses_grid_epsilon(capsys, monkeypatch):
     seen = []
 
@@ -253,9 +285,9 @@ def test_curve_turning_is_measured_only_for_json(fmt, reads, tmp_path,
                                                  monkeypatch):
     defect, calls = oracle.convexity_defect, []
 
-    def counted(curve, orientation):
-        calls.append(orientation)
-        return defect(curve, orientation)
+    def counted(curve):
+        calls.append(curve.orientation)
+        return defect(curve)
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
     for text in ("kp:p=0.5", "halfplane", "identity"):
@@ -474,6 +506,49 @@ def test_rows_are_written_as_their_list_of_objects(names, n, data):
 def test_rows_refuse_a_container():
     with pytest.raises(TypeError):
         _dump({"rows": _Rows({"a": [1.0, [2.0]]})})
+
+
+@st.composite
+def payloads_with_rows(draw):
+    """A dict payload with one or two _Rows at its top level among other
+    values, and the same payload with each _Rows expanded to its rows."""
+    payload = draw(st.dictionaries(keys, payloads, max_size=4))
+    expanded = dict(payload)
+    for _ in range(draw(st.integers(1, 2))):
+        names = draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+        n = draw(st.integers(0, 4))
+        columns = {k: draw(st.lists(scalars, min_size=n, max_size=n))
+                   for k in names}
+        key = draw(keys)
+        payload[key] = _Rows(columns)
+        expanded[key] = [{k: columns[k][i] for k in names} for i in range(n)]
+    return payload, expanded
+
+
+_TEXTS = ("line\nbreak", "100%", "%s%%", "\u00e9t\u00e9 \u2028 \U0001f600", "")
+
+
+@given(payloads_with_rows())
+@settings(max_examples=150, deadline=None)
+@example(({"nested": {"b": [1, {"c": {}}], "a": {"z": [[], {}]}},
+           "list": [[], {}, [{"a": []}], "x\ny"], "empty": {}, "none": [],
+           "text": list(_TEXTS), "%": "%", "\u00e9": {"\n": "\u00e9"},
+           "points": _Rows({"theta": [0.0, 0.5], "re": [1.0, math.nan],
+                            "im": [-0.0, math.inf]}),
+           "arcs": _Rows({"start": [], "end": []}),
+           "words": _Rows({"w": list(_TEXTS), "%s": [None, True, 1, -2.5, 3]})},
+          {"nested": {"b": [1, {"c": {}}], "a": {"z": [[], {}]}},
+           "list": [[], {}, [{"a": []}], "x\ny"], "empty": {}, "none": [],
+           "text": list(_TEXTS), "%": "%", "\u00e9": {"\n": "\u00e9"},
+           "points": [{"theta": 0.0, "re": 1.0, "im": -0.0},
+                      {"theta": 0.5, "re": math.nan, "im": math.inf}],
+           "arcs": [],
+           "words": [{"w": t, "%s": v} for t, v in
+                     zip(_TEXTS, [None, True, 1, -2.5, 3])]}))
+def test_rows_beside_other_values_match_json_dumps(pair):
+    # the values beside a top-level _Rows are re-indented json.dumps text
+    payload, expanded = pair
+    assert _dump(payload) == _reference(expanded)
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,8 @@ from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 CriticalPointError, JetDivisionError,
                                 NonFiniteJetError)
 from concavemaps import jets as jets_module
-from concavemaps.jets import _ONE, Jet3, _jconst, _jet, schwarzian
+from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _below, _floored,
+                              _jconst, _jet, schwarzian)
 from concavemaps.operators import OperatorPoint
 from jet_reference import _jadd, _jexp, _jlog, _jmul, _jpow, _jrecip, _jsub
 from test_operators import _pre, at
@@ -263,6 +264,35 @@ def test_overflow_is_not_hidden_by_reciprocal():
         1.0 / square
     with pytest.raises(NonFiniteJetError):
         square.checked()
+
+
+# finite, with a modulus beyond the floats: abs() raises OverflowError on it
+HUGE = complex(1.5e308, 1.5e308)
+
+
+@given(st.one_of(st.complex_numbers(), st.sampled_from(
+           (HUGE, -HUGE, complex(1e308, -1e308), complex(math.nan, 1e308),
+            complex(1.0, 0.0), complex(0.0, -1.0), complex(1e-12, 0.0),
+            complex(0.0, 9e-13), complex(7e-13, 7e-13)))),
+       st.sampled_from((DEGENERACY_FLOOR, 1.0, 1e300)))
+@example(HUGE, DEGENERACY_FLOOR)
+@example(HUGE, 1.0)
+def test_below_is_abs_below_wherever_abs_returns(w, bound):
+    try:
+        want = abs(w) < bound
+    except OverflowError:
+        want = False  # |w| exceeds every float, so it is not below bound
+    assert _below(w, bound) is want
+
+
+def test_a_modulus_beyond_the_floats_meets_the_floor():
+    # the reciprocal and log rules test the floor on such a value, and it
+    # passes: nothing raises OverflowError
+    assert _floored([HUGE, 0j, -HUGE, 1e-13j]) == [1, 3]
+    assert _floored([0.5j, HUGE], skip={0}) == []
+    jet = Jet3(0j, HUGE, 1, 0, 0)
+    assert jet.reciprocal().v0 == 1.0 / HUGE
+    assert jet.log().v0 == cmath.log(HUGE)
 
 
 def test_minus_infinity_is_not_hidden_by_exp():

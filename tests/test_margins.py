@@ -270,6 +270,30 @@ def test_thm4_needs_a_pole_at_p():
     assert math.isfinite(margin_at(Kp(0.5), 0.3 + 0.1j, "thm4", p=0.0, a=0.0))
 
 
+@pytest.mark.parametrize("p", [1e-320, 5e-13])
+def test_thm4_refuses_a_p_inside_the_floor_of_the_origin(p, monkeypatch):
+    # a_p is read at the origin, which lies inside the floor of a pole at p
+    spec = Laurent(p, 1 + 0j, ())
+    # an explicit a reads no a_p
+    assert math.isfinite(margin_at(spec, 0.5, "thm4", p=p, a=0.0))
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the check of p")
+
+    monkeypatch.setattr(Laurent, "eval_jets", no_sampling)
+    for refused in (lambda: classify(spec, f"cop:p={p!r}", SMALL),
+                    lambda: scan(spec, "thm4", SMALL, p=p),
+                    lambda: margin_at(spec, 0.5, "thm4", p=p)):
+        with pytest.raises(ValueError, match=rf"^p = {p!r} .*cop:p=0$"):
+            refused()
+
+
+def test_thm4_reads_a_p_at_the_floor_itself():
+    # at p = 1e-12 the origin clears the floor of the pole
+    spec = Laurent(DEGENERACY_FLOOR, 1 + 0j, ())
+    assert math.isfinite(margin_at(spec, 0.5, "thm4", p=DEGENERACY_FLOOR))
+
+
 def test_overflowing_margins_are_excluded():
     # f''/f' = inf at 0: the ring excludes the sample for every token
     spec = parse_spec("laurent:b=[0,1e-12,1e300]")

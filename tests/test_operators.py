@@ -201,6 +201,9 @@ def test_operator_point_validation():
     with pytest.raises(CriticalPointError):
         OperatorPoint(0j, Jet3.constant(0j, 5.0 + 0j))
     assert at(_pre, pt(HalfPlane(), 0j)) == 2.0 + 0j
+    # an f' whose modulus overflows a float clears the |f'| floor
+    huge = complex(1.5e308, 1.5e308)
+    assert OperatorPoint(0.5j, Jet3(0.5j, 0j, huge, 0j, 0j)).jet.v1 == huge
 
 
 def test_pre_schwarzian_raises_where_a_f_does():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,7 +38,8 @@ def test_curve_input_validation():
     with pytest.raises(ValueError):
         boundary_curve(HalfPlane(), 0.5, 32)
     with pytest.raises(ValueError):
-        convexity_defect(boundary_curve(HalfPlane(), 0.5, 64), "sideways")
+        convexity_defect(replace(boundary_curve(HalfPlane(), 0.5, 64),
+                                 orientation="sideways"))
     with pytest.raises(EmptyScanError):
         boundary_curve(Co0Cubic(0j), 0.03, 64)  # whole ring inside epsilon
     for eps in (0.0, -0.1, math.nan, math.inf):
@@ -137,8 +139,10 @@ RADII = (0.99, 0.999, 0.9999)
 
 
 def _verdict_from_scratch(spec, orientation, n):
-    """The oracle's verdict rule, with every defect computed afresh."""
-    ds = [convexity_defect(boundary_curve(spec, r, n), orientation)
+    """The oracle's verdict rule, with every defect computed afresh under
+    orientation."""
+    ds = [convexity_defect(replace(boundary_curve(spec, r, n),
+                                   orientation=orientation))
           for r in RADII]
     ok = all(d < oracle.DEFECT_TOL for d in ds) and all(
         b <= a + 0.2 * oracle.DEFECT_TOL for a, b in zip(ds, ds[1:]))
@@ -163,22 +167,23 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
     want = _verdict_from_scratch(spec, natural, n)
     calls = []
 
-    def counted(curve, orientation):
-        calls.append(orientation)
-        return convexity_defect(curve, orientation)
+    def counted(curve):
+        calls.append(curve.orientation)
+        return convexity_defect(curve)
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
     # the curve's stored defect serves the natural orientation
-    assert oracle_concave(spec, r_list=RADII, n=n) == want
+    assert oracle._RADII == RADII
+    assert oracle_concave(spec, n=n) == want
     assert calls == [natural] * len(RADII)
 
 
 def test_a_curve_measures_its_defect_when_first_read(monkeypatch):
     calls = []
 
-    def counted(curve, orientation):
-        calls.append(orientation)
-        return convexity_defect(curve, orientation)
+    def counted(curve):
+        calls.append(curve.orientation)
+        return convexity_defect(curve)
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
     curve = boundary_curve(Kp(0.5), 0.99, 1024)

@@ -27,7 +27,10 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify` and `margins` runs on Laurent specs whose jet Horner runs on
     u = z - p off the origin or has complex coefficients (see HORNER_RUNS);
   * `classify` and `curve` runs on specs with a literal that overflows a
-    float, or a k_p whose 1/p does (see NONFINITE_RUNS).
+    float, or a k_p whose 1/p does (see NONFINITE_RUNS);
+  * `classify` and `margins` runs on specs with a finite literal whose
+    modulus overflows a float, and on a pole inside the 1e-12 floor of the
+    origin (see MODULUS_RUNS).
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -130,6 +133,23 @@ NONFINITE_RUNS = (
      "--angles", "64", "--format", "json"),
 )
 
+# A finite complex whose modulus overflows a float, where abs() raises
+# OverflowError: as a coefficient and as a residue. And a pole at a p
+# inside the 1e-12 floor of the origin, where thm4 reads a_p
+FLOOR_SPEC = "laurent:p=1e-320;res=1;b=[]"
+MODULUS_RUNS = (
+    ("classify", "--function", "laurent:b=[0,1.5e308+1.5e308i]",
+     "--class", "co", "--radii", "2", "--angles", "8"),
+    ("margins", "--function", "laurent:b=[0,1.5e308+1.5e308i]",
+     "--theorem", "co0", "--radii", "2", "--angles", "8"),
+    ("classify", "--function", "laurent:p=0.5;res=1.5e308+1.5e308i;b=[]",
+     "--class", "cop:p=0.5"),
+    ("classify", "--function", FLOOR_SPEC, "--class", "cop:p=1e-320",
+     "--radii", "2", "--angles", "8"),
+    ("margins", "--function", FLOOR_SPEC, "--theorem", "thm4",
+     "--p", "1e-320", "--radii", "2", "--angles", "8"),
+)
+
 
 def _commands():
     """(file name, argv) for every golden run, in a fixed order."""
@@ -173,6 +193,9 @@ def _commands():
         yield f"horner-{k}.{ext}", list(argv)
     for k, argv in enumerate(NONFINITE_RUNS):
         yield f"nonfinite-{k}.json", list(argv)
+    for k, argv in enumerate(MODULUS_RUNS):
+        ext = "csv" if argv[0] == "margins" else "json"
+        yield f"modulus-{k}.{ext}", list(argv)
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
