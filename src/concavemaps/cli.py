@@ -13,6 +13,12 @@ columns, written through one template per row, so that they need no dict
 per row and skip the pure-Python encoder json falls back to whenever it
 indents.
 
+A report is written as it is made, in chunks (`_emit`): a table, the curve
+CSV and the margins CSV in blocks of `_BLOCK` rows, any other report as one
+json.dumps text. So no text, row list or column of text as long as a table
+is ever alive, and a curve of 2^18 angles costs its samples, not its text.
+Every error that maps to an exit code is raised before the output is opened.
+
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
 error (an --out whose directory does not exist is refused before anything
 is sampled, and a failed write is reported on one line), 3 numerical
@@ -27,7 +33,9 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -52,17 +60,22 @@ def _grid_dict(grid: GridConfig) -> dict:
     }
 
 
+# rows per chunk of a table or CSV report
+_BLOCK = 1024
+
+
 class _Rows:
     """Columns of equal length, keyed by name, written as the JSON list of
-    their rows: one object per index, with no dict built per row."""
+    their rows: one object per index, with no dict built per row. A column
+    is any iterable; it is read once, a block of rows at a time."""
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: dict[str, Sequence]):
+    def __init__(self, columns: dict[str, Iterable]):
         self.columns = columns
 
 
-def _column(values: Sequence) -> list[str]:
+def _column(values: list) -> list[str]:
     """Each of values as json writes it; TypeError if one is a container."""
     try:
         texts = list(map(float.__repr__, values))
@@ -75,35 +88,46 @@ def _column(values: Sequence) -> list[str]:
     return list(map(json.dumps, values))
 
 
-def _table(columns: dict[str, Sequence], pad: str) -> str:
-    """The rows of columns as an indented JSON list of objects."""
+def _table(columns: dict[str, Iterable], pad: str) -> Iterator[str]:
+    """The rows of columns as an indented JSON list of objects, one chunk
+    per block of rows."""
     keys = sorted(columns)
-    texts = [_column(columns[k]) for k in keys]
-    if not keys or not texts[0]:
-        return "[]"
+    its = [iter(columns[k]) for k in keys]
     inner = pad + "  "
     fields = ",\n".join(f"{inner}  {_quote(k).replace('%', '%%')}: %s"
                         for k in keys)
     row = f"{{\n{fields}\n{inner}}}"
-    rows = f",\n{inner}".join(map(row.__mod__, zip(*texts)))
-    return f"[\n{inner}{rows}\n{pad}]"
+    sep = f",\n{inner}"
+    head = f"[\n{inner}"
+    while True:
+        block = [_column(list(islice(it, _BLOCK))) for it in its]
+        rows = sep.join(map(row.__mod__, zip(*block)))
+        if not rows:
+            break
+        yield head + rows
+        head = sep
+    yield f"\n{pad}]" if head == sep else "[]"
 
 
-def _dump(payload) -> str:
+def _dump(payload) -> Iterator[str]:
     """payload as json.dumps writes it with sorted keys and a two-space
-    indent, plus a newline. A _Rows at the top level of a dict payload is
-    written as the list of its rows, by _table; the dict's other values go
-    through json.dumps, indented one level."""
+    indent, plus a newline, in chunks. A _Rows at the top level of a dict
+    payload is written as the list of its rows, by _table; the dict's other
+    values go through json.dumps, indented one level. Any other payload is
+    one chunk."""
     if not (isinstance(payload, dict)
             and any(isinstance(v, _Rows) for v in payload.values())):
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    # one generator and one format, so that no more than two copies of a
-    # long table are alive at once
-    body = ",\n".join(f"  {_quote(k)}: " + (
-        _table(v.columns, "  ") if isinstance(v, _Rows)
-        else json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
-        for k, v in sorted(payload.items()))
-    return f"{{\n{body}\n}}\n"
+        yield json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return
+    head = "{\n"
+    for k, v in sorted(payload.items()):
+        yield f"{head}  {_quote(k)}: "
+        if isinstance(v, _Rows):
+            yield from _table(v.columns, "  ")
+        else:
+            yield json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+        head = ",\n"
+    yield "\n}\n"
 
 
 def _check_out(out: str) -> None:
@@ -113,18 +137,20 @@ def _check_out(out: str) -> None:
         raise ValueError(f"cannot write {out}: no directory {parent}")
 
 
-def _write(text: str, out: str) -> None:
+def _write(chunks: Iterable[str], out: str) -> None:
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk to out, or to stdout without out, as it comes."""
     if out:
-        _write(text, out)
+        _write(chunks, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
@@ -190,25 +216,37 @@ def _cmd_margins(args) -> int:
     report = scan(spec, args.theorem, grid, alpha=args.alpha, p=args.p,
                   keep_samples=args.format == "csv")
     if args.format == "csv":
-        lines = ["re_z,im_z,margin"]
         assert report.samples is not None
-        lines += [f"{z.real!r},{z.imag!r},{m!r}" for z, m in report.samples]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_margins_csv(report.samples), args.out)
     else:
         _emit(_dump(_report_dict(spec, report, grid, args.alpha, args.p)),
               args.out)
     return 0 if report.verdict == VERDICT_OK else 1
 
 
-def _curve_csv(curve: CurveSample) -> str:
+def _margins_csv(samples: tuple[tuple[complex, float], ...]) -> Iterator[str]:
+    yield "re_z,im_z,margin\n"
+    for lo in range(0, len(samples), _BLOCK):
+        yield "".join([f"{z.real!r},{z.imag!r},{m!r}\n"
+                       for z, m in samples[lo:lo + _BLOCK]])
+
+
+def _curve_csv(curve: CurveSample) -> Iterator[str]:
     step = 2.0 * math.pi / curve.n
-    rows: list[str | None] = [None] * curve.n
-    for j, w in zip(curve.included, curve.points):
-        rows[j] = f"{step * j!r},{w.real!r},{w.imag!r},0"
-    if len(curve.included) < curve.n:
-        rows = [f"{step * j!r},,,1" if row is None else row
-                for j, row in enumerate(rows)]
-    return "theta,re_w,im_w,excluded\n" + "\n".join(rows) + "\n"
+    included, points = curve.included, curve.points
+    yield "theta,re_w,im_w,excluded\n"
+    a = 0  # included[a:] lies at or past this block
+    for lo in range(0, curve.n, _BLOCK):
+        hi = min(lo + _BLOCK, curve.n)
+        b = bisect_left(included, hi, a)
+        rows: list[str | None] = [None] * (hi - lo)
+        for j, w in zip(included[a:b], points[a:b]):
+            rows[j - lo] = f"{step * j!r},{w.real!r},{w.imag!r},0\n"
+        if b - a < hi - lo:
+            rows = [f"{step * j!r},,,1\n" if row is None else row
+                    for j, row in enumerate(rows, lo)]
+        yield "".join(rows)
+        a = b
 
 
 def _cmd_curve(args) -> int:
@@ -216,10 +254,10 @@ def _cmd_curve(args) -> int:
     n = args.angles if args.angles is not None else DEFAULT_ANGLES
     epsilon = args.epsilon if args.epsilon is not None else EXCLUSION_RADIUS
     curve = boundary_curve(spec, args.r, n, epsilon)
-    arcs = curve.excluded_arcs
     if args.format == "csv":
         _emit(_curve_csv(curve), args.out)
     else:
+        step = 2.0 * math.pi / curve.n
         payload = {
             "function": format_spec(spec),
             "r": curve.r,
@@ -227,11 +265,12 @@ def _cmd_curve(args) -> int:
             "epsilon": epsilon,
             "orientation": curve.orientation,
             "convexity_defect": curve.convexity_defect,
-            "excluded_arcs": _Rows({"start": [a for a, _ in arcs],
-                                    "end": [b for _, b in arcs]}),
-            "points": _Rows({"theta": curve.thetas,
-                             "re": [w.real for w in curve.points],
-                             "im": [w.imag for w in curve.points]}),
+            "excluded_arcs": _Rows({
+                "start": (a for a, _ in curve.excluded_arcs),
+                "end": (b for _, b in curve.excluded_arcs)}),
+            "points": _Rows({"theta": (step * j for j in curve.included),
+                             "re": (w.real for w in curve.points),
+                             "im": (w.imag for w in curve.points)}),
         }
         _emit(_dump(payload), args.out)
     return 0
@@ -245,7 +284,7 @@ def _cmd_verify(args) -> int:
         word = "PASS" if res.passed else "FAIL"
         print(f"{word}  {res.name}: {res.detail}")
     out = args.out or "verify_report.json"
-    _write(bundle_text, out)
+    _write([bundle_text], out)
     print(f"report: {out}")
     return 0 if all(r.passed for r in results) else 1
 

@@ -246,14 +246,17 @@ def _second_route(spec: FamilySpec, z: complex):
         j = (zj.reciprocal() + spec.a0 + zj).checked()
         return j.v0, j.v1, j.v2, j.v3
     if isinstance(spec, Laurent):
-        if spec.pole is None:
-            # fixed control z + 0.3 z^2
+        if spec.pole is None and spec.coeffs == (0, 1, 0.3):
+            # the fixed control z + 0.3 z^2
             return (z + 0.3 * z * z, 1.0 + 0.6 * z, 0.6 + 0j, 0j)
-        v = z - spec.pole
-        res = spec.residue
-        b0, _, b2 = spec.coeffs
-        return (res / v + b0 + b2 * v * v, -res / v ** 2 + 2.0 * b2 * v,
-                2.0 * res / v ** 3 + 2.0 * b2, -6.0 * res / v ** 4)
+        if (spec.pole is not None and len(spec.coeffs) == 3
+                and spec.coeffs[1] == 0):
+            # res/v + b0 + b2 v^2 in v = z - p
+            v = z - spec.pole
+            res = spec.residue
+            b0, _, b2 = spec.coeffs
+            return (res / v + b0 + b2 * v * v, -res / v ** 2 + 2.0 * b2 * v,
+                    2.0 * res / v ** 3 + 2.0 * b2, -6.0 * res / v ** 4)
     raise AssertionError(f"no second route for {type(spec).__name__}")
 
 

@@ -9,6 +9,7 @@ byte-identical reporting).
 import pytest
 
 from concavemaps import verify
+from concavemaps.catalog import parse_spec
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +71,18 @@ def test_c09_oracle_classifier_agreement(results):
 
 def test_c10_jets_match_closed_forms(results):
     show(results, "jets-match-closed-forms")
+
+
+@pytest.mark.parametrize("text", [
+    "laurent:b=[0,1,0.5]",                  # not the fixed control
+    "laurent:b=[0,1,0.3,0.1]",
+    "laurent:p=0.3;res=1;b=[0.2,0.1,0.1i]",  # b1 != 0
+    "laurent:p=0.3;res=1;b=[0.2]",
+    "laurent:p=0.3;res=1;b=[0.2,0,0.1i,1]",
+])
+def test_c10_second_route_refuses_a_laurent_spec_it_does_not_describe(text):
+    with pytest.raises(AssertionError, match="no second route"):
+        verify._second_route(parse_spec(text), 0.4 + 0.2j)
 
 
 def test_c11_schwarz_self_map_bounds(results):

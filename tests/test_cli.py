@@ -450,6 +450,11 @@ def _reference(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def dump(obj):
+    """The text _dump writes in chunks, joined."""
+    return "".join(_dump(obj))
+
+
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7,
                math.nan, math.inf, -math.inf)
 scalars = st.one_of(
@@ -490,7 +495,7 @@ payloads = st.recursive(
                      {"theta": 0.5, "re": math.nan, "im": math.inf}],
           "empty": [], "none": {}, "nested": [[], {}, [{}], [{"a": []}]]})
 def test_writer_matches_json_dumps(obj):
-    assert _dump(obj) == _reference(obj)
+    assert dump(obj) == _reference(obj)
 
 
 @given(st.lists(keys, min_size=1, max_size=4, unique=True),
@@ -500,12 +505,12 @@ def test_rows_are_written_as_their_list_of_objects(names, n, data):
     columns = {k: data.draw(st.lists(scalars, min_size=n, max_size=n))
                for k in names}
     rows = [{k: columns[k][i] for k in names} for i in range(n)]
-    assert _dump({"rows": _Rows(columns)}) == _reference({"rows": rows})
+    assert dump({"rows": _Rows(columns)}) == _reference({"rows": rows})
 
 
 def test_rows_refuse_a_container():
     with pytest.raises(TypeError):
-        _dump({"rows": _Rows({"a": [1.0, [2.0]]})})
+        dump({"rows": _Rows({"a": [1.0, [2.0]]})})
 
 
 @st.composite
@@ -548,7 +553,39 @@ _TEXTS = ("line\nbreak", "100%", "%s%%", "\u00e9t\u00e9 \u2028 \U0001f600", "")
 def test_rows_beside_other_values_match_json_dumps(pair):
     # the values beside a top-level _Rows are re-indented json.dumps text
     payload, expanded = pair
-    assert _dump(payload) == _reference(expanded)
+    assert dump(payload) == _reference(expanded)
+
+
+@pytest.mark.parametrize("n", [2 ** 16, 3 * cli._BLOCK + 1])
+def test_a_table_is_written_a_block_at_a_time(n):
+    def columns(n):
+        return {"theta": [0.5] * n, "re": [-1.25e-7] * n, "im": [1e300] * n}
+
+    def chunks(n):
+        return list(_dump({"rows": _Rows(columns(n))}))
+
+    whole = chunks(n)
+    assert max(map(len, whole)) <= max(map(len, chunks(cli._BLOCK)))
+    # a block of rows per chunk, and the key, the bracket and the brace
+    assert len(whole) == -(-n // cli._BLOCK) + 3
+    # a column may be any iterable, read once
+    once = {k: iter(v) for k, v in columns(n).items()}
+    assert dump({"rows": _Rows(once)}) == dump({"rows": _Rows(columns(n))})
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--function", "halfplane", "--r", "0.9999", "--format", "json"],
+    ["curve", "--function", "halfplane", "--r", "0.9999", "--format", "csv"],
+    ["margins", "--function", "kp:p=0.5", "--theorem", "reM", "--p", "0.5"],
+], ids=lambda argv: "-".join(argv[:3] + argv[-1:]))
+def test_out_writes_the_bytes_stdout_gets(argv, tmp_path, capsys):
+    # halfplane's excluded arc wraps past theta = 0, and each report runs
+    # to several blocks
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.count("\n") > 2 * cli._BLOCK
+    path = tmp_path / "report"
+    assert run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("argv", [
@@ -593,7 +630,21 @@ def _reference_curve_csv(curve):
 ])
 def test_curve_csv_matches_the_lookup_it_replaced(text, r, n):
     curve = boundary_curve(parse_spec(text), r, n)
-    assert cli._curve_csv(curve).encode() == _reference_curve_csv(curve).encode()
+    assert ("".join(cli._curve_csv(curve)).encode()
+            == _reference_curve_csv(curve).encode())
+
+
+def test_curve_csv_blocks_split_excluded_runs():
+    # runs of excluded angles that start, end and straddle block boundaries
+    n = 4 * cli._BLOCK
+    gone = {0, *range(cli._BLOCK - 3, cli._BLOCK + 5), 2 * cli._BLOCK - 1,
+            *range(3 * cli._BLOCK, n)}
+    included = tuple(j for j in range(n) if j not in gone)
+    curve = oracle.CurveSample(0.5, n, included,
+                               tuple(complex(j, -j / 3) for j in included),
+                               (), oracle.COMPLEMENT_OUTSIDE)
+    assert ("".join(cli._curve_csv(curve)).encode()
+            == _reference_curve_csv(curve).encode())
 
 
 # -- curves scaled near the float range ------------------------------------------

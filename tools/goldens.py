@@ -30,7 +30,11 @@ line per command: file name, exit code, argv and stderr. The commands:
     float, or a k_p whose 1/p does (see NONFINITE_RUNS);
   * `classify` and `margins` runs on specs with a finite literal whose
     modulus overflows a float, and on a pole inside the 1e-12 floor of the
-    origin (see MODULUS_RUNS).
+    origin (see MODULUS_RUNS);
+  * three of the runs above again, written through `--out` (see OUT_RUNS):
+    each writes its report to the file `--out` names, kept beside its empty
+    stdout. Each such file should hold the bytes of its twin's stdout; the
+    manifest shows both sha256 sums.
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -39,15 +43,30 @@ directories; identical outputs diff empty:
     PYTHONPATH=src python tools/goldens.py B
     diff -r A B
 
+Or compare against the committed manifest, `tools/goldens.sha256`, which
+holds one line per run: the file name, the exit code and the sha256 of its
+stdout and of its stderr, and for a run with `--out` the file it wrote and
+that file's sha256. Its header names the Python and the platform whose floats
+it pins.
+
+    PYTHONPATH=src python tools/goldens.py --check     # exit 1 if a line moved
+    PYTHONPATH=src python tools/goldens.py --manifest  # rewrite the manifest
+
+Both run into a temporary directory; `--check` prints each line that moved.
 Standard library only. OUT_DIR is created if missing.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import os
+import platform
 import sys
+import tempfile
+from pathlib import Path
 
 from concavemaps import cli, verify
 from concavemaps.catalog import format_spec
@@ -151,6 +170,19 @@ MODULUS_RUNS = (
 )
 
 
+# The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
+# excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
+# grid: each runs to several blocks of rows
+OUT_RUNS = (
+    *(("curve", "--function", "halfplane", "--r", "0.9999", "--angles",
+       "16384", "--format", fmt) for fmt in ("json", "csv")),
+    ("margins", "--function", "kp:p=0.5", "--theorem", "reM", "--p", "0.5",
+     "--format", "csv"),
+)
+
+MANIFEST = Path(__file__).with_name("goldens.sha256")
+
+
 def _commands():
     """(file name, argv) for every golden run, in a fixed order."""
     yield "verify.stdout", ["verify", "--out", "verify_report.json"]
@@ -196,6 +228,8 @@ def _commands():
     for k, argv in enumerate(MODULUS_RUNS):
         ext = "csv" if argv[0] == "margins" else "json"
         yield f"modulus-{k}.{ext}", list(argv)
+    for k, argv in enumerate(OUT_RUNS):
+        yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
 
 def _run(argv: list[str]) -> tuple[str, str, str]:
@@ -209,23 +243,87 @@ def _run(argv: list[str]) -> tuple[str, str, str]:
     return out.getvalue(), code, err.getvalue()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/goldens.py OUT_DIR", file=sys.stderr)
-        return 2
-    os.makedirs(argv[0], exist_ok=True)
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _header() -> str:
+    return (f"# concavemaps goldens: {platform.python_implementation()} "
+            f"{platform.python_version()} on {platform.system()} "
+            f"{platform.machine()}\n")
+
+
+def _write_runs(out_dir: str) -> list[str]:
+    """Run every command in out_dir: write its stdout and runs.txt there, and
+    return the manifest lines."""
+    os.makedirs(out_dir, exist_ok=True)
     # verify writes its bundle to a relative path, and its stdout names that
     # path, so both stay the same whatever OUT_DIR is
-    os.chdir(argv[0])
-    lines = []
+    os.chdir(out_dir)
+    lines, manifest = [], []
     for name, cmd in _commands():
         out, code, err = _run(cmd)
         with open(name, "w", encoding="utf-8", newline="") as fh:
             fh.write(out)
         lines.append(f"{name}\t{code}\t{' '.join(cmd)}\t{err.rstrip()!r}\n")
+        line = f"{name}\t{code}\t{_sha256(out.encode())}\t{_sha256(err.encode())}"
+        if "--out" in cmd:
+            written = cmd[cmd.index("--out") + 1]
+            line += f"\t{written}\t{_sha256(Path(written).read_bytes())}"
+        manifest.append(line + "\n")
     with open("runs.txt", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
     print(f"{len(lines)} runs written to {os.getcwd()}")
+    return manifest
+
+
+def _fresh_manifest() -> list[str]:
+    """The manifest lines of a run into a temporary directory."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            return _write_runs(tmp)
+        finally:
+            os.chdir(home)
+
+
+def _by_name(lines: list[str]) -> dict[str, str]:
+    return {line.split("\t", 1)[0]: line.rstrip("\n") for line in lines}
+
+
+def _check() -> int:
+    """Print each manifest line a fresh run moves; 1 if any moved."""
+    header, *lines = MANIFEST.read_text(encoding="utf-8").splitlines(True)
+    if header != _header():
+        print(f"the manifest pins {header[2:].strip()}; "
+              f"this is {_header()[2:].strip()}")
+    want, got = _by_name(lines), _by_name(_fresh_manifest())
+    moved = [name for name in {**want, **got} if want.get(name) != got.get(name)]
+    for name in moved:
+        print(f"moved: {name}\n  manifest: {want.get(name, '(none)')}"
+              f"\n  now:      {got.get(name, '(none)')}")
+    print(f"{len(moved)} of {len(want)} manifest runs moved")
+    return 1 if moved else 0
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("out_dir", nargs="?", metavar="OUT_DIR",
+                      help="write each run's outputs here")
+    mode.add_argument("--manifest", action="store_true",
+                      help=f"rewrite {MANIFEST.name} from a fresh run")
+    mode.add_argument("--check", action="store_true",
+                      help=f"exit 1 if a fresh run moves a line of {MANIFEST.name}")
+    args = ap.parse_args(argv)
+    if args.check:
+        return _check()
+    if args.manifest:
+        MANIFEST.write_text(_header() + "".join(_fresh_manifest()),
+                            encoding="utf-8", newline="")
+        print(f"manifest written to {MANIFEST}")
+        return 0
+    _write_runs(args.out_dir)
     return 0
 
 
