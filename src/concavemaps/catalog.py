@@ -34,7 +34,10 @@ inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
 sample outside the disk raises ValueError for the whole call. Pole
 neighborhoods are excluded by the samplers, through the one rule they
 share, the column FamilySpec.far_from_poles, at the radius EXCLUSION_RADIUS
-unless the caller names another.
+unless the caller names another. They share their circles too: a grid
+ring or an oracle curve of radius r takes r * e for each e of `_units(n)`,
+computed once per n for the last four n; MAX_SAMPLES caps one grid or
+curve, and `_angle_count` refuses an angle count that is not an integer.
 
 The module also owns the spec mini-grammar used by the CLI:
 
@@ -56,7 +59,9 @@ is refused. format_spec emits the canonical form; parse_spec(format_spec(s))
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import re as _re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -523,6 +528,26 @@ def require_epsilon(epsilon: float) -> float:
     if not (0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     return epsilon
+
+
+# Most samples one grid or oracle curve may hold, 64 times the benchmark's
+# 16384-angle curves; larger requests are refused before any is sampled.
+MAX_SAMPLES = 2 ** 20
+
+
+def _angle_count(n) -> int:
+    """n as an int, or ValueError: 256.0 would pass for 256 in _units' cache."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"angles must be an integer, got {n!r}") from None
+
+
+@functools.lru_cache(maxsize=4)
+def _units(n: int) -> tuple[complex, ...]:
+    """exp(2 pi i j / n) for j < n; a ring or curve of radius r takes r * e."""
+    step = 2.0 * math.pi / n
+    return tuple([cmath.exp(1j * (step * j)) for j in range(n)])
 
 
 def omitted_segment(p: float) -> tuple[float, float]:

@@ -32,17 +32,18 @@ only an OverflowError, which stops the whole comprehension, sends the ring
 through the token one sample at a time.
 
 One sweep samples the grid, origin first (it is the normalization point of
-every theorem), then radius-major rings. For each ring it applies the
-exclusion column `FamilySpec.far_from_poles`, calls the family's column
-kernel `eval_jets` once, builds the ring (`operators._Ring`, which applies
-the |f'| floor and excludes an f''/f' that is not finite) and runs every
-margin its caller asked for once: `classify` sweeps once for all the scans
-of a class, and a ring form that several margins read is computed once
-per ring (`_Ring.shared`). The sweep returns the number of grid samples
-and, per margin, the samples it kept with its value at each; a scan
-reduces those directly, to the excluded count, the minimum and the first
-sample within the tie band of it. margin_at is the same path for one
-sample.
+every theorem), then radius-major rings of r times catalog's unit vectors
+(`catalog._units`, which the oracle's curves read too). For each ring it
+applies the exclusion column `FamilySpec.far_from_poles`, calls the
+family's column kernel `eval_jets` once, builds the ring (`operators._Ring`,
+which applies the |f'| floor and excludes an f''/f' that is not finite) and
+runs every margin its caller asked for once: `classify` sweeps once for all
+the scans of a class, and a ring form that several margins read is
+computed once per ring (`_Ring.shared`). The sweep returns the number of
+grid samples and, per margin, the samples it kept with its value at each;
+a scan reduces those directly, to the excluded count, the minimum and the
+first sample within the tie band of it. margin_at is the same path for
+one sample.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -53,18 +54,19 @@ without such a rule find it indeterminate. Samples inside epsilon of a pole
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, require_epsilon
+from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _angle_count,
+                      _units, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
-                     PoleProximityError, SampleExclusionError, SpecParseError)
+                     PoleProximityError, SampleExclusionError, SpecParseError,
+                     _only)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
 from .operators import (OperatorPoint, _a_f, _check_p, _co_alpha, _kept,
-                        _one, _phis, _q, _Ring, _sf_norm, a_p_of, phi_of,
+                        _phis, _q, _Ring, _sf_norm, a_p_of, phi_of,
                         thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
@@ -75,10 +77,6 @@ _ARGMIN_TIE = 1e-12
 VERDICT_OK = "member-consistent"
 VERDICT_BAD = "violation"
 
-# Most samples one grid (or one oracle curve) may hold, 64 times the
-# 16384-angle curves the benchmark draws; larger requests are refused before
-# anything is allocated.
-MAX_SAMPLES = 2 ** 20
 _MIN_ANGLES = 8
 # innermost and outermost ring of geometric_radii
 _RADIUS_LO = 0.05
@@ -98,6 +96,7 @@ class GridConfig:
             raise ValueError("radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("radii must be strictly increasing")
+        object.__setattr__(self, "angles", _angle_count(self.angles))
         if self.angles < _MIN_ANGLES:
             raise ValueError(f"need at least {_MIN_ANGLES} angles")
         if 1 + len(rs) * self.angles > MAX_SAMPLES:
@@ -204,8 +203,9 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
     except OverflowError:
         col, ms, errors = ring.copy(), [], {}
         for k, z in enumerate(ring.zs):
+            row = ring.row(k)
             try:
-                ms.append(_one(row := ring.row(k), fn(row, *args)))
+                ms.append(_only(row.placed(fn(row, *args))))
             except OverflowError:
                 errors[k] = _overflowed(f"margin at {z!r}")
             except SampleExclusionError as exc:
@@ -248,7 +248,7 @@ def _at_pole(fn, *args) -> float:
     """fn at a pole at 0, for a token that reads f''/f' only through zp."""
     ring = _Ring([0j])
     ring.zp = [_ZP_AT_POLE]
-    return _one(ring, fn(ring, *args))
+    return _only(ring.placed(fn(ring, *args)))
 
 
 # token -> (its column over a ring, the class parameter it reads, its value
@@ -330,7 +330,8 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
             raise IndeterminateSampleError(
                 f"{theorem} needs f''/f' alone, which diverges at the pole at 0")
         return at_pole()
-    return _one(*at_ring(_ring(spec, [z], None)))
+    col, values = at_ring(_ring(spec, [z], None))
+    return _only(col.placed(values))
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -346,13 +347,6 @@ def _apply(margins: Sequence[Margin], ring: _Ring, kept: list[Kept]) -> None:
         col, values = at_ring(ring)
         zs += col.zs
         ms += values
-
-
-def _units(n: int) -> list[complex]:
-    """exp(i theta_j) at the n angles theta_j = 2 pi j / n; a ring or curve
-    of radius r samples r * e for each e."""
-    step = 2.0 * math.pi / n
-    return [cmath.exp(1j * (step * j)) for j in range(n)]
 
 
 def sweep(spec: FamilySpec, grid: GridConfig,

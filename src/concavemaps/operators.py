@@ -49,6 +49,7 @@ from .errors import (
     PhiUndefinedError,
     PoleProximityError,
     SampleExclusionError,
+    _only,
 )
 from .jets import (DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
                    _floored, _overflowed, _schwarzians)
@@ -164,14 +165,6 @@ def _point(pt: "OperatorPoint") -> _Ring:
     return _Ring((pt.z,)).take([(pt.jet.v0, pt.jet.v1, pt.jet.v2, pt.jet.v3)])
 
 
-def _one(col: _Ring, ws: list):
-    """The value of a one-sample column, or the error that dropped it."""
-    for exc in col.errors.values():
-        raise exc
-    (w,) = ws
-    return w
-
-
 # -- the operators over a ring (see the module docstring) ---------------------
 
 def _a_f(col: _Ring) -> list[complex]:
@@ -273,7 +266,7 @@ def _check_p(p: float) -> float:
 def phi_of(pt: OperatorPoint) -> complex:
     """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
     col = _point(pt)
-    return _one(col, _phi(col))
+    return _only(col.placed(_phi(col)))
 
 
 def varphi_p(pt: OperatorPoint, p: float) -> complex:
@@ -286,7 +279,7 @@ def varphi_p(pt: OperatorPoint, p: float) -> complex:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     col = _point(pt)
-    return _one(col, _varphi(col, p))
+    return _only(col.placed(_varphi(col, p)))
 
 
 def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
@@ -296,8 +289,7 @@ def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
     Undefined at z=0; pole-at-origin callers use thm3_phi3_origin instead.
     """
     col = _point(pt)
-    phi3, big_phi = _phis(col)
-    return _one(col, list(zip(phi3, big_phi)))
+    return _only(col.placed(list(zip(*_phis(col)))))
 
 
 _LIMIT_RADIUS = 1e-4

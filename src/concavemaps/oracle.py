@@ -2,9 +2,11 @@
 
 The membership scans all flow through f''/f' and Sf; this module never looks
 at those, nor at any derivative: it reads f alone, through one call of the
-column kernel `FamilySpec.values` per curve, and builds no jet. It samples
-f on circles |z| = r, walks the image polygon, and checks that the omitted
-set could be convex by analyzing discrete turning:
+column kernel `FamilySpec.values` per curve, and builds no jet. Of the
+package it imports only `catalog` and `errors`. It samples f on circles
+|z| = r, at catalog's unit vectors as the grid scans do, walks the image
+polygon, and checks that the omitted set could be convex by analyzing
+discrete turning:
 
   * complement-inside (interior pole): the curve must wind once negatively
     around the bounded omitted set. If the total turning has the wrong sign
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .catalog import EXCLUSION_RADIUS, FamilySpec, require_epsilon
+from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _angle_count,
+                      _units, require_epsilon)
 from .errors import EmptyScanError, NonFiniteJetError, SampleExclusionError
-from .margins import MAX_SAMPLES, _units
 
 COMPLEMENT_INSIDE = "complement-inside"
 COMPLEMENT_OUTSIDE = "complement-outside"
@@ -87,11 +89,6 @@ class CurveSample:
         the oracle and a JSON curve report read it, a CSV one never does."""
         return convexity_defect(self)
 
-    @property
-    def thetas(self) -> tuple[float, ...]:
-        step = 2.0 * math.pi / self.n
-        return tuple(step * j for j in self.included)
-
 
 def natural_orientation(spec: FamilySpec) -> str:
     if any(abs(q) < 1.0 for q in spec.poles):
@@ -99,34 +96,26 @@ def natural_orientation(spec: FamilySpec) -> str:
     return COMPLEMENT_OUTSIDE
 
 
-def _require_angles(n: int) -> None:
+def boundary_curve(spec: FamilySpec, r: float, n: int,
+                   epsilon: float = EXCLUSION_RADIUS) -> CurveSample:
+    """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods.
+
+    Each stage walks the n samples once: r * e over catalog's unit vectors
+    for n, which the grid rings use too, one far_from_poles column, one
+    values call over the samples it keeps. Excluded arcs are looked for
+    only when a sample was excluded. r, n and epsilon are checked before
+    anything is sampled."""
+    r = float(r)
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"r must lie in (0, 1), got {r!r}")
+    n = _angle_count(n)
     if n < 64:
         raise ValueError("need at least 64 angles")
     if n > MAX_SAMPLES:
         raise ValueError(f"a curve holds at most {MAX_SAMPLES} angles")
-
-
-def boundary_curve(spec: FamilySpec, r: float, n: int,
-                   epsilon: float = EXCLUSION_RADIUS, *,
-                   units: list[complex] | None = None) -> CurveSample:
-    """Sample f on |z| = r at n uniform angles, excluding pole neighborhoods.
-
-    Each stage walks the n samples once: r * e over the unit vectors of
-    margins' rings, one far_from_poles column, one values call over the
-    samples it keeps. Excluded arcs are looked for only when a sample was
-    excluded. units hands over those n unit vectors when the caller holds
-    them already, as oracle_concave does for its radii."""
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r!r}")
-    _require_angles(n)
     require_epsilon(epsilon)
-    if units is None:
-        units = _units(n)
-    elif len(units) != n:
-        raise ValueError(f"units holds {len(units)} vectors, not {n}")
 
-    zs = [r * e for e in units]
+    zs = [r * e for e in _units(n)]
     far = spec.far_from_poles(zs, epsilon)
     included = list(compress(range(n), far))
     points = spec.values(list(compress(zs, far)))
@@ -265,11 +254,9 @@ def oracle_concave(spec: FamilySpec, *, n: int = DEFAULT_ANGLES,
     Each curve is judged under the spec's natural orientation (see
     natural_orientation), through the defect it stores. Consistency needs
     every defect below DEFECT_TOL and no growth beyond a 0.2*DEFECT_TOL
-    slack as r -> 1. The curves share one list of unit vectors.
+    slack as r -> 1. The curves share one tuple of unit vectors.
     """
-    _require_angles(n)  # before the unit vectors are allocated
-    units = _units(n)
-    defects = [boundary_curve(spec, r, n, epsilon, units=units).convexity_defect
+    defects = [boundary_curve(spec, r, n, epsilon).convexity_defect
                for r in _RADII]
     ok = all(d < DEFECT_TOL for d in defects)
     slack = 0.2 * DEFECT_TOL

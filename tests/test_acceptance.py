@@ -6,15 +6,26 @@ per session (the twelfth criterion reruns the core internally to check
 byte-identical reporting).
 """
 
+import hashlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from concavemaps import verify
 from concavemaps.catalog import parse_spec
 
+GOLDENS = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
+
 
 @pytest.fixture(scope="session")
-def results():
-    criteria, _bundle = verify.run_all()
+def run_all():
+    return verify.run_all()
+
+
+@pytest.fixture(scope="session")
+def results(run_all):
+    criteria, _bundle = run_all
     return {r.name: r for r in criteria}
 
 
@@ -91,3 +102,30 @@ def test_c11_schwarz_self_map_bounds(results):
 
 def test_c12_byte_identical_reports(results):
     show(results, "byte-identical-reports")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_small_classify_runs_and_the_bundle_match_the_manifest(run_all):
+    # a cheap subset of `tools/goldens.py --check`: the 6x32 classify runs
+    # and the verify bundle, against the committed manifest's lines
+    loader = importlib.util.spec_from_file_location("goldens", GOLDENS)
+    goldens = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(goldens)
+    header, *lines = goldens.MANIFEST.read_text(encoding="utf-8").splitlines()
+    here = goldens._header().strip()
+    if header != here:  # its floats are those of another Python or platform
+        pytest.skip(f"the manifest pins {header.partition(': ')[2]}; "
+                    f"this is {here.partition(': ')[2]}")
+    manifest = {line.split("\t")[0]: line.split("\t")[1:] for line in lines}
+    runs = [(name, argv) for name, argv in goldens._commands()
+            if name.startswith("classify-") and name.endswith("-6x32.json")]
+    assert len(runs) == 16
+    for name, argv in runs:
+        out, code, err = goldens._run(argv)
+        assert [code, _sha256(out), _sha256(err)] == manifest[name], name
+    _criteria, bundle = run_all
+    assert manifest["verify.stdout"][3:] == ["verify_report.json",
+                                             _sha256(bundle)]

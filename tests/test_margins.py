@@ -82,6 +82,11 @@ def test_grid_config_validation():
             GridConfig(radii, 64)
     with pytest.raises(ValueError):
         GridConfig((0.5,), 7)
+    # refused before anything is sampled; 16.0 would pass for 16 in the
+    # cache of unit vectors
+    for angles in (16.0, 16.5, "16"):
+        with pytest.raises(ValueError, match="angles must be an integer"):
+            classify(HalfPlane(), "co", GridConfig((0.5,), angles))
     for eps in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             GridConfig((0.5,), 64, epsilon=eps)

@@ -11,10 +11,10 @@ from concavemaps import operators
 from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
-                                PoleProximityError)
+                                PoleProximityError, _only)
 from concavemaps.jets import Jet3
 from concavemaps.margins import _re_m, margin_at
-from concavemaps.operators import (OperatorPoint, _a_f, _one, _point, _q,
+from concavemaps.operators import (OperatorPoint, _a_f, _point, _q,
                                    _Ring, _sf_norm, a_p_of, phi_of,
                                    thm3_phi3_origin, thm3_phis, varphi_p)
 
@@ -31,7 +31,7 @@ def at(form, where, *args):
         col = _point(where)
     else:
         col = _Ring([complex(where)])
-    return _one(col, form(col, *args))
+    return _only(col.placed(form(col, *args)))
 
 
 def _pre(col):

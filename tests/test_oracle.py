@@ -1,21 +1,25 @@
 """Geometric oracle: curve sampling, turning defects, and verdicts."""
 
+import ast
 import cmath
+import json
 import math
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from concavemaps import oracle
-from concavemaps.catalog import (Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
-                                 Laurent, omitted_segment, parse_spec)
+from concavemaps import catalog, oracle
+from concavemaps.catalog import (MAX_SAMPLES, Co0Cubic, FamilySpec, HalfPlane,
+                                 KAlpha, Kp, Laurent, omitted_segment,
+                                 parse_spec)
+from concavemaps.cli import main
 from concavemaps.errors import (EmptyScanError, NonFiniteJetError,
                                 SampleExclusionError)
-from concavemaps.margins import (MAX_SAMPLES, GridConfig, geometric_radii,
-                                 scan, sweep)
+from concavemaps.margins import GridConfig, geometric_radii, scan, sweep
 from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
                                 DEFAULT_ANGLES, ORACLE_BAD, ORACLE_OK,
                                 boundary_curve, convexity_defect,
@@ -47,6 +51,8 @@ def test_curve_input_validation():
             boundary_curve(HalfPlane(), 0.9999, 256, eps)
     with pytest.raises(ValueError):
         boundary_curve(HalfPlane(), 0.5, MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match="angles must be an integer"):
+        boundary_curve(HalfPlane(), 0.99, 256.0)
 
 
 @pytest.mark.parametrize("spec", [HalfPlane(), Kp(0.5), Co0Cubic(0j),
@@ -106,11 +112,16 @@ def test_excluded_arc_straddles_zero():
     assert lo < TWO_PI < hi
 
 
-def test_thetas_align_with_included():
+def test_thetas_align_with_included(capsys):
     curve = boundary_curve(HalfPlane(), 0.99, 256)
+    assert len(curve.included) == len(curve.points) < 256
+    # a curve report's theta column is 2 pi j / n at each included j
+    assert main(["curve", "--function", "halfplane", "--r", "0.99",
+                 "--angles", "256", "--format", "json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
     step = TWO_PI / 256
-    assert curve.thetas == tuple(step * j for j in curve.included)
-    assert len(curve.thetas) == len(curve.points)
+    assert [pt["theta"] for pt in points] == [step * j for j in curve.included]
+    assert [complex(pt["re"], pt["im"]) for pt in points] == list(curve.points)
 
 
 def test_defect_is_translation_invariant():
@@ -247,29 +258,38 @@ def test_samplers_apply_the_exclusion_column_once(monkeypatch):
     assert calls == [16, 16, 16]
 
 
-def test_oracle_curves_share_one_list_of_unit_vectors(monkeypatch):
-    calls = []
-    units = oracle._units
-
-    def counted(n):
-        calls.append(n)
-        return units(n)
-
-    monkeypatch.setattr(oracle, "_units", counted)
+def test_oracle_curves_share_one_list_of_unit_vectors():
+    units = catalog._units
+    units.cache_clear()
     oracle_concave(KAlpha(2.0), n=256)
-    assert calls == [256]
-    calls.clear()
-    curve = boundary_curve(KAlpha(2.0), 0.99, 256)
-    assert calls == [256]
-    assert boundary_curve(KAlpha(2.0), 0.99, 256, units=units(256)) == curve
-    with pytest.raises(ValueError, match="units holds 128 vectors, not 256"):
-        boundary_curve(KAlpha(2.0), 0.99, 256, units=units(128))
-    # the angle count is refused before any unit vector is computed
-    calls.clear()
-    for n in (0, 63, MAX_SAMPLES + 1):
+    assert (units.cache_info().misses, units.cache_info().hits) == (1, 2)
+    # a curve report and a grid of as many angles reuse them too
+    boundary_curve(KAlpha(2.0), 0.99, 256)
+    sweep(KAlpha(2.0), GridConfig((0.5,), 256), [])
+    assert (units.cache_info().misses, units.cache_info().hits) == (1, 4)
+    # the angle count is refused before any unit vector is computed; 256.0
+    # would otherwise be served the vectors of 256
+    units.cache_clear()
+    for n in (0, 63, MAX_SAMPLES + 1, 256.0, 100.5, "256"):
         with pytest.raises(ValueError, match="angles"):
             oracle_concave(KAlpha(2.0), n=n)
-    assert calls == []
+    assert units.cache_info().misses == units.cache_info().hits == 0
+
+
+def test_oracle_imports_only_catalog_and_errors():
+    # the geometric lane reaches no code of the formula lane's operators
+    # and margins: only catalog's kernels, exclusion rule and circles
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module
+                           else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names]
+            package.update(m for m in mods if m.startswith("concavemaps"))
+    assert package == {"catalog", "errors"}
 
 
 # -- the one-pass turning against the collapse-then-turn it replaced --------------
