@@ -37,7 +37,7 @@ share, the column FamilySpec.far_from_poles, at the radius EXCLUSION_RADIUS
 unless the caller names another. They share their circles too: a grid
 ring or an oracle curve of radius r takes r * e for each e of `_units(n)`,
 computed once per n for the last four n; MAX_SAMPLES caps one grid or
-curve, and `_angle_count` refuses an angle count that is not an integer.
+curve, and `_count` refuses an angle or radius count that is not an integer.
 
 The module also owns the spec mini-grammar used by the CLI:
 
@@ -535,12 +535,12 @@ def require_epsilon(epsilon: float) -> float:
 MAX_SAMPLES = 2 ** 20
 
 
-def _angle_count(n) -> int:
+def _count(what: str, n) -> int:
     """n as an int, or ValueError: 256.0 would pass for 256 in _units' cache."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ValueError(f"angles must be an integer, got {n!r}") from None
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
 
 
 @functools.lru_cache(maxsize=4)

@@ -59,7 +59,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _angle_count,
+from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _units, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      PoleProximityError, SampleExclusionError, SpecParseError,
@@ -96,7 +96,7 @@ class GridConfig:
             raise ValueError("radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(rs, rs[1:])):
             raise ValueError("radii must be strictly increasing")
-        object.__setattr__(self, "angles", _angle_count(self.angles))
+        object.__setattr__(self, "angles", _count("angles", self.angles))
         if self.angles < _MIN_ANGLES:
             raise ValueError(f"need at least {_MIN_ANGLES} angles")
         if 1 + len(rs) * self.angles > MAX_SAMPLES:
@@ -108,6 +108,7 @@ class GridConfig:
 
 
 def geometric_radii(count: int) -> tuple[float, ...]:
+    count = _count("count", count)
     if count < 1:
         raise ValueError("count must be positive")
     if count > MAX_SAMPLES // _MIN_ANGLES:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _angle_count,
+from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _units, require_epsilon)
 from .errors import EmptyScanError, NonFiniteJetError, SampleExclusionError
 
@@ -108,7 +108,7 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
     r = float(r)
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
-    n = _angle_count(n)
+    n = _count("angles", n)
     if n < 64:
         raise ValueError("need at least 64 angles")
     if n > MAX_SAMPLES:

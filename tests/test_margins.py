@@ -114,6 +114,9 @@ def test_geometric_radii_endpoints():
     assert geometric_radii(1) == (0.05,)
     with pytest.raises(ValueError):
         geometric_radii(0)
+    for count in (3.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            geometric_radii(count)
 
 
 def test_presets_and_env():
