@@ -17,8 +17,7 @@ from .margins import (THEOREMS, ClassifyResult, GridConfig, MappingClass,
                       MarginReport, classify, default_grid, estimate_order,
                       geometric_radii, margin_at, parse_class,
                       phi_prime_one_diagnostic, scan)
-from .operators import (OperatorPoint, a_p_of, phi_of, thm3_phi3_origin,
-                        thm3_phis, varphi_p)
+from .operators import OperatorPoint, a_p_of, thm3_phi3_origin
 from .oracle import (CurveSample, boundary_curve, convexity_defect,
                      oracle_concave, real_axis_crossings)
 
@@ -35,6 +34,6 @@ __all__ = [
     "boundary_curve", "classify", "convexity_defect", "default_grid",
     "estimate_order", "format_spec", "geometric_radii", "margin_at",
     "omitted_segment", "oracle_concave", "parse_class", "parse_spec",
-    "phi_of", "phi_prime_one_diagnostic", "real_axis_crossings", "scan",
-    "schwarzian", "thm3_phi3_origin", "thm3_phis", "varphi_p",
+    "phi_prime_one_diagnostic", "real_axis_crossings", "scan", "schwarzian",
+    "thm3_phi3_origin",
 ]

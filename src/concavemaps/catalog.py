@@ -26,8 +26,8 @@ Between stages the finiteness, degeneracy-floor and branch-cut tests of
 `jets` name the samples that fail; those are dropped and their errors
 placed as values, never raised and caught. Each message is built by the
 one helper of `jets` that Jet3's operators use too.
-eval_jet(z) and value(z) are one-sample calls into the kernels that raise
-the stored error again.
+eval_jet(z) is the one-sample call into eval_jets that raises the stored
+error again.
 
 The kernels exclude a sample only on genuine degeneracy (a denominator
 inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
@@ -198,10 +198,6 @@ class FamilySpec:
         """Jet of f at z, with every field checked finite."""
         z = complex(z)
         return _jet(z, *_only(self.eval_jets((z,))))
-
-    def value(self, z: complex) -> complex:
-        """f(z), bit for bit equal to eval_jet(z).v0."""
-        return _only(self.values((z,)))
 
     def reciprocal_jet(self, z: complex) -> Jet3:
         """Jet of 1/f at z; overridden where f has a pole the jet must cross."""

@@ -33,17 +33,18 @@ through the token one sample at a time.
 
 One sweep samples the grid, origin first (it is the normalization point of
 every theorem), then radius-major rings of r times catalog's unit vectors
-(`catalog._units`, which the oracle's curves read too). For each ring it
-applies the exclusion column `FamilySpec.far_from_poles`, calls the
-family's column kernel `eval_jets` once, builds the ring (`operators._Ring`,
-which applies the |f'| floor and excludes an f''/f' that is not finite) and
-runs every margin its caller asked for once: `classify` sweeps once for all
-the scans of a class, and a ring form that several margins read is
-computed once per ring (`_Ring.shared`). The sweep returns the number of
-grid samples and, per margin, the samples it kept with its value at each;
-a scan reduces those directly, to the excluded count, the minimum and the
-first sample within the tie band of it. margin_at is the same path for
-one sample.
+(`catalog._units`, which the oracle's curves read too). Each ring is
+built by `operators._ring`, which applies the exclusion column
+`FamilySpec.far_from_poles`, calls the family's column kernel `eval_jets`
+once, applies the |f'| floor and excludes an f''/f' that is not finite;
+the sweep then runs every margin its caller asked for once: `classify`
+sweeps once for all the scans of a class, and a ring form that several
+margins read is computed once per ring (`_Ring.shared`). The sweep returns
+the number of grid samples and, per margin, the samples it kept with its
+value at each; a scan reduces those directly, to the excluded count, the
+minimum and the first sample within the tie band of it. margin_at is the
+same path for one sample, and phi_prime_one_diagnostic reads phi on one
+ring of its three radii.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -62,12 +63,10 @@ from itertools import compress, count
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _units, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
-                     PoleProximityError, SampleExclusionError, SpecParseError,
-                     _only)
+                     SampleExclusionError, SpecParseError, _only)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
-from .operators import (OperatorPoint, _a_f, _check_p, _co_alpha, _kept,
-                        _phis, _q, _Ring, _sf_norm, a_p_of, phi_of,
-                        thm3_phi3_origin)
+from .operators import (_a_f, _check_p, _co_alpha, _kept, _phi, _phis, _q,
+                        _ring, _Ring, _sf_norm, a_p_of, thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -214,24 +213,6 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
         col.drop(errors, col.zs)
     return col, col.drop({k: _overflowed(f"margin at {col.zs[k]!r}")
                           for k in _finite_errors(ms)}, ms)
-
-
-# -- the ring -----------------------------------------------------------------
-
-def _ring(spec: FamilySpec, zs: list[complex], epsilon: float | None) -> _Ring:
-    """The samples zs through far_from_poles (unless epsilon is None; a
-    sample near a pole is dropped with a PoleProximityError), the family's
-    column kernel and the ring's own tests (see _Ring.take)."""
-    ring = _Ring(zs)
-    if epsilon is not None:
-        far = spec.far_from_poles(ring.zs, epsilon)
-        ring.drop({k: _near_pole(ring.zs[k], epsilon)
-                   for k, ok in enumerate(far) if not ok}, ring.zs)
-    return ring.take(spec.eval_jets(ring.zs))
-
-
-def _near_pole(z: complex, epsilon: float) -> PoleProximityError:
-    return PoleProximityError(f"sample {z!r} lies within {epsilon!r} of a pole")
 
 
 # -- the token table ------------------------------------------------------------
@@ -463,16 +444,16 @@ _PHI1_BAND = (-0.05, 1.0 / 3.0 + 0.05)
 
 
 def phi_prime_one_diagnostic(spec: FamilySpec) -> tuple[float | None, tuple[float, ...]]:
-    """Richardson estimate of phi'(1) from (1-phi(r))/(1-r) at three radii.
+    """Richardson estimate of phi'(1) from (1-phi(r))/(1-r) at three radii,
+    read on one ring. If a radius is excluded: None, and the values before it.
 
     Soft diagnostic only: the admissible band [0, 1/3] is a boundary statement
     the interior cannot certify, so callers warn on it, never fail.
     """
+    ring = _ring(spec, list(map(complex, _PHI1_RADII)), None)
     ds = []
-    for r in _PHI1_RADII:
-        try:
-            val = phi_of(OperatorPoint.at(spec, complex(r)))
-        except SampleExclusionError:
+    for r, val in zip(_PHI1_RADII, ring.placed(_phi(ring))):
+        if isinstance(val, SampleExclusionError):
             return None, tuple(ds)
         ds.append(((1.0 - val) / (1.0 - r)).real)
     est = (10.0 * ds[2] - ds[1]) / 9.0

@@ -22,14 +22,15 @@ its copies share until they drop a sample: it is computed once per ring,
 with each sample it drops holding its error in its place, and `_kept`
 drops those samples from the copy that reads it.
 
-The public operators are the five that `margins` reads, directly or through
-each other, at one sample. phi_of, varphi_p and thm3_phis take an
-OperatorPoint, which pairs one sample z with the function's jet there, and
-make a one-sample call into the ring forms that raises the stored error
-again, as eval_jet does into eval_jets; thm3_phi3_origin and a_p_of read
-them at the origin of a spec. Every other ring form is read through the
-margin table (`margins.margin_at` at one sample), which checks the class
-parameters.
+`_ring` is the one way a ring is read off a spec's kernel: the sweep's
+rings, margin_at's sample, phi'(1)'s radii and the origin reads below.
+The public operators are the two that `margins` reads at a spec's origin:
+thm3_phi3_origin (phi3 on one ring of four samples) and a_p_of (phi_p on
+the ring of 0). Every other ring form is read through the margin table
+(`margins.margin_at` at one sample), which checks the class parameters.
+Nothing in the package calls OperatorPoint (one sample z with the jet
+there): the benchmark's tracer (`perfbench/tracer.py`) wraps
+`OperatorPoint.at`, and the tests keep it as the per-point reference.
 
 The pole-at-origin families need two limit conventions, both resolved here:
 phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
@@ -160,9 +161,21 @@ class _Ring(_Samples):
         return ws
 
 
-def _point(pt: "OperatorPoint") -> _Ring:
-    """The one-sample ring of pt."""
-    return _Ring((pt.z,)).take([(pt.jet.v0, pt.jet.v1, pt.jet.v2, pt.jet.v3)])
+def _ring(spec: catalog.FamilySpec, zs: list[complex],
+          epsilon: float | None) -> _Ring:
+    """The samples zs through far_from_poles (unless epsilon is None; a
+    sample near a pole is dropped with a PoleProximityError), the family's
+    column kernel and the ring's own tests (see _Ring.take)."""
+    ring = _Ring(zs)
+    if epsilon is not None:
+        far = spec.far_from_poles(ring.zs, epsilon)
+        ring.drop({k: _near_pole(ring.zs[k], epsilon)
+                   for k, ok in enumerate(far) if not ok}, ring.zs)
+    return ring.take(spec.eval_jets(ring.zs))
+
+
+def _near_pole(z: complex, epsilon: float) -> PoleProximityError:
+    return PoleProximityError(f"sample {z!r} lies within {epsilon!r} of a pole")
 
 
 # -- the operators over a ring (see the module docstring) ---------------------
@@ -181,6 +194,7 @@ def _pz_pole(z: complex) -> PoleProximityError:
 
 
 def _phi(col: _Ring) -> list[complex]:
+    """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
     col.drop({k: _phi_undefined(col.zs[k], "phi") for k in _floored(col.v2)},
              col.zs)
     return [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
@@ -220,6 +234,11 @@ def _q(col: _Ring, p: float) -> list[complex]:
 
 
 def _varphi(col: _Ring, p: float) -> list[complex]:
+    """The interior-pole Schwarz factor phi_p(z) (equals omega(z)/z).
+
+    phi_p = [(z-p)P + 2 - 2p(z-p)/(1-pz)] / [z(z-p)P + 2p - 2pz(z-p)/(1-pz)]
+    with P = f''/f'; |phi_p| <= 1 on the disk for pole-p members.
+    """
     dens = [1.0 - p * z for z in col.zs]
     dens = col.drop({k: _pz_pole(col.zs[k]) for k in _floored(dens)}, dens)
     ws = [(z - p) / den for z, den in zip(col.zs, dens)]
@@ -235,8 +254,9 @@ def _varphi(col: _Ring, p: float) -> list[complex]:
 
 
 def _phis(col: _Ring, *carry: list) -> tuple[list, ...]:
-    """phi3 and Phi at the samples where both are defined, and carry with
-    the others dropped."""
+    """phi3 = (z f'' + 2f')/(z^3 f'') and Phi = (conj z - z phi3)/(1 - z^2
+    phi3) at the samples where both are defined (not z = 0: pole-at-origin
+    callers use thm3_phi3_origin there), and carry with the others dropped."""
     carry = col.drop_rows(
         {k: _phi_undefined(col.zs[k], "phi3") for k in _floored(col.v2)}, *carry)
     dens = [z ** 3 * v2 for z, v2 in zip(col.zs, col.v2)]
@@ -261,36 +281,7 @@ def _check_p(p: float) -> float:
     return p
 
 
-# -- operators at a point: one-sample calls into the ring forms -----------------
-
-def phi_of(pt: OperatorPoint) -> complex:
-    """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
-    col = _point(pt)
-    return _only(col.placed(_phi(col)))
-
-
-def varphi_p(pt: OperatorPoint, p: float) -> complex:
-    """The interior-pole Schwarz factor phi_p(z) (equals omega(z)/z).
-
-    phi_p = [(z-p)P + 2 - 2p(z-p)/(1-pz)] / [z(z-p)P + 2p - 2pz(z-p)/(1-pz)]
-    with P = f''/f'; |phi_p| <= 1 on the disk for pole-p members.
-    """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    col = _point(pt)
-    return _only(col.placed(_varphi(col, p)))
-
-
-def thm3_phis(pt: OperatorPoint) -> tuple[complex, complex]:
-    """(phi3, Phi) with phi3 = (z f'' + 2f')/(z^3 f'') and
-    Phi = (conj z - z phi3)/(1 - z^2 phi3).
-
-    Undefined at z=0; pole-at-origin callers use thm3_phi3_origin instead.
-    """
-    col = _point(pt)
-    return _only(col.placed(list(zip(*_phis(col)))))
-
+# -- operators at a spec's origin, read through the ring ----------------------
 
 _LIMIT_RADIUS = 1e-4
 _LIMIT_DIRS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
@@ -299,11 +290,10 @@ _LIMIT_AGREE = 1e-6
 
 def thm3_phi3_origin(spec: catalog.FamilySpec) -> complex:
     """Radial-limit value of phi3 at z=0 (a removable singularity for the
-    pole-at-origin families): 4 directions at |z|=1e-4 must agree to 1e-6."""
-    vals = []
-    for d in _LIMIT_DIRS:
-        z = _LIMIT_RADIUS * d
-        vals.append(thm3_phis(OperatorPoint(z, spec.eval_jet(z)))[0])
+    pole-at-origin families): 4 directions at |z|=1e-4 must agree to 1e-6.
+    The first direction whose phi3 is undefined raises its error."""
+    ring = _ring(spec, [_LIMIT_RADIUS * d for d in _LIMIT_DIRS], None)
+    vals = [_only([w]) for w in ring.placed(_phis(ring)[0])]
     mean = sum(vals) / len(vals)
     scale = max(1.0, abs(mean))
     if max(abs(v - mean) for v in vals) > _LIMIT_AGREE * scale:
@@ -319,4 +309,5 @@ def a_p_of(spec: catalog.FamilySpec, p: float) -> float:
     p = _check_p(p)
     if p == 0.0:
         return abs(thm3_phi3_origin(spec))
-    return abs(varphi_p(OperatorPoint.at(spec, 0j), p))
+    ring = _ring(spec, [0j], None)
+    return abs(_only(ring.placed(_varphi(ring, p))))

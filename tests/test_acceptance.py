@@ -6,9 +6,13 @@ per session (the twelfth criterion reruns the core internally to check
 byte-identical reporting).
 """
 
+import ast
 import hashlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
 from test_catalog import _angle_map, coeff_c, nonzero_c, open_unit
 
 GOLDENS = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -205,3 +210,28 @@ def test_small_classify_runs_and_the_bundle_match_the_manifest(run_all):
     _criteria, bundle = run_all
     assert manifest["verify.stdout"][3:] == ["verify_report.json",
                                              _sha256(bundle)]
+
+
+def _imports_beyond_the_stdlib(extra: str = "") -> list[str]:
+    """The top-level modules, other than concavemaps, that a fresh
+    interpreter imports for concavemaps, its cli and verify (and extra)
+    and that are not in the standard library."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             f"import concavemaps, concavemaps.cli, concavemaps.verify{extra}\n"
+             "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+             "print(sorted(added - {'concavemaps'}"
+             " - set(sys.stdlib_module_names)))\n")
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    return ast.literal_eval(run.stdout)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy is installed on many hosts, so a stray import of it would pass
+    # every other test; the runtime stays stdlib-only
+    assert _imports_beyond_the_stdlib() == []
+    # and the probe sees a module that is not
+    assert "hypothesis" in _imports_beyond_the_stdlib(", hypothesis")

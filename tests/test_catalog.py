@@ -15,7 +15,7 @@ from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
                                  _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
-                                SampleExclusionError, SpecParseError)
+                                SampleExclusionError, SpecParseError, _only)
 from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors,
                               _floored, _inverse_errors, _jadds, _jconst,
                               _jfinite_errors, _jmuls, _jsubs, _log_errors)
@@ -306,6 +306,11 @@ def _outcome(evaluate, z):
     return repr(w.real), repr(w.imag)
 
 
+def _value(spec):
+    """f at one sample, through the values kernel; raises its error."""
+    return lambda z: _only(spec.values([z]))
+
+
 @given(family_specs, disk_z)
 @settings(max_examples=600, deadline=None)
 @example(Laurent(0.0, 1.0 + 0j, ()), 0j)
@@ -318,7 +323,7 @@ def _outcome(evaluate, z):
 def test_value_is_bit_identical_to_jet_value(spec, z):
     # the interior poles themselves must be refused the same way
     for w in [z] + [q for q in spec.poles if abs(q) < 1.0]:
-        got = _outcome(spec.value, w)
+        got = _outcome(_value(spec), w)
         want = _outcome(lambda u: spec.eval_jet(u).v0, w)
         if want is NonFiniteJetError and isinstance(got, tuple):
             # a derivative overflowed while f stayed finite (k_p with a
@@ -329,15 +334,15 @@ def test_value_is_bit_identical_to_jet_value(spec, z):
 
 def test_value_refuses_what_eval_jet_refuses():
     with pytest.raises(PoleProximityError):
-        Kp(0.5).value(0.5 + 1e-14j)
+        _value(Kp(0.5))(0.5 + 1e-14j)
     with pytest.raises(PoleProximityError):
-        Co0Cubic(0j).value(1e-14 + 0j)
+        _value(Co0Cubic(0j))(1e-14 + 0j)
     for spec in (HalfPlane(), KAlpha(2.0), Laurent(None, 0j, (1j,))):
         with pytest.raises(ValueError):
-            spec.value(1.2 + 0j)
+            _value(spec)(1.2 + 0j)
     # a value that overflows is refused by both paths
     huge = Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j))
-    for evaluate in (huge.value, huge.eval_jet):
+    for evaluate in (_value(huge), huge.eval_jet):
         with pytest.raises(NonFiniteJetError):
             evaluate(0.9 + 0j)
 
@@ -358,7 +363,7 @@ NAN_SAMPLES = (complex(math.nan, 0.0), complex(0.0, math.nan),
 def test_nan_sample_is_non_finite_after_a_stale_overflow(spec):
     # abs() of a complex NaN leaves errno alone, so checking |z| first used
     # to report the stale overflow as a bare OverflowError
-    for method in (spec.eval_jet, spec.value, spec.reciprocal_jet):
+    for method in (spec.eval_jet, _value(spec), spec.reciprocal_jet):
         for z in NAN_SAMPLES:
             _stale_overflow()
             with pytest.raises(NonFiniteJetError, match="not finite"):

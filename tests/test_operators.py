@@ -3,24 +3,36 @@
 import cmath
 import inspect
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import concavemaps
 from concavemaps import operators
 from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
-                                PoleProximityError, _only)
+                                PoleProximityError, SampleExclusionError,
+                                _only)
 from concavemaps.jets import Jet3
-from concavemaps.margins import _re_m, margin_at
-from concavemaps.operators import (OperatorPoint, _a_f, _point, _q,
-                                   _Ring, _sf_norm, a_p_of, phi_of,
-                                   thm3_phi3_origin, thm3_phis, varphi_p)
+from concavemaps.margins import _re_m, margin_at, phi_prime_one_diagnostic
+from concavemaps.operators import (OperatorPoint, _a_f, _phi, _phis, _q,
+                                   _Ring, _sf_norm, _varphi, a_p_of,
+                                   thm3_phi3_origin)
+from concavemaps.verify import control_roster, member_roster
+from test_catalog import family_specs
 
 
 def pt(spec, z):
     return OperatorPoint.at(spec, complex(z))
+
+
+def _point(pt):
+    """The one-sample ring of an OperatorPoint: the per-point composition
+    that the package's ring reads are checked against."""
+    return _Ring((pt.z,)).take([(pt.jet.v0, pt.jet.v1, pt.jet.v2, pt.jet.v3)])
 
 
 def at(form, where, *args):
@@ -37,6 +49,11 @@ def at(form, where, *args):
 def _pre(col):
     """f''/f', the ring's own column."""
     return col.pre
+
+
+def _phi3s(col):
+    """(phi3, Phi) per sample."""
+    return list(zip(*_phis(col)))
 
 
 def rand_disk(rng, rmax=0.9):
@@ -57,14 +74,14 @@ def test_a_f_halfplane_closed_form():
 
 def test_phi_of_koebe_closed_form():
     spec = KAlpha(2.0)
-    assert abs(phi_of(pt(spec, 0j)) - 0.5) < 1e-12
+    assert abs(at(_phi, pt(spec, 0j)) - 0.5) < 1e-12
     for z in (0.3 + 0.4j, -0.6 + 0j, 0.1 - 0.7j):
-        got = phi_of(pt(spec, z))
+        got = at(_phi, pt(spec, z))
         assert abs(got - (1.0 + 2.0 * z) / (2.0 + z)) < 1e-12
 
 
 def test_phi_of_cubic_fixture():
-    assert abs(phi_of(pt(Co0Cubic(0j), 0.5)) - 0.125) < 1e-15
+    assert abs(at(_phi, pt(Co0Cubic(0j), 0.5)) - 0.125) < 1e-15
 
 
 def test_a_f_from_phi_identity():
@@ -77,7 +94,7 @@ def test_a_f_from_phi_identity():
                 continue
             p = pt(spec, z)
             try:
-                phi = phi_of(p)
+                phi = at(_phi, p)
             except PhiUndefinedError:
                 continue
             lhs = abs(at(_a_f, p))
@@ -116,10 +133,10 @@ def test_m_operator_fixtures():
 
 
 def test_thm3_phis_cubic():
-    phi3, big = thm3_phis(pt(Co0Cubic(0j), 0.5j))
+    phi3, big = at(_phi3s, pt(Co0Cubic(0j), 0.5j))
     assert abs(phi3 - 1.0) < 1e-12
     assert abs(big - (-0.8j)) < 1e-12
-    phi3, big = thm3_phis(pt(Co0Cubic(0j), 0.5))
+    phi3, big = at(_phi3s, pt(Co0Cubic(0j), 0.5))
     assert abs(phi3 - 1.0) < 1e-12
     assert abs(big) < 1e-12
 
@@ -134,7 +151,7 @@ def test_thm3_phi3_identity():
                 continue
             p = pt(spec, z)
             try:
-                phi3, _ = thm3_phis(p)
+                phi3, _ = at(_phi3s, p)
             except (PhiUndefinedError, IndeterminateSampleError):
                 continue
             lhs = z * z * phi3 - 1.0
@@ -152,7 +169,7 @@ def test_varphi_p_on_kp_is_z():
     for p in (0.2, 0.5, 0.8):
         spec = Kp(p)
         for z in (0.3j, -0.4 + 0j, 0.2 + 0.6j, -0.1 - 0.55j):
-            got = varphi_p(pt(spec, z), p)
+            got = at(_varphi, pt(spec, z), p)
             assert abs(got - z) < 1e-9
         assert a_p_of(spec, p) < 1e-12
 
@@ -163,13 +180,13 @@ def test_varphi_p_origin_closed_form():
         p0 = at(_pre, pt(spec, 0j))
         for p in (0.3, 0.7):
             want = (-p * p0 + 2.0 + 2.0 * p * p) / (2.0 * p)
-            assert abs(varphi_p(pt(spec, 0j), p) - want) < 1e-12
+            assert abs(at(_varphi, pt(spec, 0j), p) - want) < 1e-12
 
 
 def test_varphi_p_refuses_a_sample_where_1_minus_pz_vanishes():
     # inside the floor only for p and |z| within about 1e-13 of 1
     with pytest.raises(PoleProximityError, match=r"^1 - pz vanishes at "):
-        varphi_p(pt(parse_spec("identity"), 1.0 - 5e-14), 1.0 - 1e-13)
+        at(_varphi, pt(parse_spec("identity"), 1.0 - 5e-14), 1.0 - 1e-13)
 
 
 def test_a_p_of_cubic_origin():
@@ -188,7 +205,7 @@ def test_affine_invariance():
         base = pt(spec, z)
         moved = OperatorPoint(z, base.jet * c + d)
         assert abs(at(_a_f, base) - at(_a_f, moved)) < 1e-12
-        assert abs(phi_of(base) - phi_of(moved)) < 1e-10
+        assert abs(at(_phi, base) - at(_phi, moved)) < 1e-10
         assert abs(at(_sf_norm, base) - at(_sf_norm, moved)) < 1e-9
         assert abs(at(_re_m, base, 0.5) - at(_re_m, moved, 0.5)) < 1e-10
 
@@ -219,14 +236,98 @@ def test_pre_schwarzian_raises_where_a_f_does():
 
 def test_phi_undefined_for_identity():
     with pytest.raises(PhiUndefinedError):
-        phi_of(pt(parse_spec("identity"), 0.3 + 0j))
+        at(_phi, pt(parse_spec("identity"), 0.3 + 0j))
     with pytest.raises(PhiUndefinedError):
-        thm3_phis(pt(parse_spec("identity"), 0.3 + 0j))
+        at(_phi3s, pt(parse_spec("identity"), 0.3 + 0j))
 
 
 def test_thm3_indeterminate_at_origin():
     with pytest.raises(IndeterminateSampleError):
-        thm3_phis(pt(KAlpha(2.0), 0j))
+        at(_phi3s, pt(KAlpha(2.0), 0j))
+
+
+# -- point reads against the per-point composition -------------------------------
+#
+# phi'(1), phi3(0) and a_p read their samples as one ring of the kernel. The
+# references read each sample alone, as an OperatorPoint turned into a
+# one-sample ring, in the order the package reads them; both must agree bit
+# for bit, and fail with the same error, class and message.
+
+ROSTER_SPECS = [spec for spec, _ in member_roster() + control_roster()]
+# f'' vanishes at r = 0.999 alone of the diagnostic's three radii
+F2_ZERO_AT_0999 = parse_spec("laurent:b=[0,1,0.3,-0.1001001001001001]")
+POINT_SPECS = ROSTER_SPECS + [
+    F2_ZERO_AT_0999, parse_spec("identity"), parse_spec("kp:p=1e-9"),
+    parse_spec("laurent:p=0;res=1;b=[0,0,0.5]")]
+
+
+def _ref_phi_prime_one(spec):
+    ds = []
+    for r in (0.99, 0.999, 0.9999):
+        try:
+            val = at(_phi, pt(spec, r))
+        except SampleExclusionError:
+            return None, tuple(ds)
+        ds.append(((1.0 - val) / (1.0 - r)).real)
+    return (10.0 * ds[2] - ds[1]) / 9.0, tuple(ds)
+
+
+def _ref_phi3_origin(spec):
+    vals = [at(_phi3s, pt(spec, 1e-4 * d))[0]
+            for d in (1.0 + 0j, 1j, -1.0 + 0j, -1j)]
+    mean = sum(vals) / len(vals)
+    if max(abs(v - mean) for v in vals) > 1e-6 * max(1.0, abs(mean)):
+        raise IndeterminateSampleError(
+            "sample indeterminate: phi3 radial limits at 0 disagree")
+    return mean
+
+
+def _ref_a_p(spec, p):
+    return abs(at(_varphi, pt(spec, 0j), p))
+
+
+def _packed(w):
+    if w is None:
+        return None
+    if isinstance(w, tuple):
+        return tuple(map(_packed, w))
+    return struct.pack("<dd", w.real, w.imag)
+
+
+def _read(fn, *args):
+    """fn(*args) packed, or the class and message of its exclusion error."""
+    try:
+        return _packed(fn(*args))
+    except SampleExclusionError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_point_reads_match(spec, p):
+    assert (_read(phi_prime_one_diagnostic, spec)
+            == _read(_ref_phi_prime_one, spec))
+    assert _read(thm3_phi3_origin, spec) == _read(_ref_phi3_origin, spec)
+    assert _read(a_p_of, spec, p) == _read(_ref_a_p, spec, p)
+
+
+@pytest.mark.parametrize("spec", POINT_SPECS, ids=str)
+def test_point_reads_match_the_per_point_composition(spec):
+    for p in (0.2, 0.5, 0.8):
+        _assert_point_reads_match(spec, p)
+
+
+@given(family_specs, st.floats(min_value=1e-12, max_value=0.99))
+@settings(max_examples=200, deadline=None)
+@example(parse_spec("laurent:p=0;res=1;b=[0,0,2]"), 0.5)
+def test_point_reads_match_the_per_point_composition_on_drawn_specs(spec, p):
+    _assert_point_reads_match(spec, p)
+
+
+def test_phi_prime_one_keeps_the_radii_before_the_first_excluded_one():
+    # f''(0.999) evaluates to -5.55e-17, inside the floor; f''(0.99) does not
+    assert phi_prime_one_diagnostic(F2_ZERO_AT_0999) == (
+        None, (-48086.99999999995,))
+    with pytest.raises(PhiUndefinedError):
+        at(_phi, pt(F2_ZERO_AT_0999, 0.999))
 
 
 def _public_functions(module):
@@ -237,8 +338,7 @@ def _public_functions(module):
 
 def test_operators_exports_only_what_margins_reads():
     # every other ring form is read through the margin table
-    assert _public_functions(operators) == [
-        "a_p_of", "phi_of", "thm3_phi3_origin", "thm3_phis", "varphi_p"]
+    assert _public_functions(operators) == ["a_p_of", "thm3_phi3_origin"]
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,9 @@
 
     PYTHONPATH=src python tools/goldens.py OUT_DIR
 
+A package on PYTHONPATH, or an installed one, comes first; without one, the
+tool imports the package of its own checkout's `src/`.
+
 Runs `concavemaps.cli.main` in-process on a fixed set of commands and writes
 each command's stdout to its own file under OUT_DIR, plus `runs.txt`, one
 line per command: file name, exit code, argv and stderr. The commands:
@@ -67,6 +70,9 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+
+# appended, not inserted, so that a package on PYTHONPATH still wins
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from concavemaps import cli, verify
 from concavemaps.catalog import format_spec
