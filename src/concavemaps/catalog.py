@@ -18,10 +18,11 @@ cannot be evaluated gets the SampleExclusionError that excluded it in its
 place. Constants that depend only on the spec are computed once per call.
 values repeats, in the same order, the complex operations that produce v0,
 so the two agree bit for bit. Both work on whole columns: one ordered pass
-checks that the samples lie in the disk (`_Samples`), then each arithmetic
-stage is one comprehension over the samples still live (Laurent's values
-Horner loop runs over the coefficients with the samples inside; its jet
-Horner runs per sample in Jet3 arithmetic, after the column tests).
+checks that the samples lie in the disk (`_in_disk`, which returns them as
+a `jets._Rows` column), then each arithmetic stage is one comprehension
+over the samples still live (Laurent's values Horner loop runs over the
+coefficients with the samples inside; its jet Horner runs per sample in
+Jet3 arithmetic, after the column tests).
 Between stages the finiteness, degeneracy-floor and branch-cut tests of
 `jets` name the samples that fail; those are dropped and their errors
 placed as values, never raised and caught. Each message is built by the
@@ -65,14 +66,13 @@ import operator
 import re as _re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import repeat
 
-from .errors import (NonFiniteJetError, PoleProximityError,
-                     SampleExclusionError, SpecParseError, _only)
-from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
-                   _floored, _inverse_errors, _jadds, _jconst, _jet,
-                   _jfinite_errors, _jmuls, _jrecips, _jsubs, _log_errors,
-                   _Rows)
+from .errors import (NonFiniteJetError, PoleProximityError, SpecParseError,
+                     _only)
+from .jets import (_ONE, DEGENERACY_FLOOR, Jet3, _below, _floored,
+                   _inverse_errors, _jadds, _jconst, _jet, _jmuls, _jrecips,
+                   _jsubs, _Rows)
 
 # the constant jets lift every plain number to complex; the value paths use
 # the complex constant _ONE too, so that each operation matches the jet's v0
@@ -96,82 +96,28 @@ def _require_in_disk(z: complex) -> complex:
     return z
 
 
-class _Samples(_Rows):
-    """The samples of one kernel call that are still being evaluated.
-
-    zs holds them in call order. The constructor makes, in one ordered pass,
-    the tests _require_in_disk makes per sample: a sample that is not finite
-    is dropped with its error, and the first one outside the disk raises
-    ValueError for the whole call. drop takes out the samples that fail a
-    later test, from zs and from the kernel's column alongside it; result
-    and jets put each dropped sample's error back in its place. pow, and the
-    jet rules of `_Rows` (jrecip, jpow), run a rule's tests, drop the
-    samples that fail them, and compute the rule over the rest.
-    """
-
-    __slots__ = ("n", "zs", "at", "errors")
-
-    def __init__(self, zs: Sequence[complex]):
-        self.zs = zs = list(map(complex, zs))
-        self.n = len(zs)
-        # the position in the call of each of zs; None while none was dropped
-        self.at: list[int] | None = None
-        self.errors: dict[int, SampleExclusionError] = {}
-        try:
-            # finiteness first: abs() can report a stale overflow on a NaN
-            inside = (all(map(cmath.isfinite, zs))
-                      and max(map(abs, zs), default=0.0) < 1.0)
-        except OverflowError:  # an |z| beyond the floats; the loop finds it
-            inside = False
-        if not inside:
-            errors = {}
-            for k, z in enumerate(zs):
-                if not cmath.isfinite(z):
-                    errors[k] = _sample_not_finite(z)
-                elif not _below(z, 1.0):
-                    raise _outside_disk(z)
-            self.drop(errors, zs)
-
-    def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
-        """The columns, aligned with zs, without the entries errors names by
-        position; the same samples leave zs, and their errors are kept for
-        the result."""
-        if not errors:
-            return columns
-        at = range(self.n) if self.at is None else self.at
-        for k, exc in errors.items():
-            self.errors[at[k]] = exc
-        keep = [k not in errors for k in range(len(self.zs))]
-        self.at = list(compress(at, keep))
-        self.zs = list(compress(self.zs, keep))
-        return tuple(list(compress(ws, keep)) for ws in columns)
-
-    def pow(self, ws: list, exponent: complex) -> list:
-        """exp(log(w) * exponent) for each of ws that passes the tests of
-        the log and then of the exp."""
-        ws = self.drop(_log_errors(ws), ws)
-        ls = [cmath.log(w) * exponent for w in ws]
-        return list(map(cmath.exp, self.drop(_finite_errors(ls), ls)))
-
-    def result(self, ws: list) -> list:
-        """The call's column: per sample, its entry of ws once tested finite,
-        or the error that dropped it."""
-        return self.placed(self.drop(_finite_errors(ws), ws))
-
-    def jets(self, js: list) -> list:
-        """The call's column of tuple jets: per sample, its jet once each
-        field is tested finite, or the error that dropped it."""
-        return self.placed(self.drop(_jfinite_errors(js), js))
-
-    def placed(self, ws: list) -> list:
-        """Per sample of the call, its entry of ws, or the error that dropped
-        it; ws itself while none was."""
-        if self.at is None:
-            return ws
-        out: list = [None] * self.n
-        for k, w in chain(zip(self.at, ws), self.errors.items()):
-            out[k] = w
-        return out
+def _in_disk(zs: Sequence[complex]) -> _Rows:
+    """The samples of one kernel call as a column (`jets._Rows`), after the
+    tests _require_in_disk makes per sample, in one ordered pass: a sample
+    that is not finite is dropped with its error, and the first one outside
+    the disk raises ValueError for the whole call."""
+    col = _Rows(list(map(complex, zs)))
+    zs = col.zs
+    try:
+        # finiteness first: abs() can report a stale overflow on a NaN
+        inside = (all(map(cmath.isfinite, zs))
+                  and max(map(abs, zs), default=0.0) < 1.0)
+    except OverflowError:  # an |z| beyond the floats; the loop finds it
+        inside = False
+    if not inside:
+        errors = {}
+        for k, z in enumerate(zs):
+            if not cmath.isfinite(z):
+                errors[k] = _sample_not_finite(z)
+            elif not _below(z, 1.0):
+                raise _outside_disk(z)
+        col.drop(errors, zs)
+    return col
 
 
 class FamilySpec:
@@ -226,12 +172,12 @@ class HalfPlane(FamilySpec):
     boundary_pole = 1.0 + 0j
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
-        col = _Samples(zs)
+        col = _in_disk(zs)
         return col.jets([(z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
                          for z in col.zs for iu in [1.0 / (1.0 - z)]])
 
     def values(self, zs: Sequence[complex]) -> list:
-        col = _Samples(zs)
+        col = _in_disk(zs)
         return col.result([z * (1.0 / (1.0 - z)) for z in col.zs])
 
 
@@ -258,7 +204,7 @@ class KAlpha(FamilySpec):
         alpha = self.alpha
         # 1/(2 alpha) as a jet; 2 alpha >= 2 passes the reciprocal's tests
         (scale,), _ = _jrecips([_jconst(2.0 * alpha)])
-        col = _Samples(zs)
+        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         rs, xs = col.jrecip(_jsubs(repeat(_J_ONE), xs), xs)
         us = _jmuls(_jadds(xs, repeat(_J_ONE)), rs)
@@ -268,7 +214,7 @@ class KAlpha(FamilySpec):
     def values(self, zs: Sequence[complex]) -> list:
         alpha = complex(self.alpha)
         scale = 1.0 / complex(2.0 * self.alpha)  # 2 alpha >= 2: no test fails
-        col = _Samples(zs)
+        col = _in_disk(zs)
         ds = [_ONE - z for z in col.zs]
         ds = col.drop(_inverse_errors(ds, col.zs), ds)
         us = [(z + _ONE) * (1.0 / d) for z, d in zip(col.zs, ds)]
@@ -303,7 +249,7 @@ class AngleMap(FamilySpec):
         object.__setattr__(self, "B", complex(self.B))
         if a == 0:
             raise ValueError("a=0 fixes every point; no sector map exists")
-        if abs(a) >= 1.0:
+        if not _below(a, 1.0):
             raise ValueError(f"a must lie inside the unit disk, got {a!r}")
         if self.A == 0:
             raise ValueError("leading coefficient A must be nonzero")
@@ -330,7 +276,7 @@ class AngleMap(FamilySpec):
     def eval_jets(self, zs: Sequence[complex]) -> list:
         # lead * s.pow(1.0 + b) + B with s = (zj - lam) / (lam * (zj - 1.0))
         lam, lead, B = _jconst(self.lam), _jconst(self.lead), _jconst(self.B)
-        col = _Samples(zs)
+        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         rs, xs = col.jrecip(_jmuls(_jsubs(xs, repeat(_J_ONE)), repeat(lam)), xs)
         ss = _jmuls(_jsubs(xs, repeat(lam)), rs)
@@ -340,7 +286,7 @@ class AngleMap(FamilySpec):
     def values(self, zs: Sequence[complex]) -> list:
         lam, lead, B = self.lam, self.lead, self.B
         power = complex(1.0 + self.b)
-        col = _Samples(zs)
+        col = _in_disk(zs)
         ds = [(z - _ONE) * lam for z in col.zs]
         ds = col.drop(_inverse_errors(ds, col.zs), ds)
         ss = [(z - lam) * (1.0 / d) for z, d in zip(col.zs, ds)]
@@ -368,7 +314,7 @@ class Kp(FamilySpec):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
-    def _denominators(self, col: _Samples) -> tuple[float, list]:
+    def _denominators(self, col: _Rows) -> tuple[float, list]:
         """c and d = 1 - cz + z^2 at each of col's samples whose d lies
         outside the floor; the others are dropped."""
         c = self.p + 1.0 / self.p
@@ -376,7 +322,7 @@ class Kp(FamilySpec):
         return c, col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
-        col = _Samples(zs)
+        col = _in_disk(zs)
         c, ds = self._denominators(col)
         return col.jets([
             (z / d,
@@ -387,7 +333,7 @@ class Kp(FamilySpec):
             for id2 in [1.0 / (d * d)] for z2 in [z * z]])
 
     def values(self, zs: Sequence[complex]) -> list:
-        col = _Samples(zs)
+        col = _in_disk(zs)
         _, ds = self._denominators(col)
         return col.result([z / d for z, d in zip(col.zs, ds)])
 
@@ -407,9 +353,9 @@ class Co0Cubic(FamilySpec):
         object.__setattr__(self, "a0", complex(self.a0))
 
     @staticmethod
-    def _off_pole(zs: Sequence[complex]) -> _Samples:
+    def _off_pole(zs: Sequence[complex]) -> _Rows:
         """The samples of zs, without those inside the floor of the pole."""
-        col = _Samples(zs)
+        col = _in_disk(zs)
         col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
         return col
 
@@ -485,7 +431,7 @@ class Laurent(FamilySpec):
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
         # residue * (zj - pole).reciprocal() + poly(zj - pole), or poly(zj)
-        col = _Samples(zs)
+        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         if self.pole is None:
             return col.jets(self._poly_jets(col.zs, xs))
@@ -495,7 +441,7 @@ class Laurent(FamilySpec):
                                self._poly_jets(col.zs, us)))
 
     def values(self, zs: Sequence[complex]) -> list:
-        col = _Samples(zs)
+        col = _in_disk(zs)
         if self.pole is None:
             return col.result(self._poly_values(col.zs))
         pole, residue = complex(self.pole), self.residue

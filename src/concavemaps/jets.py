@@ -11,14 +11,14 @@ Each rule is written once, on columns of tuple jets: lists of plain
 (v0, v1, v2, v3) tuples at base points the caller keeps (`_jadds`,
 `_jsubs`, `_jmuls`, `_jrecips`, `_jlogs`, `_jexps`), one comprehension per
 stage. So are the tests of a rule (finiteness, degeneracy floor, branch
-cut), which return by position the error each failing entry gets. `_Rows`
-runs the tests of the reciprocal, log, exp and power in their one order,
-then the rule over the rows that pass; its subclass says what becomes of a
-failing row. The catalog's kernels run it over whole rings as
-`catalog._Samples`, which drops the row and places its error in the
-kernel's result. Jet3's operators run it on one row (`_Row`), which raises
-the error; each lifts its operand to a tuple jet (`_lift`) and unpacks the
-rule's one row into one unchecked Jet3 (`_jet`).
+cut), which return by position the error each failing entry gets.
+
+`_Rows` is the one column of samples: it runs the tests of a rule in
+their one order, drops the rows that fail, keeping each error for its
+place, and runs the rule over the rest. The catalog's kernels run it over
+whole rings (`catalog._in_disk`), the operators' `_Ring` extends it, and
+Jet3's operators run it on one row (`_one`), raising the row's error; each
+lifts its operand (`_lift`) and unpacks the one row into a Jet3 (`_jet`).
 
 Sum and product alone have a per-sample form besides: Jet3's + and * run
 the sum and Leibniz rules inline, on the fields of a jet at the same base
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from numbers import Complex as _Number
 
 from .errors import (
@@ -73,6 +73,7 @@ from .errors import (
     CriticalPointError,
     JetDivisionError,
     NonFiniteJetError,
+    _only,
 )
 
 # |value| below this counts as a zero denominator / branch-point hit.
@@ -274,17 +275,64 @@ def _jexps(js: list) -> tuple[list, dict]:
 
 
 class _Rows:
-    """Rows of tuple jets at the base points zs: jrecip, jlog, jexp and jpow
-    each run the tests of their rule in its one order, then the rule over
-    the rows that pass. Each test hands its errors, by position, to the
-    subclass's drop_rows(errors, *columns), which returns the columns
-    without the rows they name, or raises; drop does it for one column.
+    """The n samples of one call, of which zs, in call order, are still
+    being evaluated. A drop takes the samples that fail a test out of zs and
+    out of the columns aligned with it, keeping their errors, which placed
+    (and result and jets, once the column is tested finite) put back in
+    their places. The rules (jrecip, jlog, jexp and jpow on tuple jets, pow
+    on values) run their tests in their one order and drop what fails.
     """
 
-    __slots__ = ()
+    __slots__ = ("n", "zs", "at", "errors")
+
+    def __init__(self, zs: list):
+        # at: the position in the call of each of zs; None while none was
+        # dropped. A drop replaces zs, never changes it in place.
+        self.n, self.zs, self.at, self.errors = len(zs), zs, None, {}
+
+    def drop_rows(self, errors: dict, *columns: list) -> tuple[list, ...]:
+        """The columns, aligned with zs, without the entries errors names by
+        position; the same samples leave zs, and their errors are kept for
+        placed."""
+        if not errors:
+            return columns
+        at = range(self.n) if self.at is None else self.at
+        for k, exc in errors.items():
+            self.errors[at[k]] = exc
+        keep = [k not in errors for k in range(len(self.zs))]
+        self.at = list(compress(at, keep))
+        self.zs = list(compress(self.zs, keep))
+        return tuple(list(compress(ws, keep)) for ws in columns)
 
     def drop(self, errors: dict, ws: list) -> list:
         return self.drop_rows(errors, ws)[0]
+
+    def placed(self, ws: list) -> list:
+        """Per sample of the call, its entry of ws, or the error that dropped
+        it; ws itself while none was."""
+        if self.at is None:
+            return ws
+        out: list = [None] * self.n
+        for k, w in chain(zip(self.at, ws), self.errors.items()):
+            out[k] = w
+        return out
+
+    def result(self, ws: list) -> list:
+        """The call's column: per sample, its entry of ws once tested finite,
+        or the error that dropped it."""
+        return self.placed(self.drop(_finite_errors(ws), ws))
+
+    def jets(self, js: list) -> list:
+        """The call's column of tuple jets: per sample, its jet once each
+        field is tested finite, or the error that dropped it."""
+        return self.placed(self.drop(_jfinite_errors(js), js))
+
+    def pow(self, ws: list, exponent: complex) -> list:
+        """exp(log(w) * exponent) for each of ws that passes the tests of
+        the log and then of the exp."""
+        ws = self.drop(_log_errors(ws), ws)
+        ls = [cmath.log(w) * exponent for w in ws]
+        return list(map(cmath.exp, self.drop(_finite_errors(ls), ls)))
 
     def jrecip(self, js: list, *carry: list) -> tuple[list, ...]:
         """1/f of each of js, tuple jets at zs, that passes its tests, and
@@ -310,20 +358,15 @@ class _Rows:
         return self.jexp(_jmuls(self.jlog(js), repeat(_jconst(exponent))))
 
 
-class _Row(_Rows):
-    """The one row at the base point z of a Jet3 operator, which raises the
-    first error its rule's tests find."""
+def _one(z: complex, rule, j: tuple, *args) -> tuple:
+    """The tuple jet rule(row, [j], *args) on the one row _Rows([z]), or the
+    first error the rule's tests find, raised: Jet3's operators."""
+    row = _Rows([z])
+    return _only(row.placed(rule(row, [j], *args)))
 
-    __slots__ = ("zs",)
 
-    def __init__(self, z: complex):
-        self.zs = (z,)
-
-    @staticmethod
-    def drop_rows(errors: dict, *columns: list) -> tuple[list, ...]:
-        if errors:
-            raise errors[0]
-        return columns
+def _jrecip(rows: _Rows, js: list) -> list:
+    return rows.jrecip(js)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -437,16 +480,15 @@ class Jet3:
     def reciprocal(self) -> "Jet3":
         """Jet of 1/f. Quotient rule to third order."""
         z = self.base_point
-        (r,), = _Row(z).jrecip([(self.v0, self.v1, self.v2, self.v3)])
-        return _jet(z, *r)
+        return _jet(z, *_one(z, _jrecip, (self.v0, self.v1, self.v2, self.v3)))
 
     def __truediv__(self, other) -> "Jet3":
         z = self.base_point
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        (r,), = _Row(z).jrecip([o])
-        (v,) = _jmuls([(self.v0, self.v1, self.v2, self.v3)], [r])
+        (v,) = _jmuls([(self.v0, self.v1, self.v2, self.v3)],
+                      [_one(z, _jrecip, o)])
         return _jet(z, *v)
 
     def __rtruediv__(self, other) -> "Jet3":
@@ -454,27 +496,24 @@ class Jet3:
         o = _lift(z, other)
         if o is NotImplemented:
             return NotImplemented
-        (r,), = _Row(z).jrecip([(self.v0, self.v1, self.v2, self.v3)])
-        (v,) = _jmuls([o], [r])
+        (v,) = _jmuls([o], [_one(z, _jrecip, (self.v0, self.v1, self.v2, self.v3))])
         return _jet(z, *v)
 
     # -- elementary functions --------------------------------------------------
 
     def log(self) -> "Jet3":
         z = self.base_point
-        (v,) = _Row(z).jlog([(self.v0, self.v1, self.v2, self.v3)])
-        return _jet(z, *v)
+        return _jet(z, *_one(z, _Rows.jlog, (self.v0, self.v1, self.v2, self.v3)))
 
     def exp(self) -> "Jet3":
         z = self.base_point
-        (v,) = _Row(z).jexp([(self.v0, self.v1, self.v2, self.v3)])
-        return _jet(z, *v)
+        return _jet(z, *_one(z, _Rows.jexp, (self.v0, self.v1, self.v2, self.v3)))
 
     def pow(self, exponent: complex) -> "Jet3":
         """Principal-branch power, computed as exp(exponent * log(self))."""
         z = self.base_point
-        (v,) = _Row(z).jpow([(self.v0, self.v1, self.v2, self.v3)], exponent)
-        return _jet(z, *v)
+        return _jet(z, *_one(z, _Rows.jpow, (self.v0, self.v1, self.v2, self.v3),
+                             exponent))
 
     def __pow__(self, exponent) -> "Jet3":
         if isinstance(exponent, _Number):

@@ -49,8 +49,10 @@ ring of its three radii.
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
 Laurent tail), Sf through the jet of 1/f, and phi3 by radial limit; tokens
-without such a rule find it indeterminate. Samples inside epsilon of a pole
-(`FamilySpec.far_from_poles`) are excluded and counted, never interpolated.
+without such a rule find it indeterminate, and one whose value there is not
+finite excludes it as a ring's margin does (`_finite_at_pole`).
+Samples inside epsilon of a pole (`FamilySpec.far_from_poles`) are excluded
+and counted, never interpolated.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
-                      _units, format_spec, require_epsilon)
+                      _parse_real, _units, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      SampleExclusionError, SpecParseError, _only)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
@@ -287,7 +289,19 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
             raise ValueError(f"a must be nonnegative, got {a!r}")
         args += (a,)
     return (lambda ring: _column(fn, ring, args),
-            None if at_pole is None else lambda: at_pole(spec, *args))
+            None if at_pole is None else lambda: _finite_at_pole(at_pole, spec, args))
+
+
+def _finite_at_pole(at_pole, spec: FamilySpec, args: tuple) -> float:
+    """A token's value at a pole at 0, excluded with NonFiniteJetError where
+    its arithmetic overflows, as _column excludes a sample of a ring."""
+    try:
+        m = at_pole(spec, *args)
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise _overflowed(f"margin at {0j!r}")
+    return m
 
 
 def _check_alpha(alpha: float) -> float:
@@ -506,11 +520,7 @@ def _class_parameter(name: str, head: str, tail: str, key: str) -> float:
     got, _, val = tail.partition("=")
     if got.strip() != key or not val:
         raise SpecParseError(f"{name} needs {key}=<r>", len(head) + 1)
-    try:
-        return float(val)
-    except ValueError:
-        raise SpecParseError(f"malformed real literal {val!r}",
-                             len(head) + 1 + len(got) + 1) from None
+    return _parse_real(val, len(head) + 1 + len(got) + 1)
 
 
 _ORDER_TOL = 1e-6

@@ -13,8 +13,8 @@ Each formula stage is one comprehension over the samples still live.
 Between stages the column tests of `jets` (`_floored`, `_finite_errors`)
 name the samples whose denominator lies inside the floor; a drop takes them
 out of every column at once and keeps each one's SampleExclusionError, to
-be placed back in the sample's position: the drop-and-place of
-`catalog._Samples`, which `_Ring` extends.
+be placed back in the sample's position: the drop-and-place of the column
+`jets._Rows`, which `_Ring` extends with its jet columns and its cache.
 
 A ring form that several margins read (A_f, the Schwarzian norm, q and the
 Co(alpha) column) goes through the ring's one cache, `_Ring.shared`, which
@@ -34,26 +34,27 @@ there): the benchmark's tracer (`perfbench/tracer.py`) wraps
 
 The pole-at-origin families need two limit conventions, both resolved here:
 phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
-agree within 1e-6), and a_p at p=0 is |phi3(0)|.
+agree within 1e-6, and refused with NonFiniteJetError where it is not
+finite), and a_p at p=0 is |phi3(0)|.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 from . import catalog
-from .catalog import _Samples
 from .errors import (
     CriticalPointError,
     IndeterminateSampleError,
+    NonFiniteJetError,
     PhiUndefinedError,
     PoleProximityError,
     SampleExclusionError,
     _only,
 )
 from .jets import (DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
-                   _floored, _overflowed, _schwarzians)
+                   _floored, _isfinite, _overflowed, _Rows, _schwarzians)
 
 
 def _critical(z: complex) -> CriticalPointError:
@@ -83,12 +84,12 @@ class OperatorPoint:
 
 # -- the ring: samples as columns ----------------------------------------------
 
-class _Ring(_Samples):
+class _Ring(_Rows):
     """Samples as the columns the operators read: zs, the jet fields v1, v2
     and v3, pre = f''/f' and zp = z f''/f'. A drop takes the samples it
     names out of every column at once, and out of the columns it is handed,
-    keeping their errors for the result. A copy drops without touching the
-    ring it was copied from.
+    keeping their errors for placed. A copy drops without touching the
+    ring it was copied from; the two share zs, which a drop replaces.
 
     The ring makes no disk test of its own: the kernel that take() reads
     makes it (and a ring for q alone, which is defined off the disk too,
@@ -97,14 +98,11 @@ class _Ring(_Samples):
 
     __slots__ = ("v1", "v2", "v3", "pre", "zp", "_shared")
 
-    def __init__(self, zs: Sequence[complex]):
-        self._set(len(zs), list(zs), None, {}, ((), (), (), (), ()))
-
-    def _set(self, n, zs, at, errors, columns, shared=None) -> "_Ring":
-        self.n, self.zs, self.at, self.errors = n, zs, at, errors
+    def __init__(self, zs: list, columns: tuple = ((), (), (), (), ()),
+                 shared: dict | None = None):
+        super().__init__(zs)
         self.v1, self.v2, self.v3, self.pre, self.zp = columns
         self._shared = {} if shared is None else shared
-        return self
 
     def take(self, jets: list) -> "_Ring":
         """The ring with the kernel's column at its samples (eval_jets(zs)):
@@ -138,14 +136,13 @@ class _Ring(_Samples):
         return self.v1, self.v2, self.v3, self.pre, self.zp
 
     def copy(self) -> "_Ring":
-        return _Ring.__new__(_Ring)._set(self.n, self.zs, self.at,
-                                         dict(self.errors), self._columns(),
-                                         self._shared)
+        ring = _Ring(self.zs, self._columns(), self._shared)
+        ring.n, ring.at, ring.errors = self.n, self.at, dict(self.errors)
+        return ring
 
     def row(self, k: int) -> "_Ring":
         """The k-th live sample alone, as a one-sample ring."""
-        return _Ring.__new__(_Ring)._set(1, [self.zs[k]], None, {},
-                                         [[c[k]] for c in self._columns()])
+        return _Ring([self.zs[k]], [[c[k]] for c in self._columns()])
 
     def shared(self, fn, *args) -> list:
         """The ring form fn(ring, *args) at each live sample, or the error
@@ -155,8 +152,7 @@ class _Ring(_Samples):
         key = (fn, *args)
         ws = self._shared.get(key)
         if ws is None:
-            live = _Ring.__new__(_Ring)._set(len(self.zs), self.zs, None, {},
-                                             self._columns())
+            live = _Ring(self.zs, self._columns())
             ws = self._shared[key] = live.placed(fn(live, *args))
         return ws
 
@@ -166,7 +162,7 @@ def _ring(spec: catalog.FamilySpec, zs: list[complex],
     """The samples zs through far_from_poles (unless epsilon is None; a
     sample near a pole is dropped with a PoleProximityError), the family's
     column kernel and the ring's own tests (see _Ring.take)."""
-    ring = _Ring(zs)
+    ring = _Ring(list(zs))
     if epsilon is not None:
         far = spec.far_from_poles(ring.zs, epsilon)
         ring.drop({k: _near_pole(ring.zs[k], epsilon)
@@ -291,12 +287,19 @@ _LIMIT_AGREE = 1e-6
 def thm3_phi3_origin(spec: catalog.FamilySpec) -> complex:
     """Radial-limit value of phi3 at z=0 (a removable singularity for the
     pole-at-origin families): 4 directions at |z|=1e-4 must agree to 1e-6.
-    The first direction whose phi3 is undefined raises its error."""
+    The first direction whose phi3 is undefined raises its error, and a
+    limit that is not finite raises NonFiniteJetError."""
     ring = _ring(spec, [_LIMIT_RADIUS * d for d in _LIMIT_DIRS], None)
     vals = [_only([w]) for w in ring.placed(_phis(ring)[0])]
     mean = sum(vals) / len(vals)
-    scale = max(1.0, abs(mean))
-    if max(abs(v - mean) for v in vals) > _LIMIT_AGREE * scale:
+    if not _isfinite(mean):
+        raise NonFiniteJetError(f"phi3 radial limit at 0 is not finite: {mean!r}")
+    try:
+        spread = max(abs(v - mean) for v in vals)
+    except OverflowError:  # an |v - mean| beyond the floats
+        spread = math.inf
+    # a finite mean is a quarter of a finite sum: abs(mean) cannot overflow
+    if spread > _LIMIT_AGREE * max(1.0, abs(mean)):
         raise IndeterminateSampleError(
             "sample indeterminate: phi3 radial limits at 0 disagree"
         )

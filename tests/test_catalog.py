@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
-                                 HalfPlane, KAlpha, Kp, Laurent, _Samples,
+                                 HalfPlane, KAlpha, Kp, Laurent, _in_disk,
                                  _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
@@ -145,6 +145,9 @@ def test_anglemap_rejections():
         AngleMap(0.5 + 0.5j)  # |a|^2 = Re a exactly
     with pytest.raises(ValueError):
         AngleMap(-0.5 + 0j, A=0j)
+    # |a| overflows a float, where abs(a) raises OverflowError
+    with pytest.raises(ValueError, match="inside the unit disk"):
+        AngleMap(complex(1.7e308, 1.7e308))
 
 
 def test_anglemap_pre_schwarzian_closed_form():
@@ -769,7 +772,7 @@ def _rows_by_columns(evaluate, js):
     """The same through the column forms: evaluate(col, js) on a column
     whose samples are the rows' base points, each dropped row's error put
     back in its place."""
-    col = _Samples([0.01j * k for k in range(len(js))])
+    col = _in_disk([0.01j * k for k in range(len(js))])
     try:
         ws = col.placed(evaluate(col, js))
     except ArithmeticError as exc:

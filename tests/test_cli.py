@@ -1,5 +1,7 @@
 """CLI surface: exit codes, payload shapes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -52,7 +54,7 @@ def test_parse_error_exit_two(capsys):
 
 
 def test_malformed_class_number_exit_two(capsys):
-    for cls in ("cop:p=abc", "coalpha:alpha=x"):
+    for cls in ("cop:p=abc", "coalpha:alpha=x", "cop:p=0.2_5"):
         code, _, err = run(capsys, ["classify", "--function", "kp:p=0.5",
                                     "--class", cls] + FAST)
         assert code == 2
@@ -92,6 +94,23 @@ def test_a_modulus_beyond_the_floats_is_no_traceback(argv, want, capsys):
     code, _, err = run(capsys, argv)
     assert code == want
     assert err.startswith("degeneracy: ") if want == 3 else err == ""
+
+
+@pytest.mark.parametrize("argv,want,err", [
+    # phi3 at the pole at 0 is b1 = 1e308, and 2 b1 overflows on the way
+    (["classify", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+      "--class", "cop:p=0", "--radii", "2", "--angles", "8"], 3,
+     "degeneracy: phi3 radial limit at 0 is not finite: (nan+nanj)\n"),
+    (["margins", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+      "--theorem", "thm4", "--p", "0"], 3,
+     "degeneracy: phi3 radial limit at 0 is not finite: (nan+nanj)\n"),
+    (["curve", "--function", "anglemap:a=1.7e308+1.7e308i"], 2,
+     "error: a must lie inside the unit disk, got (1.7e+308+1.7e+308j) "
+     "(at position 9)\n"),
+], ids=["phi3-limit-classify", "phi3-limit-margins", "anglemap-modulus"])
+def test_inputs_that_once_escaped_main_exit_with_their_code(argv, want, err,
+                                                            capsys):
+    assert run(capsys, argv) == (want, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -669,3 +688,80 @@ def test_curve_where_f_overflows_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("degeneracy: f overflows on |z| = 0.99: ")
+
+
+# -- every input ends in an exit code ---------------------------------------------
+
+# literals at the edges of the floats, among ordinary ones
+LITERALS = ("0", "1", "-1", "0.5", "-0.5", "0.3", "2", "1e308", "-1e308",
+            "1.7e308", "-1.7e308", "5e-324", "-5e-324", "1e-13", "1e-300")
+reals = st.sampled_from(LITERALS)
+poles = st.one_of(st.sampled_from(("0", "0.5")), reals)
+
+
+@st.composite
+def complex_literals(draw):
+    re, im = draw(reals), draw(reals)
+    return draw(st.sampled_from(
+        (re, f"{im}i", f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i")))
+
+
+coeff_lists = st.lists(complex_literals(), max_size=4).map(
+    lambda cs: "[" + ",".join(cs) + "]")
+cli_specs = st.one_of(
+    st.sampled_from(("halfplane", "koebe", "identity")),
+    st.builds("kalpha:alpha={}".format, st.one_of(reals, st.just("1.5"))),
+    st.builds("anglemap:a={}".format,
+              st.one_of(complex_literals(), st.just("-0.5+0.1i"))),
+    st.builds("anglemap:a=-0.5,A={},B={}".format, complex_literals(),
+              complex_literals()),
+    st.builds("kp:p={}".format, st.one_of(reals, st.just("0.25"))),
+    st.builds("co0cubic:a0={}".format, complex_literals()),
+    st.builds("laurent:p={};res={};b={}".format, poles, complex_literals(),
+              coeff_lists),
+    st.builds("laurent:b={}".format, coeff_lists))
+classes = st.one_of(st.sampled_from(("co", "co0")),
+                    st.builds("coalpha:alpha={}".format,
+                              st.one_of(reals, st.just("1.5"))),
+                    st.builds("cop:p={}".format, poles))
+grids = st.sampled_from((["--radii", "2", "--angles", "8"],
+                         ["--radii", "3", "--angles", "16"]))
+# written --p=-1e308: argparse reads a lone -1e308 as an option
+parameters = st.one_of(st.just([]), st.builds(
+    "{}={}".format, st.sampled_from(("--alpha", "--p")), reals).map(
+        lambda flag: [flag]))
+argvs = st.one_of(
+    st.builds(lambda f, c, g: ["classify", "--function", f, "--class", c, *g],
+              cli_specs, classes, grids),
+    # a Laurent spec with its pole where the class wants it
+    st.builds(lambda p, res, b, c, g: [
+        "classify", "--function", f"laurent:p={p};res={res};b={b}",
+        "--class", c.format(p), *g],
+        poles, complex_literals(), coeff_lists,
+        st.sampled_from(("cop:p={}", "co0")), grids),
+    st.builds(lambda f, t, p, g, fmt: ["margins", "--function", f,
+                                       "--theorem", t, *p, *g,
+                                       "--format", fmt],
+              cli_specs, st.sampled_from(THEOREMS), parameters, grids,
+              st.sampled_from(("csv", "json"))),
+    st.builds(lambda f, r, fmt: ["curve", "--function", f, "--r", r,
+                                 "--angles", "64", "--format", fmt],
+              cli_specs, st.sampled_from(("0.5", "0.99", "0.9999")),
+              st.sampled_from(("csv", "json"))))
+
+
+@given(argvs)
+@settings(max_examples=800, deadline=None, derandomize=True)
+# a phi3 limit at the pole at 0 that is not finite
+@example(["classify", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+          "--class", "cop:p=0", "--radii", "2", "--angles", "8"])
+@example(["margins", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+          "--theorem", "thm4", "--p", "0", "--radii", "2", "--angles", "8"])
+# a disk parameter whose modulus overflows
+@example(["curve", "--function", "anglemap:a=1.7e308+1.7e308i",
+          "--angles", "64"])
+def test_main_ends_every_input_in_an_exit_code(argv):
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())

@@ -209,10 +209,21 @@ def test_parse_class():
         with pytest.raises(SpecParseError):
             parse_class(bad)
     # a malformed number is a parse error located at the value
-    for bad, at in (("cop:p=abc", 6), ("coalpha:alpha=x", 14)):
+    # as in the spec grammar, which refuses kp:p=0.2_5
+    for bad, at in (("cop:p=abc", 6), ("coalpha:alpha=x", 14),
+                    ("cop:p=0.2_5", 6)):
         with pytest.raises(SpecParseError) as exc:
             parse_class(bad)
         assert exc.value.position == at
+
+
+def test_a_margin_at_a_pole_at_0_that_is_not_finite_is_excluded():
+    # with a = inf, thm4's weight (1+2at+t^2)/(4(1+at)^2) is NaN at every t:
+    # the pole at 0 excludes its sample as a ring excludes its own
+    for z in (0j, 0.5 + 0j):
+        with pytest.raises(NonFiniteJetError) as exc:
+            margin_at(Co0Cubic(0j), z, "thm4", p=0.0, a=math.inf)
+        assert str(exc.value) == f"margin at {z!r} overflowed"
 
 
 def test_classify_koebe_co():
@@ -399,20 +410,28 @@ def _swept(spec, grid, *margins):
     return [dict(zip(zs, ms)) for zs, ms in kept]
 
 
+ALPHA_LADDER = (1.2, 1.5, 1.8, 2.0)
+
+
 def test_theorem_margins_keep_their_pointwise_order():
-    # Two relations that follow from the formulas alone, exact in floats
+    # Three relations that follow from the formulas alone, exact in floats
     # since rounding is monotone: thm2 subtracts a nonnegative term from
-    # co_alpha_lhs, and corollary - thm3 = 6 - 2(2|phi3|+1)(1-|Phi|^2) is
-    # nonnegative wherever |phi3| <= 1.
+    # co_alpha_lhs; co_alpha_lhs grows with alpha, as (alpha+1)/2 scales
+    # Re (1+z)/(1-z) > 0; and corollary - thm3 = 6 - 2(2|phi3|+1)(1-|Phi|^2)
+    # is nonnegative wherever |phi3| <= 1.
     grid = default_grid("fast")
     checked = [0, 0]
     for spec, _ in ROSTER:
-        for alpha in (1.2, 1.5, 2.0):
-            lhs, thm2 = _swept(spec, grid,
-                               _margin(spec, "co_alpha_lhs", alpha, None, None),
-                               _margin(spec, "thm2", alpha, None, None))
-            assert thm2 and thm2.keys() <= lhs.keys(), str(spec)
-            assert all(m <= lhs[z] for z, m in thm2.items()), (str(spec), alpha)
+        swept = _swept(spec, grid, *(_margin(spec, t, alpha, None, None)
+                                     for alpha in ALPHA_LADDER
+                                     for t in ("co_alpha_lhs", "thm2")))
+        lhs = swept[::2]
+        for alpha, below, thm2 in zip(ALPHA_LADDER, lhs, swept[1::2]):
+            assert thm2 and thm2.keys() <= below.keys(), str(spec)
+            assert all(m <= below[z] for z, m in thm2.items()), (str(spec), alpha)
+        for low, high in zip(lhs, lhs[1:]):
+            assert low and low.keys() == high.keys(), str(spec)
+            assert all(low[z] < high[z] for z in low), str(spec)
         checked[0] += 1
         abs_phi3 = (lambda ring: _column(
             lambda col: [abs(f) for f in _phis(col)[0]], ring, ()),

@@ -189,6 +189,23 @@ def test_varphi_p_refuses_a_sample_where_1_minus_pz_vanishes():
         at(_varphi, pt(parse_spec("identity"), 1.0 - 5e-14), 1.0 - 1e-13)
 
 
+def test_thm3_phi3_origin_refuses_a_limit_that_is_not_finite():
+    # phi3(0) = b1 here, and 2 b1 overflows on the way to it
+    spec = parse_spec("laurent:p=0;res=1;b=[0,1e308]")
+    for read in (thm3_phi3_origin, lambda s: a_p_of(s, 0.0)):
+        with pytest.raises(NonFiniteJetError,
+                           match=r"^phi3 radial limit at 0 is not finite: "):
+            read(spec)
+
+
+def test_phi3_limits_apart_by_more_than_the_floats_disagree(monkeypatch):
+    # abs() of their difference raises OverflowError
+    big = complex(1.5e308, 1.5e308)
+    monkeypatch.setattr(operators, "_phis", lambda ring: ([big, -big, 0j, 0j],))
+    with pytest.raises(IndeterminateSampleError, match="limits at 0 disagree"):
+        thm3_phi3_origin(Co0Cubic(0j))
+
+
 def test_a_p_of_cubic_origin():
     assert abs(a_p_of(Co0Cubic(0j), 0.0) - 1.0) < 1e-9
     with pytest.raises(ValueError):

@@ -34,6 +34,9 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify` and `margins` runs on specs with a finite literal whose
     modulus overflows a float, and on a pole inside the 1e-12 floor of the
     origin (see MODULUS_RUNS);
+  * `classify`, `margins` and `curve` runs on inputs that once escaped
+    `cli.main` with a traceback, and a class literal that `float()` once
+    read (see ESCAPE_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
@@ -175,6 +178,19 @@ MODULUS_RUNS = (
      "--p", "1e-320", "--radii", "2", "--angles", "8"),
 )
 
+# A phi3 limit at the pole at 0 that is not finite (phi3(0) = b1 = 1e308, and
+# 2 b1 overflows), in classify and in margins; a disk parameter whose
+# modulus overflows a float; and a class literal with an underscore, which
+# the spec grammar refuses too
+ESCAPE_RUNS = (
+    ("classify", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+     "--class", "cop:p=0", "--radii", "2", "--angles", "8"),
+    ("margins", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+     "--theorem", "thm4", "--p", "0"),
+    ("curve", "--function", "anglemap:a=1.7e308+1.7e308i"),
+    ("classify", "--function", "kp:p=0.5", "--class", "cop:p=0.2_5"),
+)
+
 
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
@@ -234,6 +250,9 @@ def _commands():
     for k, argv in enumerate(MODULUS_RUNS):
         ext = "csv" if argv[0] == "margins" else "json"
         yield f"modulus-{k}.{ext}", list(argv)
+    for k, argv in enumerate(ESCAPE_RUNS):
+        ext = "json" if argv[0] == "classify" else "csv"
+        yield f"escape-{k}.{ext}", list(argv)
     for k, argv in enumerate(OUT_RUNS):
         yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
