@@ -21,8 +21,9 @@ so the two agree bit for bit. Both work on whole columns: one ordered pass
 checks that the samples lie in the disk (`_in_disk`, which returns them as
 a `jets._Rows` column), then each arithmetic stage is one comprehension
 over the samples still live (Laurent's values Horner loop runs over the
-coefficients with the samples inside; its jet Horner runs per sample in
-Jet3 arithmetic, after the column tests).
+coefficients with the samples inside; its jet Horner, one flat loop over
+the samples after the column tests, starts each at the leading coefficient
+and steps in Jet3 arithmetic).
 Between stages the finiteness, degeneracy-floor and branch-cut tests of
 `jets` name the samples that fail; those are dropped and their errors
 placed as values, never raised and caught. Each message is built by the
@@ -407,27 +408,29 @@ class Laurent(FamilySpec):
         object.__setattr__(self, "poles",
                            () if self.pole is None else (complex(self.pole),))
 
-    def _poly_jet(self, u: Jet3) -> Jet3:
-        # u sits at a sample that passed the disk test, so the zero jet
-        # needs no finiteness check
-        acc = _jet(u.base_point, 0j, 0j, 0j, 0j)
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
     def _poly_values(self, us: list) -> list:
-        # Horner, as _poly_jet runs it, with the samples inside
+        # Horner from the zero polynomial, with the samples inside
         acc = [0j] * len(us)
         for c in reversed(self.coeffs):
             acc = [a * u + c for a, u in zip(acc, us)]
         return acc
 
     def _poly_jets(self, zs: list, us: list) -> list:
-        """_poly_jet of each tuple jet of us, at its sample of zs: the Horner
-        runs per sample in Jet3 arithmetic, whose operator calls perfbench
-        counts."""
-        return [(j.v0, j.v1, j.v2, j.v3)
-                for j in (self._poly_jet(_jet(z, *u)) for z, u in zip(zs, us))]
+        """Horner in Jet3 arithmetic (perfbench counts its operator calls)
+        on each tuple jet of us, at its sample of zs. Its first step from the
+        zero jet, on a finite u of value w, is exactly (lead + 0j * w, 0j,
+        0j, 0j): adding the lifted lead's 0j makes each zero product +0j."""
+        if not self.coeffs:
+            return [(0j, 0j, 0j, 0j)] * len(us)
+        lead, *rest = reversed(self.coeffs)
+        out = []
+        for z, u in zip(zs, us):
+            acc = _jet(z, lead + 0j * u[0], 0j, 0j, 0j)
+            u = _jet(z, *u)
+            for c in rest:
+                acc = acc * u + c
+            out.append((acc.v0, acc.v1, acc.v2, acc.v3))
+        return out
 
     def eval_jets(self, zs: Sequence[complex]) -> list:
         # residue * (zj - pole).reciprocal() + poly(zj - pole), or poly(zj)
@@ -454,10 +457,10 @@ class Laurent(FamilySpec):
         if self.pole is None:
             return super().reciprocal_jet(z)
         z = _require_in_disk(z)
-        zj = Jet3.variable(z)
-        u = zj - self.pole
+        u = Jet3.variable(z) - self.pole
+        (b,) = self._poly_jets([z], [(u.v0, u.v1, u.v2, u.v3)])
         # 1/f = u/(residue + u * poly(u)): regular where f has its pole
-        return (u / (self.residue + u * self._poly_jet(u))).checked()
+        return (u / (self.residue + u * _jet(z, *b))).checked()
 
 
 # The stock exclusion radius: samples within it of a pole are excluded.

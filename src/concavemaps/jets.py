@@ -24,14 +24,15 @@ Sum and product alone have a per-sample form besides: Jet3's + and * run
 the sum and Leibniz rules inline, on the fields of a jet at the same base
 point or of a lifted complex, and build their result in place. Each does
 its column form's (`_jadds`, `_jmuls`) complex operations in the same
-order, so the two agree bit for bit. Laurent's jet Horner runs them about
-thirty times per sample, where a one-row column costs twice as much. They
-stay operators because the benchmark counts Jet3's operator calls; they go
-when it counts column rules instead and the Horner moves onto columns. The
-rules and `_lift` stay private: perfbench's tracer spans every public
-function of this module, and a span per arithmetic step would swamp a
-traced run. `_schwarzians` is the Schwarzian from fields over a column,
-which the grid scans call once per ring and `schwarzian` for one jet.
+order, so the two agree bit for bit. Laurent's jet Horner runs 2 (k - 1) of
+them per sample of a k-coefficient series (it folds its first step, from
+the zero jet), where a one-row column costs twice as much. They stay
+operators because the benchmark counts Jet3's operator calls; they go when
+it counts column rules instead and the Horner moves onto columns. The rules
+and `_lift` stay private: perfbench's tracer spans every public function of
+this module, and a span per arithmetic step would swamp a traced run.
+`_schwarzians` is the Schwarzian from fields over a column, which the grid
+scans call once per ring and `schwarzian` for one jet.
 
 Branch policy: `log` (and `pow`, which is exp(c*log(.))) uses the principal
 branch with the cut on (-inf, 0]. An operand whose value lies within 1e-12

@@ -285,7 +285,7 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
                     f"the origin, where thm4 reads a_p; for a pole at the "
                     f"origin use cop:p=0")
             a = a_p_of(spec, p)
-        elif a < 0.0:
+        elif not a >= 0.0:  # NaN too
             raise ValueError(f"a must be nonnegative, got {a!r}")
         args += (a,)
     return (lambda ring: _column(fn, ring, args),

@@ -123,3 +123,13 @@ def _jexp(a: tuple) -> tuple:
 def _jpow(a: tuple, exponent: complex) -> tuple:
     """Principal-branch power, computed as exp(exponent * log(a))."""
     return _jexp(_jmul(_jlog(a), _jconst(exponent)))
+
+
+def _poly_jet(coeffs: tuple, u: Jet3) -> Jet3:
+    """sum_k coeffs[k] u^k by Horner in Jet3 arithmetic, from the zero jet:
+    one * and one + per coefficient. The Laurent kernel starts at its first
+    step folded, and must agree with this bit for bit."""
+    acc = Jet3.constant(u.base_point, 0j)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc

@@ -22,7 +22,7 @@ from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors,
 from concavemaps.operators import OperatorPoint
 from jet_reference import (_cube, _exp, _inverse, _jadd, _jexp, _jfinite,
                            _jlog, _jmul, _jpow, _jrecip, _jsub, _log,
-                           _require_finite)
+                           _poly_jet, _require_finite)
 
 
 def close(a, b, tol=1e-12):
@@ -579,10 +579,10 @@ def _ref_jets(spec, z):
                          -6 * iz2 * iz2))
     zj = Jet3.variable(_require_in_disk(z))
     if spec.pole is None:
-        j = spec._poly_jet(zj)
+        j = _poly_jet(spec.coeffs, zj)
     else:
         u = zj - spec.pole
-        j = spec.residue * u.reciprocal() + spec._poly_jet(u)
+        j = spec.residue * u.reciprocal() + _poly_jet(spec.coeffs, u)
     return _jfinite((j.v0, j.v1, j.v2, j.v3))
 
 
@@ -689,10 +689,57 @@ def test_values_columns_match_the_per_sample_kernels(spec_and_zs):
 @example((Laurent(None, 0j, (1e308 + 0j, 1e308 + 0j)), [0.9 + 0j, 0.1j]))
 @example((AngleMap(-0.5 + 0j, 1e308 + 0j, 1e308 + 0j), [0.5 + 0j, 0.1j]))
 @example((Kp(1e-308), [0.5 + 0j, 0.5j, 0j]))
+# the Horner's folded first step: a leading coefficient with -0.0 parts, a
+# lone coefficient and none, on real-axis samples with signed zeros and
+# 1e-13 from the pole
+@example((Laurent(None, 0j, (1.0 + 0j, complex(-0.0, -0.0))),
+          [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.5, -0.0),
+           complex(0.5, 0.0), 1e-13 + 0j]))
+@example((Laurent(0.0, 1.0 + 0j, (complex(-0.0, 0.0), 1.0 + 0j,
+                                  complex(0.0, -0.0))),
+          [complex(1e-13, -0.0), complex(-1e-13, 0.0), complex(-0.0, 1e-13),
+           complex(-0.5, -0.0), 0.5 + 0j]))
+@example((Laurent(0.5, 2.0 - 1j, (complex(-0.0, -0.0),)),
+          [0.5 + 1e-13 + 0j, complex(0.5 - 1e-13, -0.0), 0.5 + 1e-13j,
+           complex(-0.0, -0.0), complex(0.25, -0.0)]))
+@example((Laurent(None, 0j, (complex(-1.5, -0.0),)),
+          [complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.5, 0.0)]))
+@example((Laurent(0.0, 1.0 + 0j, ()),
+          [1e-13 + 0j, complex(-1e-13, -0.0), complex(-0.0, -1e-13),
+           complex(-0.5, -0.0), complex(0.5, 0.0)]))
 def test_eval_jets_columns_match_the_per_sample_kernels(spec_and_zs):
     spec, zs = spec_and_zs
     assert _column_bits(spec.eval_jets, zs) == _column_bits(
         lambda col: _each(lambda z: _ref_jets(spec, z), col), zs), (spec, zs)
+
+
+@pytest.mark.parametrize("spec", [
+    Laurent(None, 0j, (0j, 1.0 + 0j, 0.3 + 0j)),
+    Laurent(0.0, 1.0 + 0j, (0.5j,)),
+    Laurent(0.5, 2.0 - 1j, (1.0 + 0j, 2.0 + 1j, 3.0 + 0j, -0.1j)),
+    Laurent(None, 0j, tuple(1.0 / (k + 1) + 0j for k in range(16))),
+])
+def test_laurent_jet_horner_steps_once_per_coefficient_after_the_lead(
+        monkeypatch, spec):
+    # the Horner starts at its leading coefficient, so n samples with k
+    # coefficients take n (k - 1) Jet3 products and as many sums
+    counts = {"__mul__": 0, "__add__": 0}
+
+    def counted(name):
+        op = getattr(Jet3, name)
+
+        def step(self, other):
+            counts[name] += 1
+            return op(self, other)
+        return step
+
+    for name in counts:
+        monkeypatch.setattr(Jet3, name, counted(name))
+    zs = [0.3 * cmath.exp(2j * math.pi * k / 7) for k in range(7)]
+    out = spec.eval_jets(zs)
+    assert not any(isinstance(w, SampleExclusionError) for w in out)
+    steps = len(zs) * (len(spec.coeffs) - 1)
+    assert counts == {"__mul__": steps, "__add__": steps}
 
 
 # Operands for the column rules: anything complex, plus entries on each

@@ -74,6 +74,9 @@ def test_parameters_are_checked_before_sampling(monkeypatch):
         margin_at(Kp(0.5), 0.3, "reM", p=1.5)
     with pytest.raises(ValueError, match="a must be nonnegative"):
         margin_at(Kp(0.5), 0.3, "thm4", p=0.5, a=-0.1)
+    # NaN fails a < 0 as well as a >= 0: refused, not excluded per sample
+    with pytest.raises(ValueError, match="a must be nonnegative, got nan"):
+        margin_at(Co0Cubic(0j), 0.5, "thm4", p=0.0, a=math.nan)
 
 
 def test_grid_config_validation():

@@ -28,7 +28,8 @@ line per command: file name, exit code, argv and stderr. The commands:
     far below unit size, whose turning must match the unscaled spec's (see
     SCALED_RUNS);
   * `classify` and `margins` runs on Laurent specs whose jet Horner runs on
-    u = z - p off the origin or has complex coefficients (see HORNER_RUNS);
+    u = z - p off the origin, has complex coefficients, a leading one with
+    -0.0 parts, one coefficient or none (see HORNER_RUNS);
   * `classify` and `curve` runs on specs with a literal that overflows a
     float, or a k_p whose 1/p does (see NONFINITE_RUNS);
   * `classify` and `margins` runs on specs with a finite literal whose
@@ -145,6 +146,15 @@ HORNER_RUNS = (
       for text, cls in HORNER_SPECS for grid in ((), SMALL_GRID)),
     ("margins", "--function", HORNER_SPECS[0][0], "--theorem", "reM",
      "--p", "0.5", "--format", "csv"),
+    # the Horner's first step, folded: a leading coefficient with -0.0
+    # parts, a lone coefficient (no Jet3 step at all) and none, the last two
+    # at a pole at 0, where co0's thm3 and corollary read reciprocal_jet
+    ("classify", "--function", "laurent:b=[0,1,0.2-0.1i,-0-0i]",
+     "--class", "co", *SMALL_GRID),
+    ("classify", "--function", "laurent:p=0;res=1;b=[0.5+0.5i]",
+     "--class", "co0", *SMALL_GRID),
+    ("classify", "--function", "laurent:p=0;res=2-1i;b=[]",
+     "--class", "co0", *SMALL_GRID),
 )
 
 # A literal that overflows to inf, in a coefficient, a residue and a lone
