@@ -40,11 +40,11 @@ once, applies the |f'| floor and excludes an f''/f' that is not finite;
 the sweep then runs every margin its caller asked for once: `classify`
 sweeps once for all the scans of a class, and a ring form that several
 margins read is computed once per ring (`_Ring.shared`). The sweep returns
-the number of grid samples and, per margin, the samples it kept with its
-value at each; a scan reduces those directly, to the excluded count, the
-minimum and the first sample within the tie band of it. margin_at is the
-same path for one sample, and phi_prime_one_diagnostic reads phi on one
-ring of its three radii.
+the number of grid samples and, per margin, a Tally that reduced its values
+ring by ring, to the count, the least and greatest value and the first
+sample within the tie band of the least, and holds the grid's samples only
+when asked to. margin_at is the same path for one sample, and
+phi_prime_one_diagnostic reads phi on one ring of its three radii.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _parse_real, _units, format_spec, require_epsilon)
@@ -332,47 +332,70 @@ def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
 
 # -- the sweep ------------------------------------------------------------------
 
-# A margin's samples kept by a sweep: their zs and the margin's value at each
-Kept = tuple[list[complex], list[float]]
+class Tally:
+    """One margin's kept samples, reduced ring by ring as a sweep adds them:
+    how many, the least and greatest value, each the first met, and the
+    samples that set a new least value within the tie band of it, of which
+    the first is the argmin; every (z, value) only if keep_samples."""
+
+    def __init__(self, keep_samples: bool = False):
+        self.used, self.lo, self.hi = 0, math.inf, -math.inf
+        self.records: list[tuple[complex, float]] = []
+        self.samples = [] if keep_samples else None
+
+    def add(self, zs: list[complex], ms: list[float]) -> None:
+        self.used += len(ms)
+        lo, hi = min(ms, default=math.inf), max(ms, default=-math.inf)
+        if lo < self.lo:
+            # samples above the band lie above every sample in it, so they
+            # neither stay as records nor keep one from being set
+            band, least = lo + _ARGMIN_TIE, self.lo
+            self.records = [r for r in self.records if r[1] <= band]
+            for z, m in compress(zip(zs, ms), map(band.__ge__, ms)):
+                if m < least:
+                    self.records.append((z, m))
+                    least = m
+            self.lo = lo
+        self.hi = max(self.hi, hi)  # the first of equals, as for lo
+        if self.samples is not None:
+            self.samples += zip(zs, ms)
 
 
-def _apply(margins: Sequence[Margin], ring: _Ring, kept: list[Kept]) -> None:
-    """Add each margin's values at one ring's samples, and the samples it
-    keeps, to its entry of kept."""
-    for (zs, ms), (at_ring, _) in zip(kept, margins):
+def _apply(margins: Sequence[Margin], ring: _Ring, tallies: list[Tally]) -> None:
+    """Add each margin's values at the samples of one ring it keeps to its tally."""
+    for tally, (at_ring, _) in zip(tallies, margins):
         col, values = at_ring(ring)
-        zs += col.zs
-        ms += values
+        tally.add(col.zs, values)
 
 
-def sweep(spec: FamilySpec, grid: GridConfig,
-          margins: Sequence[Margin]) -> tuple[int, list[Kept]]:
+def sweep(spec: FamilySpec, grid: GridConfig, margins: Sequence[Margin],
+          keep_samples: bool = False) -> tuple[int, list[Tally]]:
     """Evaluate every grid sample once and apply each margin to it.
 
     Returns the number of grid samples (the origin, then radius-major
-    rings) and, per margin, the samples it kept, in that order, with its
-    value at each. Samples near a pole are excluded for every margin; the
-    origin is always attempted, through each margin's limit rule at a pole
-    there. A margin that fails excludes the sample for itself alone.
+    rings) and, per margin, the Tally of the samples it kept, which keeps
+    them all, in order, if keep_samples. Samples near a pole are excluded
+    for every margin; the origin is always attempted, through each margin's
+    limit rule at a pole there. A margin that fails excludes the sample for
+    itself alone.
 
     Each ring goes through the family's column kernel once and through each
     margin's column once.
     """
     units = _units(grid.angles)
-    kept: list[Kept] = [([], []) for _ in margins]
+    tallies = [Tally(keep_samples) for _ in margins]
     if _has_pole_at(spec, 0j):
-        for (zs, ms), (_, at_pole) in zip(kept, margins):
+        for tally, (_, at_pole) in zip(tallies, margins):
             if at_pole is not None:
                 try:
-                    ms.append(at_pole())
-                    zs.append(0j)
+                    tally.add([0j], [at_pole()])
                 except SampleExclusionError:
                     pass
     else:
-        _apply(margins, _ring(spec, [0j], None), kept)
+        _apply(margins, _ring(spec, [0j], None), tallies)
     for r in grid.radii:
-        _apply(margins, _ring(spec, [r * e for e in units], grid.epsilon), kept)
-    return 1 + len(grid.radii) * grid.angles, kept
+        _apply(margins, _ring(spec, [r * e for e in units], grid.epsilon), tallies)
+    return 1 + len(grid.radii) * grid.angles, tallies
 
 
 # -- scanning -----------------------------------------------------------------
@@ -391,7 +414,7 @@ class MarginReport:
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
          keep_samples: bool = False,
-         swept: tuple[int, Kept] | None = None) -> MarginReport:
+         swept: tuple[int, Tally] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
     Samples within epsilon of a pole (or of z=1 for the boundary-pole
@@ -401,31 +424,29 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     conventions there rather than an exclusion.
 
     The token and its parameters are checked before anything is sampled.
-    swept hands over the number of grid samples and the samples this margin
-    kept, with its values, from a sweep that already applied it, bound by
-    the caller, as classify does; scan then only reduces them.
+    swept hands over the number of grid samples and this margin's tally
+    from a sweep that already applied it, bound by the caller, as classify
+    does; scan then only reads it. The report carries every kept sample
+    if the tally holds them: keep_samples has scan's own sweep keep them.
     """
     if grid is None:
         grid = default_grid()
     if swept is None:
-        n, (kept,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),))
+        n, (tally,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),),
+                            keep_samples)
     else:
-        n, kept = swept
-    zs, used = kept
-    if not used:
+        n, tally = swept
+    if not tally.used:
         raise EmptyScanError(f"every sample of the {theorem} scan was excluded")
-    min_margin = min(used)
-    # the first sample within the tie band
-    first = next(compress(count(), map((min_margin + _ARGMIN_TIE).__ge__, used)))
-    verdict = VERDICT_OK if min_margin >= -grid.margin_tol else VERDICT_BAD
+    verdict = VERDICT_OK if tally.lo >= -grid.margin_tol else VERDICT_BAD
     return MarginReport(
         theorem=theorem,
-        samples_used=len(used),
-        samples_excluded=n - len(used),
-        min_margin=min_margin,
-        argmin_z=zs[first],
+        samples_used=tally.used,
+        samples_excluded=n - tally.used,
+        min_margin=tally.lo,
+        argmin_z=tally.records[0][0],
         verdict=verdict,
-        samples=tuple(zip(zs, used)) if keep_samples else None,
+        samples=None if tally.samples is None else tuple(tally.samples),
     )
 
 
@@ -438,19 +459,18 @@ def _abs_a(col: _Ring) -> list[float]:
 _ORDER: Margin = (lambda ring: _column(_abs_a, ring, ()), None)
 
 
-def _order(kept: Kept) -> tuple[float, float]:
-    _, values = kept
-    if not values:
+def _order(tally: Tally) -> tuple[float, float]:
+    if not tally.used:
         raise EmptyScanError("every sample of the order estimate was excluded")
-    return min(values), max(values)
+    return tally.lo, tally.hi
 
 
 def estimate_order(spec: FamilySpec, grid: GridConfig | None = None) -> tuple[float, float]:
     """Grid inf and sup of |A_f|; inf = 1 marks concavity, sup the order."""
     if grid is None:
         grid = default_grid()
-    _, (kept,) = sweep(spec, grid, (_ORDER,))
-    return _order(kept)
+    _, (tally,) = sweep(spec, grid, (_ORDER,))
+    return _order(tally)
 
 
 _PHI1_RADII = (0.99, 0.999, 0.9999)
@@ -591,13 +611,13 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
     margins = [_margin(spec, t, cls.alpha, p, None) for t in tokens]
     if cls.kind == "co":
         margins.append(_ORDER)
-    n, kept = sweep(spec, grid, margins)
-    reports = [scan(spec, t, grid, swept=(n, k)) for t, k in zip(tokens, kept)]
+    n, tallies = sweep(spec, grid, margins)
+    reports = [scan(spec, t, grid, swept=(n, k)) for t, k in zip(tokens, tallies)]
 
     order = order_ok = None
     phi1_est, phi1_warn = None, False
     if cls.kind == "co":
-        order = _order(kept[-1])
+        order = _order(tallies[-1])
         order_ok = order[0] >= 1.0 - _ORDER_TOL
         phi1_est, _ = phi_prime_one_diagnostic(spec)
         phi1_warn = phi1_est is not None and not (

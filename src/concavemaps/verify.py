@@ -270,8 +270,8 @@ def _grid_max(spec: FamilySpec, grid: GridConfig, operator, *args) -> float:
     def column(ring):
         col = ring.copy()
         return col, list(map(abs, operator(col, *args)))
-    _, ((_, values),) = sweep(spec, grid, ((column, None),))
-    return max(values, default=0.0)
+    _, (tally,) = sweep(spec, grid, ((column, None),))
+    return max(tally.hi, 0.0)
 
 
 def _c11(grid: GridConfig) -> CriterionResult:

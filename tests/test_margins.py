@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,6 +169,64 @@ def test_scan_argmin_prefers_origin_on_flat_locus():
     rep = scan(Co0Cubic(0j), "co0", GridConfig((0.25, 0.5), 16))
     assert rep.argmin_z == 0j
     assert abs(rep.min_margin) < 1e-12
+
+
+def _list_reduction(values):
+    """The reference reduction of a margin's whole list of kept values: the
+    count, min and max, and the index of the first value within the tie
+    band of the min."""
+    lo = min(values)
+    first = next(k for k, m in enumerate(values) if lo + margins._ARGMIN_TIE >= m)
+    return len(values), lo, max(values), first
+
+
+_FALLING = [-1e-15 * k for k in range(256)]
+_NEAR_TIES = st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12,
+                              1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 2e-12])
+
+
+@given(st.lists(st.one_of(st.floats(-1e3, 1e3), _NEAR_TIES,
+                          st.integers(-8, 8).map(lambda k: k * 3e-13)),
+                min_size=1, max_size=300),
+       st.lists(st.integers(0, 300), max_size=12))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example([0.5] * 6, [2, 4])
+@example([0.0, -0.0], [1])
+@example([-0.0, 0.0], [])
+@example([3.0], [])
+@example([0.0, 1e-13, -1e-13, 0.0], [1])  # a value at a pole at 0 first
+@example(_FALLING + [_FALLING[-1]] * 256, [256])
+def test_a_tally_reduces_rings_as_the_whole_list_does(values, cuts):
+    # the values cut into rings, some empty, in grid order; each z names its
+    # sample's index
+    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    tally = margins.Tally()
+    for a, b in zip(bounds, bounds[1:]):
+        tally.add([complex(k) for k in range(a, b)], values[a:b])
+    used, lo, hi, first = _list_reduction(values)
+    rep = scan(HalfPlane(), "thm1", SMALL, swept=(used, tally))
+    assert (rep.samples_used, rep.argmin_z) == (used, complex(first))
+    assert struct.pack("<dd", rep.min_margin, tally.hi) == struct.pack("<dd", lo, hi)
+    assert rep.samples is None
+    # the records strictly fall to the least, so a tally holds few of them
+    ms = [m for _, m in tally.records]
+    assert all(b < a for a, b in zip(ms, ms[1:])) and ms[-1] == lo
+
+
+def test_a_classify_holds_one_ring_not_the_grid():
+    # tracemalloc's peak over a classify barely grows with the number of
+    # rings: each margin reduces a ring as soon as it has the ring's values
+    def peak(radii):
+        grid = GridConfig(geometric_radii(radii), 128)
+        classify(Co0Cubic(0.3 + 0.1j), "co0", grid)  # warm-up
+        tracemalloc.start()
+        try:
+            classify(Co0Cubic(0.3 + 0.1j), "co0", grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) - peak(8) < 0.1e6
 
 
 def test_scan_determinism():
@@ -409,8 +468,8 @@ def test_classify_sweep_matches_standalone_scans(spec, cls):
 def _swept(spec, grid, *margins):
     """Per margin, its value at each grid sample it kept, keyed by the
     sample."""
-    _, kept = sweep(spec, grid, margins)
-    return [dict(zip(zs, ms)) for zs, ms in kept]
+    _, tallies = sweep(spec, grid, margins, keep_samples=True)
+    return [dict(tally.samples) for tally in tallies]
 
 
 ALPHA_LADDER = (1.2, 1.5, 1.8, 2.0)
@@ -753,8 +812,8 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
                 assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
                 want_swept.append((z, want))
         # the sweep keeps exactly the samples with a margin, in grid order
-        n, ((zs, values),) = sweep(spec, grid, [margin])
+        n, (tally,) = sweep(spec, grid, [margin], keep_samples=True)
         assert n == len(want_swept)
         assert [(_packed_z(z), struct.pack("<d", v))
-                for z, v in zip(zs, values, strict=True)] == [
+                for z, v in tally.samples] == [
             (_packed_z(z), w) for z, w in want_swept if isinstance(w, bytes)]

@@ -38,6 +38,8 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify`, `margins` and `curve` runs on inputs that once escaped
     `cli.main` with a traceback, and a class literal that `float()` once
     read (see ESCAPE_RUNS);
+  * `classify` and `margins` runs at 48x512 on members whose equality locus
+    is flat, where many samples tie for the argmin (see TALLY_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
@@ -202,6 +204,20 @@ ESCAPE_RUNS = (
 )
 
 
+# Members whose margin is flat along their equality locus, so that many
+# samples set or tie the running minimum, at 48x512 (24,577 samples): three
+# classify runs, and halfplane's thm1 margin as JSON, from the minimum alone,
+# and as CSV, which prints every kept sample
+TALLY_GRID = ("--radii", "48", "--angles", "512")
+TALLY_RUNS = (
+    *(("classify", "--function", text, "--class", cls, *TALLY_GRID)
+      for text, cls in (("halfplane", "co"), ("co0cubic:a0=0", "co0"),
+                        ("kp:p=0.5", "cop:p=0.5"))),
+    *(("margins", "--function", "halfplane", "--theorem", "thm1",
+       *TALLY_GRID, "--format", fmt) for fmt in ("json", "csv")),
+)
+
+
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
 # grid: each runs to several blocks of rows
@@ -263,6 +279,9 @@ def _commands():
     for k, argv in enumerate(ESCAPE_RUNS):
         ext = "json" if argv[0] == "classify" else "csv"
         yield f"escape-{k}.{ext}", list(argv)
+    for k, argv in enumerate(TALLY_RUNS):
+        ext = "csv" if argv[-1] == "csv" else "json"
+        yield f"tally-{k}.{ext}", list(argv)
     for k, argv in enumerate(OUT_RUNS):
         yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
