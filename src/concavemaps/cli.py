@@ -13,25 +13,27 @@ columns, written through one template per row, so that they need no dict
 per row and skip the pure-Python encoder json falls back to whenever it
 indents.
 
-A report is written as it is made, in chunks (`_emit`): a table, the curve
-CSV and the margins CSV in blocks of `_BLOCK` rows, any other report as one
-json.dumps text. So no text, row list or column of text as long as a table
-is ever alive, and a curve of 2^18 angles costs its samples, not its text.
-Every error that maps to an exit code is raised before the output is opened.
+A report is written as it is made, in chunks, to an output opened at the
+first (`_Output`): tables and the curve CSV a block of `_BLOCK` rows at a
+time, the margins CSV a ring at a time from the sweep, the rest as one text.
+So no text longer than a block, a ring or a short report is alive. Every
+error that maps to an exit code is raised before the output is opened.
 
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
 error (an --out whose directory does not exist is refused before anything
-is sampled, and a failed write is reported on one line), 3 numerical
-degeneracy (every sample excluded, or an evaluation degenerated where one
-was required).
+is sampled, and a failed write, to --out or stdout, is reported on one
+line), 3 numerical degeneracy (every sample excluded, or an evaluation
+degenerated where one was required).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -40,7 +42,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
-from .errors import EmptyScanError, SampleExclusionError, SpecParseError
+from .errors import EmptyScanError, SampleExclusionError
 from .margins import (_TOKENS, CLASS_VERDICT_OK, THEOREMS, VERDICT_OK,
                       GridConfig, MarginReport, classify, default_grid,
                       geometric_radii, parse_class, scan)
@@ -137,20 +139,26 @@ def _check_out(out: str) -> None:
         raise ValueError(f"cannot write {out}: no directory {parent}")
 
 
-def _write(chunks: Iterable[str], out: str) -> None:
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+class _Output(contextlib.ExitStack):
+    """out, or stdout without out, opened at the first write, head first."""
+
+    def __init__(self, out: str | None, head: str = ""):
+        super().__init__()
+        self.out, self.head = out, head
+
+    def write(self, text: str) -> None:
+        fh = self.enter_context(
+            open(self.out, "w", encoding="utf-8", newline="") if self.out
+            else contextlib.nullcontext(sys.stdout))
+        self.write = fh.write  # the first write opens; the rest go to fh
+        fh.write(self.head + text)
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write each chunk to out, or to stdout without out, as it comes."""
-    if out:
-        _write(chunks, out)
-    else:
-        sys.stdout.writelines(chunks)
+    with _Output(out) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
@@ -213,22 +221,19 @@ def _cmd_classify(args) -> int:
 def _cmd_margins(args) -> int:
     spec = parse_spec(args.function)
     grid = _resolve_grid(args)
-    report = scan(spec, args.theorem, grid, alpha=args.alpha, p=args.p,
-                  keep_samples=args.format == "csv")
     if args.format == "csv":
-        assert report.samples is not None
-        _emit(_margins_csv(report.samples), args.out)
+        with _Output(args.out, "re_z,im_z,margin\n") as fh:
+            report = scan(spec, args.theorem, grid, alpha=args.alpha, p=args.p,
+                          sink=lambda zs, ms: fh.write(_margins_csv(zs, ms)))
     else:
+        report = scan(spec, args.theorem, grid, alpha=args.alpha, p=args.p)
         _emit(_dump(_report_dict(spec, report, grid, args.alpha, args.p)),
               args.out)
     return 0 if report.verdict == VERDICT_OK else 1
 
 
-def _margins_csv(samples: tuple[tuple[complex, float], ...]) -> Iterator[str]:
-    yield "re_z,im_z,margin\n"
-    for lo in range(0, len(samples), _BLOCK):
-        yield "".join([f"{z.real!r},{z.imag!r},{m!r}\n"
-                       for z, m in samples[lo:lo + _BLOCK]])
+def _margins_csv(zs: list[complex], ms: list[float]) -> str:
+    return "".join([f"{z.real!r},{z.imag!r},{m!r}\n" for z, m in zip(zs, ms)])
 
 
 def _curve_csv(curve: CurveSample) -> Iterator[str]:
@@ -283,9 +288,8 @@ def _cmd_verify(args) -> int:
     for res in results:
         word = "PASS" if res.passed else "FAIL"
         print(f"{word}  {res.name}: {res.detail}")
-    out = args.out or "verify_report.json"
-    _write([bundle_text], out)
-    print(f"report: {out}")
+    _emit([bundle_text], args.out)
+    print(f"report: {args.out}")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sv = subs.add_parser("verify", help="run the acceptance suite")
-    sv.add_argument("--out", default=None,
+    sv.add_argument("--out", default="verify_report.json",
                     help="report path (default verify_report.json)")
 
     subs.add_parser("catalog", help="list families and the spec grammar")
@@ -381,18 +385,24 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None):
-            _check_out(args.out)
-        return _DISPATCH[args.command](args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if out:
+            _check_out(out)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except (EmptyScanError, SampleExclusionError) as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a failed write, to --out or to stdout
+        print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        if not out:  # or exit flushes the dead stdout again and ends in 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

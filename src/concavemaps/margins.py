@@ -42,9 +42,9 @@ sweeps once for all the scans of a class, and a ring form that several
 margins read is computed once per ring (`_Ring.shared`). The sweep returns
 the number of grid samples and, per margin, a Tally that reduced its values
 ring by ring, to the count, the least and greatest value and the first
-sample within the tie band of the least, and holds the grid's samples only
-when asked to. margin_at is the same path for one sample, and
-phi_prime_one_diagnostic reads phi on one ring of its three radii.
+sample within the tie band of the least, and hands each ring's kept
+samples to a sink if given one. margin_at is the same path for one sample,
+and phi_prime_one_diagnostic reads phi on one ring of its three radii.
 
 For specs with the pole at the origin the z=0 sample uses limit conventions:
 zP -> -2 exactly (the value is forced by the simple pole, independent of the
@@ -336,12 +336,12 @@ class Tally:
     """One margin's kept samples, reduced ring by ring as a sweep adds them:
     how many, the least and greatest value, each the first met, and the
     samples that set a new least value within the tie band of it, of which
-    the first is the argmin; every (z, value) only if keep_samples."""
+    the first is the argmin. A ring with a sample goes on to sink(zs, ms)."""
 
-    def __init__(self, keep_samples: bool = False):
+    def __init__(self, sink: Callable | None = None):
         self.used, self.lo, self.hi = 0, math.inf, -math.inf
         self.records: list[tuple[complex, float]] = []
-        self.samples = [] if keep_samples else None
+        self.sink = sink
 
     def add(self, zs: list[complex], ms: list[float]) -> None:
         self.used += len(ms)
@@ -357,8 +357,8 @@ class Tally:
                     least = m
             self.lo = lo
         self.hi = max(self.hi, hi)  # the first of equals, as for lo
-        if self.samples is not None:
-            self.samples += zip(zs, ms)
+        if ms and self.sink is not None:
+            self.sink(zs, ms)
 
 
 def _apply(margins: Sequence[Margin], ring: _Ring, tallies: list[Tally]) -> None:
@@ -369,21 +369,21 @@ def _apply(margins: Sequence[Margin], ring: _Ring, tallies: list[Tally]) -> None
 
 
 def sweep(spec: FamilySpec, grid: GridConfig, margins: Sequence[Margin],
-          keep_samples: bool = False) -> tuple[int, list[Tally]]:
+          sink: Callable | None = None) -> tuple[int, list[Tally]]:
     """Evaluate every grid sample once and apply each margin to it.
 
     Returns the number of grid samples (the origin, then radius-major
-    rings) and, per margin, the Tally of the samples it kept, which keeps
-    them all, in order, if keep_samples. Samples near a pole are excluded
-    for every margin; the origin is always attempted, through each margin's
-    limit rule at a pole there. A margin that fails excludes the sample for
-    itself alone.
+    rings) and, per margin, the Tally of the samples it kept; each tally
+    hands its rings to sink, in grid order. Samples near a pole are
+    excluded for every margin; the origin is always attempted, through each
+    margin's limit rule at a pole there. A margin that fails excludes the
+    sample for itself alone.
 
     Each ring goes through the family's column kernel once and through each
     margin's column once.
     """
     units = _units(grid.angles)
-    tallies = [Tally(keep_samples) for _ in margins]
+    tallies = [Tally(sink) for _ in margins]
     if _has_pole_at(spec, 0j):
         for tally, (_, at_pole) in zip(tallies, margins):
             if at_pole is not None:
@@ -408,12 +408,13 @@ class MarginReport:
     min_margin: float
     argmin_z: complex
     verdict: str
+    # always None; kept so that the repr perfbench's digests hash stays put
     samples: tuple[tuple[complex, float], ...] | None = None
 
 
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          alpha: float | None = None, p: float | None = None,
-         keep_samples: bool = False,
+         sink: Callable | None = None,
          swept: tuple[int, Tally] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
@@ -426,14 +427,14 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     The token and its parameters are checked before anything is sampled.
     swept hands over the number of grid samples and this margin's tally
     from a sweep that already applied it, bound by the caller, as classify
-    does; scan then only reads it. The report carries every kept sample
-    if the tally holds them: keep_samples has scan's own sweep keep them.
+    does; scan then only reads it. Without swept, scan's own sweep hands
+    each ring's kept samples to sink, if given (see sweep).
     """
     if grid is None:
         grid = default_grid()
     if swept is None:
         n, (tally,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),),
-                            keep_samples)
+                            sink)
     else:
         n, tally = swept
     if not tally.used:
@@ -446,7 +447,6 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
         min_margin=tally.lo,
         argmin_z=tally.records[0][0],
         verdict=verdict,
-        samples=None if tally.samples is None else tuple(tally.samples),
     )
 
 

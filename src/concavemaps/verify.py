@@ -113,12 +113,11 @@ def _c03(grid: GridConfig) -> CriterionResult:
 def _c04(grid: GridConfig) -> CriterionResult:
     spec = Co0Cubic(0j)
     m_half = margin_at(spec, 0.5, "co0")
-    rep = scan(spec, "co0", grid, keep_samples=True)
-    assert rep.samples is not None
-    # the equality locus: samples whose margin vanishes to 1e-6
-    eq = {z for z, m in rep.samples if abs(m) < 1e-6}
-    real_axis = [z for z, _ in rep.samples if abs(z.imag) <= 1e-9]
-    missing = [z for z in real_axis if z not in eq]
+    # the margins at the real-axis samples, which must vanish to 1e-6
+    real_axis: list[float] = []
+    scan(spec, "co0", grid, sink=lambda zs, ms: real_axis.extend(
+        m for z, m in zip(zs, ms) if abs(z.imag) <= 1e-9))
+    missing = [m for m in real_axis if not abs(m) < 1e-6]
     ok = abs(m_half) <= 1e-10 and len(real_axis) > 0 and not missing
     return _res("co0-equality-locus", ok,
                 f"margin(0.5)={m_half!r} real_axis={len(real_axis)} "

@@ -4,6 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,13 +215,26 @@ def test_invalid_margin_parameter_exit_two_without_usable_samples(
     assert err.startswith(f"error: {param} must lie in "), err
 
 
-def test_empty_scan_exit_three(capsys):
+EMPTY_SCAN = ["margins", "--function", "co0cubic:a0=0", "--theorem", "thm1",
+              "--radii", "1", "--epsilon", "0.2"]
+
+
+def test_empty_scan_exit_three(capsys, tmp_path):
     # one radius at 0.05 swallowed by epsilon=0.2, origin indeterminate
-    code, _, err = run(capsys, ["margins", "--function", "co0cubic:a0=0",
-                                "--theorem", "thm1", "--radii", "1",
-                                "--epsilon", "0.2"])
-    assert code == 3
+    code, out, err = run(capsys, EMPTY_SCAN)
+    assert (code, out) == (3, "")
     assert "degeneracy:" in err
+    # the CSV opens at the first kept sample: an empty scan opens no --out,
+    # neither a new file nor one that is there
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept\r\n")
+    for path in (new, old):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, EMPTY_SCAN + ["--format", fmt,
+                                                       "--out", str(path)])
+            assert (code, out) == (3, "") and "degeneracy:" in err
+    assert not new.exists()
+    assert old.read_bytes() == b"kept\r\n"
 
 
 def test_margins_csv_shape(capsys):
@@ -453,14 +471,62 @@ def test_out_in_a_missing_directory_is_refused_before_sampling(
     assert not path.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["curve", "verify"])
+@pytest.mark.parametrize("command", ["curve", "margins", "verify"])
 def test_a_failed_write_is_an_input_error(command, tmp_path, capsys,
                                           monkeypatch):
     # the directory exists, so the path passes the check; the write fails
     monkeypatch.setattr(verify, "run_all", lambda: ([], "{}\n"))
-    code, _, err = run(capsys, COMMANDS[command] + ["--out", str(tmp_path)])
-    assert code == 2
+    code, out, err = run(capsys, COMMANDS[command] + ["--out", str(tmp_path)])
+    assert (code, out) == (2, "")
     _cannot_write(err, tmp_path)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["margins", "--function", "kp:p=0.5", "--theorem", "thm4", "--p", "0.5"],
+    ["margins", "--function", "kp:p=0.5", "--theorem", "thm4", "--p", "0.5",
+     "--format", "json"],
+    ["catalog"]])
+def test_a_closed_stdout_is_an_input_error(argv, buffered):
+    # stdout is a pipe whose reader has gone, as under `| head -1`; a long
+    # report fails as it is written, a short one as main flushes it, and
+    # what a buffered stdout still holds must not fail again at exit
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "concavemaps.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    _cannot_write(err, "stdout")
+    assert "Exception ignored" not in err
+
+
+def test_the_margins_csv_holds_one_ring_not_the_grid(tmp_path):
+    # tracemalloc's peak over a margins CSV barely grows with the number of
+    # rings: each ring's rows are written as the sweep keeps them
+    def peak(radii):
+        argv = ["margins", "--function", "co0cubic:a0=0.3+0.1i", "--theorem",
+                "co0", "--radii", str(radii), "--angles", "128",
+                "--format", "csv", "--out", str(tmp_path / "margins.csv")]
+        main(argv)  # warm-up
+        tracemalloc.start()
+        try:
+            main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) - peak(8) < 0.1e6
 
 
 # -- the JSON writer --------------------------------------------------------------
@@ -761,7 +827,9 @@ argvs = st.one_of(
 @example(["curve", "--function", "anglemap:a=1.7e308+1.7e308i",
           "--angles", "64"])
 def test_main_ends_every_input_in_an_exit_code(argv):
-    with (contextlib.redirect_stdout(io.StringIO()),
+    with (contextlib.redirect_stdout(io.StringIO()) as out,
           contextlib.redirect_stderr(io.StringIO()) as err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (code, err.getvalue())
+    # a refused input or an empty scan writes no report, not even a header
+    assert code < 2 or out.getvalue() == "", (code, err.getvalue())

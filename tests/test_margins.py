@@ -31,6 +31,18 @@ from test_operators import at
 SMALL = GridConfig(geometric_radii(8), 32)
 
 
+def _sink():
+    """A sink for a sweep, and the list of the rings it is handed, each a
+    list of (z, value) pairs."""
+    rings = []
+    return rings, lambda zs, ms: rings.append(list(zip(zs, ms)))
+
+
+def _sunk(rings):
+    """The (z, value) pairs of a sink's rings, in the order handed."""
+    return [sample for ring in rings for sample in ring]
+
+
 def test_margin_fixtures_exact():
     assert margin_at(parse_spec("identity"), 0j, "thm1") == -2.0
     cubic = Co0Cubic(0j)
@@ -144,9 +156,12 @@ def test_scan_halfplane_thm1():
     assert rep.verdict == "member-consistent"
     assert rep.min_margin >= -SMALL.margin_tol
     assert rep.samples is None
-    kept = scan(HalfPlane(), "thm1", SMALL, keep_samples=True)
-    assert kept.samples is not None
-    assert len(kept.samples) == kept.samples_used
+    rings, sink = _sink()
+    assert scan(HalfPlane(), "thm1", SMALL, sink=sink) == rep
+    # the origin, then each ring, less the sample near the pole at 1
+    assert rings[0][0][0] == 0j
+    assert [len(ring) for ring in rings] == [1] + [32] * 7 + [31]
+    assert len(_sunk(rings)) == rep.samples_used
 
 
 def test_scan_counts_exclusions():
@@ -200,7 +215,8 @@ def test_a_tally_reduces_rings_as_the_whole_list_does(values, cuts):
     # the values cut into rings, some empty, in grid order; each z names its
     # sample's index
     bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
-    tally = margins.Tally()
+    rings, sink = _sink()
+    tally = margins.Tally(sink)
     for a, b in zip(bounds, bounds[1:]):
         tally.add([complex(k) for k in range(a, b)], values[a:b])
     used, lo, hi, first = _list_reduction(values)
@@ -208,6 +224,9 @@ def test_a_tally_reduces_rings_as_the_whole_list_does(values, cuts):
     assert (rep.samples_used, rep.argmin_z) == (used, complex(first))
     assert struct.pack("<dd", rep.min_margin, tally.hi) == struct.pack("<dd", lo, hi)
     assert rep.samples is None
+    # the sink gets every ring that is not empty, as it was added
+    assert rings == [list(zip(map(complex, range(a, b)), values[a:b]))
+                     for a, b in zip(bounds, bounds[1:]) if a < b]
     # the records strictly fall to the least, so a tally holds few of them
     ms = [m for _, m in tally.records]
     assert all(b < a for a, b in zip(ms, ms[1:])) and ms[-1] == lo
@@ -230,9 +249,11 @@ def test_a_classify_holds_one_ring_not_the_grid():
 
 
 def test_scan_determinism():
-    a = scan(Kp(0.5), "thm4", SMALL, p=0.5, keep_samples=True)
-    b = scan(Kp(0.5), "thm4", SMALL, p=0.5, keep_samples=True)
+    (ra, sa), (rb, sb) = _sink(), _sink()
+    a = scan(Kp(0.5), "thm4", SMALL, p=0.5, sink=sa)
+    b = scan(Kp(0.5), "thm4", SMALL, p=0.5, sink=sb)
     assert a == b
+    assert ra == rb and len(_sunk(ra)) == a.samples_used
 
 
 def test_thm4_at_p_zero_reduces_to_co0():
@@ -459,17 +480,23 @@ def test_classify_sweep_matches_standalone_scans(spec, cls):
     if cls.kind == "co":
         assert res.order == estimate_order(spec, SMALL)
     # and every swept sample is the margin of that point on its own
-    for t, kw in scans:
-        rep = scan(spec, t, SMALL, keep_samples=True, **kw)
-        for z, m in rep.samples:
+    for (t, kw), rep in zip(scans, want):
+        rings, sink = _sink()
+        scan(spec, t, SMALL, sink=sink, **kw)
+        assert len(_sunk(rings)) == rep.samples_used
+        for z, m in _sunk(rings):
             assert margin_at(spec, z, t, **kw) == m
 
 
 def _swept(spec, grid, *margins):
     """Per margin, its value at each grid sample it kept, keyed by the
-    sample."""
-    _, tallies = sweep(spec, grid, margins, keep_samples=True)
-    return [dict(tally.samples) for tally in tallies]
+    sample, as a sweep of that margin hands them to its sink."""
+    swept = []
+    for margin in margins:
+        rings, sink = _sink()
+        sweep(spec, grid, [margin], sink)
+        swept.append(dict(_sunk(rings)))
+    return swept
 
 
 ALPHA_LADDER = (1.2, 1.5, 1.8, 2.0)
@@ -812,8 +839,9 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
                 assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
                 want_swept.append((z, want))
         # the sweep keeps exactly the samples with a margin, in grid order
-        n, (tally,) = sweep(spec, grid, [margin], keep_samples=True)
+        handed, sink = _sink()
+        n, _ = sweep(spec, grid, [margin], sink)
         assert n == len(want_swept)
         assert [(_packed_z(z), struct.pack("<d", v))
-                for z, v in tally.samples] == [
+                for z, v in _sunk(handed)] == [
             (_packed_z(z), w) for z, w in want_swept if isinstance(w, bytes)]

@@ -43,7 +43,8 @@ line per command: file name, exit code, argv and stderr. The commands:
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
-    manifest shows both sha256 sums.
+    manifest shows both sha256 sums. And a margins CSV through `--out` whose
+    scan keeps no sample, which exits 3 and writes no file.
 
 To compare two commits, run it once against each source tree and diff the
 directories; identical outputs diff empty:
@@ -55,8 +56,8 @@ directories; identical outputs diff empty:
 Or compare against the committed manifest, `tools/goldens.sha256`, which
 holds one line per run: the file name, the exit code and the sha256 of its
 stdout and of its stderr, and for a run with `--out` the file it wrote and
-that file's sha256. Its header names the Python and the platform whose floats
-it pins.
+that file's sha256, or "(absent)" where it wrote none. Its header names the
+Python and the platform whose floats it pins.
 
     PYTHONPATH=src python tools/goldens.py --check     # exit 1 if a line moved
     PYTHONPATH=src python tools/goldens.py --manifest  # rewrite the manifest
@@ -220,11 +221,14 @@ TALLY_RUNS = (
 
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
-# grid: each runs to several blocks of rows
+# grid: each runs to several blocks of rows. Then a margins CSV whose every
+# sample falls under the |f'| floor: the scan is empty, so no file is opened
 OUT_RUNS = (
     *(("curve", "--function", "halfplane", "--r", "0.9999", "--angles",
        "16384", "--format", fmt) for fmt in ("json", "csv")),
     ("margins", "--function", "kp:p=0.5", "--theorem", "reM", "--p", "0.5",
+     "--format", "csv"),
+    ("margins", "--function", "laurent:b=[0,1e-16]", "--theorem", "thm1",
      "--format", "csv"),
 )
 
@@ -322,8 +326,9 @@ def _write_runs(out_dir: str) -> list[str]:
         lines.append(f"{name}\t{code}\t{' '.join(cmd)}\t{err.rstrip()!r}\n")
         line = f"{name}\t{code}\t{_sha256(out.encode())}\t{_sha256(err.encode())}"
         if "--out" in cmd:
-            written = cmd[cmd.index("--out") + 1]
-            line += f"\t{written}\t{_sha256(Path(written).read_bytes())}"
+            written = Path(cmd[cmd.index("--out") + 1])
+            line += (f"\t{written}\t{_sha256(written.read_bytes())}"
+                     if written.exists() else f"\t{written}\t(absent)")
         manifest.append(line + "\n")
     with open("runs.txt", "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
