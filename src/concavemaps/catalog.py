@@ -88,20 +88,11 @@ def _outside_disk(z: complex) -> ValueError:
     return ValueError(f"sample {z!r} is not inside the unit disk")
 
 
-def _require_in_disk(z: complex) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise _sample_not_finite(z)
-    if not _below(z, 1.0):
-        raise _outside_disk(z)
-    return z
-
-
 def _in_disk(zs: Sequence[complex]) -> _Rows:
-    """The samples of one kernel call as a column (`jets._Rows`), after the
-    tests _require_in_disk makes per sample, in one ordered pass: a sample
-    that is not finite is dropped with its error, and the first one outside
-    the disk raises ValueError for the whole call."""
+    """The samples of one kernel call as a column (`jets._Rows`), after one
+    ordered pass of the disk tests: a sample that is not finite is dropped
+    with its error, and the first one outside the disk raises ValueError
+    for the whole call."""
     col = _Rows(list(map(complex, zs)))
     zs = col.zs
     try:
@@ -119,6 +110,13 @@ def _in_disk(zs: Sequence[complex]) -> _Rows:
                 raise _outside_disk(z)
         col.drop(errors, zs)
     return col
+
+
+def _require_in_disk(z: complex) -> complex:
+    """z as a complex, through _in_disk's tests: its error raised if it
+    fails one."""
+    col = _in_disk((z,))
+    return _only(col.placed(col.zs))
 
 
 class FamilySpec:

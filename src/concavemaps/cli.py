@@ -22,8 +22,8 @@ error that maps to an exit code is raised before the output is opened.
 Exit codes: 0 ok, 1 verdict violation (or failed verification), 2 input
 error (an --out whose directory does not exist is refused before anything
 is sampled, and a failed write, to --out or stdout, is reported on one
-line), 3 numerical degeneracy (every sample excluded, or an evaluation
-degenerated where one was required).
+line that names it), 3 numerical degeneracy (every sample excluded, or an
+evaluation degenerated where one was required).
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ def _check_out(out: str) -> None:
 
 
 class _Output(contextlib.ExitStack):
-    """out, or stdout without out, opened at the first write, head first."""
+    """out, or stdout without out, opened at the first write, head first.
+    An OSError that a write or the close raises for out names out as its
+    filename; one from stdout names none."""
 
     def __init__(self, out: str | None, head: str = ""):
         super().__init__()
@@ -152,6 +154,16 @@ class _Output(contextlib.ExitStack):
             else contextlib.nullcontext(sys.stdout))
         self.write = fh.write  # the first write opens; the rest go to fh
         fh.write(self.head + text)
+
+    def __exit__(self, typ, exc, tb):
+        try:
+            return super().__exit__(typ, exc, tb)  # closing out flushes it
+        except OSError as err:
+            exc = err
+            raise
+        finally:
+            if self.out and isinstance(exc, OSError):
+                exc.filename = self.out
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -182,13 +194,8 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
 
 
 def _resolve_grid(args) -> GridConfig:
-    base = default_grid()
-    return GridConfig(
-        radii=geometric_radii(args.radii) if args.radii is not None else base.radii,
-        angles=args.angles if args.angles is not None else base.angles,
-        epsilon=args.epsilon if args.epsilon is not None else base.epsilon,
-        margin_tol=args.tol if args.tol is not None else base.margin_tol,
-    )
+    return GridConfig(geometric_radii(args.radii), args.angles, args.epsilon,
+                      args.tol)
 
 
 def _cmd_classify(args) -> int:
@@ -256,9 +263,7 @@ def _curve_csv(curve: CurveSample) -> Iterator[str]:
 
 def _cmd_curve(args) -> int:
     spec = parse_spec(args.function)
-    n = args.angles if args.angles is not None else DEFAULT_ANGLES
-    epsilon = args.epsilon if args.epsilon is not None else EXCLUSION_RADIUS
-    curve = boundary_curve(spec, args.r, n, epsilon)
+    curve = boundary_curve(spec, args.r, args.angles, args.epsilon)
     if args.format == "csv":
         _emit(_curve_csv(curve), args.out)
     else:
@@ -267,7 +272,7 @@ def _cmd_curve(args) -> int:
             "function": format_spec(spec),
             "r": curve.r,
             "n": curve.n,
-            "epsilon": epsilon,
+            "epsilon": args.epsilon,
             "orientation": curve.orientation,
             "convexity_defect": curve.convexity_defect,
             "excluded_arcs": _Rows({
@@ -285,10 +290,10 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     results, bundle_text = verify.run_all()
+    _emit([bundle_text], args.out)  # first, so a closed stdout cannot lose it
     for res in results:
         word = "PASS" if res.passed else "FAIL"
         print(f"{word}  {res.name}: {res.detail}")
-    _emit([bundle_text], args.out)
     print(f"report: {args.out}")
     return 0 if all(r.passed for r in results) else 1
 
@@ -316,13 +321,13 @@ def _cmd_catalog(args) -> int:
 
 def _add_grid_flags(sub) -> None:
     stock = default_grid()
-    sub.add_argument("--radii", type=int, default=None,
+    sub.add_argument("--radii", type=int, default=len(stock.radii),
                      help=f"number of geometric radii (default {len(stock.radii)})")
-    sub.add_argument("--angles", type=int, default=None,
+    sub.add_argument("--angles", type=int, default=stock.angles,
                      help=f"angles per ring (default {stock.angles})")
-    sub.add_argument("--epsilon", type=float, default=None,
+    sub.add_argument("--epsilon", type=float, default=stock.epsilon,
                      help=f"pole exclusion radius (default {stock.epsilon!r})")
-    sub.add_argument("--tol", type=float, default=None, help=(
+    sub.add_argument("--tol", type=float, default=stock.margin_tol, help=(
         f"margin tolerance for verdicts (default {stock.margin_tol!r})"))
 
 
@@ -352,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     su = subs.add_parser("curve", help="sample the image of a circle |z|=r")
     su.add_argument("--function", required=True)
     su.add_argument("--r", type=float, default=0.99)
-    su.add_argument("--angles", type=int, default=None,
+    su.add_argument("--angles", type=int, default=DEFAULT_ANGLES,
                     help=f"angles on the circle (default {DEFAULT_ANGLES})")
-    su.add_argument("--epsilon", type=float, default=None,
+    su.add_argument("--epsilon", type=float, default=EXCLUSION_RADIUS,
                     help=f"pole exclusion radius (default {EXCLUSION_RADIUS!r})")
     su.add_argument("--out", default=None)
     su.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -398,10 +403,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # a failed write, to --out or to stdout
-        print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}",
-              file=sys.stderr)
-        if not out:  # or exit flushes the dead stdout again and ends in 120
+    except OSError as exc:  # a failed write, to --out (its filename) or stdout
+        print(f"error: cannot write {exc.filename or 'stdout'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if exc.filename is None:  # or exit flushes the dead stdout again: 120
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 

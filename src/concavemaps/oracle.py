@@ -21,16 +21,19 @@ discrete turning:
     convex set at all, so the defect is |total turning| (~2pi), an
     unconditional rejection of pole-free specs.
 
-Turning angles use atan2 of cross and dot products of successive edges, per
-contiguous run of included angles; arcs near poles (by the scans' own rule,
-`FamilySpec.far_from_poles`) and samples that fail to evaluate are excluded
-and reported, never bridged. A sample where f overflows stops the curve
-(NonFiniteJetError): the arc it would open would pass for a pole's. A run
-with a point of modulus 2^500 or more, or with none of modulus 2^-250, is
-scaled by a power of two before it is turned, so that the cross and dot
-products of a run that far from unit size neither overflow nor underflow;
-points collapse into one only when they lie closer than the run's own size
-allows (1e-15 of its largest modulus). A curve
+Turning is measured per contiguous run of included angles; arcs near poles
+(by the scans' own rule, `FamilySpec.far_from_poles`) and samples that fail
+to evaluate are excluded and reported, never bridged. A sample where f
+overflows stops the curve (NonFiniteJetError): the arc it would open would
+pass for a pole's. A run with a point of modulus 2^500 or more, or with
+none of modulus 2^-250, is scaled by a power of two before it is turned, so
+that the cross and dot products of a run that far from unit size neither
+overflow nor underflow. Points collapse into one only when they lie closer
+than the run's own size allows (1e-15 of its largest modulus), and only a
+run with an edge that short goes through the collapse loop. The turns are
+then taken at C level, over all edges at once: atan2 of conj(e1) * e2,
+whose parts CPython's complex product makes exactly the dot and cross
+products, so each turn keeps the bits of atan2(cross, dot). A curve
 measures its turning defect when the defect is first read, and keeps it:
 the oracle reads it once per curve, a `curve` JSON report once, and a CSV
 report, which does not hold it, never.
@@ -39,6 +42,7 @@ report, which does not hold it, never.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -166,16 +170,20 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
 
 
 def _turns(points: list[complex], closed: bool) -> list[float]:
-    """Turning angles of the polygon through points, in one pass.
+    """Turning angles of the polygon through points: collapse, then turn.
 
     A run whose largest modulus reaches 2^500 or lies below 2^-250 is first
     scaled by the power of two that takes its largest coordinate into
-    [1, 2). Successive points closer than 1e-15 * max |w| collapse into the
-    first of them; a closed curve whose last point then lies within
-    1e-15 * |first| of its first drops it. Each kept edge w - last is the
-    one the collapse measured, and each turn is the atan2 of the cross and
-    dot products of two successive edges: one per inner vertex of an open
-    run, one per vertex of a closed one, the first at points[0].
+    [1, 2). Only a run with an edge no longer than tol = 1e-15 * max |w| is
+    collapsed: a point is kept when it lies farther than tol from the last
+    one kept. A closed run drops a last kept point within 1e-15 * |first|
+    of its first, and its closing edge joins its edges at both ends. Each
+    turn is atan2 of conj(e1) * e2 for successive edges: one per inner
+    vertex of an open run, one per vertex of a closed one, the first at
+    points[0]. In IEEE arithmetic x - (-y) * z is x + y * z, so the
+    product's parts are exactly the dot and cross products. math.atan2
+    reads them, not cmath.phase, which raises OverflowError where the angle
+    underflows to 0.
     """
     try:
         big = max(map(abs, points))
@@ -187,36 +195,23 @@ def _turns(points: list[complex], closed: bool) -> list[float]:
                   for w in points]
         big = max(map(abs, points))
     tol = 1e-15 * big
-    first = last = before = points[0]
-    # the first kept edge, the last one and the one before it
-    e0 = e1 = e_before = None
-    turns: list[float] = []
-    for w in points[1:]:
-        e2 = w - last
-        if abs(e2) > tol:
-            if e1 is None:
-                e0 = e2
-            else:
-                turns.append(_turn(e1, e2))
-            before, last = last, w
-            e_before, e1 = e1, e2
-    if not closed:
-        return turns
-    if e1 is not None and abs(first - last) <= 1e-15 * abs(first):
-        last, e1 = before, e_before
-        if turns:
-            turns.pop()
-    close = first - last
-    if e1 is None:
-        return [_turn(close, close)]
-    turns.insert(0, _turn(close, e0))
-    turns.append(_turn(e1, close))
-    return turns
-
-
-def _turn(e1: complex, e2: complex) -> float:
-    return math.atan2(e1.real * e2.imag - e1.imag * e2.real,
-                      e1.real * e2.real + e1.imag * e2.imag)
+    es = list(map(operator.sub, points[1:], points))
+    if min(map(abs, es), default=math.inf) <= tol:
+        kept = points[:1]
+        for w in points[1:]:
+            if abs(w - kept[-1]) > tol:
+                kept.append(w)
+        points = kept
+        es = list(map(operator.sub, points[1:], points))
+    if closed:
+        first, last = points[0], points[-1]
+        if es and abs(first - last) <= 1e-15 * abs(first):
+            es.pop()
+            last = points[-2]
+        close = first - last
+        es = [close, *es, close]
+    return [math.atan2(p.imag, p.real)
+            for p in map(operator.mul, map(complex.conjugate, es), es[1:])]
 
 
 def convexity_defect(curve: CurveSample) -> float:

@@ -471,14 +471,19 @@ def test_out_in_a_missing_directory_is_refused_before_sampling(
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("target", ["directory", "/dev/full"])
 @pytest.mark.parametrize("command", ["curve", "margins", "verify"])
-def test_a_failed_write_is_an_input_error(command, tmp_path, capsys,
+def test_a_failed_write_is_an_input_error(command, target, tmp_path, capsys,
                                           monkeypatch):
-    # the directory exists, so the path passes the check; the write fails
+    # the directory exists, so the path passes the check; the write fails,
+    # as a directory is opened or as /dev/full is flushed at its close
+    path = tmp_path if target == "directory" else Path(target)
+    if not path.exists():
+        pytest.skip(f"no {path}")
     monkeypatch.setattr(verify, "run_all", lambda: ([], "{}\n"))
-    code, out, err = run(capsys, COMMANDS[command] + ["--out", str(tmp_path)])
+    code, out, err = run(capsys, COMMANDS[command] + ["--out", str(path)])
     assert (code, out) == (2, "")
-    _cannot_write(err, tmp_path)
+    _cannot_write(err, path)
 
 
 @pytest.mark.parametrize("buffered", [True, False])
@@ -491,6 +496,33 @@ def test_a_closed_stdout_is_an_input_error(argv, buffered):
     # stdout is a pipe whose reader has gone, as under `| head -1`; a long
     # report fails as it is written, a short one as main flushes it, and
     # what a buffered stdout still holds must not fail again at exit
+    _closed_stdout_fails(["-m", "concavemaps.cli", *argv], buffered)
+
+
+# a child that runs main with verify.run_all stubbed: three result lines
+_STUB_VERIFY = """
+import sys
+from concavemaps import cli, verify
+verify.run_all = lambda: ([verify.CriterionResult("stub", True, "ok")] * 3,
+                          "{}\\n")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_fails_verify_on_stdout_not_its_bundle(buffered,
+                                                               tmp_path):
+    # verify writes its bundle to --out and its result lines to stdout: the
+    # error names stdout, and the bundle is written first
+    bundle = tmp_path / "bundle.json"
+    _closed_stdout_fails(["-c", _STUB_VERIFY, "verify", "--out", str(bundle)],
+                         buffered)
+    assert bundle.read_text() == "{}\n"
+
+
+def _closed_stdout_fails(args, buffered):
+    """Run python with args, its stdout a pipe whose read end is closed, and
+    check that it exits 2 with one line naming stdout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
@@ -500,9 +532,8 @@ def test_a_closed_stdout_is_an_input_error(argv, buffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "concavemaps.cli", *argv],
-                              stdout=write, stderr=subprocess.PIPE, env=env,
-                              timeout=120)
+        proc = subprocess.run([sys.executable, *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write)
     err = proc.stderr.decode()

@@ -294,7 +294,7 @@ def test_oracle_imports_only_catalog_and_errors():
     assert package == {"catalog", "errors"}
 
 
-# -- the one-pass turning against the collapse-then-turn it replaced --------------
+# -- the turning against a collapse-then-turn reference, point by point ---------
 
 def _reference_collapse(points):
     tol = 1e-15 * max(abs(w) for w in points)
@@ -354,6 +354,17 @@ runs_with_repeats = st.lists(
 @example([0j, 1e-16 + 0j, 1e-16 + 1e-16j], True, False)
 @example([1e-16 + 0j, 1e-16j, -1e-16 + 0j, 1e-16 + 1e-31j], True, False)
 @example([0.5 + 0j, 0.5 + 6e-16j, 0.5 + 1e-15j], False, False)
+# the collapse screen's edge: a last edge of exactly tol collapses, and one
+# a float longer is kept
+@example([0j, 1 + 0j, 1 + 1e-15j], False, False)
+@example([0j, 1 + 0j, 1 + 1.0000000000000002e-15j], False, False)
+# a closed run whose only short edge is the closing one
+@example([1 + 0j, 1j, -1 + 0j, -1j, 1 + 1e-16j], True, False)
+@example([0j, 1 + 0j], True, False)  # a closed run of two points
+@example([0.5 + 0.5j] * 3, True, False)  # one repeated point
+@example([0.5 + 0.5j] * 3, False, False)
+# conj(e1) * e2 = 2 + 5e-324j: its angle underflows to 0
+@example([0j, 1 + 0j, 3 + 5e-324j], False, False)
 def test_turns_match_collapse_then_turn(points, closed, close_up):
     if close_up:
         points = points + [points[0]]  # the last point equals the first
@@ -363,17 +374,25 @@ def test_turns_match_collapse_then_turn(points, closed, close_up):
     _same_turns(points, closed)
 
 
-@pytest.mark.parametrize("spec,r", [
-    (HalfPlane(), 0.9999),                # the excluded arc wraps past 0
-    (Kp(0.5), 0.99), (Kp(0.5), 0.5),      # closed; pole on the ring
-    (Co0Cubic(0.3 + 0.2j), 0.9999),
-    (parse_spec("identity"), 0.9),        # closed, nothing excluded
-    (Laurent(0.98, 1.0 + 0j, (0j, 1.0 + 0j)), 0.9999),
+# 1/z + 1e13 at r = 0.99: its one run of 4,096 points collapses to 580 turns
+COLLAPSING = parse_spec("laurent:p=0;res=1;b=[1e13]")
+
+
+@pytest.mark.parametrize("spec,r,n", [
+    (HalfPlane(), 0.9999, 1024),          # the excluded arc wraps past 0
+    (Kp(0.5), 0.99, 1024), (Kp(0.5), 0.5, 1024),  # closed; pole on the ring
+    (Co0Cubic(0.3 + 0.2j), 0.9999, 1024),
+    (parse_spec("identity"), 0.9, 1024),  # closed, nothing excluded
+    (Laurent(0.98, 1.0 + 0j, (0j, 1.0 + 0j)), 0.9999, 1024),
+    (Kp(0.5), 0.9999, 16384),             # the export workload's long curve
+    (COLLAPSING, 0.99, 4096),
 ], ids=str)
-def test_curve_turns_match_collapse_then_turn(spec, r):
-    curve = boundary_curve(spec, r, 1024)
+def test_curve_turns_match_collapse_then_turn(spec, r, n):
+    curve = boundary_curve(spec, r, n)
     runs, closed = oracle._runs_of_points(curve)
     assert any(len(run) >= 3 for run in runs)
+    if spec == COLLAPSING:
+        assert len(oracle._turns(runs[0], closed)) == 580
     for run in runs:
         if len(run) >= 3:
             _same_turns(run, closed)

@@ -27,6 +27,8 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify` and `curve` runs on specs scaled near the float range, or
     far below unit size, whose turning must match the unscaled spec's (see
     SCALED_RUNS);
+  * `curve` runs whose turning goes through the collapse loop, in part and
+    in full (see COLLAPSE_RUNS);
   * `classify` and `margins` runs on Laurent specs whose jet Horner runs on
     u = z - p off the origin, has complex coefficients, a leading one with
     -0.0 parts, one coefficient or none (see HORNER_RUNS);
@@ -138,6 +140,16 @@ SCALED_RUNS = (
     # the identity times 2^-499, whose short edges once lost their turns
     ("curve", "--function", "laurent:b=[0,6.10987272699921e-151]", "--r",
      "0.99", "--angles", "65536", "--format", "json"),
+)
+
+# Curves whose points lie closer than 1e-15 of the run's largest modulus:
+# 1/z + 1e13, whose one run of 4,096 points keeps 580 turns, and the
+# constant 5, whose closed run collapses to one point and one turn of 0
+COLLAPSE_RUNS = (
+    ("curve", "--function", "laurent:p=0;res=1;b=[1e13]", "--r", "0.99",
+     "--angles", "4096", "--format", "json"),
+    ("curve", "--function", "laurent:b=[5]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
 )
 
 # Laurent's jet Horner on u = z - 0.5 with a complex residue and tail, and
@@ -272,6 +284,8 @@ def _commands():
                ["margins", "--function", text, "--theorem", theorem, *params])
     for k, argv in enumerate(SCALED_RUNS):
         yield f"scaled-{k}.json", list(argv)
+    for k, argv in enumerate(COLLAPSE_RUNS):
+        yield f"collapse-{k}.json", list(argv)
     for k, argv in enumerate(HORNER_RUNS):
         ext = "csv" if argv[0] == "margins" else "json"
         yield f"horner-{k}.{ext}", list(argv)
