@@ -144,9 +144,10 @@ class FamilySpec:
         z = complex(z)
         return _jet(z, *_only(self.eval_jets((z,))))
 
-    def reciprocal_jet(self, z: complex) -> Jet3:
-        """Jet of 1/f at z; overridden where f has a pole the jet must cross."""
-        return self.eval_jet(z).reciprocal().checked()
+    def origin_laurent(self) -> tuple[complex, complex]:
+        """(res, b1) of f = res/z + b0 + b1 z + ... at a simple pole at 0;
+        ValueError for a family without one."""
+        raise ValueError(f"{format_spec(self)} has no simple pole at z = 0")
 
     def far_from_poles(self, zs: Sequence[complex],
                        epsilon: float) -> list[bool]:
@@ -369,11 +370,8 @@ class Co0Cubic(FamilySpec):
         col = self._off_pole(zs)
         return col.result([1.0 / z + a0 + z for z in col.zs])
 
-    def reciprocal_jet(self, z: complex) -> Jet3:
-        # 1/f = z/(1 + a0 z + z^2) continues the jet across the pole at 0
-        z = _require_in_disk(z)
-        zj = Jet3.variable(z)
-        return (zj / (1.0 + self.a0 * zj + zj * zj)).checked()
+    def origin_laurent(self) -> tuple[complex, complex]:
+        return 1.0 + 0j, 1.0 + 0j
 
 
 def _cubic_pole() -> PoleProximityError:
@@ -451,14 +449,11 @@ class Laurent(FamilySpec):
         return col.result([1.0 / u * residue + b
                            for u, b in zip(us, self._poly_values(us))])
 
-    def reciprocal_jet(self, z: complex) -> Jet3:
-        if self.pole is None:
-            return super().reciprocal_jet(z)
-        z = _require_in_disk(z)
-        u = Jet3.variable(z) - self.pole
-        (b,) = self._poly_jets([z], [(u.v0, u.v1, u.v2, u.v3)])
-        # 1/f = u/(residue + u * poly(u)): regular where f has its pole
-        return (u / (self.residue + u * _jet(z, *b))).checked()
+    def origin_laurent(self) -> tuple[complex, complex]:
+        # a pole inside the floor of 0 is the margins' pole at 0 too
+        if self.pole is None or self.pole >= DEGENERACY_FLOOR:
+            return super().origin_laurent()
+        return self.residue, self.coeffs[1] if len(self.coeffs) > 1 else 0j
 
 
 # The stock exclusion radius: samples within it of a pole are excluded.

@@ -42,7 +42,7 @@ class PhiUndefinedError(SampleExclusionError):
 
 
 class IndeterminateSampleError(SampleExclusionError):
-    """A transform denominator is degenerate or a removable limit failed to settle."""
+    """A transform denominator is degenerate, or a margin has no value at a pole."""
 
 
 class BasePointMismatchError(ValueError):

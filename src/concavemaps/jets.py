@@ -52,7 +52,7 @@ operations cannot turn an inf or NaN back into a finite number, so only 1/w
 and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
 and exp rules test their operand's fields first (`_jfinite_errors`), and
 whoever hands a computed jet to another layer checks it: `checked()` on a
-Jet3, as the catalog's `reciprocal_jet` does, or `_jfinite_errors` on a
+Jet3 its operators built, or `_jfinite_errors` on a
 column of tuple jets, as its `eval_jets` kernels do. A cube in the quotient
 and chain rules that overflows, where complex `**` raises a bare
 `OverflowError`, gives its row `NonFiniteJetError` (`_cubed`), as an inf
@@ -574,8 +574,7 @@ def schwarzian(jet: Jet3) -> complex:
     """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2 at the base point.
 
     Vanishes exactly on Moebius maps and is invariant under Moebius
-    post-composition, which downstream code exploits to evaluate it across
-    simple poles via jets of 1/f.
+    post-composition, so the jet of 1/f gives it across a simple pole.
     """
     if jet.v1 == 0:
         raise CriticalPointError(f"f'({jet.base_point!r}) = 0")

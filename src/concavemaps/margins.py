@@ -46,11 +46,11 @@ sample within the tie band of the least, and hands each ring's kept
 samples to a sink if given one. margin_at is the same path for one sample,
 and phi_prime_one_diagnostic reads phi on one ring of its three radii.
 
-For specs with the pole at the origin the z=0 sample uses limit conventions:
-zP -> -2 exactly (the value is forced by the simple pole, independent of the
-Laurent tail), Sf through the jet of 1/f, and phi3 by radial limit; tokens
-without such a rule find it indeterminate, and one whose value there is not
-finite excludes it as a ring's margin does (`_finite_at_pole`).
+For specs with the pole at the origin the z=0 sample takes the limits
+there, exact for f = res/z + b0 + b1 z + ...: zP = -2, phi3 = b1/res and
+Sf = -6 b1/res (`operators.thm3_phi3_origin`). Tokens without such a rule
+find it indeterminate, and one whose value there is not finite excludes it
+as a ring's margin does (`_finite_at_pole`).
 Samples inside epsilon of a pole (`FamilySpec.far_from_poles`) are excluded
 and counted, never interpolated.
 """
@@ -66,7 +66,7 @@ from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _parse_real, _units, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      SampleExclusionError, SpecParseError, _only)
-from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed, schwarzian
+from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed
 from .operators import (_a_f, _check_p, _co_alpha, _kept, _phi, _phis, _q,
                         _ring, _Ring, _sf_norm, a_p_of, thm3_phi3_origin)
 
@@ -220,8 +220,8 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
 # -- the token table ------------------------------------------------------------
 
 def _sf_at_pole(spec: FamilySpec) -> float:
-    """|Sf(0)| at a pole at 0, continued through the jet of 1/f."""
-    return abs(schwarzian(spec.reciprocal_jet(0j)))
+    """|Sf(0)| at a simple pole at 0: Sf(0) = -6 b1/res = -6 phi3(0)."""
+    return abs(-6.0 * thm3_phi3_origin(spec))
 
 
 # z f''/f' at a simple pole at 0, whatever the Laurent tail
@@ -418,13 +418,9 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
          swept: tuple[int, Tally] | None = None) -> MarginReport:
     """Evaluate one margin over the grid and reduce to a report.
 
-    Samples within epsilon of a pole (or of z=1 for the boundary-pole
-    families) are excluded up front; samples whose evaluation degenerates are
-    excluded as they fail. The origin is always attempted: it is the
-    normalization point, and the pole-at-origin families get their limit
-    conventions there rather than an exclusion.
-
-    The token and its parameters are checked before anything is sampled.
+    The samples it keeps, and the origin's limits at a pole there, are the
+    sweep's (see sweep). The token and its parameters are checked before
+    anything is sampled.
     swept hands over the number of grid samples and this margin's tally
     from a sweep that already applied it, bound by the caller, as classify
     does; scan then only reads it. Without swept, scan's own sweep hands

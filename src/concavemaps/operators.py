@@ -23,19 +23,17 @@ with each sample it drops holding its error in its place, and `_kept`
 drops those samples from the copy that reads it.
 
 `_ring` is the one way a ring is read off a spec's kernel: the sweep's
-rings, margin_at's sample, phi'(1)'s radii and the origin reads below.
-The public operators are the two that `margins` reads at a spec's origin:
-thm3_phi3_origin (phi3 on one ring of four samples) and a_p_of (phi_p on
-the ring of 0). Every other ring form is read through the margin table
-(`margins.margin_at` at one sample), which checks the class parameters.
-Nothing in the package calls OperatorPoint (one sample z with the jet
-there): the benchmark's tracer (`perfbench/tracer.py`) wraps
+rings, margin_at's sample, phi'(1)'s radii and a_p's origin. The public
+operators are the two that `margins` reads at a spec's origin,
+thm3_phi3_origin and a_p_of; every other ring form is read through the
+margin table (`margins.margin_at` at one sample), which checks the class
+parameters. Nothing in the package calls OperatorPoint (one sample z with
+the jet there): the benchmark's tracer (`perfbench/tracer.py`) wraps
 `OperatorPoint.at`, and the tests keep it as the per-point reference.
 
-The pole-at-origin families need two limit conventions, both resolved here:
-phi3 at z=0 is taken as a radial limit (4 directions at |z|=1e-4, required to
-agree within 1e-6, and refused with NonFiniteJetError where it is not
-finite), and a_p at p=0 is |phi3(0)|.
+At a simple pole at 0, f = res/z + b0 + b1 z + ..., phi3(0) = b1/res and
+Sf(0) = -6 b1/res exactly (Duren, Univalent Functions, 1983); a_p at p = 0
+is |phi3(0)|.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .errors import (
     _only,
 )
 from .jets import (DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
-                   _floored, _isfinite, _overflowed, _Rows, _schwarzians)
+                   _floored, _overflowed, _Rows, _schwarzians)
 
 
 def _critical(z: complex) -> CriticalPointError:
@@ -277,33 +275,18 @@ def _check_p(p: float) -> float:
     return p
 
 
-# -- operators at a spec's origin, read through the ring ----------------------
-
-_LIMIT_RADIUS = 1e-4
-_LIMIT_DIRS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-_LIMIT_AGREE = 1e-6
-
+# -- operators at a spec's origin ----------------------------------------------
 
 def thm3_phi3_origin(spec: catalog.FamilySpec) -> complex:
-    """Radial-limit value of phi3 at z=0 (a removable singularity for the
-    pole-at-origin families): 4 directions at |z|=1e-4 must agree to 1e-6.
-    The first direction whose phi3 is undefined raises its error, and a
-    limit that is not finite raises NonFiniteJetError."""
-    ring = _ring(spec, [_LIMIT_RADIUS * d for d in _LIMIT_DIRS], None)
-    vals = [_only([w]) for w in ring.placed(_phis(ring)[0])]
-    mean = sum(vals) / len(vals)
-    if not _isfinite(mean):
-        raise NonFiniteJetError(f"phi3 radial limit at 0 is not finite: {mean!r}")
-    try:
-        spread = max(abs(v - mean) for v in vals)
-    except OverflowError:  # an |v - mean| beyond the floats
-        spread = math.inf
-    # a finite mean is a quarter of a finite sum: abs(mean) cannot overflow
-    if spread > _LIMIT_AGREE * max(1.0, abs(mean)):
-        raise IndeterminateSampleError(
-            "sample indeterminate: phi3 radial limits at 0 disagree"
-        )
-    return mean
+    """phi3(0) = b1/res at a simple pole at 0 (`FamilySpec.origin_laurent`
+    raises ValueError elsewhere); NonFiniteJetError where it is not finite,
+    or too large for its modulus to be."""
+    res, b1 = spec.origin_laurent()
+    w = b1 / res
+    # |w| <= |Re w| + |Im w|: where the sum is finite, abs(w) cannot overflow
+    if not abs(w.real) + abs(w.imag) < math.inf:
+        raise NonFiniteJetError(f"phi3 limit at 0 is not finite: {w!r}")
+    return w
 
 
 def a_p_of(spec: catalog.FamilySpec, p: float) -> float:

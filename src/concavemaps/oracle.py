@@ -176,14 +176,14 @@ def _turns(points: list[complex], closed: bool) -> list[float]:
     scaled by the power of two that takes its largest coordinate into
     [1, 2). Only a run with an edge no longer than tol = 1e-15 * max |w| is
     collapsed: a point is kept when it lies farther than tol from the last
-    one kept. A closed run drops a last kept point within 1e-15 * |first|
-    of its first, and its closing edge joins its edges at both ends. Each
-    turn is atan2 of conj(e1) * e2 for successive edges: one per inner
-    vertex of an open run, one per vertex of a closed one, the first at
-    points[0]. In IEEE arithmetic x - (-y) * z is x + y * z, so the
-    product's parts are exactly the dot and cross products. math.atan2
-    reads them, not cmath.phase, which raises OverflowError where the angle
-    underflows to 0.
+    one kept. A closed run drops a last kept point within 1e-15 * |first| of
+    its first, and its closing edge joins its edges at both ends; one that
+    collapses to a point has no edge, so no turn. Each turn is atan2 of
+    conj(e1) * e2 for successive edges: one per inner vertex of an open run,
+    one per vertex of a closed one, the first at points[0]. In IEEE
+    arithmetic x - (-y) * z is x + y * z, so the product's parts are exactly
+    the dot and cross products. math.atan2 reads them, not cmath.phase,
+    which raises OverflowError where the angle underflows to 0.
     """
     try:
         big = max(map(abs, points))
@@ -203,9 +203,9 @@ def _turns(points: list[complex], closed: bool) -> list[float]:
                 kept.append(w)
         points = kept
         es = list(map(operator.sub, points[1:], points))
-    if closed:
+    if closed and es:
         first, last = points[0], points[-1]
-        if es and abs(first - last) <= 1e-15 * abs(first):
+        if abs(first - last) <= 1e-15 * abs(first):
             es.pop()
             last = points[-2]
         close = first - last

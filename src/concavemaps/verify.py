@@ -27,7 +27,7 @@ from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       Laurent, _units, format_spec, omitted_segment,
                       parse_spec)
 from .errors import SampleExclusionError
-from .jets import schwarzian
+from .jets import Jet3, schwarzian
 from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
                       default_grid, estimate_order, margin_at, scan, sweep)
 from .operators import _phi, _phis, _varphi
@@ -101,7 +101,9 @@ def _c02(grid: GridConfig) -> CriterionResult:
 
 def _c03(grid: GridConfig) -> CriterionResult:
     spec = Co0Cubic(0j)  # 1/z + z
-    sn = abs(schwarzian(spec.reciprocal_jet(0j)))
+    # |Sf|(0) by the jet of 1/f, not the closed form -6 b1/res scans read
+    zj = Jet3.variable(0j)
+    sn = abs(schwarzian((zj / (1.0 + 0j * zj + zj * zj)).checked()))
     rep = scan(spec, "corollary", grid)
     ok = (abs(sn - 6.0) <= 1e-9 and abs(rep.min_margin) <= 1e-12
           and rep.argmin_z == 0j)

@@ -6,10 +6,16 @@ the column forms in `jets`, kept as written there. The properties in
 `test_catalog.py` and `test_jets.py` pin the column rules, the catalog's
 kernels and `Jet3`'s operators to them bit for bit, error classes and
 messages included. Each raises the first error its tests find.
+
+`reciprocal_jet` is the jet of 1/f that the catalog's families once
+carried, continued across a pole: the route apart from the closed forms
+phi3(0) = b1/res and Sf(0) = -6 b1/res that the package reads at a pole at
+the origin.
 """
 
 import cmath
 
+from concavemaps.catalog import Co0Cubic, Laurent, _require_in_disk
 from concavemaps.jets import (DEGENERACY_FLOOR, Jet3, _below, _isfinite,
                               _jconst, _no_inverse, _not_finite, _on_cut,
                               _overflowed)
@@ -133,3 +139,17 @@ def _poly_jet(coeffs: tuple, u: Jet3) -> Jet3:
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
+
+
+def reciprocal_jet(spec, z: complex) -> Jet3:
+    """The jet of 1/f at z in Jet3 arithmetic, checked finite: continued
+    across the pole of the cubic as z/(1 + a0 z + z^2) and across that of
+    a Laurent series as u/(residue + u poly(u)), u = z - pole; elsewhere
+    the reciprocal of eval_jet(z)."""
+    if isinstance(spec, Co0Cubic):
+        zj = Jet3.variable(_require_in_disk(z))
+        return (zj / (1.0 + spec.a0 * zj + zj * zj)).checked()
+    if isinstance(spec, Laurent) and spec.pole is not None:
+        u = Jet3.variable(_require_in_disk(z)) - spec.pole
+        return (u / (spec.residue + u * _poly_jet(spec.coeffs, u))).checked()
+    return spec.eval_jet(z).reciprocal().checked()

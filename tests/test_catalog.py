@@ -22,7 +22,7 @@ from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _finite_errors,
 from concavemaps.operators import OperatorPoint
 from jet_reference import (_cube, _exp, _inverse, _jadd, _jexp, _jfinite,
                            _jlog, _jmul, _jpow, _jrecip, _jsub, _log,
-                           _poly_jet, _require_finite)
+                           _poly_jet, _require_finite, reciprocal_jet)
 
 
 def close(a, b, tol=1e-12):
@@ -37,6 +37,21 @@ def test_halfplane_jet_at_zero():
 def test_co0cubic_jet_fixture():
     j = Co0Cubic(0j).eval_jet(0.5)
     assert (j.v0, j.v1, j.v2, j.v3) == (2.5 + 0j, -3 + 0j, 16 + 0j, -96 + 0j)
+
+
+def test_origin_laurent_reads_res_and_b1_at_a_pole_at_0_alone():
+    assert Co0Cubic(0.3 + 0.2j).origin_laurent() == (1.0, 1.0)
+    for text, want in (("laurent:p=0;res=2-1i;b=[5,0.5i,3]", (2 - 1j, 0.5j)),
+                       ("laurent:p=0;res=2;b=[5]", (2.0, 0j)),
+                       ("laurent:p=0;res=2;b=[]", (2.0, 0j)),
+                       # inside the floor of 0, where margins put the pole
+                       ("laurent:p=1e-320;res=3;b=[0,7]", (3.0, 7.0))):
+        assert parse_spec(text).origin_laurent() == want, text
+    for text in ("halfplane", "kalpha:alpha=1.5", "anglemap:a=-0.5",
+                 "kp:p=0.5", "identity", "laurent:p=0.5;res=1;b=[0,1]",
+                 "laurent:p=1e-12;res=1;b=[0,1]"):
+        with pytest.raises(ValueError, match="no simple pole at z = 0$"):
+            parse_spec(text).origin_laurent()
 
 
 def test_kalpha_two_is_koebe():
@@ -366,7 +381,8 @@ NAN_SAMPLES = (complex(math.nan, 0.0), complex(0.0, math.nan),
 def test_nan_sample_is_non_finite_after_a_stale_overflow(spec):
     # abs() of a complex NaN leaves errno alone, so checking |z| first used
     # to report the stale overflow as a bare OverflowError
-    for method in (spec.eval_jet, _value(spec), spec.reciprocal_jet):
+    for method in (spec.eval_jet, _value(spec),
+                   lambda z: reciprocal_jet(spec, z)):
         for z in NAN_SAMPLES:
             _stale_overflow()
             with pytest.raises(NonFiniteJetError, match="not finite"):
@@ -463,7 +479,7 @@ kernel_z = st.one_of(disk_z, st.floats(min_value=-0.9999, max_value=0.9999,
 def test_kernels_match_jet3_composition(spec, z):
     assert _bits(spec.eval_jet, z) == _bits(
         lambda u: _ref_eval_jet(spec, u), z), (spec, z)
-    assert _bits(spec.reciprocal_jet, z) == _bits(
+    assert _bits(lambda u: reciprocal_jet(spec, u), z) == _bits(
         lambda u: _ref_eval_jet(spec, u).reciprocal().checked(), z), (spec, z)
 
 

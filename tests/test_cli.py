@@ -102,17 +102,23 @@ def test_a_modulus_beyond_the_floats_is_no_traceback(argv, want, capsys):
 
 
 @pytest.mark.parametrize("argv,want,err", [
-    # phi3 at the pole at 0 is b1 = 1e308, and 2 b1 overflows on the way
-    (["classify", "--function", "laurent:p=0;res=1;b=[0,1e308]",
+    # phi3 at the pole at 0 is b1/res = 1e308/1e-10, which overflows
+    (["classify", "--function", "laurent:p=0;res=1e-10;b=[0,1e308]",
       "--class", "cop:p=0", "--radii", "2", "--angles", "8"], 3,
-     "degeneracy: phi3 radial limit at 0 is not finite: (nan+nanj)\n"),
+     "degeneracy: phi3 limit at 0 is not finite: (inf+0j)\n"),
+    (["margins", "--function", "laurent:p=0;res=1e-10;b=[0,1e308]",
+      "--theorem", "thm4", "--p", "0"], 3,
+     "degeneracy: phi3 limit at 0 is not finite: (inf+0j)\n"),
+    # phi3(0) = b1 = 1e308 is finite, but thm4's 2 a = 2e308 overflows
+    # at the origin, and its weight at every ring sample
     (["margins", "--function", "laurent:p=0;res=1;b=[0,1e308]",
       "--theorem", "thm4", "--p", "0"], 3,
-     "degeneracy: phi3 radial limit at 0 is not finite: (nan+nanj)\n"),
+     "degeneracy: every sample of the thm4 scan was excluded\n"),
     (["curve", "--function", "anglemap:a=1.7e308+1.7e308i"], 2,
      "error: a must lie inside the unit disk, got (1.7e+308+1.7e+308j) "
      "(at position 9)\n"),
-], ids=["phi3-limit-classify", "phi3-limit-margins", "anglemap-modulus"])
+], ids=["phi3-limit-classify", "phi3-limit-margins", "thm4-weight-margins",
+        "anglemap-modulus"])
 def test_inputs_that_once_escaped_main_exit_with_their_code(argv, want, err,
                                                             capsys):
     assert run(capsys, argv) == (want, "", err)
@@ -169,19 +175,23 @@ def test_pole_the_class_does_not_have_exit_two(capsys):
         assert err.startswith("error: ") and pole in err and cls in err, err
 
 
-def test_overflowing_reciprocal_jet_excludes_the_origin(capsys):
-    # 1/z + 1e200: at the origin pole the cube in 1/f's quotient rule
-    # overflows, which must exclude the sample, not end in a traceback
-    code, out, _ = run(capsys, ["classify", "--function",
-                                "laurent:p=0;res=1;b=[1e200]", "--class", "co0",
-                                "--radii", "2", "--angles", "8"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["verdict"] == "consistent"
-    reports = {r["theorem"]: r for r in payload["reports"]}
-    for theorem in ("thm3", "corollary"):
-        assert reports[theorem]["samples_excluded"] == 1, theorem
-        assert reports[theorem]["samples_used"] == 16, theorem
+def test_a_curve_that_collapses_to_a_point_exits_three(capsys):
+    # 1/z + 1e200 is a Moebius map: thm3 and corollary keep the origin pole,
+    # where phi3 = 0 and Sf = 0. Its image curves lie within the floats'
+    # precision of 1e200, so each collapses to one point and carries no
+    # turning for the oracle to judge: exit 3, as for a constant map
+    argv = ["--function", "laurent:p=0;res=1;b=[1e200]", "--radii", "2",
+            "--angles", "8"]
+    for theorem, margin in (("thm3", 2.0), ("corollary", 6.0)):
+        code, out, _ = run(capsys, ["margins", *argv, "--theorem", theorem])
+        assert code == 0
+        assert out.splitlines()[1] == f"0.0,0.0,{margin!r}", theorem
+        assert len(out.splitlines()) == 18, theorem
+    for cmd in (["classify", *argv, "--class", "co0"],
+                ["curve", "--function", "laurent:b=[5]", "--r", "0.99",
+                 "--angles", "64", "--format", "json"]):
+        assert run(capsys, cmd) == (
+            3, "", "degeneracy: fewer than 3 usable points after exclusions\n")
 
 
 @pytest.mark.parametrize("spec, cls, theorems", [

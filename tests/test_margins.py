@@ -7,7 +7,7 @@ import struct
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps import margins, operators
@@ -17,16 +17,17 @@ from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError, SampleExclusionError,
                                 SpecParseError)
-from concavemaps.jets import DEGENERACY_FLOOR, schwarzian
-from concavemaps.margins import (MAX_SAMPLES, GridConfig, MappingClass,
+from concavemaps.jets import DEGENERACY_FLOOR
+from concavemaps.margins import (CLASS_VERDICT_BAD, CLASS_VERDICT_OK,
+                                 MAX_SAMPLES, GridConfig, MappingClass,
                                  _column, _has_pole_at, _margin, classify,
                                  default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan, sweep)
 from concavemaps.operators import (OperatorPoint, _a_f, _co_alpha, _phis, _q,
-                                   _ring, _sf_norm, thm3_phi3_origin)
+                                   _ring, _sf_norm, a_p_of, thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
-from test_operators import at
+from test_operators import _ref_phi3_origin, at
 
 SMALL = GridConfig(geometric_radii(8), 32)
 
@@ -537,6 +538,60 @@ def test_theorem_margins_keep_their_pointwise_order():
     assert checked == [len(ROSTER), len(ROSTER) - 2]
 
 
+# parts zero or of a size that 2^k keeps a normal float for |k| <= 500
+moderate_part = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3),
+                          st.floats(min_value=-1e3, max_value=-1e-3))
+moderate_c = st.builds(complex, moderate_part, moderate_part)
+
+
+def _scaled(c, k):
+    return complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+
+
+def _origin_reads(spec):
+    """At a pole at 0: thm3, corollary, co0, reM and a_0, each packed, or the
+    class and message of its exclusion."""
+    reads = [lambda t=t: margin_at(spec, 0j, t) for t in ("thm3", "corollary", "co0")]
+    reads += [lambda: margin_at(spec, 0j, "reM", p=0.0), lambda: a_p_of(spec, 0.0)]
+    return [_packed(read) for read in reads]
+
+
+@given(moderate_c.filter(bool), st.lists(moderate_c, max_size=6).map(tuple),
+       st.complex_numbers(max_magnitude=1e15, allow_nan=False,
+                          allow_infinity=False),
+       st.integers(-500, 500))
+@settings(max_examples=150, deadline=None)
+# 1/z + 1e13 is a Moebius map, with Sf = 0 and phi3 = 0
+@example(1.0 + 0j, (0j,), 1e13 + 0j, 0)
+@example(1.0 + 0j, (0.3 + 0j, 1.0 + 0j, 0.2j), 1e6 + 0j, 400)
+def test_origin_reads_ignore_b0_and_the_scale_of_f(res, coeffs, d, k):
+    # every limit at a simple pole at 0 follows from b1/res, which neither
+    # f -> f + d nor f -> 2^k f moves (Duren, Univalent Functions, 1983)
+    spec = Laurent(0.0, res, coeffs)
+    want = _origin_reads(spec)
+    b0 = coeffs[0] if coeffs else 0j
+    assert _origin_reads(Laurent(0.0, res, (b0 + d, *coeffs[1:]))) == want
+    assert _origin_reads(Co0Cubic(d)) == _origin_reads(Co0Cubic(0j))
+    try:  # a residue that 2^k takes inside the 1e-12 floor is refused
+        scaled = Laurent(0.0, _scaled(res, k), tuple(_scaled(c, k) for c in coeffs))
+    except ValueError:
+        assume(False)
+    assert _origin_reads(scaled) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("factor", [0.97, 1.0, 1.03])
+def test_co0_and_cop_at_0_agree_on_an_exact_family(n, factor):
+    # f = 1/z + c z^n has 1 + z f''/f' = -(1 + n^2 c w)/(1 - n c w), w =
+    # z^(n+1), whose real part is <= 0 on the disk exactly when n^2 |c| <= 1:
+    # f lies in Co(0), which is Co(p) at p = 0, exactly when |c| <= 1/n^2
+    spec = Laurent(0.0, 1.0 + 0j, (0j,) * n + (complex(factor / n ** 2),))
+    want = CLASS_VERDICT_OK if factor <= 1.0 else CLASS_VERDICT_BAD
+    grid = default_grid("fast")
+    for cls in ("co0", "cop:p=0"):
+        assert classify(spec, cls, grid).verdict == want, cls
+
+
 def _family_classes(cls=FamilySpec):
     for sub in cls.__subclasses__():
         yield sub
@@ -694,7 +749,9 @@ def _ref_re_m(z, zp, p):
 
 
 def _ref_sf_at_pole(spec):
-    return abs(schwarzian(spec.reciprocal_jet(0j)))
+    """|Sf(0)| = |-6 b1/res| at a simple pole at 0, from the spec's fields
+    (test_operators checks the closed form against the jet of 1/f)."""
+    return abs(-6.0 * _ref_phi3_origin(spec))
 
 
 def _ref_tokens(alpha, p, a):
@@ -708,7 +765,7 @@ def _ref_tokens(alpha, p, a):
         "thm2": ({"alpha": alpha}, lambda pt: _ref_thm2(pt, alpha), None),
         "co0": ({}, *zp(_ref_co0)),
         "thm3": ({}, _ref_thm3, lambda spec: 2.0 * (
-            2.0 * abs(thm3_phi3_origin(spec)) + 1.0) - _ref_sf_at_pole(spec)),
+            2.0 * abs(_ref_phi3_origin(spec)) + 1.0) - _ref_sf_at_pole(spec)),
         "corollary": ({}, lambda pt: 6.0 - _ref_schwarzian_norm(pt),
                       lambda spec: 6.0 - _ref_sf_at_pole(spec)),
         "thm4": ({"p": p, "a": a}, *zp(_ref_thm4, p, a)),

@@ -3,6 +3,7 @@
 import cmath
 import inspect
 import random
+import re
 import struct
 
 import pytest
@@ -11,18 +12,20 @@ from hypothesis import strategies as st
 
 import concavemaps
 from concavemaps import operators
-from concavemaps.catalog import Co0Cubic, HalfPlane, KAlpha, Kp, parse_spec
+from concavemaps.catalog import (Co0Cubic, HalfPlane, KAlpha, Kp, Laurent,
+                                 parse_spec)
 from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError, SampleExclusionError,
                                 _only)
-from concavemaps.jets import Jet3
+from concavemaps.jets import DEGENERACY_FLOOR, Jet3, schwarzian
 from concavemaps.margins import _re_m, margin_at, phi_prime_one_diagnostic
 from concavemaps.operators import (OperatorPoint, _a_f, _phi, _phis, _q,
                                    _Ring, _sf_norm, _varphi, a_p_of,
                                    thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
-from test_catalog import family_specs
+from jet_reference import reciprocal_jet
+from test_catalog import coeff_c, family_specs, nonzero_c
 
 
 def pt(spec, z):
@@ -160,8 +163,8 @@ def test_thm3_phi3_identity():
 
 
 def test_thm3_phi3_origin_cubic_is_one():
-    assert abs(thm3_phi3_origin(Co0Cubic(0j)) - 1.0) < 1e-9
-    assert abs(thm3_phi3_origin(Co0Cubic(0.3 + 0.2j)) - 1.0) < 1e-9
+    assert thm3_phi3_origin(Co0Cubic(0j)) == 1.0
+    assert thm3_phi3_origin(Co0Cubic(0.3 + 0.2j)) == 1.0
 
 
 def test_varphi_p_on_kp_is_z():
@@ -190,24 +193,29 @@ def test_varphi_p_refuses_a_sample_where_1_minus_pz_vanishes():
 
 
 def test_thm3_phi3_origin_refuses_a_limit_that_is_not_finite():
-    # phi3(0) = b1 here, and 2 b1 overflows on the way to it
-    spec = parse_spec("laurent:p=0;res=1;b=[0,1e308]")
-    for read in (thm3_phi3_origin, lambda s: a_p_of(s, 0.0)):
-        with pytest.raises(NonFiniteJetError,
-                           match=r"^phi3 radial limit at 0 is not finite: "):
-            read(spec)
+    # phi3(0) = b1/res: 1e308/1e-10 overflows, and the modulus of
+    # 1.5e308+1.5e308i, where abs() raises OverflowError, overflows too
+    for text, w in (("laurent:p=0;res=1e-10;b=[0,1e308]", "(inf+0j)"),
+                    ("laurent:p=0;res=1;b=[0,1.5e308+1.5e308i]",
+                     "(1.5e+308+1.5e+308j)")):
+        message = rf"^phi3 limit at 0 is not finite: {re.escape(w)}$"
+        for read in (thm3_phi3_origin, lambda s: a_p_of(s, 0.0)):
+            with pytest.raises(NonFiniteJetError, match=message):
+                read(parse_spec(text))
+    # 1e308 itself is finite: b0 and the tail enter no limit at the pole
+    spec = parse_spec("laurent:p=0;res=1;b=[1e308,1e308,1e308]")
+    assert thm3_phi3_origin(spec) == 1e308
 
 
-def test_phi3_limits_apart_by_more_than_the_floats_disagree(monkeypatch):
-    # abs() of their difference raises OverflowError
-    big = complex(1.5e308, 1.5e308)
-    monkeypatch.setattr(operators, "_phis", lambda ring: ([big, -big, 0j, 0j],))
-    with pytest.raises(IndeterminateSampleError, match="limits at 0 disagree"):
-        thm3_phi3_origin(Co0Cubic(0j))
+def test_origin_reads_refuse_a_spec_without_a_pole_at_0():
+    for text in ("halfplane", "kp:p=1e-9", "laurent:p=0.5;res=1;b=[0,1]"):
+        for read in (thm3_phi3_origin, lambda s: a_p_of(s, 0.0)):
+            with pytest.raises(ValueError, match="no simple pole at z = 0$"):
+                read(parse_spec(text))
 
 
 def test_a_p_of_cubic_origin():
-    assert abs(a_p_of(Co0Cubic(0j), 0.0) - 1.0) < 1e-9
+    assert a_p_of(Co0Cubic(0j), 0.0) == 1.0
     with pytest.raises(ValueError):
         a_p_of(Co0Cubic(0j), 1.0)
 
@@ -265,10 +273,12 @@ def test_thm3_indeterminate_at_origin():
 
 # -- point reads against the per-point composition -------------------------------
 #
-# phi'(1), phi3(0) and a_p read their samples as one ring of the kernel. The
+# phi'(1) and a_p read their samples as one ring of the kernel. The
 # references read each sample alone, as an OperatorPoint turned into a
 # one-sample ring, in the order the package reads them; both must agree bit
-# for bit, and fail with the same error, class and message.
+# for bit, and fail with the same error, class and message. phi3(0) and
+# a_0 read no sample: they are b1/res from the spec's fields at a pole at 0,
+# and refused elsewhere.
 
 ROSTER_SPECS = [spec for spec, _ in member_roster() + control_roster()]
 # f'' vanishes at r = 0.999 alone of the diagnostic's three radii
@@ -289,14 +299,29 @@ def _ref_phi_prime_one(spec):
     return (10.0 * ds[2] - ds[1]) / 9.0, tuple(ds)
 
 
+def _pole_at_0(spec):
+    """Whether the spec has its simple pole at 0, or within the floor of 0
+    (a Laurent series alone: k_p's second pole keeps it off)."""
+    return isinstance(spec, Co0Cubic) or (
+        isinstance(spec, Laurent) and spec.pole is not None
+        and spec.pole < DEGENERACY_FLOOR)
+
+
 def _ref_phi3_origin(spec):
-    vals = [at(_phi3s, pt(spec, 1e-4 * d))[0]
+    """b1/res for f = res/z + b0 + b1 z + ..., from the spec's own fields."""
+    if isinstance(spec, Co0Cubic):
+        return 1.0 + 0j  # 1/z + a0 + z: res = b1 = 1
+    b1 = spec.coeffs[1] if len(spec.coeffs) > 1 else 0j
+    return b1 / spec.residue
+
+
+def _radial_phi3_limit(spec, r):
+    """phi3 per point at |z| = r in four directions, averaged: the rule that
+    phi3(0) was once read by. Near a simple pole at 0, phi3 = b1/res +
+    3 (b2/res) z + O(z^2), so the average is phi3(0) + O(r^2)."""
+    vals = [at(_phi3s, pt(spec, r * d))[0]
             for d in (1.0 + 0j, 1j, -1.0 + 0j, -1j)]
-    mean = sum(vals) / len(vals)
-    if max(abs(v - mean) for v in vals) > 1e-6 * max(1.0, abs(mean)):
-        raise IndeterminateSampleError(
-            "sample indeterminate: phi3 radial limits at 0 disagree")
-    return mean
+    return sum(vals) / len(vals)
 
 
 def _ref_a_p(spec, p):
@@ -322,8 +347,15 @@ def _read(fn, *args):
 def _assert_point_reads_match(spec, p):
     assert (_read(phi_prime_one_diagnostic, spec)
             == _read(_ref_phi_prime_one, spec))
-    assert _read(thm3_phi3_origin, spec) == _read(_ref_phi3_origin, spec)
     assert _read(a_p_of, spec, p) == _read(_ref_a_p, spec, p)
+    if _pole_at_0(spec):
+        w = _ref_phi3_origin(spec)
+        assert _read(thm3_phi3_origin, spec) == _packed(w)
+        assert _read(a_p_of, spec, 0.0) == _packed(abs(w))
+    else:
+        for read in (thm3_phi3_origin, lambda s: a_p_of(s, 0.0)):
+            with pytest.raises(ValueError, match="no simple pole at z = 0$"):
+                read(spec)
 
 
 @pytest.mark.parametrize("spec", POINT_SPECS, ids=str)
@@ -337,6 +369,34 @@ def test_point_reads_match_the_per_point_composition(spec):
 @example(parse_spec("laurent:p=0;res=1;b=[0,0,2]"), 0.5)
 def test_point_reads_match_the_per_point_composition_on_drawn_specs(spec, p):
     _assert_point_reads_match(spec, p)
+
+
+# specs with a simple pole at 0 and no coefficient far from unit size, where
+# the two old routes to the limits there keep most of their digits
+origin_pole_specs = st.one_of(
+    st.builds(Co0Cubic, coeff_c),
+    st.builds(Laurent, st.just(0.0), nonzero_c,
+              st.lists(coeff_c, max_size=8).map(tuple)))
+
+
+@given(origin_pole_specs)
+@settings(max_examples=200, deadline=None)
+@example(Co0Cubic(0j))
+@example(parse_spec("laurent:p=0;res=1;b=[0,0,2]"))
+@example(parse_spec("laurent:p=0;res=0.1;b=[4,4,4,4]"))
+@example(parse_spec("laurent:p=0;res=1+1i;b=[]"))
+def test_origin_limits_match_the_reciprocal_jet_and_the_radial_limit(spec):
+    res, b1 = spec.origin_laurent()
+    w = thm3_phi3_origin(spec)
+    assert w == b1 / res and a_p_of(spec, 0.0) == abs(w)
+    # Sf(0) = -6 b1/res; the jet of 1/f cancels terms of size 6 |b0/res|^2
+    b0 = spec.a0 if isinstance(spec, Co0Cubic) else (spec.coeffs or (0j,))[0]
+    scale = 1.0 + abs(b0 / res) ** 2 + abs(w)
+    sf = schwarzian(reciprocal_jet(spec, 0j))
+    assert abs(sf + 6.0 * w) <= 1e-13 * scale, (sf, w)
+    r = 1e-3
+    limit = _radial_phi3_limit(spec, r)
+    assert abs(limit - w) <= r * r * (1.0 + abs(w)), (limit, w)
 
 
 def test_phi_prime_one_keeps_the_radii_before_the_first_excluded_one():

@@ -312,7 +312,8 @@ def _reference_turns(points, closed):
         pts.pop()
     m = len(pts)
     out = []
-    ks = range(m) if closed else range(1, m - 1)
+    # a closed run collapsed to one point has no edge to turn
+    ks = range(m) if closed and m > 1 else range(1, m - 1)
     for k in ks:
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % m]
         e1, e2 = b - a, c - b
@@ -397,6 +398,15 @@ def test_curve_turns_match_collapse_then_turn(spec, r, n):
         if len(run) >= 3:
             _same_turns(run, closed)
             _same_turns(run[:3], closed)
+
+
+@pytest.mark.parametrize("text", ["laurent:b=[5]", "laurent:b=[]"])
+def test_a_constant_map_carries_no_turning_to_judge(text):
+    # each closed curve collapses to one point: no edge, so no turn, and the
+    # oracle refuses the map as it refuses an open run that collapses
+    assert oracle._turns([5 + 0j] * 64, True) == []
+    with pytest.raises(EmptyScanError, match="fewer than 3 usable points"):
+        oracle_concave(parse_spec(text))
 
 
 # -- curves scaled near the float range ------------------------------------------

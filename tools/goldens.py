@@ -40,6 +40,8 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify`, `margins` and `curve` runs on inputs that once escaped
     `cli.main` with a traceback, and a class literal that `float()` once
     read (see ESCAPE_RUNS);
+  * `classify` runs at a pole at 0 whose limits there b1/res fixes (see
+    ORIGIN_RUNS);
   * `classify` and `margins` runs at 48x512 on members whose equality locus
     is flat, where many samples tie for the argmin (see TALLY_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
@@ -144,7 +146,7 @@ SCALED_RUNS = (
 
 # Curves whose points lie closer than 1e-15 of the run's largest modulus:
 # 1/z + 1e13, whose one run of 4,096 points keeps 580 turns, and the
-# constant 5, whose closed run collapses to one point and one turn of 0
+# constant 5, whose closed run collapses to one point with no turn (exit 3)
 COLLAPSE_RUNS = (
     ("curve", "--function", "laurent:p=0;res=1;b=[1e13]", "--r", "0.99",
      "--angles", "4096", "--format", "json"),
@@ -163,7 +165,7 @@ HORNER_RUNS = (
      "--p", "0.5", "--format", "csv"),
     # the Horner's first step, folded: a leading coefficient with -0.0
     # parts, a lone coefficient (no Jet3 step at all) and none, the last two
-    # at a pole at 0, where co0's thm3 and corollary read reciprocal_jet
+    # at a pole at 0, where co0's thm3 and corollary read b1/res alone
     ("classify", "--function", "laurent:b=[0,1,0.2-0.1i,-0-0i]",
      "--class", "co", *SMALL_GRID),
     ("classify", "--function", "laurent:p=0;res=1;b=[0.5+0.5i]",
@@ -203,10 +205,10 @@ MODULUS_RUNS = (
      "--p", "1e-320", "--radii", "2", "--angles", "8"),
 )
 
-# A phi3 limit at the pole at 0 that is not finite (phi3(0) = b1 = 1e308, and
-# 2 b1 overflows), in classify and in margins; a disk parameter whose
-# modulus overflows a float; and a class literal with an underscore, which
-# the spec grammar refuses too
+# A phi3 limit at the pole at 0 of b1/res = 1e308, where thm4's weight
+# overflows, in classify and in margins; a disk parameter whose modulus
+# overflows a float; and a class literal with an underscore, which the spec
+# grammar refuses too
 ESCAPE_RUNS = (
     ("classify", "--function", "laurent:p=0;res=1;b=[0,1e308]",
      "--class", "cop:p=0", "--radii", "2", "--angles", "8"),
@@ -214,6 +216,16 @@ ESCAPE_RUNS = (
      "--theorem", "thm4", "--p", "0"),
     ("curve", "--function", "anglemap:a=1.7e308+1.7e308i"),
     ("classify", "--function", "kp:p=0.5", "--class", "cop:p=0.2_5"),
+)
+
+
+# Limits at a pole at 0, read from b1/res: 1/z + 1e13, a Moebius map whose
+# Sf vanishes whatever b0, against co0, and 1/z + 2z^2 against cop:p=0,
+# which is Co(0) and rejects it as co0 does
+ORIGIN_RUNS = (
+    ("classify", "--function", "laurent:p=0;res=1;b=[1e13]", "--class", "co0"),
+    ("classify", "--function", "laurent:p=0;res=1;b=[0,0,2]",
+     "--class", "cop:p=0"),
 )
 
 
@@ -297,6 +309,8 @@ def _commands():
     for k, argv in enumerate(ESCAPE_RUNS):
         ext = "json" if argv[0] == "classify" else "csv"
         yield f"escape-{k}.{ext}", list(argv)
+    for k, argv in enumerate(ORIGIN_RUNS):
+        yield f"origin-{k}.json", list(argv)
     for k, argv in enumerate(TALLY_RUNS):
         ext = "csv" if argv[-1] == "csv" else "json"
         yield f"tally-{k}.{ext}", list(argv)
