@@ -203,7 +203,7 @@ class KAlpha(FamilySpec):
         # which maps the disk to Re u > 0, clear of the cut
         alpha = self.alpha
         # 1/(2 alpha) as a jet; 2 alpha >= 2 passes the reciprocal's tests
-        (scale,), _ = _jrecips([_jconst(2.0 * alpha)])
+        (scale,) = _jrecips([_jconst(2.0 * alpha)])
         col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         rs, xs = col.jrecip(_jsubs(repeat(_J_ONE), xs), xs)

@@ -53,12 +53,14 @@ and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
 and exp rules test their operand's fields first (`_jfinite_errors`), and
 whoever hands a computed jet to another layer checks it: `checked()` on a
 Jet3 its operators built, or `_jfinite_errors` on a
-column of tuple jets, as its `eval_jets` kernels do. A cube in the quotient
-and chain rules that overflows, where complex `**` raises a bare
-`OverflowError`, gives its row `NonFiniteJetError` (`_cubed`), as an inf
-field does. One helper builds each message (`_not_finite`, `_no_inverse`,
-`_on_cut`, `_field_not_finite`, and `_overflowed`, which the cube, the
-pre-Schwarzian, the Schwarzian and the margins share).
+column of tuple jets, as its `eval_jets` kernels do. The quotient and
+chain rules write each cube as the products CPython runs for `w ** 3`,
+`(1 * w) * (w * w)`: they match it bit for bit where it returns, and
+overflow to an inf part where it raises `OverflowError`, which that check
+refuses as it does any other. One helper builds each message
+(`_not_finite`, `_no_inverse`, `_on_cut`, `_field_not_finite`, and
+`_overflowed`, which the pre-Schwarzian, the Schwarzian and the margins
+share).
 """
 
 from __future__ import annotations
@@ -199,30 +201,8 @@ def _jconst(c) -> tuple:
 # Each rule below runs over a list of tuple jets, one comprehension per
 # stage. An operand that every row shares (a lifted constant) is passed as
 # itertools.repeat(c). The rules' tests are column tests that run first,
-# dropping the rows they name (`_Rows`); what can still fail is a cube,
-# which _cubed reports by position.
-
-def _cubed(stage):
-    """The column form stage(js, *columns), a comprehension in which only the
-    cube of field v1 of each of js can overflow, returning its column and,
-    by position, NonFiniteJetError where that cube overflows. An
-    overflowing ** raises OverflowError out of the whole comprehension, so
-    then the rows go through stage again one at a time; a row whose cube
-    overflows holds None, for the caller to drop with its error."""
-    def rows(js: list, *columns: list) -> tuple[list, dict]:
-        try:
-            return stage(js, *columns), {}
-        except OverflowError:
-            out, errors = [], {}
-            for k, row in enumerate(zip(js, *columns)):
-                try:
-                    out += stage(*([c] for c in row))
-                except OverflowError:
-                    errors[k] = _overflowed(f"cube of {row[0][1]!r}")
-                    out.append(None)
-            return out, errors
-    return rows
-
+# dropping the rows they name (`_Rows`); a field that overflows, a cube's
+# included, is left for the finiteness test of whatever reads it next.
 
 def _jadds(a, b) -> list:
     return [(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
@@ -243,36 +223,30 @@ def _jmuls(a, b) -> list:
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(a, b)]
 
 
-@_cubed
 def _jrecips(js: list) -> list:
     """1/f by the quotient rule to third order, on jets that passed its
     tests."""
     return [(w, -v1 * w2, (2 * v1 * v1 * w - v2) * w2,
-             (-v3 + (6 * v1 * v2 - 6 * v1 ** 3 * w) * w) * w2)
+             (-v3 + (6 * v1 * v2 - 6 * ((_ONE * v1) * (v1 * v1)) * w) * w)
+             * w2)
             for v0, v1, v2, v3 in js for w in [1.0 / v0] for w2 in [w * w]]
 
 
-@_cubed
 def _jlogs(js: list) -> list:
     """The principal log, by Faa di Bruno at order 3, on jets that passed
     its tests."""
     return [(cmath.log(w), iw * f1, iw * f2 + g2 * f1 * f1,
-             iw * f3 + 3 * g2 * f1 * f2 + g3 * f1 ** 3)
-            for w, f1, f2, f3 in js
-            for iw in [1.0 / w] for g2 in [-iw * iw] for g3 in [2 * iw ** 3]]
+             iw * f3 + 3 * g2 * f1 * f2 + g3 * ((_ONE * f1) * (f1 * f1)))
+            for w, f1, f2, f3 in js for iw in [1.0 / w] for g2 in [-iw * iw]
+            for g3 in [2 * ((_ONE * iw) * (iw * iw))]]
 
 
-@_cubed
-def _exps(js: list, es: list) -> list:
-    return [(e, e * f1, e * f2 + e * f1 * f1,
-             e * f3 + 3 * e * f1 * f2 + e * f1 ** 3)
-            for (_, f1, f2, f3), e in zip(js, es)]
-
-
-def _jexps(js: list) -> tuple[list, dict]:
+def _jexps(js: list) -> list:
     """exp, by Faa di Bruno at order 3, on jets that passed its test. An
     exp that overflows raises OverflowError for the whole column."""
-    return _exps(js, [cmath.exp(j[0]) for j in js])
+    return [(e, e * f1, e * f2 + e * f1 * f1,
+             e * f3 + 3 * e * f1 * f2 + e * ((_ONE * f1) * (f1 * f1)))
+            for f0, f1, f2, f3 in js for e in [cmath.exp(f0)]]
 
 
 class _Rows:
@@ -341,18 +315,14 @@ class _Rows:
         js, *carry = self.drop_rows(_jfinite_errors(js), js, *carry)
         js, *carry = self.drop_rows(
             _inverse_errors([j[0] for j in js], self.zs), js, *carry)
-        rs, errors = _jrecips(js)
-        return self.drop_rows(errors, rs, *carry)
+        return (_jrecips(js), *carry)
 
     def jlog(self, js: list) -> list:
         js = self.drop(_jfinite_errors(js), js)
-        js = self.drop(_log_errors([j[0] for j in js]), js)
-        ls, errors = _jlogs(js)
-        return self.drop(errors, ls)
+        return _jlogs(self.drop(_log_errors([j[0] for j in js]), js))
 
     def jexp(self, js: list) -> list:
-        es, errors = _jexps(self.drop(_jfinite_errors(js), js))
-        return self.drop(errors, es)
+        return _jexps(self.drop(_jfinite_errors(js), js))
 
     def jpow(self, js: list, exponent: complex) -> list:
         """The principal-branch power exp(exponent * log(j)) of each of js."""

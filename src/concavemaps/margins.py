@@ -195,9 +195,9 @@ def _column(fn, ring: _Ring, args: tuple) -> tuple[_Ring, list[float]]:
     excludes, and fn's margin at each sample left.
 
     A sample whose margin arithmetic overflows, raising OverflowError or
-    giving a value that is not finite, is excluded with NonFiniteJetError,
-    as jets._cubed excludes a jet. OverflowError stops the whole column, so
-    then the ring goes through fn again one sample at a time.
+    giving a value that is not finite, is excluded with NonFiniteJetError.
+    OverflowError stops the whole column, so then the ring goes through fn
+    again one sample at a time.
     """
     col = ring.copy()
     try:

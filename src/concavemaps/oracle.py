@@ -225,8 +225,10 @@ def convexity_defect(curve: CurveSample) -> float:
     for run in runs:
         if len(run) >= 3:
             turns.extend(_turns(run, closed))
-    if not turns:
-        raise EmptyScanError("fewer than 3 usable points after exclusions")
+    if not turns:  # a closed curve kept every sample: only a collapse is left
+        raise EmptyScanError(
+            "the curve collapses to one point: no edge to turn" if closed
+            else "fewer than 3 usable points after exclusions")
     total = math.fsum(turns)
 
     if orientation == COMPLEMENT_INSIDE:

@@ -1,11 +1,11 @@
 """Per-sample references for the column rules of `concavemaps.jets`.
 
 These are the scalar tuple-jet rules and the scalar tests (finiteness,
-degeneracy floor, branch cut, an overflowing cube) that once lived beside
-the column forms in `jets`, kept as written there. The properties in
-`test_catalog.py` and `test_jets.py` pin the column rules, the catalog's
-kernels and `Jet3`'s operators to them bit for bit, error classes and
-messages included. Each raises the first error its tests find.
+degeneracy floor, branch cut) that once lived beside the column forms in
+`jets`, kept as written there. The properties in `test_catalog.py` and
+`test_jets.py` pin the column rules, the catalog's kernels and `Jet3`'s
+operators to them bit for bit, error classes and messages included. Each
+raises the first error its tests find.
 
 `reciprocal_jet` is the jet of 1/f that the catalog's families once
 carried, continued across a pole: the route apart from the closed forms
@@ -17,8 +17,7 @@ import cmath
 
 from concavemaps.catalog import Co0Cubic, Laurent, _require_in_disk
 from concavemaps.jets import (DEGENERACY_FLOOR, Jet3, _below, _isfinite,
-                              _jconst, _no_inverse, _not_finite, _on_cut,
-                              _overflowed)
+                              _jconst, _no_inverse, _not_finite, _on_cut)
 
 
 def _require_finite(w: complex) -> complex:
@@ -49,12 +48,10 @@ def _exp(w: complex) -> complex:
 
 
 def _cube(w: complex) -> complex:
-    """w ** 3. Complex ** raises OverflowError where * would give inf; that
-    overflow is raised as NonFiniteJetError, as an inf field is."""
-    try:
-        return w ** 3
-    except OverflowError:
-        raise _overflowed(f"cube of {w!r}") from None
+    """w ** 3 as the products CPython runs for it, (1 * w) * (w * w): the
+    same bits where ** returns, and an inf part where it raises
+    OverflowError, left for a finiteness test as any inf field is."""
+    return ((1 + 0j) * w) * (w * w)
 
 
 def _jfinite(a: tuple) -> tuple:
@@ -118,7 +115,7 @@ def _jlog(a: tuple) -> tuple:
     w = _jfinite(a)[0]
     g0 = _log(w)
     iw = 1.0 / w
-    return _jcompose(a, g0, iw, -iw * iw, 2 * iw ** 3)
+    return _jcompose(a, g0, iw, -iw * iw, 2 * _cube(iw))
 
 
 def _jexp(a: tuple) -> tuple:

@@ -191,7 +191,8 @@ def test_a_curve_that_collapses_to_a_point_exits_three(capsys):
                 ["curve", "--function", "laurent:b=[5]", "--r", "0.99",
                  "--angles", "64", "--format", "json"]):
         assert run(capsys, cmd) == (
-            3, "", "degeneracy: fewer than 3 usable points after exclusions\n")
+            3, "", "degeneracy: the curve collapses to one point: no edge "
+            "to turn\n")
 
 
 @pytest.mark.parametrize("spec, cls, theorems", [

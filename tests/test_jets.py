@@ -17,9 +17,10 @@ from concavemaps.errors import (BasePointMismatchError, BranchCutError,
                                 NonFiniteJetError)
 from concavemaps import jets as jets_module
 from concavemaps.jets import (_ONE, DEGENERACY_FLOOR, Jet3, _below, _floored,
-                              _jconst, _jet, schwarzian)
+                              _jconst, _jet, _Rows, schwarzian)
 from concavemaps.operators import OperatorPoint
-from jet_reference import _jadd, _jexp, _jlog, _jmul, _jpow, _jrecip, _jsub
+from jet_reference import (_cube, _jadd, _jexp, _jlog, _jmul, _jpow, _jrecip,
+                           _jsub)
 from test_operators import _pre, at
 
 
@@ -304,16 +305,52 @@ def test_minus_infinity_is_not_hidden_by_exp():
         low.pow(0.5)
 
 
-def test_overflowing_cube_raises_non_finite():
-    # v1 ** 3 in the quotient rule and f1 ** 3 in the chain rule overflow;
-    # complex ** would raise a bare OverflowError there
-    steep = Jet3(_BASE, 1.0 + 0j, 1e200 + 0j, 0j, 0j)
-    with pytest.raises(NonFiniteJetError):
-        steep.reciprocal()
-    with pytest.raises(NonFiniteJetError):
-        steep.log()
-    with pytest.raises(NonFiniteJetError):
-        Jet3(_BASE, 0j, 1e200 + 0j, 0j, 0j).exp()
+@pytest.mark.parametrize("v1", [1e200 + 0j, 1e103 + 0j])
+def test_overflowing_cube_raises_non_finite(v1):
+    # the cube of v1 in the quotient rule and of f1 in the chain rule
+    # overflows to an inf part (at 1e103 alone, v1 * v1 staying finite);
+    # the operators return the jet unchecked, as + and * do, and checked()
+    # refuses it
+    steep = Jet3(_BASE, 1.0 + 0j, v1, 0j, 0j)
+    for jet in (steep.reciprocal(), steep.log(),
+                Jet3(_BASE, 0j, v1, 0j, 0j).exp()):
+        assert not cmath.isfinite(jet.v3)
+        with pytest.raises(NonFiniteJetError, match="jet field v. is not"):
+            jet.checked()
+
+
+# parts at the edges of the cube's range: signed zeros and subnormals, parts
+# near 1e103, where the cube alone overflows, and near the largest float
+_cube_parts = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308)),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e102, 1e104), st.floats(-1e104, -1e102),
+    st.floats(1e307, 1.7976931348623157e308),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.builds(complex, _cube_parts, _cube_parts))
+@settings(max_examples=500)
+def test_the_rules_cube_is_complex_pow_where_it_returns(w):
+    # the rules write w ** 3 as the products CPython runs for it
+    got = _cube(w)
+    try:
+        want = w ** 3
+    except OverflowError:
+        assert math.isinf(got.real) or math.isinf(got.imag)
+    else:
+        assert struct.pack("<2d", got.real, got.imag) == struct.pack(
+            "<2d", want.real, want.imag)
+
+
+@pytest.mark.parametrize("v1", [1e200 + 0j, 1e103 + 0j])
+def test_a_reciprocal_whose_cube_overflows_is_excluded_by_the_next_test(v1):
+    col = _Rows([0.25j, 0.5j])
+    (rs,) = col.jrecip([(_ONE, v1, 0j, 0j), (2.0 + 0j, _ONE, 0j, 0j)])
+    steep, kept = col.jets(rs)
+    assert isinstance(steep, NonFiniteJetError)
+    assert str(steep).startswith("jet field v")
+    assert kept == _jrecip((2.0 + 0j, _ONE, 0j, 0j), 0.5j)
 
 
 # -- operators against the tuple rules they ran, kept in jet_reference ---------

@@ -405,7 +405,7 @@ def test_a_constant_map_carries_no_turning_to_judge(text):
     # each closed curve collapses to one point: no edge, so no turn, and the
     # oracle refuses the map as it refuses an open run that collapses
     assert oracle._turns([5 + 0j] * 64, True) == []
-    with pytest.raises(EmptyScanError, match="fewer than 3 usable points"):
+    with pytest.raises(EmptyScanError, match="collapses to one point"):
         oracle_concave(parse_spec(text))
 
 

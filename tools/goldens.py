@@ -146,7 +146,8 @@ SCALED_RUNS = (
 
 # Curves whose points lie closer than 1e-15 of the run's largest modulus:
 # 1/z + 1e13, whose one run of 4,096 points keeps 580 turns, and the
-# constant 5, whose closed run collapses to one point with no turn (exit 3)
+# constant 5, whose closed run collapses to one point with no turn: exit 3,
+# "the curve collapses to one point", with no exclusion named
 COLLAPSE_RUNS = (
     ("curve", "--function", "laurent:p=0;res=1;b=[1e13]", "--r", "0.99",
      "--angles", "4096", "--format", "json"),
