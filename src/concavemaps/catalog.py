@@ -15,21 +15,20 @@ of a grid, or one oracle curve) and return one entry per sample:
 eval_jets(zs) the jet fields (v0, v1, v2, v3), each checked finite, and
 values(zs) f alone, which is all the geometric oracle reads. A sample that
 cannot be evaluated gets the SampleExclusionError that excluded it in its
-place. Constants that depend only on the spec are computed once per call.
-values repeats, in the same order, the complex operations that produce v0,
-so the two agree bit for bit. Both work on whole columns: one ordered pass
-checks that the samples lie in the disk (`_in_disk`, which returns them as
-a `jets._Rows` column), then each arithmetic stage is one comprehension
-over the samples still live (Laurent's values Horner loop runs over the
-coefficients with the samples inside; its jet Horner, one flat loop over
-the samples after the column tests, starts each at the leading coefficient
-and steps in Jet3 arithmetic).
-Between stages the finiteness, degeneracy-floor and branch-cut tests of
-`jets` name the samples that fail; those are dropped and their errors
-placed as values, never raised and caught. Each message is built by the
-one helper of `jets` that Jet3's operators use too.
-eval_jet(z) is the one-sample call into eval_jets that raises the stored
-error again.
+place. FamilySpec runs both kernels the same way: one ordered pass checks
+that the samples lie in the disk (`_in_disk`, which returns them as a
+`jets._Rows` column), the family's hook (_jets or _values) computes the
+samples still live, and the column's finiteness test places the errors. In a
+hook each arithmetic stage is one comprehension over the live samples
+(Laurent's Horner loops over the coefficients, in Jet3 arithmetic for the
+jets, from the leading coefficient). Between stages the finiteness,
+degeneracy-floor and branch-cut tests of `jets` drop the samples that fail,
+their errors placed as values, never raised and caught; each message is
+built by the one helper of `jets` that Jet3's operators use too. _values
+repeats, in the same order, the complex operations that give the v0 of
+_jets, so the two agree bit for bit; constants that depend only on the spec
+are computed once per call. eval_jet(z) is the one-sample call into
+eval_jets that raises the stored error again.
 
 The kernels exclude a sample only on genuine degeneracy (a denominator
 inside the 1e-12 floor or a branch-cut hit) or when it is not finite; a
@@ -120,7 +119,10 @@ def _require_in_disk(z: complex) -> complex:
 
 
 class FamilySpec:
-    """Base class; concrete families are frozen dataclasses below."""
+    """Base class; the concrete families below are frozen dataclasses. Each
+    writes only two hooks, _jets(col) and _values(col): f's tuple jets and
+    values at the live samples of col, dropping those a test refuses;
+    eval_jets and values run the rest of the column protocol around them."""
 
     # interior poles (points where f itself blows up; 1/p for k_p is listed
     # although it lies outside the disk, so near-boundary exclusion works)
@@ -132,12 +134,14 @@ class FamilySpec:
         """Per sample of zs, the jet fields (v0, v1, v2, v3) of f there, each
         checked finite, or the SampleExclusionError that excluded it. A
         sample outside the disk raises ValueError for the whole call."""
-        raise NotImplementedError
+        col = _in_disk(zs)
+        return col.jets(self._jets(col))
 
     def values(self, zs: Sequence[complex]) -> list:
         """Per sample of zs, f there, bit for bit equal to the v0 that
         eval_jets gives, or the SampleExclusionError that excluded it."""
-        raise NotImplementedError
+        col = _in_disk(zs)
+        return col.result(self._values(col))
 
     def eval_jet(self, z: complex) -> Jet3:
         """Jet of f at z, with every field checked finite."""
@@ -171,14 +175,12 @@ class HalfPlane(FamilySpec):
 
     boundary_pole = 1.0 + 0j
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
-        col = _in_disk(zs)
-        return col.jets([(z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
-                         for z in col.zs for iu in [1.0 / (1.0 - z)]])
+    def _jets(self, col: _Rows) -> list:
+        return [(z * iu, iu * iu, 2 * iu ** 3, 6 * iu ** 4)
+                for z in col.zs for iu in [1.0 / (1.0 - z)]]
 
-    def values(self, zs: Sequence[complex]) -> list:
-        col = _in_disk(zs)
-        return col.result([z * (1.0 / (1.0 - z)) for z in col.zs])
+    def _values(self, col: _Rows) -> list:
+        return [z * (1.0 / (1.0 - z)) for z in col.zs]
 
 
 @dataclass(frozen=True)
@@ -198,27 +200,25 @@ class KAlpha(FamilySpec):
             raise ValueError(f"alpha must lie in [1, 2], got {a!r}")
         object.__setattr__(self, "alpha", a)
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
+    def _jets(self, col: _Rows) -> list:
         # (u.pow(alpha) - 1.0) / (2.0 * alpha) with u = (1 + zj) / (1 - zj),
         # which maps the disk to Re u > 0, clear of the cut
         alpha = self.alpha
         # 1/(2 alpha) as a jet; 2 alpha >= 2 passes the reciprocal's tests
         (scale,) = _jrecips([_jconst(2.0 * alpha)])
-        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         rs, xs = col.jrecip(_jsubs(repeat(_J_ONE), xs), xs)
         us = _jmuls(_jadds(xs, repeat(_J_ONE)), rs)
-        return col.jets(_jmuls(_jsubs(col.jpow(us, alpha), repeat(_J_ONE)),
-                               repeat(scale)))
+        return _jmuls(_jsubs(col.jpow(us, alpha), repeat(_J_ONE)),
+                      repeat(scale))
 
-    def values(self, zs: Sequence[complex]) -> list:
+    def _values(self, col: _Rows) -> list:
         alpha = complex(self.alpha)
         scale = 1.0 / complex(2.0 * self.alpha)  # 2 alpha >= 2: no test fails
-        col = _in_disk(zs)
         ds = [_ONE - z for z in col.zs]
         ds = col.drop(_inverse_errors(ds, col.zs), ds)
         us = [(z + _ONE) * (1.0 / d) for z, d in zip(col.zs, ds)]
-        return col.result([(e - _ONE) * scale for e in col.pow(us, alpha)])
+        return [(e - _ONE) * scale for e in col.pow(us, alpha)]
 
 
 @dataclass(frozen=True)
@@ -273,24 +273,22 @@ class AngleMap(FamilySpec):
 
     boundary_pole = 1.0 + 0j
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
+    def _jets(self, col: _Rows) -> list:
         # lead * s.pow(1.0 + b) + B with s = (zj - lam) / (lam * (zj - 1.0))
         lam, lead, B = _jconst(self.lam), _jconst(self.lead), _jconst(self.B)
-        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         rs, xs = col.jrecip(_jmuls(_jsubs(xs, repeat(_J_ONE)), repeat(lam)), xs)
         ss = _jmuls(_jsubs(xs, repeat(lam)), rs)
-        return col.jets(_jadds(_jmuls(col.jpow(ss, 1.0 + self.b), repeat(lead)),
-                               repeat(B)))
+        return _jadds(_jmuls(col.jpow(ss, 1.0 + self.b), repeat(lead)),
+                      repeat(B))
 
-    def values(self, zs: Sequence[complex]) -> list:
+    def _values(self, col: _Rows) -> list:
         lam, lead, B = self.lam, self.lead, self.B
         power = complex(1.0 + self.b)
-        col = _in_disk(zs)
         ds = [(z - _ONE) * lam for z in col.zs]
         ds = col.drop(_inverse_errors(ds, col.zs), ds)
         ss = [(z - lam) * (1.0 / d) for z, d in zip(col.zs, ds)]
-        return col.result([e * lead + B for e in col.pow(ss, power)])
+        return [e * lead + B for e in col.pow(ss, power)]
 
 
 @dataclass(frozen=True)
@@ -321,21 +319,19 @@ class Kp(FamilySpec):
         ds = [1.0 - c * z + z * z for z in col.zs]
         return c, col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
-        col = _in_disk(zs)
+    def _jets(self, col: _Rows) -> list:
         c, ds = self._denominators(col)
-        return col.jets([
+        return [
             (z / d,
              (1.0 - z2) * id2,
              2 * (c - 3 * z + z * z2) * id2 / d,
              6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2)
             for z, d in zip(col.zs, ds)
-            for id2 in [1.0 / (d * d)] for z2 in [z * z]])
+            for id2 in [1.0 / (d * d)] for z2 in [z * z]]
 
-    def values(self, zs: Sequence[complex]) -> list:
-        col = _in_disk(zs)
+    def _values(self, col: _Rows) -> list:
         _, ds = self._denominators(col)
-        return col.result([z / d for z, d in zip(col.zs, ds)])
+        return [z / d for z, d in zip(col.zs, ds)]
 
 
 def _kp_pole(z: complex) -> PoleProximityError:
@@ -353,22 +349,19 @@ class Co0Cubic(FamilySpec):
         object.__setattr__(self, "a0", complex(self.a0))
 
     @staticmethod
-    def _off_pole(zs: Sequence[complex]) -> _Rows:
-        """The samples of zs, without those inside the floor of the pole."""
-        col = _in_disk(zs)
-        col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
-        return col
+    def _off_pole(col: _Rows) -> list:
+        """col's live samples, after dropping those inside the pole's floor."""
+        return col.drop({k: _cubic_pole() for k in _floored(col.zs)}, col.zs)
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
+    def _jets(self, col: _Rows) -> list:
         a0 = self.a0
-        col = self._off_pole(zs)
-        return col.jets([(iz + a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2)
-                         for z in col.zs for iz in [1.0 / z] for iz2 in [iz * iz]])
+        return [(iz + a0 + z, 1.0 - iz2, 2 * iz2 * iz, -6 * iz2 * iz2)
+                for z in self._off_pole(col)
+                for iz in [1.0 / z] for iz2 in [iz * iz]]
 
-    def values(self, zs: Sequence[complex]) -> list:
+    def _values(self, col: _Rows) -> list:
         a0 = self.a0
-        col = self._off_pole(zs)
-        return col.result([1.0 / z + a0 + z for z in col.zs])
+        return [1.0 / z + a0 + z for z in self._off_pole(col)]
 
     def origin_laurent(self) -> tuple[complex, complex]:
         return 1.0 + 0j, 1.0 + 0j
@@ -428,26 +421,24 @@ class Laurent(FamilySpec):
             out.append((acc.v0, acc.v1, acc.v2, acc.v3))
         return out
 
-    def eval_jets(self, zs: Sequence[complex]) -> list:
+    def _jets(self, col: _Rows) -> list:
         # residue * (zj - pole).reciprocal() + poly(zj - pole), or poly(zj)
-        col = _in_disk(zs)
         xs = [(z, _ONE, 0j, 0j) for z in col.zs]
         if self.pole is None:
-            return col.jets(self._poly_jets(col.zs, xs))
+            return self._poly_jets(col.zs, xs)
         us = _jsubs(xs, repeat(_jconst(self.pole)))
         rs, us = col.jrecip(us, us)
-        return col.jets(_jadds(_jmuls(rs, repeat(_jconst(self.residue))),
-                               self._poly_jets(col.zs, us)))
+        return _jadds(_jmuls(rs, repeat(_jconst(self.residue))),
+                      self._poly_jets(col.zs, us))
 
-    def values(self, zs: Sequence[complex]) -> list:
-        col = _in_disk(zs)
+    def _values(self, col: _Rows) -> list:
         if self.pole is None:
-            return col.result(self._poly_values(col.zs))
+            return self._poly_values(col.zs)
         pole, residue = complex(self.pole), self.residue
         us = [z - pole for z in col.zs]
         us = col.drop(_inverse_errors(us, col.zs), us)
-        return col.result([1.0 / u * residue + b
-                           for u, b in zip(us, self._poly_values(us))])
+        return [1.0 / u * residue + b
+                for u, b in zip(us, self._poly_values(us))]
 
     def origin_laurent(self) -> tuple[complex, complex]:
         # a pole inside the floor of 0 is the margins' pole at 0 too

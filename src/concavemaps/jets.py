@@ -13,12 +13,13 @@ Each rule is written once, on columns of tuple jets: lists of plain
 stage. So are the tests of a rule (finiteness, degeneracy floor, branch
 cut), which return by position the error each failing entry gets.
 
-`_Rows` is the one column of samples: it runs the tests of a rule in
-their one order, drops the rows that fail, keeping each error for its
-place, and runs the rule over the rest. The catalog's kernels run it over
-whole rings (`catalog._in_disk`), the operators' `_Ring` extends it, and
-Jet3's operators run it on one row (`_one`), raising the row's error; each
-lifts its operand (`_lift`) and unpacks the one row into a Jet3 (`_jet`).
+`_Rows` is the one column of samples: it runs the tests of a rule in their
+one order, drops the rows that fail, keeping each error for its place, and
+runs the rule over the rest. FamilySpec's kernels run it over whole rings
+(`catalog._in_disk`), the operators' `_Ring` extends it, and Jet3's
+operators run it on one row (`_one`), raising the row's error; each lifts
+its operand (`_lift`: a Jet3 at its base point or any `numbers.Complex`)
+and unpacks the one row into a Jet3 (`_jet`).
 
 Sum and product alone have a per-sample form besides: Jet3's + and * run
 the sum and Leibniz rules inline, on the fields of a jet at the same base
@@ -494,27 +495,15 @@ class Jet3:
 
 def _lift(z: complex, other) -> tuple:
     """other as a tuple jet at the base point z: a Jet3's fields, or a plain
-    number lifted by `_jconst`; NotImplemented for anything else.
-
-    The exact types callers pass are tested first, so they never reach the
-    slower `numbers.Complex` check; subclasses and every other number take
-    that route.
-    """
-    t = type(other)
-    if t is Jet3:
-        jet = other
-    elif t is complex or t is float or t is int:
-        return (complex(other), 0j, 0j, 0j)  # _jconst(other), inlined
-    elif isinstance(other, Jet3):
-        jet = other
-    elif isinstance(other, _Number):
+    number lifted by `_jconst`; NotImplemented for anything else."""
+    if isinstance(other, Jet3):
+        if other.base_point != z:
+            raise BasePointMismatchError(
+                f"base points differ: {z!r} vs {other.base_point!r}")
+        return (other.v0, other.v1, other.v2, other.v3)
+    if isinstance(other, _Number):
         return _jconst(other)
-    else:
-        return NotImplemented
-    if jet.base_point != z:
-        raise BasePointMismatchError(
-            f"base points differ: {z!r} vs {jet.base_point!r}")
-    return (jet.v0, jet.v1, jet.v2, jet.v3)
+    return NotImplemented
 
 
 class _Draft:

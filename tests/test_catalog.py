@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps.catalog import (EXCLUSION_RADIUS, AngleMap, Co0Cubic,
-                                 HalfPlane, KAlpha, Kp, Laurent, _in_disk,
-                                 _require_in_disk, format_spec,
+                                 FamilySpec, HalfPlane, KAlpha, Kp, Laurent,
+                                 _in_disk, _require_in_disk, format_spec,
                                  omitted_segment, parse_spec)
 from concavemaps.errors import (NonFiniteJetError, PoleProximityError,
                                 SampleExclusionError, SpecParseError, _only)
@@ -727,6 +727,39 @@ def test_eval_jets_columns_match_the_per_sample_kernels(spec_and_zs):
     spec, zs = spec_and_zs
     assert _column_bits(spec.eval_jets, zs) == _column_bits(
         lambda col: _each(lambda z: _ref_jets(spec, z), col), zs), (spec, zs)
+
+
+class _Identity(FamilySpec):
+    """The identity map, written as the two hooks alone; its jet at the
+    sample 0.25 carries an inf v1."""
+
+    def _jets(self, col):
+        return [(z, complex(math.inf) if z == 0.25 else _ONE, 0j, 0j)
+                for z in col.zs]
+
+    def _values(self, col):
+        return list(col.zs)
+
+
+def test_a_family_of_hooks_alone_gets_the_whole_column_protocol():
+    spec = _Identity()
+    for kernel in (spec.eval_jets, spec.values):
+        with pytest.raises(ValueError,
+                           match=r"^sample \(1\.5\+0j\) is not inside"):
+            kernel([0.5j, 1.5, complex(math.nan, 0.0)])
+    zs = [0.5j, complex(math.nan, 0.0), 0.25 + 0j, -0.3 + 0j]
+    jets, values = spec.eval_jets(zs), spec.values(zs)
+    for out in (jets, values):
+        assert type(out[1]) is NonFiniteJetError
+        assert str(out[1]) == "sample (nan+0j) is not finite"
+    assert type(jets[2]) is NonFiniteJetError
+    assert str(jets[2]) == "jet field v1 is not finite: (inf+0j)"
+    assert values[2] == 0.25
+    for k in (0, 3):
+        assert jets[k] == (zs[k], _ONE, 0j, 0j)
+        assert _packed(values[k]) == _packed(jets[k][0])
+    with pytest.raises(NonFiniteJetError, match="^jet field v1 "):
+        spec.eval_jet(0.25)
 
 
 @pytest.mark.parametrize("spec", [
