@@ -48,9 +48,10 @@ and phi_prime_one_diagnostic reads phi on one ring of its three radii.
 
 For specs with the pole at the origin the z=0 sample takes the limits
 there, exact for f = res/z + b0 + b1 z + ...: zP = -2, phi3 = b1/res and
-Sf = -6 b1/res (`operators.thm3_phi3_origin`). Tokens without such a rule
-find it indeterminate, and one whose value there is not finite excludes it
-as a ring's margin does (`_finite_at_pole`).
+Sf = -6 b1/res (`operators.thm3_phi3_origin`). Each token's rule there is
+a column over the one-sample ring at 0 (`_at_pole`), run through `_column`:
+one rule excludes an overflowing margin at a ring's sample and at a pole at
+0 alike. Tokens without such a rule find it indeterminate.
 Samples inside epsilon of a pole (`FamilySpec.far_from_poles`) are excluded
 and counted, never interpolated.
 """
@@ -224,31 +225,34 @@ def _sf_at_pole(spec: FamilySpec) -> float:
     return abs(-6.0 * thm3_phi3_origin(spec))
 
 
-# z f''/f' at a simple pole at 0, whatever the Laurent tail
-_ZP_AT_POLE = -2.0 + 0j
+# f', f'', f''' and f''/f' diverge at a simple pole at 0, while z f''/f' = -2
+# there whatever the Laurent tail
+_INF = complex(math.inf)
 
 
-def _at_pole(fn, *args) -> float:
-    """fn at a pole at 0, for a token that reads f''/f' only through zp."""
-    ring = _Ring([0j])
-    ring.zp = [_ZP_AT_POLE]
-    return _only(ring.placed(fn(ring, *args)))
+def _at_pole(spec: FamilySpec, rule, args: tuple) -> float:
+    """The token's rule at a pole at 0: a column over the one-sample ring
+    there, run through _column as any ring is."""
+    ring = _Ring([0j], ([_INF], [_INF], [_INF], [_INF], [-2.0 + 0j]))
+    col, ms = _column(rule, ring, (spec, *args))
+    return _only(col.placed(ms))
 
 
-# token -> (its column over a ring, the class parameter it reads, its value
-# at a pole at 0 from the spec and the bound parameters, or None:
-# indeterminate there); thm4 also reads a = a_p_of(spec, p) unless a is given
+# token -> (its column over a ring, the class parameter it reads, its column
+# over the ring at a pole at 0, which reads the spec too (see _at_pole), or
+# None: indeterminate there); thm4 also reads a = a_p_of(spec, p) unless a
+# is given. co0, thm4 and reM read f''/f' only through zp, so their own
+# columns serve at the pole; thm3 and the corollary read (res, b1).
 _TOKENS = {
     "thm1": (_thm1, None, None),
     "thm2": (_thm2, "alpha", None),
-    "co0": (_co0, None, lambda spec: _at_pole(_co0)),
-    "thm3": (_thm3, None,
-             lambda spec: 2.0 * (2.0 * abs(thm3_phi3_origin(spec)) + 1.0)
-             - _sf_at_pole(spec)),
-    "corollary": (_corollary, None, lambda spec: 6.0 - _sf_at_pole(spec)),
-    "thm4": (_thm4, "p", lambda spec, p, a: _at_pole(_thm4, p, a)),
+    "co0": (_co0, None, lambda col, spec: _co0(col)),
+    "thm3": (_thm3, None, lambda col, spec: [
+        2.0 * (2.0 * abs(thm3_phi3_origin(spec)) + 1.0) - _sf_at_pole(spec)]),
+    "corollary": (_corollary, None, lambda col, spec: [6.0 - _sf_at_pole(spec)]),
+    "thm4": (_thm4, "p", lambda col, spec, p, a: _thm4(col, p, a)),
     "co_alpha_lhs": (_co_alpha_lhs, "alpha", None),
-    "reM": (_re_m, "p", lambda spec, p: _at_pole(_re_m, p)),
+    "reM": (_re_m, "p", lambda col, spec, p: _re_m(col, p)),
 }
 
 THEOREMS = tuple(_TOKENS)
@@ -289,19 +293,7 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
             raise ValueError(f"a must be nonnegative, got {a!r}")
         args += (a,)
     return (lambda ring: _column(fn, ring, args),
-            None if at_pole is None else lambda: _finite_at_pole(at_pole, spec, args))
-
-
-def _finite_at_pole(at_pole, spec: FamilySpec, args: tuple) -> float:
-    """A token's value at a pole at 0, excluded with NonFiniteJetError where
-    its arithmetic overflows, as _column excludes a sample of a ring."""
-    try:
-        m = at_pole(spec, *args)
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(m):
-        raise _overflowed(f"margin at {0j!r}")
-    return m
+            None if at_pole is None else lambda: _at_pole(spec, at_pole, args))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -408,8 +400,6 @@ class MarginReport:
     min_margin: float
     argmin_z: complex
     verdict: str
-    # always None; kept so that the repr perfbench's digests hash stays put
-    samples: tuple[tuple[complex, float], ...] | None = None
 
 
 def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,

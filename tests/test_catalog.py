@@ -237,6 +237,29 @@ def test_parse_errors_carry_position():
         parse_spec("co0cubic:a0=1+2x")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("halfplane:x=1", "unexpected parameters 'x=1'", 10),
+    ("kalpha:alpha", "expected key=value, got 'alpha'", 7),
+    ("kalpha:beta=1.5", "unknown parameter 'beta'", 7),
+    ("kalpha:alpha=1.5,alpha=1.2", "duplicate parameter 'alpha'", 17),
+    ("kp:", "missing required parameter 'p'", 3),
+    ("laurent:b=0,1", "coefficient list must look like [c0,c1,...]", 10),
+    ("laurent:b=[0,,1]", "empty complex literal", 13),
+    ("co0cubic:a0=x", "malformed complex literal 'x'", 12),
+    ("anglemap:a=0.5i,A=", "empty complex literal", 18),
+])
+def test_each_grammar_error_names_its_position(text, message, position):
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def test_format_spec_refuses_what_is_not_a_spec():
+    with pytest.raises(TypeError, match="^not a FamilySpec: <object object"):
+        format_spec(object())
+
+
 @pytest.mark.parametrize("text, position", [
     ("laurent:b=[0,1,1e999]", 15),
     ("laurent:p=0.5;res=1e999;b=[]", 18),

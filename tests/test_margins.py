@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from concavemaps import margins, operators
 from concavemaps.catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane,
-                                 KAlpha, Kp, Laurent, parse_spec)
+                                 KAlpha, Kp, Laurent, _units, parse_spec)
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError, SampleExclusionError,
@@ -155,7 +155,6 @@ def test_scan_halfplane_thm1():
     rep = scan(HalfPlane(), "thm1", SMALL)
     assert rep.verdict == "member-consistent"
     assert rep.min_margin >= -SMALL.margin_tol
-    assert rep.samples is None
     rings, sink = _sink()
     assert scan(HalfPlane(), "thm1", SMALL, sink=sink) == rep
     # the origin, then each ring, less the sample near the pole at 1
@@ -223,7 +222,6 @@ def test_a_tally_reduces_rings_as_the_whole_list_does(values, cuts):
     rep = scan(HalfPlane(), "thm1", SMALL, swept=(used, tally))
     assert (rep.samples_used, rep.argmin_z) == (used, complex(first))
     assert struct.pack("<dd", rep.min_margin, tally.hi) == struct.pack("<dd", lo, hi)
-    assert rep.samples is None
     # the sink gets every ring that is not empty, as it was added
     assert rings == [list(zip(map(complex, range(a, b)), values[a:b]))
                      for a, b in zip(bounds, bounds[1:]) if a < b]
@@ -307,6 +305,41 @@ def test_a_margin_at_a_pole_at_0_that_is_not_finite_is_excluded():
         with pytest.raises(NonFiniteJetError) as exc:
             margin_at(Co0Cubic(0j), z, "thm4", p=0.0, a=math.inf)
         assert str(exc.value) == f"margin at {z!r} overflowed"
+
+
+def test_a_pole_at_0_whose_schwarzian_modulus_overflows_excludes_its_sample():
+    # phi3(0) = b1/res is finite, but |Sf(0)| = |-6 b1/res| is not: thm3
+    # and the corollary exclude the origin, while co0 and reM read only zp
+    spec = parse_spec("laurent:p=0;res=1;b=[0,2.5e307+2.5e307i]")
+    for theorem in ("thm3", "corollary"):
+        with pytest.raises(NonFiniteJetError) as exc:
+            margin_at(spec, 0j, theorem)
+        assert str(exc.value) == "margin at 0j overflowed"
+    assert margin_at(spec, 0j, "co0") == 0.0
+    assert margin_at(spec, 0j, "reM", p=0.0) == 1.0
+    grid = GridConfig(geometric_radii(2), 8)
+    rep = scan(spec, "corollary", grid)
+    assert (rep.samples_used, rep.samples_excluded, rep.min_margin) == (16, 1, 6.0)
+    rep = scan(spec, "thm3", grid)
+    assert (rep.samples_used, rep.samples_excluded) == (8, 9)
+    assert rep.min_margin == -1.424891319377984e+306
+
+
+def test_a_token_exclusion_survives_the_replay_of_an_overflowing_ring():
+    # a = 1e200 overflows thm4's weight at every sample but the one on the
+    # pole of q, which thm4 excludes itself before its arithmetic
+    spec = parse_spec("laurent:b=[0,1,0.3]")
+    margin = _margin(spec, "thm4", None, 0.25, 1e200)
+    zs = [0.25 * e for e in _units(8)]
+    col, ms = margin[0](_ring(spec, zs, None))
+    placed = col.placed(ms)
+    assert isinstance(placed[0], PoleProximityError)
+    assert str(placed[0]) == "q has its pole at 0.25"
+    for z, entry in zip(zs[1:], placed[1:]):
+        assert isinstance(entry, NonFiniteJetError)
+        assert str(entry) == f"margin at {z!r} overflowed"
+    n, (tally,) = sweep(spec, GridConfig((0.25,), 8), (margin,))
+    assert (n, tally.used, tally.lo) == (9, 1, 0.0)
 
 
 def test_classify_koebe_co():

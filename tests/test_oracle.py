@@ -225,6 +225,21 @@ def test_real_axis_crossings_bracket_omitted_segment():
     assert xs[0] < left + 1e-12 and xs[-1] > right - 1e-12
 
 
+def test_real_axis_crossings_interpolate_between_samples():
+    # an open run that changes sign twice and has no sample on the axis
+    curve = oracle.CurveSample(0.5, 64, (0, 1, 2, 3),
+                               (1 + 1j, 2 - 1j, 3 - 3j, 2 + 1j),
+                               ((0.3, 6.0),), COMPLEMENT_OUTSIDE)
+    assert real_axis_crossings(curve) == (1.5, 2.25)
+    # at 4095 angles theta = pi is no sample, so the crossing there is read
+    # between the two samples beside it
+    curve = boundary_curve(Kp(0.5), 0.9999, 4095)
+    assert sum(abs(w.imag) <= oracle._AXIS_TOL for w in curve.points) == 1
+    xs = real_axis_crossings(curve)
+    assert xs == (-2.000000040004001, -0.22222225079311883)
+    assert all(abs(x - e) < 1e-3 for x, e in zip(xs, omitted_segment(0.5)))
+
+
 @pytest.mark.parametrize("text,r", [
     ("kp:p=0.5", 0.5000000000001), ("laurent:p=0.5;res=1;b=[]", 0.5000000000001),
     ("kalpha:alpha=1.5", 0.9999999999999)])

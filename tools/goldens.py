@@ -222,11 +222,15 @@ ESCAPE_RUNS = (
 
 # Limits at a pole at 0, read from b1/res: 1/z + 1e13, a Moebius map whose
 # Sf vanishes whatever b0, against co0, and 1/z + 2z^2 against cop:p=0,
-# which is Co(0) and rejects it as co0 does
+# which is Co(0) and rejects it as co0 does; then a b1 whose phi3(0) is
+# finite but whose |Sf(0)| = |-6 b1/res| overflows, so that thm3 and the
+# corollary exclude the origin while reM and co0 keep it
 ORIGIN_RUNS = (
     ("classify", "--function", "laurent:p=0;res=1;b=[1e13]", "--class", "co0"),
     ("classify", "--function", "laurent:p=0;res=1;b=[0,0,2]",
      "--class", "cop:p=0"),
+    ("classify", "--function", "laurent:p=0;res=1;b=[0,2.5e307+2.5e307i]",
+     "--class", "co0", "--radii", "2", "--angles", "8"),
 )
 
 
