@@ -37,6 +37,7 @@ import os
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -46,20 +47,12 @@ from .errors import EmptyScanError, SampleExclusionError
 from .margins import (_TOKENS, CLASS_VERDICT_OK, THEOREMS, VERDICT_OK,
                       GridConfig, MarginReport, classify, default_grid,
                       geometric_radii, parse_class, scan)
-from .oracle import DEFAULT_ANGLES, CurveSample, boundary_curve, oracle_concave
+from .oracle import (DEFAULT_ANGLES, CurveSample, boundary_curve,
+                     convexity_defect, oracle_concave)
 
 
 def _c(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
-
-
-def _grid_dict(grid: GridConfig) -> dict:
-    return {
-        "radii": list(grid.radii),
-        "angles": grid.angles,
-        "epsilon": grid.epsilon,
-        "margin_tol": grid.margin_tol,
-    }
 
 
 # rows per chunk of a table or CSV report
@@ -180,7 +173,7 @@ def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
     d = {
         "function": format_spec(spec),
         "theorem": report.theorem,
-        "grid": _grid_dict(grid),
+        "grid": asdict(grid),
         "samples_used": report.samples_used,
         "samples_excluded": report.samples_excluded,
         "min_margin": report.min_margin,
@@ -212,7 +205,7 @@ def _cmd_classify(args) -> int:
         "class": result.class_token,
         "verdict": result.verdict,
         "oracle": oracle_verdict,
-        "grid": _grid_dict(grid),
+        "grid": asdict(grid),
         "reports": reports,
     }
     if result.order is not None:
@@ -274,7 +267,7 @@ def _cmd_curve(args) -> int:
             "n": curve.n,
             "epsilon": args.epsilon,
             "orientation": curve.orientation,
-            "convexity_defect": curve.convexity_defect,
+            "convexity_defect": convexity_defect(curve),
             "excluded_arcs": _Rows({
                 "start": (a for a, _ in curve.excluded_arcs),
                 "end": (b for _, b in curve.excluded_arcs)}),

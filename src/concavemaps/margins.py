@@ -412,9 +412,10 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     sweep's (see sweep). The token and its parameters are checked before
     anything is sampled.
     swept hands over the number of grid samples and this margin's tally
-    from a sweep that already applied it, bound by the caller, as classify
-    does; scan then only reads it. Without swept, scan's own sweep hands
-    each ring's kept samples to sink, if given (see sweep).
+    from a sweep that already applied it, bound by the caller; scan then
+    only reads it. classify's reports come through it because perfbench's
+    tracer counts used samples off scan's reports. Without swept, scan's
+    own sweep hands each ring's kept samples to sink, if given (see sweep).
     """
     if grid is None:
         grid = default_grid()

@@ -33,10 +33,10 @@ than the run's own size allows (1e-15 of its largest modulus), and only a
 run with an edge that short goes through the collapse loop. The turns are
 then taken at C level, over all edges at once: atan2 of conj(e1) * e2,
 whose parts CPython's complex product makes exactly the dot and cross
-products, so each turn keeps the bits of atan2(cross, dot). A curve
-measures its turning defect when the defect is first read, and keeps it:
-the oracle reads it once per curve, a `curve` JSON report once, and a CSV
-report, which does not hold it, never.
+products, so each turn keeps the bits of atan2(cross, dot). A curve is
+turned only where its defect is asked for: once per curve by the oracle,
+once by a `curve` JSON report, and never by a CSV report, which does not
+hold it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
@@ -86,12 +85,6 @@ class CurveSample:
     points: tuple[complex, ...]
     excluded_arcs: tuple[tuple[float, float], ...]
     orientation: str
-
-    @cached_property
-    def convexity_defect(self) -> float:
-        """The defect against orientation, computed when first read and kept:
-        the oracle and a JSON curve report read it, a CSV one never does."""
-        return convexity_defect(self)
 
 
 def natural_orientation(spec: FamilySpec) -> str:
@@ -248,12 +241,12 @@ def oracle_concave(spec: FamilySpec, *, n: int = DEFAULT_ANGLES,
                    epsilon: float = EXCLUSION_RADIUS) -> str:
     """Verdict from image-curve convexity at the radii _RADII.
 
-    Each curve is judged under the spec's natural orientation (see
-    natural_orientation), through the defect it stores. Consistency needs
-    every defect below DEFECT_TOL and no growth beyond a 0.2*DEFECT_TOL
-    slack as r -> 1. The curves share one tuple of unit vectors.
+    Each curve is turned once, under the spec's natural orientation (see
+    natural_orientation). Consistency needs every defect below DEFECT_TOL
+    and no growth beyond a 0.2*DEFECT_TOL slack as r -> 1. The curves
+    share one tuple of unit vectors.
     """
-    defects = [boundary_curve(spec, r, n, epsilon).convexity_defect
+    defects = [convexity_defect(boundary_curve(spec, r, n, epsilon))
                for r in _RADII]
     ok = all(d < DEFECT_TOL for d in defects)
     slack = 0.2 * DEFECT_TOL
@@ -268,7 +261,7 @@ def real_axis_crossings(curve: CurveSample) -> tuple[float, ...]:
     out: list[float] = []
     for run in runs:
         pts = run + [run[0]] if closed else run
-        for w in pts[:-1] if closed else pts:
+        for w in run:
             if abs(w.imag) <= _AXIS_TOL:
                 out.append(w.real)
         for wa, wb in zip(pts, pts[1:]):

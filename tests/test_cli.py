@@ -337,7 +337,7 @@ def test_curve_turning_is_measured_only_for_json(fmt, reads, tmp_path,
         calls.append(curve.orientation)
         return defect(curve)
 
-    monkeypatch.setattr(oracle, "convexity_defect", counted)
+    monkeypatch.setattr(cli, "convexity_defect", counted)
     for text in ("kp:p=0.5", "halfplane", "identity"):
         calls.clear()
         assert main(["curve", "--function", text, "--angles", "256",

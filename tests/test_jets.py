@@ -182,6 +182,14 @@ def test_schwarzian_of_koebe_at_zero_is_minus_six():
     assert close(schwarzian(k), -6)
 
 
+def test_schwarzian_refuses_a_critical_point_and_an_overflow():
+    with pytest.raises(CriticalPointError, match=r"^f'\(\(0\.5\+0j\)\) = 0$"):
+        schwarzian(Jet3(0.5 + 0j, 1 + 0j, 0j, 1 + 0j, 0j))
+    # f'''/f' is finite, (3/2)(f''/f')^2 is not
+    with pytest.raises(NonFiniteJetError, match="^Schwarzian overflowed$"):
+        schwarzian(Jet3(0.5 + 0j, 1 + 0j, 1e-300 + 0j, 1e300 + 0j, 1e300 + 0j))
+
+
 def test_pre_schwarzian_needs_nonzero_derivative():
     # f''/f' is read only off an OperatorPoint's ring, which refuses f' = 0
     flat = Jet3(0j, 1.0 + 0j, 0, 1, 0)

@@ -270,6 +270,25 @@ def test_estimate_order_identity():
     assert abs(hi - 0.995) < 1e-12
 
 
+def test_estimate_order_refuses_a_grid_it_excluded_whole():
+    with pytest.raises(EmptyScanError,
+                       match="^every sample of the order estimate was excluded$"):
+        estimate_order(parse_spec("laurent:b=[0,1e-16]"),
+                       GridConfig(geometric_radii(2), 8))
+
+
+def test_classify_refuses_an_unknown_class_kind():
+    with pytest.raises(ValueError, match="^unknown class kind 'cox'$"):
+        classify(HalfPlane(), MappingClass("cox"))
+
+
+def test_a_grid_left_out_is_the_default_grid():
+    spec, grid = KAlpha(2.0), default_grid()
+    assert scan(spec, "thm1") == scan(spec, "thm1", grid)
+    assert estimate_order(spec) == estimate_order(spec, grid)
+    assert classify(spec, "co") == classify(spec, "co", grid)
+
+
 def test_phi_prime_one_koebe():
     est, seq = phi_prime_one_diagnostic(KAlpha(2.0))
     assert est is not None and abs(est - 1.0 / 3.0) < 1e-3

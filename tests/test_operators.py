@@ -220,6 +220,12 @@ def test_a_p_of_cubic_origin():
         a_p_of(Co0Cubic(0j), 1.0)
 
 
+def test_a_p_of_refuses_an_indeterminate_origin():
+    with pytest.raises(IndeterminateSampleError,
+                       match="^sample indeterminate: phi_p at 0j$"):
+        a_p_of(Kp(0.5), 1e-13)
+
+
 def test_affine_invariance():
     # every operator here reads only f''/f' and Sf, so c*f + d changes nothing
     rng = random.Random(814)

@@ -72,7 +72,7 @@ def test_reciprocal_circle_is_clean():
     curve = boundary_curve(Laurent(0.0, 1.0 + 0j, ()), 0.5, 256)
     assert curve.orientation == COMPLEMENT_INSIDE
     assert len(curve.included) == 256 and not curve.excluded_arcs
-    assert curve.convexity_defect < 1e-9
+    assert convexity_defect(curve) < 1e-9
 
 
 def test_closed_boundedness_rule():
@@ -81,12 +81,12 @@ def test_closed_boundedness_rule():
     for spec in (HalfPlane(), parse_spec("identity")):
         curve = boundary_curve(spec, 0.5, 256)
         assert not curve.excluded_arcs
-        assert abs(curve.convexity_defect - TWO_PI) < 1e-6
+        assert abs(convexity_defect(curve) - TWO_PI) < 1e-6
 
 
 def test_identity_rejected_at_default_radii():
     curve = boundary_curve(parse_spec("identity"), 0.99, 4096)
-    assert abs(curve.convexity_defect - TWO_PI) < 1e-6
+    assert abs(convexity_defect(curve) - TWO_PI) < 1e-6
     assert oracle_concave(parse_spec("identity")) == ORACLE_BAD
 
 
@@ -94,7 +94,7 @@ def test_wrong_winding_counts_all_mass():
     # 1/z + 2z^2 winds the wrong way; the defect is the whole turning mass
     spec = Laurent(0.0, 1.0 + 0j, (0j, 0j, 2.0 + 0j))
     curve = boundary_curve(spec, 0.99, 4096)
-    assert abs(curve.convexity_defect - 2.0 * TWO_PI) < 1e-3
+    assert abs(convexity_defect(curve) - 2.0 * TWO_PI) < 1e-3
 
 
 def test_excluded_arc_straddles_zero():
@@ -104,7 +104,7 @@ def test_excluded_arc_straddles_zero():
     assert len(curve.excluded_arcs) == 1
     lo, hi = curve.excluded_arcs[0]
     assert lo < TWO_PI < hi
-    assert curve.convexity_defect < 1e-9
+    assert convexity_defect(curve) < 1e-9
 
     curve = boundary_curve(Kp(0.96), 0.99, 4096)
     assert len(curve.excluded_arcs) == 1
@@ -128,11 +128,11 @@ def test_defect_is_translation_invariant():
     a = boundary_curve(Co0Cubic(0j), 0.99, 256)
     b = boundary_curve(Co0Cubic(0.3 + 0.2j), 0.99, 256)
     assert a.included == b.included
-    assert abs(a.convexity_defect - b.convexity_defect) < 1e-12
+    assert abs(convexity_defect(a) - convexity_defect(b)) < 1e-12
 
 
 def test_koebe_defects_shrink_toward_boundary():
-    ds = [boundary_curve(KAlpha(2.0), r, 4096).convexity_defect
+    ds = [convexity_defect(boundary_curve(KAlpha(2.0), r, 4096))
           for r in (0.99, 0.999, 0.9999)]
     assert ds[0] < 0.02 and ds[1] < 0.002 and ds[2] < 2e-4
     assert ds[0] > ds[1] > ds[2]
@@ -140,7 +140,7 @@ def test_koebe_defects_shrink_toward_boundary():
 
 
 def test_kp_is_oracle_clean():
-    ds = [boundary_curve(Kp(0.5), r, 4096).convexity_defect
+    ds = [convexity_defect(boundary_curve(Kp(0.5), r, 4096))
           for r in (0.99, 0.999, 0.9999)]
     assert all(d < 1e-4 for d in ds)
     assert oracle_concave(Kp(0.5)) == ORACLE_OK
@@ -183,25 +183,27 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
         return convexity_defect(curve)
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
-    # the curve's stored defect serves the natural orientation
     assert oracle._RADII == RADII
     assert oracle_concave(spec, n=n) == want
     assert calls == [natural] * len(RADII)
 
 
-def test_a_curve_measures_its_defect_when_first_read(monkeypatch):
-    calls = []
+def test_a_curve_is_turned_once_per_defect_asked_for(monkeypatch):
+    # the curve holds no defect: sampling turns nothing, and each
+    # convexity_defect call turns its one closed run once
+    turns, calls = oracle._turns, []
 
-    def counted(curve):
-        calls.append(curve.orientation)
-        return convexity_defect(curve)
+    def counted(points, closed):
+        calls.append(closed)
+        return turns(points, closed)
 
-    monkeypatch.setattr(oracle, "convexity_defect", counted)
+    monkeypatch.setattr(oracle, "_turns", counted)
     curve = boundary_curve(Kp(0.5), 0.99, 1024)
     assert calls == []
-    first = curve.convexity_defect
-    assert curve.convexity_defect == first
-    assert calls == [COMPLEMENT_INSIDE]
+    first = convexity_defect(curve)
+    assert calls == [True]
+    assert convexity_defect(curve) == first
+    assert calls == [True] * 2
 
 
 def test_equality_scan_cubic_is_everywhere():
@@ -427,7 +429,7 @@ def test_a_constant_map_carries_no_turning_to_judge(text):
 # -- curves scaled near the float range ------------------------------------------
 
 def _defects(spec):
-    return [boundary_curve(spec, r, DEFAULT_ANGLES).convexity_defect
+    return [convexity_defect(boundary_curve(spec, r, DEFAULT_ANGLES))
             for r in (0.99, 0.999, 0.9999)]
 
 
