@@ -25,10 +25,10 @@ Turning is measured per contiguous run of included angles; arcs near poles
 (by the scans' own rule, `FamilySpec.far_from_poles`) and samples that fail
 to evaluate are excluded and reported, never bridged. A sample where f
 overflows stops the curve (NonFiniteJetError): the arc it would open would
-pass for a pole's. A run with a point of modulus 2^500 or more, or with
-none of modulus 2^-250, is scaled by a power of two before it is turned, so
-that the cross and dot products of a run that far from unit size neither
-overflow nor underflow. Points collapse into one only when they lie closer
+pass for a pole's. Every run is scaled by a power of two that takes its
+largest modulus into [0.5, 1) before it is turned, so its cross and dot
+products neither overflow nor underflow, and f and 2^k f turn alike
+wherever both are exact. Points collapse into one only when they lie closer
 than the run's own size allows (1e-15 of its largest modulus), and only a
 run with an edge that short goes through the collapse loop. The turns are
 then taken at C level, over all edges at once: atan2 of conj(e1) * e2,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
                       _units, require_epsilon)
@@ -59,14 +59,8 @@ DEFECT_TOL = 5e-2
 _RADII = (0.99, 0.999, 0.9999)
 # angles per curve, for the oracle's verdicts and for `curve` by default
 DEFAULT_ANGLES = 4096
-# a curve point within this of the real axis lies on it
+# a point within this share of its run's largest coordinate lies on the axis
 _AXIS_TOL = 1e-9
-# a run with a point this far out, or with none this far, is scaled by a
-# power of two before it is turned. Kept edges are longer than 1e-15 * big,
-# so max(|cross|, |dot|) >= |e1| |e2| / sqrt(2) > 0.7e-30 * big^2, a normal
-# float for every big >= 2^-250: no right angle is lost as atan2(0, 0)
-_TURN_BIG = 2.0 ** 500
-_TURN_SMALL = 2.0 ** -250
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,11 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
     far = spec.far_from_poles(zs, epsilon)
     included = list(compress(range(n), far))
     points = spec.values(list(compress(zs, far)))
-    ok = [not isinstance(w, SampleExclusionError) for w in points]
-    if not all(ok):
+    if not all(map(complex.__instancecheck__, points)):
         for w in points:
             if isinstance(w, NonFiniteJetError):
                 raise NonFiniteJetError(f"f overflows on |z| = {r!r}: {w}")
+        ok = [not isinstance(w, SampleExclusionError) for w in points]
         included, points = list(compress(included, ok)), list(compress(points, ok))
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
@@ -165,28 +159,31 @@ def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
 def _turns(points: list[complex], closed: bool) -> list[float]:
     """Turning angles of the polygon through points: collapse, then turn.
 
-    A run whose largest modulus reaches 2^500 or lies below 2^-250 is first
-    scaled by the power of two that takes its largest coordinate into
-    [1, 2). Only a run with an edge no longer than tol = 1e-15 * max |w| is
-    collapsed: a point is kept when it lies farther than tol from the last
-    one kept. A closed run drops a last kept point within 1e-15 * |first| of
-    its first, and its closing edge joins its edges at both ends; one that
-    collapses to a point has no edge, so no turn. Each turn is atan2 of
-    conj(e1) * e2 for successive edges: one per inner vertex of an open run,
-    one per vertex of a closed one, the first at points[0]. In IEEE
-    arithmetic x - (-y) * z is x + y * z, so the product's parts are exactly
-    the dot and cross products. math.atan2 reads them, not cmath.phase,
-    which raises OverflowError where the angle underflows to 0.
+    The run is first brought to a largest modulus in [0.5, 1) by exact
+    powers of two: a quartering where that modulus overflows, two steps where
+    it is subnormal. Two edges longer than tol = 1e-15 * max |w| then keep
+    max(|cross|, |dot|) > 1e-31, a normal float, so no right angle is lost as
+    atan2(0, 0). Only a run with an edge within tol is collapsed: a point is
+    kept when it lies farther than tol from the last one kept. A closed run
+    drops a last kept point within 1e-15 * |first| of its first, and its
+    closing edge joins its edges at both ends; one that collapses to a point
+    has no edge, so no turn. Each turn is atan2 of conj(e1) * e2 for
+    successive edges: one per inner vertex of an open run, one per vertex of
+    a closed one, the first at points[0]. In IEEE arithmetic x - (-y) * z is
+    x + y * z, so the product's parts are exactly the dot and cross products.
+    math.atan2 reads them, not cmath.phase, which raises OverflowError where
+    the angle underflows to 0.
     """
     try:
         big = max(map(abs, points))
-    except OverflowError:  # an |w| beyond the floats
-        big = math.inf
-    if big >= _TURN_BIG or big < _TURN_SMALL:
-        e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
-        points = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
-                  for w in points]
+    except OverflowError:  # an |w| beyond the floats; a quarter is exact
+        points = [0.25 * w for w in points]
         big = max(map(abs, points))
+    if big < 2.0 ** -1022:  # subnormal, where 2^-e may be no float
+        points = [2.0 ** 600 * w for w in points]
+        big = max(map(abs, points))
+    big, e = math.frexp(big)
+    points = list(map(operator.mul, points, repeat(2.0 ** -e)))
     tol = 1e-15 * big
     es = list(map(operator.sub, points[1:], points))
     if min(map(abs, es), default=math.inf) <= tol:
@@ -261,11 +258,12 @@ def real_axis_crossings(curve: CurveSample) -> tuple[float, ...]:
     out: list[float] = []
     for run in runs:
         pts = run + [run[0]] if closed else run
+        tol = _AXIS_TOL * max(max(abs(w.real), abs(w.imag)) for w in run)
         for w in run:
-            if abs(w.imag) <= _AXIS_TOL:
+            if abs(w.imag) <= tol:
                 out.append(w.real)
         for wa, wb in zip(pts, pts[1:]):
-            if abs(wa.imag) > _AXIS_TOL and abs(wb.imag) > _AXIS_TOL \
+            if abs(wa.imag) > tol and abs(wb.imag) > tol \
                     and (wa.imag > 0) != (wb.imag > 0):
                 t = wa.imag / (wa.imag - wb.imag)
                 out.append(wa.real + t * (wb.real - wa.real))

@@ -25,6 +25,7 @@ from concavemaps.oracle import (COMPLEMENT_INSIDE, COMPLEMENT_OUTSIDE,
                                 boundary_curve, convexity_defect,
                                 natural_orientation,
                                 oracle_concave, real_axis_crossings)
+from test_catalog import coeff_c, nonzero_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -236,10 +237,21 @@ def test_real_axis_crossings_interpolate_between_samples():
     # at 4095 angles theta = pi is no sample, so the crossing there is read
     # between the two samples beside it
     curve = boundary_curve(Kp(0.5), 0.9999, 4095)
-    assert sum(abs(w.imag) <= oracle._AXIS_TOL for w in curve.points) == 1
+    band = oracle._AXIS_TOL * max(max(abs(w.real), abs(w.imag))
+                                  for w in curve.points)
+    assert sum(abs(w.imag) <= band for w in curve.points) == 1
     xs = real_axis_crossings(curve)
     assert xs == (-2.000000040004001, -0.22222225079311883)
     assert all(abs(x - e) < 1e-3 for x, e in zip(xs, omitted_segment(0.5)))
+
+
+def test_real_axis_crossings_read_their_band_at_the_curve_s_scale():
+    # the identity times 1e-12: under an absolute band of 1e-9 each of its
+    # 64 points lay on the axis, and each was a crossing
+    curve = boundary_curve(parse_spec("laurent:b=[0,1e-12]"), 0.99, 64)
+    assert real_axis_crossings(curve) == (-9.9e-13, 9.9e-13)
+    assert real_axis_crossings(
+        boundary_curve(parse_spec("identity"), 0.99, 64)) == (-0.99, 0.99)
 
 
 @pytest.mark.parametrize("text,r", [
@@ -323,7 +335,9 @@ def _reference_collapse(points):
 
 
 def _reference_turns(points, closed):
-    pts = _reference_collapse(points)
+    # one power of two takes the run's largest modulus into [0.5, 1)
+    e = math.frexp(max(abs(w) for w in points))[1]
+    pts = _reference_collapse([2.0 ** -e * w for w in points])
     if closed and len(pts) > 1 and abs(pts[0] - pts[-1]) <= 1e-15 * abs(
             pts[0]):
         pts.pop()
@@ -381,14 +395,17 @@ runs_with_repeats = st.lists(
 @example([0j, 1 + 0j], True, False)  # a closed run of two points
 @example([0.5 + 0.5j] * 3, True, False)  # one repeated point
 @example([0.5 + 0.5j] * 3, False, False)
-# conj(e1) * e2 = 2 + 5e-324j: its angle underflows to 0
+# conj(e1) * e2 = 2 + 5e-324j, whose angle underflows to 0; scaled by 1/4,
+# the last point loses its 5e-324
 @example([0j, 1 + 0j, 3 + 5e-324j], False, False)
+# a cross product, 2.6e-300 * 1e-9, that is subnormal at either scale
+@example([2.6017127042439317e-300 - 2j, 0j, 1e-09j], False, False)
 def test_turns_match_collapse_then_turn(points, closed, close_up):
     if close_up:
         points = points + [points[0]]  # the last point equals the first
-    # the reference does not scale: keep its products clear of underflow
+    # the reference scales in one step: keep its power of two a float
     big = max(abs(w) for w in points)
-    assume(big == 0.0 or big >= 2.0 ** -250)
+    assume(big == 0.0 or big >= 2.0 ** -1022)
     _same_turns(points, closed)
 
 
@@ -448,26 +465,65 @@ def test_a_scaled_angle_map_keeps_its_defects(c):
     assert all(abs(g - w) < 1e-9 for g, w in zip(got, want, strict=True))
 
 
+def _ldexp(w, k):
+    return complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
+
+
 @given(runs_with_repeats.filter(lambda ws: any(ws)), st.booleans(),
-       st.sampled_from((500, 700, 1000, -251, -300, -499, -502, -700, -1000)))
+       st.integers(-1000, 1000))
 @settings(max_examples=100, deadline=None)
 # short edges whose products went to 0 below 2^-250: a right angle was lost
 @example([1 + 0j, 1 + 3e-15 + 0j, 1 + 3e-15 + 3e-15j, 1j], False, -499)
-def test_a_run_past_2_to_the_500_turns_as_it_does_scaled_down(points, closed, k):
-    # a power of two takes the run's largest coordinate into [1, 2), where
-    # the turning reads it as it is, and then to [2^k, 2^(k+1)), where every
-    # modulus lies past 2^500 or below 2^-250: there the products would
-    # overflow unscaled, or underflow
+# a cross product of 2^-498 * 1e-160, subnormal where the run was not scaled
+@example([0j, 1 + 0j, 2 + 1e-160j], False, -249)
+def test_a_run_turns_alike_at_every_power_of_two_scale(points, closed, k):
+    # a power of two takes the run's largest coordinate into [1, 2), and
+    # then to [2^k, 2^(k+1)): the turning brings both to one scale
     e = 1 - math.frexp(max(max(abs(w.real), abs(w.imag)) for w in points))[1]
-    near_one = [complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
-                for w in points]
-    far = [complex(math.ldexp(w.real, k), math.ldexp(w.imag, k))
-           for w in near_one]
+    near_one = [_ldexp(w, e) for w in points]
+    far = [_ldexp(w, k) for w in near_one]
     # only a scaling that loses no bit to the subnormals is the same run
-    assume(all(complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k)) == v
-               for w, v in zip(far, near_one)))
+    assume(all(_ldexp(w, -k) == v for w, v in zip(far, near_one)))
     assert _packed(oracle._turns(far, closed)) == _packed(
         oracle._turns(near_one, closed))
+
+
+# no pole, a pole at 0 or one in (0, 0.9), and one to six coefficients
+scalable_laurents = st.builds(
+    Laurent,
+    st.one_of(st.none(), st.just(0.0),
+              st.floats(min_value=0.0, max_value=0.9, exclude_min=True,
+                        exclude_max=True)),
+    nonzero_c, st.lists(coeff_c, min_size=1, max_size=6).map(tuple))
+
+
+def _defect_bits(curve):
+    try:
+        return _packed([convexity_defect(curve)])
+    except EmptyScanError as exc:  # a constant map collapses at every scale
+        return repr(exc)
+
+
+@given(scalable_laurents, st.integers(-900, 900))
+@settings(max_examples=60, deadline=None)
+def test_a_laurent_spec_times_a_power_of_two_keeps_its_defects_bitwise(
+        spec, k):
+    # (res, b) -> 2^k (res, b) scales every point of every curve exactly,
+    # wherever no bit is lost, and then no defect may move by a bit
+    try:
+        scaled = Laurent(spec.pole, _ldexp(spec.residue, k),
+                         tuple(_ldexp(c, k) for c in spec.coeffs))
+        pairs = [(boundary_curve(spec, r, DEFAULT_ANGLES),
+                  boundary_curve(scaled, r, DEFAULT_ANGLES))
+                 for r in (0.99, 0.999, 0.9999)]
+    except (ValueError, EmptyScanError, NonFiniteJetError):
+        assume(False)  # refused at one scale, such as by the residue floor
+    for curve, far in pairs:
+        assume(far.included == curve.included)
+        assume(all(_ldexp(w, k) == v and _ldexp(v, -k) == w
+                   for w, v in zip(curve.points, far.points)))
+    assert [_defect_bits(c) for c, _ in pairs] == [
+        _defect_bits(f) for _, f in pairs]
 
 
 @pytest.mark.parametrize("c", ["1e-13", "1e-16", "1e-200", "1e-310"])

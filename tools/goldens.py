@@ -142,6 +142,14 @@ SCALED_RUNS = (
     # the identity times 2^-499, whose short edges once lost their turns
     ("curve", "--function", "laurent:b=[0,6.10987272699921e-151]", "--r",
      "0.99", "--angles", "65536", "--format", "json"),
+    # a largest modulus below the normal floats, which no power of two that
+    # is a float takes into [0.5, 1): the turning scales it in two steps
+    ("curve", "--function", "laurent:b=[0,1e-310]", "--r", "0.99",
+     "--angles", "64", "--format", "json"),
+    # finite parts whose moduli overflow a float: the turning quarters the
+    # run before it reads its scale
+    ("curve", "--function", "laurent:b=[1.272e308+1.272e308i,1e300]", "--r",
+     "0.99", "--angles", "64", "--format", "json"),
 )
 
 # Curves whose points lie closer than 1e-15 of the run's largest modulus:
