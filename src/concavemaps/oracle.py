@@ -93,9 +93,10 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
 
     Each stage walks the n samples once: r * e over catalog's unit vectors
     for n, which the grid rings use too, one far_from_poles column, one
-    values call over the samples it keeps. Excluded arcs are looked for
-    only when a sample was excluded. r, n and epsilon are checked before
-    anything is sampled."""
+    values call over the samples it keeps. Only when a sample was excluded
+    does one more pass, over the kept angles, find the excluded arcs: the
+    gaps between consecutive kept angles, where _runs_of_points cuts the
+    runs. r, n and epsilon are checked before anything is sampled."""
     r = float(r)
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
@@ -121,39 +122,32 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
 
     arcs = []
     if len(included) < n:
+        # a gap follows each kept angle a whose successor b is no neighbor;
+        # the last kept angle's successor is the first, one turn on
         step = 2.0 * math.pi / n
-        gone = sorted(set(range(n)).difference(included))
-        for run in _runs(gone, n):
-            # a run that wraps past theta = 0 ends beyond 2 pi
-            end = gone[run[-1]] + (n if run[-1] < run[0] else 0) + 1
-            arcs.append((step * gone[run[0]], step * end))
+        gaps = [(a + 1, b) for a, b in
+                zip(included, [*included[1:], included[0] + n]) if b > a + 1]
+        if gaps[-1][0] == n:  # angle n - 1 is kept: that gap begins at 0
+            gaps.insert(0, (0, gaps.pop()[1] - n))
+        arcs = [(step * a, step * b) for a, b in gaps]
     return CurveSample(r, n, tuple(included), tuple(points), tuple(arcs),
                        natural_orientation(spec))
 
 
-def _runs(indices: list[int], n: int) -> list[list[int]]:
-    """Split indices, a nonempty sorted list of angle indices in [0, n), into
-    runs of consecutive angles, each given as positions in indices. A run
-    that ends at angle n - 1 continues into the run that starts at angle 0."""
-    runs, run = [], [0]
-    for k in range(1, len(indices)):
-        if indices[k] == indices[k - 1] + 1:
-            run.append(k)
-        else:
-            runs.append(run)
-            run = [k]
-    runs.append(run)
-    if len(runs) > 1 and indices[0] == 0 and indices[-1] == n - 1:
-        runs[-1].extend(runs.pop(0))
-    return runs
-
-
 def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
-    """Contiguous included runs in cyclic order; closed iff nothing excluded."""
-    pts = curve.points
+    """Contiguous included runs in cyclic order; closed iff nothing excluded.
+
+    The kept points are cut where boundary_curve finds a gap, between
+    kept angles a and b with b > a + 1, and sliced; when angles 0 and
+    n - 1 are both kept, the run through theta = 0 is joined, last."""
+    pts, kept = curve.points, curve.included
     if len(pts) == curve.n:
         return [list(pts)], True
-    return [[pts[k] for k in run] for run in _runs(curve.included, curve.n)], False
+    cuts = [k for k, (a, b) in enumerate(zip(kept, kept[1:]), 1) if b > a + 1]
+    runs = [list(pts[i:j]) for i, j in zip([0, *cuts], [*cuts, len(pts)])]
+    if kept[0] == 0 and kept[-1] == curve.n - 1:
+        runs[-1].extend(runs.pop(0))
+    return runs, False
 
 
 def _turns(points: list[complex], closed: bool) -> list[float]:

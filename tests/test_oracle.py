@@ -272,6 +272,60 @@ def test_curve_drops_what_the_kernel_excludes(text, r):
     assert curve.excluded_arcs[0][0] == 0.0
 
 
+class _Masked(FamilySpec):
+    """A pole-free map, f(z) = z, whose exclusion column is a given mask."""
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def far_from_poles(self, zs, epsilon):
+        return list(self.mask)
+
+    def _values(self, col):
+        return list(col.zs)
+
+
+# n in [64, 130] angles, at least 3 of them kept
+keep_masks = st.integers(64, 130).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n, max_size=n)).filter(
+        lambda mask: sum(mask) >= 3)
+
+
+@given(keep_masks)
+@settings(max_examples=200, deadline=None)
+@example([False] * 5 + [True] * 59)               # a leading gap only
+@example([True] * 59 + [False] * 5)               # a trailing gap only
+@example([False] * 3 + [True] * 58 + [False] * 3)  # a gap through theta = 0
+@example([True] * 20 + [False] * 10 + [True] * 34)  # an interior gap
+@example([j % 2 == 0 for j in range(129)])        # odd n: 128 and 0 adjoin
+def test_runs_and_arcs_partition_the_angles(mask):
+    # every catalog pole is real, so specs cut only gaps around theta = 0;
+    # a mask reaches every shape of kept angles
+    n = len(mask)
+    curve = boundary_curve(_Masked(mask), 0.5, n)
+    assert curve.included == tuple(j for j in range(n) if mask[j])
+    runs, closed = oracle._runs_of_points(curve)
+    assert closed == all(mask)
+    angle = dict(zip(curve.points, curve.included))
+    held = [[angle[w] for w in run] for run in runs]
+    for run in held:
+        assert all(b == (a + 1) % n for a, b in zip(run, run[1:]))
+    flat = [w for run in runs for w in run]
+    k = curve.points.index(flat[0])
+    assert flat == [*curve.points[k:], *curve.points[:k]]
+
+    step = TWO_PI / n
+    gaps = [(round(s / step), round(e / step)) for s, e in curve.excluded_arcs]
+    assert [(step * a, step * b) for a, b in gaps] == list(curve.excluded_arcs)
+    assert all(0 <= a < b < a + n for a, b in gaps)
+    assert [a for a, _ in gaps] == sorted(a for a, _ in gaps)
+    cover = sorted([*(j for run in held for j in run),
+                    *(j % n for a, b in gaps for j in range(a, b))])
+    assert cover == list(range(n))
+    assert len(runs) == (1 if closed else len(gaps))  # kept and gone alternate
+    assert sum(b > n for _, b in gaps) == (not mask[0] and not mask[-1])
+
+
 def test_samplers_apply_the_exclusion_column_once(monkeypatch):
     calls = []
     column = FamilySpec.far_from_poles
