@@ -39,7 +39,8 @@ built by `operators._ring`, which applies the exclusion column
 once, applies the |f'| floor and excludes an f''/f' that is not finite;
 the sweep then runs every margin its caller asked for once: `classify`
 sweeps once for all the scans of a class, and a ring form that several
-margins read is computed once per ring (`_Ring.shared`). The sweep returns
+margins read is computed once per ring (`_Ring.shared`), and each margin
+that reads it loses the samples the form excludes. The sweep returns
 the number of grid samples and, per margin, a Tally that reduced its values
 ring by ring, to the count, the least and greatest value and the first
 sample within the tie band of the least, and hands each ring's kept
@@ -68,8 +69,8 @@ from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      SampleExclusionError, SpecParseError, _only)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed
-from .operators import (_a_f, _check_p, _co_alpha, _kept, _phi, _phis, _q,
-                        _ring, _Ring, _sf_norm, a_p_of, thm3_phi3_origin)
+from .operators import (_a_f, _check_p, _co_alpha, _phi, _phis, _q, _ring,
+                        _Ring, _sf_norm, a_p_of, thm3_phi3_origin)
 
 # First sample within this band of the minimum wins the argmin; the equality
 # loci of the extremal families are flat to ~1e-15, so strict < would pick a
@@ -141,31 +142,30 @@ def default_grid(preset: str = "default") -> GridConfig:
 # the samples the margin excludes, and returns its values at the others.
 
 def _thm1(col: _Ring) -> list[float]:
-    a, sfn = col.shared(_a_f), col.shared(_sf_norm)
-    sfn, a = _kept(col, sfn, a)
+    sfn, a = col.shared((_sf_norm,), *col.shared((_a_f,)))
     return [2.0 * abs(w) ** 2 - s - 2.0 for w, s in zip(a, sfn)]
 
 
 def _co_alpha_lhs(col: _Ring, alpha: float) -> list[float]:
-    return col.shared(_co_alpha, alpha)
+    return col.shared((_co_alpha, alpha))[0]
 
 
 def _thm2(col: _Ring, alpha: float) -> list[float]:
     c, w = alpha + 1.0, 2.0 * (alpha - 1.0)
+    (ms,) = col.shared((_co_alpha, alpha))
     return [m - abs(q - c / (1.0 - z)) ** 2 * (1.0 - abs(z) ** 2) / w
-            for m, z, q in zip(col.shared(_co_alpha, alpha), col.zs, col.pre)]
+            for m, z, q in zip(ms, col.zs, col.pre)]
 
 
 def _thm3(col: _Ring) -> list[float]:
-    phi3, big_phi, sfn = _phis(col, col.shared(_sf_norm))
     # every test before the arithmetic, whose overflow excludes last
-    sfn, phi3, big_phi = _kept(col, sfn, phi3, big_phi)
+    sfn, phi3, big_phi = col.shared((_sf_norm,), *_phis(col))
     return [2.0 * (2.0 * abs(f) + 1.0) * (1.0 - abs(b) ** 2) - s
             for f, b, s in zip(phi3, big_phi, sfn)]
 
 
 def _corollary(col: _Ring) -> list[float]:
-    (sfn,) = _kept(col, col.shared(_sf_norm))
+    (sfn,) = col.shared((_sf_norm,))
     return [6.0 - s for s in sfn]
 
 
@@ -177,7 +177,7 @@ def _co0(col: _Ring) -> list[float]:
 
 
 def _thm4(col: _Ring, p: float, a: float) -> list[float]:
-    (qs,) = _kept(col, col.shared(_q, p))
+    (qs,) = col.shared((_q, p))
     # -Re M - w(|z|, a) |zp + q|^2 with M = 1 + (zp + q)
     return [-(1.0 + s).real
             - (1.0 - t * t) * (1.0 + 2.0 * a * t + t * t)
@@ -187,7 +187,7 @@ def _thm4(col: _Ring, p: float, a: float) -> list[float]:
 
 
 def _re_m(col: _Ring, p: float) -> list[float]:
-    (qs,) = _kept(col, col.shared(_q, p))
+    (qs,) = col.shared((_q, p))
     return [-(1.0 + zp + q).real for zp, q in zip(col.zp, qs)]
 
 
@@ -438,7 +438,7 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
 
 
 def _abs_a(col: _Ring) -> list[float]:
-    return list(map(abs, col.shared(_a_f)))
+    return list(map(abs, col.shared((_a_f,))[0]))
 
 
 # |A_f| at a sample, from the A_f column thm1 reads too; the order estimate

@@ -18,9 +18,10 @@ be placed back in the sample's position: the drop-and-place of the column
 
 A ring form that several margins read (A_f, the Schwarzian norm, q and the
 Co(alpha) column) goes through the ring's one cache, `_Ring.shared`, which
-its copies share until they drop a sample: it is computed once per ring,
-with each sample it drops holding its error in its place, and `_kept`
-drops those samples from the copy that reads it.
+its copies share until they drop a sample: it is computed once per ring and
+kept as its values at the samples it keeps and the errors of those it
+drops, by ring position; each copy that reads it drops those samples, with
+their errors, from itself and from the columns it carries.
 
 `_ring` is the one way a ring is read off a spec's kernel: the sweep's
 rings, margin_at's sample, phi'(1)'s radii and a_p's origin. The public
@@ -48,7 +49,6 @@ from .errors import (
     NonFiniteJetError,
     PhiUndefinedError,
     PoleProximityError,
-    SampleExclusionError,
     _only,
 )
 from .jets import (DEGENERACY_FLOOR, Jet3, _below, _finite_errors,
@@ -142,17 +142,19 @@ class _Ring(_Rows):
         """The k-th live sample alone, as a one-sample ring."""
         return _Ring([self.zs[k]], [[c[k]] for c in self._columns()])
 
-    def shared(self, fn, *args) -> list:
-        """The ring form fn(ring, *args) at each live sample, or the error
-        of a sample it drops: computed once however many margins read it.
-        A copy shares the cache of its ring until either drops a sample;
-        a reader hands the column through its own drops (see _kept)."""
-        key = (fn, *args)
-        ws = self._shared.get(key)
-        if ws is None:
+    def shared(self, form: tuple, *carry: list) -> tuple[list, ...]:
+        """The ring form fn(ring, *args), form = (fn, *args), at the samples
+        it keeps, and carry, columns aligned with zs, without the samples it
+        drops, which leave the ring with their errors. The form is computed
+        once however many margins read it: a copy shares the cache of its
+        ring until either drops a sample."""
+        got = self._shared.get(form)
+        if got is None:
+            fn, *args = form
             live = _Ring(self.zs, self._columns())
-            ws = self._shared[key] = live.placed(fn(live, *args))
-        return ws
+            got = self._shared[form] = (fn(live, *args), live.errors)
+        ws, errors = got
+        return (ws, *self.drop_rows(errors, *carry))
 
 
 def _ring(spec: catalog.FamilySpec, zs: list[complex],
@@ -192,13 +194,6 @@ def _phi(col: _Ring) -> list[complex]:
     col.drop({k: _phi_undefined(col.zs[k], "phi") for k in _floored(col.v2)},
              col.zs)
     return [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
-
-
-def _kept(col: _Ring, ws: list, *carry: list) -> tuple[list, ...]:
-    """ws, a column of _Ring.shared handed through col's drops, and carry,
-    without the samples whose entry of ws is an error."""
-    return col.drop_rows({k: w for k, w in enumerate(ws)
-                          if isinstance(w, SampleExclusionError)}, ws, *carry)
 
 
 def _sf_norm(col: _Ring) -> list[float]:
@@ -247,25 +242,25 @@ def _varphi(col: _Ring, p: float) -> list[complex]:
     return [num / den for num, den in zip(nums, dens)]
 
 
-def _phis(col: _Ring, *carry: list) -> tuple[list, ...]:
+def _phis(col: _Ring) -> tuple[list, list]:
     """phi3 = (z f'' + 2f')/(z^3 f'') and Phi = (conj z - z phi3)/(1 - z^2
     phi3) at the samples where both are defined (not z = 0: pole-at-origin
-    callers use thm3_phi3_origin there), and carry with the others dropped."""
-    carry = col.drop_rows(
-        {k: _phi_undefined(col.zs[k], "phi3") for k in _floored(col.v2)}, *carry)
+    callers use thm3_phi3_origin there)."""
+    col.drop({k: _phi_undefined(col.zs[k], "phi3") for k in _floored(col.v2)},
+             col.zs)
     dens = [z ** 3 * v2 for z, v2 in zip(col.zs, col.v2)]
-    dens, *carry = col.drop_rows(
+    dens = col.drop(
         {k: IndeterminateSampleError(
             f"sample indeterminate: phi3 denominator z^3 f'' ~ 0 at {col.zs[k]!r}")
-         for k in _floored(dens)}, dens, *carry)
+         for k in _floored(dens)}, dens)
     phi3 = [(z * v2 + 2.0 * v1) / den
             for z, v1, v2, den in zip(col.zs, col.v1, col.v2, dens)]
     dens = [1.0 - z * z * f for z, f in zip(col.zs, phi3)]
-    dens, phi3, *carry = col.drop_rows(
+    dens, phi3 = col.drop_rows(
         {k: PhiUndefinedError(f"1 - z^2 phi3 vanishes at {col.zs[k]!r}")
-         for k in _floored(dens)}, dens, phi3, *carry)
-    return (phi3, [(z.conjugate() - z * f) / den
-                   for z, f, den in zip(col.zs, phi3, dens)], *carry)
+         for k in _floored(dens)}, dens, phi3)
+    return phi3, [(z.conjugate() - z * f) / den
+                  for z, f, den in zip(col.zs, phi3, dens)]
 
 
 def _check_p(p: float) -> float:

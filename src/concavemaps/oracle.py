@@ -228,16 +228,15 @@ def convexity_defect(curve: CurveSample) -> float:
     return max((abs(t) for t in turns if t * expected < 0.0), default=0.0)
 
 
-def oracle_concave(spec: FamilySpec, *, n: int = DEFAULT_ANGLES,
-                   epsilon: float = EXCLUSION_RADIUS) -> str:
+def oracle_concave(spec: FamilySpec, *, epsilon: float = EXCLUSION_RADIUS) -> str:
     """Verdict from image-curve convexity at the radii _RADII.
 
-    Each curve is turned once, under the spec's natural orientation (see
-    natural_orientation). Consistency needs every defect below DEFECT_TOL
-    and no growth beyond a 0.2*DEFECT_TOL slack as r -> 1. The curves
-    share one tuple of unit vectors.
+    Each curve, of DEFAULT_ANGLES angles, is turned once, under the spec's
+    natural orientation (see natural_orientation). Consistency needs every
+    defect below DEFECT_TOL and no growth beyond a 0.2*DEFECT_TOL slack as
+    r -> 1. The curves share one tuple of unit vectors.
     """
-    defects = [convexity_defect(boundary_curve(spec, r, n, epsilon))
+    defects = [convexity_defect(boundary_curve(spec, r, DEFAULT_ANGLES, epsilon))
                for r in _RADII]
     ok = all(d < DEFECT_TOL for d in defects)
     slack = 0.2 * DEFECT_TOL

@@ -28,9 +28,10 @@ from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       parse_spec)
 from .errors import SampleExclusionError
 from .jets import Jet3, schwarzian
-from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, classify,
-                      default_grid, estimate_order, margin_at, scan, sweep)
-from .operators import _phi, _phis, _varphi
+from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, _margin,
+                      classify, default_grid, estimate_order, margin_at, scan,
+                      sweep)
+from .operators import _phi, _phis, _ring, _varphi
 from .oracle import (ORACLE_OK, boundary_curve, oracle_concave,
                      real_axis_crossings)
 
@@ -157,16 +158,17 @@ def _c07(grid: GridConfig) -> CriterionResult:
         rep = scan(spec, "thm4", grid, p=p)
         verdicts_ok = verdicts_ok and rep.verdict == VERDICT_OK
         worst_origin = max(worst_origin, abs(margin_at(spec, 0j, "thm4", p=p)))
-    # p=0 reduction: with a=0 the thm4 margin must reproduce co0 pointwise
+    # p=0 reduction: with a=0 the thm4 margin must reproduce co0 at each
+    # draw (a radius, then its angle) of one ring, which neither may drop
     rng = random.Random(20260819)
     spec0 = Co0Cubic(0j)
-    worst_diff = 0.0
-    for _ in range(10_000):
-        r = 0.05 + 0.90 * rng.random()
-        z = r * cmath.exp(2j * cmath.pi * rng.random())
-        d = abs(margin_at(spec0, z, "thm4", p=0.0, a=0.0)
-                - margin_at(spec0, z, "co0"))
-        worst_diff = max(worst_diff, d)
+    ring = _ring(spec0, [(0.05 + 0.90 * rng.random())
+                         * cmath.exp(2j * cmath.pi * rng.random())
+                         for _ in range(10_000)], None)
+    _, thm4 = _margin(spec0, "thm4", None, 0.0, 0.0)[0](ring)
+    _, co0 = _margin(spec0, "co0", None, None, None)[0](ring)
+    worst_diff = (max(abs(m4 - m0) for m4, m0 in zip(thm4, co0))
+                  if len(thm4) == len(co0) == ring.n else math.inf)
     ok = verdicts_ok and worst_origin <= 1e-9 and worst_diff <= 1e-12
     return _res("thm4-scans-and-p0-reduction", ok,
                 f"scans_ok={verdicts_ok} max|margin(0)|={worst_origin!r} "

@@ -74,6 +74,24 @@ def test_c07_thm4_scans_and_p0_reduction(results):
     show(results, "thm4-scans-and-p0-reduction")
 
 
+def test_c07_fails_when_its_margins_lose_a_draw(monkeypatch):
+    # each column keeps 9,999 of the 10,000 draws: still aligned, but short
+    margin = verify._margin
+
+    def losing_one(*args):
+        at_ring, at_pole = margin(*args)
+
+        def lossy(ring):
+            col, ms = at_ring(ring)
+            return col, ms[1:]
+        return lossy, at_pole
+
+    monkeypatch.setattr(verify, "_margin", losing_one)
+    res = verify._c07(verify.default_grid("fast"))
+    assert not res.passed
+    assert res.detail.endswith(" max|thm4-co0|=inf")
+
+
 def test_c08_omitted_segment_crossings(results):
     show(results, "omitted-segment-crossings")
 

@@ -468,10 +468,13 @@ def test_overflowing_margins_are_excluded():
     assert res.order[1] == 1.0000000000000002e+201
 
 
-def _entries(ws):
-    """A shared column with each error as its class and message."""
-    return [(type(w), str(w)) if isinstance(w, SampleExclusionError) else w
-            for w in ws]
+def _cached(ring, form):
+    """A ring form as the ring's cache keeps it, once a copy of the ring has
+    read it: its values, and each excluded sample's position in the ring
+    with its error's class and message."""
+    ring.copy().shared(form)
+    ws, errors = ring._shared[form]
+    return ws, {k: (type(e), str(e)) for k, e in errors.items()}
 
 
 # the four ring forms that margins share, with the parameters they read
@@ -479,18 +482,45 @@ SHARED_FORMS = ((_a_f,), (_sf_norm,), (_q, 0.5), (_co_alpha, 1.5))
 
 
 def test_a_drop_keeps_a_ring_shared_columns_aligned():
-    # the Schwarzian overflows at 0, so the Schwarzian norm holds an error
-    # there, and q, whose pole is at 0.5, one at 0.5
+    # the Schwarzian overflows at 0, so the Schwarzian norm excludes it, and
+    # q, whose pole is at 0.5, excludes 0.5
     spec = parse_spec("laurent:b=[0,1e-11,1e190]")
     zs = [0j, 0.5 + 0j, 0.25j]
     ring = _ring(spec, zs, None)
-    shared = [ring.shared(*form) for form in SHARED_FORMS]
-    assert isinstance(shared[1][0], NonFiniteJetError)
-    assert isinstance(shared[2][1], PoleProximityError)
+    cached = [_cached(ring, form) for form in SHARED_FORMS]
+    assert cached[1][1] == {0: (NonFiniteJetError, "Schwarzian overflowed")}
+    assert cached[2][1] == {1: (PoleProximityError, "q has its pole at 0.5")}
+    assert [len(ws) for ws, _ in cached] == [3, 2, 2, 3]
     ring.drop({0: None}, ring.zs)
     fresh = _ring(spec, zs[1:], None)
     for form in SHARED_FORMS:
-        assert _entries(ring.shared(*form)) == _entries(fresh.shared(*form))
+        assert _cached(ring, form) == _cached(fresh, form)
+
+
+def test_two_margins_reading_one_form_both_lose_what_it_excludes(monkeypatch):
+    # thm1 and the corollary read the Schwarzian norm, which overflows at 0:
+    # the corollary's read is a cache hit, and loses 0 as thm1's does
+    spec = parse_spec("laurent:b=[0,1e-11,1e190]")
+    calls = [0]
+
+    def counted(col):
+        calls[0] += 1
+        return _sf_norm(col)
+
+    monkeypatch.setattr(operators, "_sf_norm", counted)
+    monkeypatch.setattr(margins, "_sf_norm", counted)
+    tokens = ("thm1", "corollary")
+    kept = []
+    tallies = [margins.Tally(lambda zs, ms: kept.append(zs)) for _ in tokens]
+    ring = _ring(spec, [0j, 0.5 + 0j, 0.25j], None)
+    margins._apply([_margin(spec, t, None, None, None) for t in tokens],
+                   ring, tallies)
+    assert calls == [1]
+    assert [t.used for t in tallies] == [2, 2]
+    assert kept == [[0.5 + 0j, 0.25j]] * 2
+    for t in tokens:
+        with pytest.raises(NonFiniteJetError, match="^Schwarzian overflowed$"):
+            margin_at(spec, 0j, t)
 
 
 def test_q_rejects_its_second_pole_as_its_reference_does():
@@ -669,12 +699,18 @@ def test_classify_evaluates_each_sample_once(monkeypatch):
 
 
 def test_classify_computes_each_shared_column_once_per_ring(monkeypatch):
-    # q, which reM and thm4 read, and the Co(alpha) column, which
-    # co_alpha_lhs and thm2 read, each run once per ring, the origin's
-    # included
-    rings = 1 + len(SMALL.radii)
-    for name, spec, cls in (("_q", Kp(0.5), "cop:p=0.5"),
-                            ("_co_alpha", KAlpha(1.5), "coalpha:alpha=1.5")):
+    # q, which reM and thm4 read, the Co(alpha) column, which co_alpha_lhs
+    # and thm2 read, the Schwarzian norm, which thm3 and the corollary read,
+    # and A_f, which thm1 and the order estimate read, each run once per
+    # ring: the origin's included, but for co0's pole there, which the
+    # margins read through their limits without a ring
+    for name, spec, cls, rings in (
+            ("_q", Kp(0.5), "cop:p=0.5", 1 + len(SMALL.radii)),
+            ("_co_alpha", KAlpha(1.5), "coalpha:alpha=1.5",
+             1 + len(SMALL.radii)),
+            ("_sf_norm", parse_spec("co0cubic:a0=0.3+0.2i"), "co0",
+             len(SMALL.radii)),
+            ("_a_f", HalfPlane(), "co", 1 + len(SMALL.radii))):
         calls = [0]
 
         def counted(col, *args, form=getattr(operators, name)):
@@ -685,6 +721,8 @@ def test_classify_computes_each_shared_column_once_per_ring(monkeypatch):
         monkeypatch.setattr(margins, name, counted)
         classify(spec, cls, SMALL)
         assert calls[0] == rings, name
+        # an earlier form's double would count into this form's calls
+        monkeypatch.undo()
 
 
 # -- token columns against per-sample references --------------------------------

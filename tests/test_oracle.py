@@ -150,10 +150,10 @@ def test_kp_is_oracle_clean():
 RADII = (0.99, 0.999, 0.9999)
 
 
-def _verdict_from_scratch(spec, orientation, n):
+def _verdict_from_scratch(spec, orientation):
     """The oracle's verdict rule, with every defect computed afresh under
     orientation."""
-    ds = [convexity_defect(replace(boundary_curve(spec, r, n),
+    ds = [convexity_defect(replace(boundary_curve(spec, r, DEFAULT_ANGLES),
                                    orientation=orientation))
           for r in RADII]
     ok = all(d < oracle.DEFECT_TOL for d in ds) and all(
@@ -166,17 +166,15 @@ def test_pole_override():
     assert oracle_concave(recip) == ORACLE_OK
     # judged under the boundary-pole orientation, its closed curves trip
     # the boundedness rule, flipping the verdict
-    assert _verdict_from_scratch(recip, COMPLEMENT_OUTSIDE,
-                                 DEFAULT_ANGLES) == ORACLE_BAD
+    assert _verdict_from_scratch(recip, COMPLEMENT_OUTSIDE) == ORACLE_BAD
 
 
 @pytest.mark.parametrize("spec", [HalfPlane(), Kp(0.5),
                                   Laurent(0.0, 1.0 + 0j, ()),
                                   parse_spec("identity")], ids=str)
 def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
-    n = 1024
     natural = natural_orientation(spec)
-    want = _verdict_from_scratch(spec, natural, n)
+    want = _verdict_from_scratch(spec, natural)
     calls = []
 
     def counted(curve):
@@ -185,7 +183,7 @@ def test_oracle_runs_one_turning_pass_per_curve(spec, monkeypatch):
 
     monkeypatch.setattr(oracle, "convexity_defect", counted)
     assert oracle._RADII == RADII
-    assert oracle_concave(spec, n=n) == want
+    assert oracle_concave(spec) == want
     assert calls == [natural] * len(RADII)
 
 
@@ -346,18 +344,18 @@ def test_samplers_apply_the_exclusion_column_once(monkeypatch):
 def test_oracle_curves_share_one_list_of_unit_vectors():
     units = catalog._units
     units.cache_clear()
-    oracle_concave(KAlpha(2.0), n=256)
+    oracle_concave(KAlpha(2.0))
     assert (units.cache_info().misses, units.cache_info().hits) == (1, 2)
     # a curve report and a grid of as many angles reuse them too
-    boundary_curve(KAlpha(2.0), 0.99, 256)
-    sweep(KAlpha(2.0), GridConfig((0.5,), 256), [])
+    boundary_curve(KAlpha(2.0), 0.99, DEFAULT_ANGLES)
+    sweep(KAlpha(2.0), GridConfig((0.5,), DEFAULT_ANGLES), [])
     assert (units.cache_info().misses, units.cache_info().hits) == (1, 4)
     # the angle count is refused before any unit vector is computed; 256.0
     # would otherwise be served the vectors of 256
     units.cache_clear()
     for n in (0, 63, MAX_SAMPLES + 1, 256.0, 100.5, "256"):
         with pytest.raises(ValueError, match="angles"):
-            oracle_concave(KAlpha(2.0), n=n)
+            boundary_curve(KAlpha(2.0), 0.99, n)
     assert units.cache_info().misses == units.cache_info().hits == 0
 
 

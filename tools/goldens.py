@@ -44,6 +44,8 @@ line per command: file name, exit code, argv and stderr. The commands:
     ORIGIN_RUNS);
   * `classify` and `margins` runs at 48x512 on members whose equality locus
     is flat, where many samples tie for the argmin (see TALLY_RUNS);
+  * `classify` runs in which two margins read one ring form and keep
+    different samples of it (see SHARED_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
@@ -256,6 +258,21 @@ TALLY_RUNS = (
 )
 
 
+# Two margins reading one ring form on the same ring. A Laurent tail whose
+# f'' vanishes at an outer-ring sample: thm3 drops it before it reads the
+# Schwarzian norm, so it keeps 16 of 17 samples while the corollary keeps 17.
+# And a Schwarzian that overflows at 0: thm1 loses the origin, while the
+# order estimate, which reads A_f on the same ring, keeps all 17 samples
+SHARED_RUNS = (
+    ("classify", "--function",
+     "laurent:p=0.0;res=1.0+0.0i;b=[0.0+0.0i,0.0+0.0i,"
+     "0.7178203394808415+0.7178203394808418i]",
+     "--class", "co0", "--radii", "2", "--angles", "8"),
+    ("classify", "--function", "laurent:b=[0,1e-11,1e190]", "--class", "co",
+     "--radii", "2", "--angles", "8"),
+)
+
+
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
 # grid: each runs to several blocks of rows. Then a margins CSV whose every
@@ -327,6 +344,8 @@ def _commands():
     for k, argv in enumerate(TALLY_RUNS):
         ext = "csv" if argv[-1] == "csv" else "json"
         yield f"tally-{k}.{ext}", list(argv)
+    for k, argv in enumerate(SHARED_RUNS):
+        yield f"shared-{k}.json", list(argv)
     for k, argv in enumerate(OUT_RUNS):
         yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
