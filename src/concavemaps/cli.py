@@ -8,7 +8,7 @@ timestamps and complex numbers serialize as {re, im} pairs, never strings.
 
 Every JSON report is the bytes json.dumps writes with sorted keys and a
 two-space indent, plus a newline (`_dump`). Only a curve's tables, the
-points and the excluded arcs, go another way: each is a `_Rows` of
+points and the excluded arcs, go another way: each is a `_Rows` of float
 columns, written through one template per row, so that they need no dict
 per row and skip the pure-Python encoder json falls back to whenever it
 indents.
@@ -62,25 +62,14 @@ _BLOCK = 1024
 class _Rows:
     """Columns of equal length, keyed by name, written as the JSON list of
     their rows: one object per index, with no dict built per row. A column
-    is any iterable; it is read once, a block of rows at a time."""
+    is any iterable of finite floats, each written by float.__repr__ as
+    json writes it; it is read once, a block of rows at a time. Any other
+    value raises that method's TypeError."""
 
     __slots__ = ("columns",)
 
     def __init__(self, columns: dict[str, Iterable]):
         self.columns = columns
-
-
-def _column(values: list) -> list[str]:
-    """Each of values as json writes it; TypeError if one is a container."""
-    try:
-        texts = list(map(float.__repr__, values))
-        if all(map(math.isfinite, values)):
-            return texts
-    except TypeError:  # not all floats
-        pass
-    if any(isinstance(v, (list, tuple, dict)) for v in values):
-        raise TypeError("a _Rows column holds a container")
-    return list(map(json.dumps, values))
 
 
 def _table(columns: dict[str, Iterable], pad: str) -> Iterator[str]:
@@ -95,7 +84,7 @@ def _table(columns: dict[str, Iterable], pad: str) -> Iterator[str]:
     sep = f",\n{inner}"
     head = f"[\n{inner}"
     while True:
-        block = [_column(list(islice(it, _BLOCK))) for it in its]
+        block = [list(map(float.__repr__, islice(it, _BLOCK))) for it in its]
         rows = sep.join(map(row.__mod__, zip(*block)))
         if not rows:
             break

@@ -46,9 +46,8 @@ and raise `BasePointMismatchError` otherwise. Plain numbers are lifted to
 constant jets automatically.
 
 Finiteness: the public constructor rejects non-finite fields with
-`NonFiniteJetError`, naming the first bad one; `variable` and `constant`
-test each of their fields once and call it only when one fails, so their
-errors read the same. Jet operations build their results unchecked. Ring
+`NonFiniteJetError`, naming the first bad one, as do `variable`,
+`constant` and `checked()`. Jet operations build their results unchecked. Ring
 operations cannot turn an inf or NaN back into a finite number, so only 1/w
 and exp(w) could hide one (1/inf = 0, exp(-inf) = 0): the reciprocal, log
 and exp rules test their operand's fields first (`_jfinite_errors`), and
@@ -359,9 +358,7 @@ class Jet3:
 
     def checked(self) -> "Jet3":
         """This jet, after the constructor's finiteness check."""
-        if not (_isfinite(self.v0) and _isfinite(self.v1) and _isfinite(self.v2)
-                and _isfinite(self.v3) and _isfinite(self.base_point)):
-            self.__post_init__()  # raises, naming the first bad field
+        self.__post_init__()
         return self
 
     # -- constructors -------------------------------------------------------
@@ -370,17 +367,12 @@ class Jet3:
     def variable(z: complex) -> "Jet3":
         """Jet of the identity map at z."""
         z = complex(z)
-        if not _isfinite(z):
-            Jet3(z, z, _ONE, 0j, 0j)  # raises, naming the base point
-        return _jet(z, z, _ONE, 0j, 0j)
+        return Jet3(z, z, _ONE, 0j, 0j)
 
     @staticmethod
     def constant(z: complex, c: complex) -> "Jet3":
         """Jet of the constant map c at z."""
-        z, c = complex(z), complex(c)
-        if not (_isfinite(z) and _isfinite(c)):
-            Jet3(z, c, 0j, 0j, 0j)  # raises, naming the first bad field
-        return _jet(z, c, 0j, 0j, 0j)
+        return Jet3(complex(z), complex(c), 0j, 0j, 0j)
 
     # -- ring operations -----------------------------------------------------
 

@@ -59,6 +59,7 @@ and counted, never interpolated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -466,7 +467,8 @@ _PHI1_BAND = (-0.05, 1.0 / 3.0 + 0.05)
 
 def phi_prime_one_diagnostic(spec: FamilySpec) -> tuple[float | None, tuple[float, ...]]:
     """Richardson estimate of phi'(1) from (1-phi(r))/(1-r) at three radii,
-    read on one ring. If a radius is excluded: None, and the values before it.
+    read on one ring. None if the estimate is not finite, or if a radius is
+    excluded or its quotient is not finite: then with the values before it.
 
     Soft diagnostic only: the admissible band [0, 1/3] is a boundary statement
     the interior cannot certify, so callers warn on it, never fail.
@@ -474,11 +476,12 @@ def phi_prime_one_diagnostic(spec: FamilySpec) -> tuple[float | None, tuple[floa
     ring = _ring(spec, list(map(complex, _PHI1_RADII)), None)
     ds = []
     for r, val in zip(_PHI1_RADII, ring.placed(_phi(ring))):
-        if isinstance(val, SampleExclusionError):
+        if (isinstance(val, SampleExclusionError)
+                or not cmath.isfinite(d := (1.0 - val) / (1.0 - r))):
             return None, tuple(ds)
-        ds.append(((1.0 - val) / (1.0 - r)).real)
+        ds.append(d.real)
     est = (10.0 * ds[2] - ds[1]) / 9.0
-    return est, tuple(ds)
+    return (est if math.isfinite(est) else None), tuple(ds)
 
 
 # -- classification ------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concavemaps import cli, oracle, verify
-from concavemaps.catalog import EXCLUSION_RADIUS, parse_spec
+from concavemaps.catalog import EXCLUSION_RADIUS, format_spec, parse_spec
 from concavemaps.cli import _dump, _Rows, main
 from concavemaps.margins import THEOREMS, default_grid
 from concavemaps.oracle import DEFAULT_ANGLES, boundary_curve
@@ -404,6 +404,15 @@ theorems: thm1 thm2 co0 thm3 corollary thm4 co_alpha_lhs reM
 """
 
 
+def test_readme_quotes_the_catalog_families():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Function specs", 1)[1].split("```\n")[1]
+    listing = cli._CATALOG_TEXT.split("families:\n")[1]
+    families = listing.split("complex literals:")[0]
+    assert block == families.replace("\n  ", "\n").removeprefix("  ")
+
+
 def test_margins_help_lists_every_theorem_token(capsys):
     with pytest.raises(SystemExit):
         main(["margins", "--help"])
@@ -590,6 +599,10 @@ scalars = st.one_of(
     st.text(), st.text(st.characters(max_codepoint=0x1f)),
     st.text(alphabet='%"\\/{}[]:,\n\t\u00e9\u2028\U0001f600', max_size=5))
 keys = st.one_of(st.text(max_size=6), st.sampled_from(("%s", "%", "%%", "")))
+# what a _Rows column holds: a curve's angles and coordinates, all finite
+table_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(tuple(filter(math.isfinite, EDGE_FLOATS))))
 
 
 @st.composite
@@ -629,15 +642,17 @@ def test_writer_matches_json_dumps(obj):
        st.integers(0, 6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_rows_are_written_as_their_list_of_objects(names, n, data):
-    columns = {k: data.draw(st.lists(scalars, min_size=n, max_size=n))
+    columns = {k: data.draw(st.lists(table_floats, min_size=n, max_size=n))
                for k in names}
     rows = [{k: columns[k][i] for k in names} for i in range(n)]
     assert dump({"rows": _Rows(columns)}) == _reference({"rows": rows})
 
 
 def test_rows_refuse_a_container():
-    with pytest.raises(TypeError):
-        dump({"rows": _Rows({"a": [1.0, [2.0]]})})
+    # and any other value that is not a float
+    for value in ([2.0], 2, "2", None, True):
+        with pytest.raises(TypeError):
+            dump({"rows": _Rows({"a": [1.0, value]})})
 
 
 @st.composite
@@ -649,7 +664,7 @@ def payloads_with_rows(draw):
     for _ in range(draw(st.integers(1, 2))):
         names = draw(st.lists(keys, min_size=1, max_size=3, unique=True))
         n = draw(st.integers(0, 4))
-        columns = {k: draw(st.lists(scalars, min_size=n, max_size=n))
+        columns = {k: draw(st.lists(table_floats, min_size=n, max_size=n))
                    for k in names}
         key = draw(keys)
         payload[key] = _Rows(columns)
@@ -665,16 +680,19 @@ _TEXTS = ("line\nbreak", "100%", "%s%%", "\u00e9t\u00e9 \u2028 \U0001f600", "")
 @example(({"nested": {"b": [1, {"c": {}}], "a": {"z": [[], {}]}},
            "list": [[], {}, [{"a": []}], "x\ny"], "empty": {}, "none": [],
            "text": list(_TEXTS), "%": "%", "\u00e9": {"\n": "\u00e9"},
-           "points": _Rows({"theta": [0.0, 0.5], "re": [1.0, math.nan],
-                            "im": [-0.0, math.inf]}),
+           "points": _Rows({"theta": [0.0, 0.5], "re": [1.0, 5e-324],
+                            "im": [-0.0, -1e308], "%s": [1e16, 1e-7]}),
            "arcs": _Rows({"start": [], "end": []}),
-           "words": _Rows({"w": list(_TEXTS), "%s": [None, True, 1, -2.5, 3]})},
+           "nonfinite": [math.nan, math.inf, -math.inf],
+           "words": [{"w": t, "%s": v} for t, v in
+                     zip(_TEXTS, [None, True, 1, -2.5, 3])]},
           {"nested": {"b": [1, {"c": {}}], "a": {"z": [[], {}]}},
            "list": [[], {}, [{"a": []}], "x\ny"], "empty": {}, "none": [],
            "text": list(_TEXTS), "%": "%", "\u00e9": {"\n": "\u00e9"},
-           "points": [{"theta": 0.0, "re": 1.0, "im": -0.0},
-                      {"theta": 0.5, "re": math.nan, "im": math.inf}],
+           "points": [{"theta": 0.0, "re": 1.0, "im": -0.0, "%s": 1e16},
+                      {"theta": 0.5, "re": 5e-324, "im": -1e308, "%s": 1e-7}],
            "arcs": [],
+           "nonfinite": [math.nan, math.inf, -math.inf],
            "words": [{"w": t, "%s": v} for t, v in
                      zip(_TEXTS, [None, True, 1, -2.5, 3])]}))
 def test_rows_beside_other_values_match_json_dumps(pair):
@@ -728,6 +746,32 @@ def test_json_reports_are_json_dumps_with_sorted_keys_and_indent(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code in (0, 1)
     assert out == _reference(json.loads(out))
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# three members and a control of the roster, and a map whose phi'(1)
+# quotients are not finite
+_ROSTER = verify.member_roster() + verify.control_roster()
+STRICT_RUNS = (*((format_spec(spec), cls)
+                 for spec, cls in (_ROSTER[k] for k in (0, 6, 9, -1))),
+               ("laurent:b=[0,1e300,1e-10]", "co"))
+
+
+@pytest.mark.parametrize("argv", [
+    *(["classify", "--function", text, "--class", cls] + FAST
+      for text, cls in STRICT_RUNS),
+    *(["curve", "--function", text, "--angles", "256", "--format", "json"]
+      for text, _ in STRICT_RUNS),
+    *(["margins", "--function", text, "--theorem", "thm1", "--format", "json"]
+      + FAST for text, _ in STRICT_RUNS),
+], ids=lambda argv: "-".join(argv[:3]))
+def test_json_reports_hold_no_nan_or_infinity(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 1)
+    json.loads(out, parse_constant=_not_json)
 
 
 # -- the curve CSV against the per-angle lookup it replaced -----------------------

@@ -297,6 +297,23 @@ def test_phi_prime_one_koebe():
     assert est is None
 
 
+@pytest.mark.parametrize("text, ds", [
+    # phi(0.99) is inf: no radius is read
+    ("laurent:b=[0,1e300,1e-10]", ()),
+    # (1 - phi(r))/(1 - r) overflows from r = 0.999 on
+    ("laurent:b=[0,1e306,1]", (-9.999999999999992e+307,)),
+    # three finite quotients whose estimate overflows
+    ("laurent:b=[0,-1e304,1]", (9.999999999999991e+305,
+                                9.999999999999991e+306, 1.00000000000011e+308)),
+])
+def test_phi_prime_one_is_none_where_a_quotient_or_the_estimate_overflows(
+        text, ds):
+    spec = parse_spec(text)
+    assert phi_prime_one_diagnostic(spec) == (None, ds)
+    result = classify(spec, "co", GridConfig(geometric_radii(2), 8))
+    assert result.phi1_estimate is None and result.phi1_warning is False
+
+
 def test_parse_class():
     assert parse_class("co") == MappingClass("co")
     assert parse_class("co0") == MappingClass("co0")

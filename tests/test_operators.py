@@ -2,6 +2,7 @@
 
 import cmath
 import inspect
+import math
 import random
 import re
 import struct
@@ -301,8 +302,12 @@ def _ref_phi_prime_one(spec):
             val = at(_phi, pt(spec, r))
         except SampleExclusionError:
             return None, tuple(ds)
-        ds.append(((1.0 - val) / (1.0 - r)).real)
-    return (10.0 * ds[2] - ds[1]) / 9.0, tuple(ds)
+        d = (1.0 - val) / (1.0 - r)
+        if not (math.isfinite(d.real) and math.isfinite(d.imag)):
+            return None, tuple(ds)  # a quotient that is not finite excludes r
+        ds.append(d.real)
+    est = (10.0 * ds[2] - ds[1]) / 9.0
+    return (est if math.isfinite(est) else None), tuple(ds)
 
 
 def _pole_at_0(spec):

@@ -46,6 +46,7 @@ line per command: file name, exit code, argv and stderr. The commands:
     is flat, where many samples tie for the argmin (see TALLY_RUNS);
   * `classify` runs in which two margins read one ring form and keep
     different samples of it (see SHARED_RUNS);
+  * a `classify` run whose phi'(1) quotients overflow (see PHI1_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
@@ -273,6 +274,14 @@ SHARED_RUNS = (
 )
 
 
+# A map whose phi(0.99) is inf, so that no quotient (1 - phi(r))/(1 - r) is
+# finite: the report leaves the phi'(1) estimate out and does not warn
+PHI1_RUNS = (
+    ("classify", "--function", "laurent:b=[0,1e300,1e-10]", "--class", "co",
+     "--radii", "2", "--angles", "8"),
+)
+
+
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
 # grid: each runs to several blocks of rows. Then a margins CSV whose every
@@ -346,6 +355,8 @@ def _commands():
         yield f"tally-{k}.{ext}", list(argv)
     for k, argv in enumerate(SHARED_RUNS):
         yield f"shared-{k}.json", list(argv)
+    for k, argv in enumerate(PHI1_RUNS):
+        yield f"phi1-{k}.json", list(argv)
     for k, argv in enumerate(OUT_RUNS):
         yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
