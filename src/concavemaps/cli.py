@@ -249,7 +249,7 @@ def _cmd_curve(args) -> int:
     if args.format == "csv":
         _emit(_curve_csv(curve), args.out)
     else:
-        step = 2.0 * math.pi / curve.n
+        step, arcs = 2.0 * math.pi / curve.n, curve.excluded_arcs
         payload = {
             "function": format_spec(spec),
             "r": curve.r,
@@ -257,9 +257,8 @@ def _cmd_curve(args) -> int:
             "epsilon": args.epsilon,
             "orientation": curve.orientation,
             "convexity_defect": convexity_defect(curve),
-            "excluded_arcs": _Rows({
-                "start": (a for a, _ in curve.excluded_arcs),
-                "end": (b for _, b in curve.excluded_arcs)}),
+            "excluded_arcs": _Rows({"start": (a for a, _ in arcs),
+                                    "end": (b for _, b in arcs)}),
             "points": _Rows({"theta": (step * j for j in curve.included),
                              "re": (w.real for w in curve.points),
                              "im": (w.imag for w in curve.points)}),

@@ -14,10 +14,9 @@ scannable:
     thm4          -Re M - (1-t^2)(1+2at+t^2)/(4(1+at)^2) |zP+q|^2 (class Co(p))
 
 with P = f''/f', t = |z|, q = 2p/(z-p) - 2pz/(1-pz) (0 when p = 0),
-M = 1 + zP + q and a = a_p_of(spec, p) unless margin_at is given one; a_p
-is read at the origin, so a p with 0 < p < 1e-12 is refused. A grid
-scan can only certify "member-consistent", never membership; verdicts say
-so.
+M = 1 + zP + q and a = a_p_of(spec, p); a_p is read at the origin, so a
+p with 0 < p < 1e-12 is refused. A grid scan can only certify
+"member-consistent", never membership; verdicts say so.
 
 A table holds one row per token: its column over a ring, written on the
 ring forms of `operators`, the class parameter it reads and its rule at a
@@ -241,9 +240,9 @@ def _at_pole(spec: FamilySpec, rule, args: tuple) -> float:
 
 # token -> (its column over a ring, the class parameter it reads, its column
 # over the ring at a pole at 0, which reads the spec too (see _at_pole), or
-# None: indeterminate there); thm4 also reads a = a_p_of(spec, p) unless a
-# is given. co0, thm4 and reM read f''/f' only through zp, so their own
-# columns serve at the pole; thm3 and the corollary read (res, b1).
+# None: indeterminate there); thm4 also reads a = a_p_of(spec, p). co0,
+# thm4 and reM read f''/f' only through zp, so their own columns serve at
+# the pole; thm3 and the corollary read (res, b1).
 _TOKENS = {
     "thm1": (_thm1, None, None),
     "thm2": (_thm2, "alpha", None),
@@ -265,7 +264,7 @@ Margin = tuple[Callable[[_Ring], tuple[_Ring, list[float]]],
 
 
 def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
-            p: float | None, a: float | None) -> Margin:
+            p: float | None) -> Margin:
     """The token's margin with its parameters checked and bound, before
     anything is sampled."""
     if theorem not in _TOKENS:
@@ -276,23 +275,19 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
         value = alpha if param == "alpha" else p
         if value is None:
             raise ValueError(f"{theorem} needs {param}")
-        if theorem == "thm4" and a is None and not _has_pole_at(spec, p):
+        if theorem == "thm4" and not _has_pole_at(spec, p):
             # ahead of the range check: p out of range has no pole either
             raise ValueError(
                 f"{format_spec(spec)} has no pole at z = {p!r}; thm4, the test "
                 f"of class cop:p={p!r}, reads a_p, which is defined only there")
         args = (_check_alpha(value) if param == "alpha" else _check_p(value),)
     if theorem == "thm4":
-        if a is None:
-            if 0.0 < args[0] < DEGENERACY_FLOOR:
-                raise ValueError(
-                    f"p = {p!r} lies within the {DEGENERACY_FLOOR:g} floor of "
-                    f"the origin, where thm4 reads a_p; for a pole at the "
-                    f"origin use cop:p=0")
-            a = a_p_of(spec, p)
-        elif not a >= 0.0:  # NaN too
-            raise ValueError(f"a must be nonnegative, got {a!r}")
-        args += (a,)
+        if 0.0 < args[0] < DEGENERACY_FLOOR:
+            raise ValueError(
+                f"p = {p!r} lies within the {DEGENERACY_FLOOR:g} floor of the "
+                f"origin, where thm4 reads a_p; for a pole at the origin use "
+                f"cop:p=0")
+        args += (a_p_of(spec, p),)
     return (lambda ring: _column(fn, ring, args),
             None if at_pole is None else lambda: _at_pole(spec, at_pole, args))
 
@@ -309,10 +304,9 @@ def _has_pole_at(spec: FamilySpec, q: complex) -> bool:
 
 
 def margin_at(spec: FamilySpec, z: complex, theorem: str, *,
-              alpha: float | None = None, p: float | None = None,
-              a: float | None = None) -> float:
+              alpha: float | None = None, p: float | None = None) -> float:
     """One margin value; raises SampleExclusionError on unusable samples."""
-    at_ring, at_pole = _margin(spec, theorem, alpha, p, a)
+    at_ring, at_pole = _margin(spec, theorem, alpha, p)
     z = complex(z)
     if z == 0 and _has_pole_at(spec, 0j):
         if at_pole is None:
@@ -421,8 +415,7 @@ def scan(spec: FamilySpec, theorem: str, grid: GridConfig | None = None, *,
     if grid is None:
         grid = default_grid()
     if swept is None:
-        n, (tally,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p, None),),
-                            sink)
+        n, (tally,) = sweep(spec, grid, (_margin(spec, theorem, alpha, p),), sink)
     else:
         n, tally = swept
     if not tally.used:
@@ -598,7 +591,7 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
     tokens = _CLASS_SCANS[cls.kind]
     p = cls.pole()  # the p that reM and thm4 read
 
-    margins = [_margin(spec, t, cls.alpha, p, None) for t in tokens]
+    margins = [_margin(spec, t, cls.alpha, p) for t in tokens]
     if cls.kind == "co":
         margins.append(_ORDER)
     n, tallies = sweep(spec, grid, margins)

@@ -190,10 +190,12 @@ def _pz_pole(z: complex) -> PoleProximityError:
 
 
 def _phi(col: _Ring) -> list[complex]:
-    """phi(z) = z + 2 f'/f''; a disk self-map for concave f."""
+    """phi(z) = z + 2 f'/f''; a disk self-map for concave f. A phi that is
+    not finite is excluded as overflowed, as the ring's f''/f' is."""
     col.drop({k: _phi_undefined(col.zs[k], "phi") for k in _floored(col.v2)},
              col.zs)
-    return [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
+    phis = [z + 2.0 * v1 / v2 for z, v1, v2 in zip(col.zs, col.v1, col.v2)]
+    return col.drop({k: _overflowed("phi") for k in _finite_errors(phis)}, phis)
 
 
 def _sf_norm(col: _Ring) -> list[float]:

@@ -68,17 +68,32 @@ class CurveSample:
     """Image of |z| = r under f, minus excluded arcs.
 
     included holds the surviving angle indices (theta_j = 2 pi j / n, strictly
-    increasing), points the image values aligned with them. excluded_arcs are
-    half-open angle intervals; an arc that straddles theta = 0 has its end
-    beyond 2 pi. orientation is the one the spec's pole placement dictates.
+    increasing), points the image values aligned with them. orientation is
+    the one the spec's pole placement dictates.
     """
 
     r: float
     n: int
     included: tuple[int, ...]
     points: tuple[complex, ...]
-    excluded_arcs: tuple[tuple[float, float], ...]
     orientation: str
+
+    @property
+    def excluded_arcs(self) -> tuple[tuple[float, float], ...]:
+        """The gaps between consecutive kept angles, in order, as half-open
+        angle intervals; an arc that straddles theta = 0 has its end beyond
+        2 pi. A closed curve has none, found with no pass over its angles."""
+        n, kept = self.n, self.included
+        if len(kept) == n:
+            return ()
+        # a gap follows each kept angle a whose successor b is no neighbor;
+        # the last kept angle's successor is the first, one turn on
+        step = 2.0 * math.pi / n
+        gaps = [(a + 1, b) for a, b in zip(kept, [*kept[1:], kept[0] + n])
+                if b > a + 1]
+        if gaps[-1][0] == n:  # angle n - 1 is kept: that gap begins at 0
+            gaps.insert(0, (0, gaps.pop()[1] - n))
+        return tuple((step * a, step * b) for a, b in gaps)
 
 
 def natural_orientation(spec: FamilySpec) -> str:
@@ -93,10 +108,9 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
 
     Each stage walks the n samples once: r * e over catalog's unit vectors
     for n, which the grid rings use too, one far_from_poles column, one
-    values call over the samples it keeps. Only when a sample was excluded
-    does one more pass, over the kept angles, find the excluded arcs: the
-    gaps between consecutive kept angles, where _runs_of_points cuts the
-    runs. r, n and epsilon are checked before anything is sampled."""
+    values call over the samples it keeps. The excluded arcs are left to
+    the curve's kept angles (CurveSample.excluded_arcs). r, n and epsilon
+    are checked before anything is sampled."""
     r = float(r)
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r!r}")
@@ -119,25 +133,14 @@ def boundary_curve(spec: FamilySpec, r: float, n: int,
         included, points = list(compress(included, ok)), list(compress(points, ok))
     if len(included) < 3:
         raise EmptyScanError("all arcs excluded; nothing to analyze")
-
-    arcs = []
-    if len(included) < n:
-        # a gap follows each kept angle a whose successor b is no neighbor;
-        # the last kept angle's successor is the first, one turn on
-        step = 2.0 * math.pi / n
-        gaps = [(a + 1, b) for a, b in
-                zip(included, [*included[1:], included[0] + n]) if b > a + 1]
-        if gaps[-1][0] == n:  # angle n - 1 is kept: that gap begins at 0
-            gaps.insert(0, (0, gaps.pop()[1] - n))
-        arcs = [(step * a, step * b) for a, b in gaps]
-    return CurveSample(r, n, tuple(included), tuple(points), tuple(arcs),
+    return CurveSample(r, n, tuple(included), tuple(points),
                        natural_orientation(spec))
 
 
 def _runs_of_points(curve: CurveSample) -> tuple[list[list[complex]], bool]:
     """Contiguous included runs in cyclic order; closed iff nothing excluded.
 
-    The kept points are cut where boundary_curve finds a gap, between
+    The kept points are cut where excluded_arcs finds a gap, between
     kept angles a and b with b > a + 1, and sliced; when angles 0 and
     n - 1 are both kept, the run through theta = 0 is joined, last."""
     pts, kept = curve.points, curve.included

@@ -28,9 +28,9 @@ from .catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane, KAlpha, Kp,
                       parse_spec)
 from .errors import SampleExclusionError
 from .jets import Jet3, schwarzian
-from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, _margin,
-                      classify, default_grid, estimate_order, margin_at, scan,
-                      sweep)
+from .margins import (CLASS_VERDICT_OK, VERDICT_OK, GridConfig, _co0, _column,
+                      _thm4, classify, default_grid, estimate_order, margin_at,
+                      scan, sweep)
 from .operators import _phi, _phis, _ring, _varphi
 from .oracle import (ORACLE_OK, boundary_curve, oracle_concave,
                      real_axis_crossings)
@@ -165,8 +165,8 @@ def _c07(grid: GridConfig) -> CriterionResult:
     ring = _ring(spec0, [(0.05 + 0.90 * rng.random())
                          * cmath.exp(2j * cmath.pi * rng.random())
                          for _ in range(10_000)], None)
-    _, thm4 = _margin(spec0, "thm4", None, 0.0, 0.0)[0](ring)
-    _, co0 = _margin(spec0, "co0", None, None, None)[0](ring)
+    _, thm4 = _column(_thm4, ring, (0.0, 0.0))
+    _, co0 = _column(_co0, ring, ())
     worst_diff = (max(abs(m4 - m0) for m4, m0 in zip(thm4, co0))
                   if len(thm4) == len(co0) == ring.n else math.inf)
     ok = verdicts_ok and worst_origin <= 1e-9 and worst_diff <= 1e-12

@@ -76,17 +76,13 @@ def test_c07_thm4_scans_and_p0_reduction(results):
 
 def test_c07_fails_when_its_margins_lose_a_draw(monkeypatch):
     # each column keeps 9,999 of the 10,000 draws: still aligned, but short
-    margin = verify._margin
+    column = verify._column
 
-    def losing_one(*args):
-        at_ring, at_pole = margin(*args)
+    def losing_one(fn, ring, args):
+        col, ms = column(fn, ring, args)
+        return col, ms[1:]
 
-        def lossy(ring):
-            col, ms = at_ring(ring)
-            return col, ms[1:]
-        return lossy, at_pole
-
-    monkeypatch.setattr(verify, "_margin", losing_one)
+    monkeypatch.setattr(verify, "_column", losing_one)
     res = verify._c07(verify.default_grid("fast"))
     assert not res.passed
     assert res.detail.endswith(" max|thm4-co0|=inf")

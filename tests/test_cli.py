@@ -813,7 +813,7 @@ def test_curve_csv_blocks_split_excluded_runs():
     included = tuple(j for j in range(n) if j not in gone)
     curve = oracle.CurveSample(0.5, n, included,
                                tuple(complex(j, -j / 3) for j in included),
-                               (), oracle.COMPLEMENT_OUTSIDE)
+                               oracle.COMPLEMENT_OUTSIDE)
     assert ("".join(cli._curve_csv(curve)).encode()
             == _reference_curve_csv(curve).encode())
 

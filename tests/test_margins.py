@@ -16,17 +16,18 @@ from concavemaps.catalog import (AngleMap, Co0Cubic, FamilySpec, HalfPlane,
 from concavemaps.errors import (EmptyScanError, IndeterminateSampleError,
                                 NonFiniteJetError, PhiUndefinedError,
                                 PoleProximityError, SampleExclusionError,
-                                SpecParseError)
+                                SpecParseError, _only)
 from concavemaps.jets import DEGENERACY_FLOOR
 from concavemaps.margins import (CLASS_VERDICT_BAD, CLASS_VERDICT_OK,
                                  MAX_SAMPLES, GridConfig, MappingClass,
-                                 _column, _has_pole_at, _margin, classify,
-                                 default_grid, estimate_order,
+                                 _co0, _column, _has_pole_at, _margin, _thm4,
+                                 classify, default_grid, estimate_order,
                                  geometric_radii, margin_at, parse_class,
                                  phi_prime_one_diagnostic, scan, sweep)
 from concavemaps.operators import (OperatorPoint, _a_f, _co_alpha, _phis, _q,
                                    _ring, _sf_norm, a_p_of, thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
+from test_catalog import _angle_map, coeff_c, nonzero_c
 from test_operators import _ref_phi3_origin, at
 
 SMALL = GridConfig(geometric_radii(8), 32)
@@ -37,6 +38,14 @@ def _sink():
     list of (z, value) pairs."""
     rings = []
     return rings, lambda zs, ms: rings.append(list(zip(zs, ms)))
+
+
+def _thm4_bound(spec, p, a):
+    """thm4's margin bound to p and a as given, on the same column and rule
+    at a pole at 0 as _margin's, which binds a_p and needs a pole at p."""
+    _, _, at_pole = margins._TOKENS["thm4"]
+    return (lambda ring: _column(_thm4, ring, (p, a)),
+            lambda: margins._at_pole(spec, at_pole, (p, a)))
 
 
 def _sunk(rings):
@@ -72,8 +81,6 @@ def test_margin_parameter_checks():
         margin_at(spec, 0j, "thm2")  # alpha missing
     with pytest.raises(ValueError):
         margin_at(spec, 0j, "thm4")  # p missing
-    with pytest.raises(ValueError):
-        margin_at(Kp(0.5), 0j, "thm4", p=0.5, a=-0.1)
 
 
 def test_parameters_are_checked_before_sampling(monkeypatch):
@@ -85,11 +92,6 @@ def test_parameters_are_checked_before_sampling(monkeypatch):
         scan(HalfPlane(), "thm2", SMALL, alpha=0.5)
     with pytest.raises(ValueError, match="p must lie in"):
         margin_at(Kp(0.5), 0.3, "reM", p=1.5)
-    with pytest.raises(ValueError, match="a must be nonnegative"):
-        margin_at(Kp(0.5), 0.3, "thm4", p=0.5, a=-0.1)
-    # NaN fails a < 0 as well as a >= 0: refused, not excluded per sample
-    with pytest.raises(ValueError, match="a must be nonnegative, got nan"):
-        margin_at(Co0Cubic(0j), 0.5, "thm4", p=0.0, a=math.nan)
 
 
 def test_grid_config_validation():
@@ -255,12 +257,14 @@ def test_scan_determinism():
 
 
 def test_thm4_at_p_zero_reduces_to_co0():
+    # with p = 0 and a = 0 thm4's column is co0's
     rng = random.Random(515)
     cubic = Co0Cubic(0j)
     for _ in range(100):
         z = (0.05 + 0.9 * rng.random()) * cmath.exp(2j * cmath.pi * rng.random())
-        lhs = margin_at(cubic, z, "thm4", p=0.0, a=0.0)
-        rhs = margin_at(cubic, z, "co0")
+        ring = _ring(cubic, [z], None)
+        (lhs,) = _column(_thm4, ring, (0.0, 0.0))[1]
+        (rhs,) = _column(_co0, ring, ())[1]
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -297,8 +301,53 @@ def test_phi_prime_one_koebe():
     assert est is None
 
 
+# The diagnostic reads d(h) = (1 - phi(1 - h))/h at h = 1e-3 and 1e-4 and
+# takes the Richardson step E = (10 d(h/10) - d(h))/9, h = 1e-3. For k_alpha
+# and the angle maps, phi = z + 2 f'/f'' is a Mobius map that fixes 1:
+#     k_alpha:    phi = (1 + alpha z)/(alpha + z),
+#     angle map:  phi = (2 lam - (b + 2 - b lam) z)/((b + 2) lam - b - 2 z)
+# for f = A s^(1+b) + B, s = (z - lam)/(lam (z - 1)). So d(h) = phi'(1)/(1 +
+# w h) exactly, with w = -1/(alpha + 1) and w = 2/((b + 2)(lam - 1)). The
+# step cancels the term linear in h and leaves
+#     E - phi'(1) = phi'(1) sum_{k >= 2} (-w h)^k (10^(1-k) - 1)/9,
+# whose k-th coefficient is 1/10 in size at k = 2 and below 1/9 beyond:
+#     |E - phi'(1)| <= phi'(1) x^2 (1/10 + x/(9 (1 - x))),  x = |w| h.
+# An error of 2^-49 in phi(r) moves E by at most (10/1e-4 + 1/1e-3)/9 2^-49
+# < 2.1e-11, which the bound adds.
+_PHI1_ROUNDING = 2.1e-11
+
+
+def _exact_phi1(spec):
+    """phi'(1) and w of d(h) = phi'(1)/(1 + w h), for k_alpha or an angle map."""
+    if isinstance(spec, KAlpha):
+        return (spec.alpha - 1.0) / (spec.alpha + 1.0), -1.0 / (spec.alpha + 1.0)
+    return spec.phi1, 2.0 / ((spec.b + 2.0) * (spec.lam - 1.0))
+
+
+@given(st.one_of(
+    st.builds(KAlpha, st.floats(min_value=1.0, max_value=2.0)),
+    st.builds(_angle_map, st.complex_numbers(min_magnitude=0.05,
+                                             max_magnitude=0.99),
+              nonzero_c, coeff_c).filter(lambda spec: spec is not None)))
+@settings(max_examples=200, deadline=None)
+@example(KAlpha(1.0))
+@example(KAlpha(1.5))
+@example(KAlpha(2.0))
+@example(AngleMap(-0.5 + 0j))
+@example(AngleMap(0.9j))
+@example(AngleMap(-0.3 - 0.7j))
+@example(AngleMap(0.95j))
+def test_phi_prime_one_meets_the_exact_value_within_the_richardson_bound(spec):
+    exact, w = _exact_phi1(spec)
+    x = abs(w) * 1e-3
+    bound = exact * x * x * (0.1 + x / (9.0 * (1.0 - x))) + _PHI1_ROUNDING
+    est, ds = phi_prime_one_diagnostic(spec)
+    assert len(ds) == 3
+    assert abs(est - exact) <= bound, (str(spec), est, exact, bound)
+
+
 @pytest.mark.parametrize("text, ds", [
-    # phi(0.99) is inf: no radius is read
+    # phi overflows at 0.99, and is excluded: no radius is read
     ("laurent:b=[0,1e300,1e-10]", ()),
     # (1 - phi(r))/(1 - r) overflows from r = 0.999 on
     ("laurent:b=[0,1e306,1]", (-9.999999999999992e+307,)),
@@ -337,9 +386,12 @@ def test_parse_class():
 def test_a_margin_at_a_pole_at_0_that_is_not_finite_is_excluded():
     # with a = inf, thm4's weight (1+2at+t^2)/(4(1+at)^2) is NaN at every t:
     # the pole at 0 excludes its sample as a ring excludes its own
-    for z in (0j, 0.5 + 0j):
+    spec = Co0Cubic(0j)
+    at_ring, at_pole = _thm4_bound(spec, 0.0, math.inf)
+    col, ms = at_ring(_ring(spec, [0.5 + 0j], None))
+    for z, value in ((0j, at_pole), (0.5 + 0j, lambda: _only(col.placed(ms)))):
         with pytest.raises(NonFiniteJetError) as exc:
-            margin_at(Co0Cubic(0j), z, "thm4", p=0.0, a=math.inf)
+            value()
         assert str(exc.value) == f"margin at {z!r} overflowed"
 
 
@@ -365,7 +417,7 @@ def test_a_token_exclusion_survives_the_replay_of_an_overflowing_ring():
     # a = 1e200 overflows thm4's weight at every sample but the one on the
     # pole of q, which thm4 excludes itself before its arithmetic
     spec = parse_spec("laurent:b=[0,1,0.3]")
-    margin = _margin(spec, "thm4", None, 0.25, 1e200)
+    margin = _thm4_bound(spec, 0.25, 1e200)
     zs = [0.25 * e for e in _units(8)]
     col, ms = margin[0](_ring(spec, zs, None))
     placed = col.placed(ms)
@@ -437,16 +489,12 @@ def test_thm4_needs_a_pole_at_p():
             margin_at(spec, 0.3 + 0.1j, "thm4", p=p)
         with pytest.raises(ValueError, match="thm4"):
             scan(spec, "thm4", SMALL, p=p)
-    # an explicit a needs no a_p
-    assert math.isfinite(margin_at(Kp(0.5), 0.3 + 0.1j, "thm4", p=0.0, a=0.0))
 
 
 @pytest.mark.parametrize("p", [1e-320, 5e-13])
 def test_thm4_refuses_a_p_inside_the_floor_of_the_origin(p, monkeypatch):
     # a_p is read at the origin, which lies inside the floor of a pole at p
     spec = Laurent(p, 1 + 0j, ())
-    # an explicit a reads no a_p
-    assert math.isfinite(margin_at(spec, 0.5, "thm4", p=p, a=0.0))
 
     def no_sampling(*args):
         raise AssertionError("sampled before the check of p")
@@ -530,7 +578,7 @@ def test_two_margins_reading_one_form_both_lose_what_it_excludes(monkeypatch):
     kept = []
     tallies = [margins.Tally(lambda zs, ms: kept.append(zs)) for _ in tokens]
     ring = _ring(spec, [0j, 0.5 + 0j, 0.25j], None)
-    margins._apply([_margin(spec, t, None, None, None) for t in tokens],
+    margins._apply([_margin(spec, t, None, None) for t in tokens],
                    ring, tallies)
     assert calls == [1]
     assert [t.used for t in tallies] == [2, 2]
@@ -610,7 +658,7 @@ def test_theorem_margins_keep_their_pointwise_order():
     grid = default_grid("fast")
     checked = [0, 0]
     for spec, _ in ROSTER:
-        swept = _swept(spec, grid, *(_margin(spec, t, alpha, None, None)
+        swept = _swept(spec, grid, *(_margin(spec, t, alpha, None)
                                      for alpha in ALPHA_LADDER
                                      for t in ("co_alpha_lhs", "thm2")))
         lhs = swept[::2]
@@ -625,8 +673,8 @@ def test_theorem_margins_keep_their_pointwise_order():
             lambda col: [abs(f) for f in _phis(col)[0]], ring, ()),
             lambda: abs(thm3_phi3_origin(spec)))
         thm3, corollary, phi3 = _swept(
-            spec, grid, _margin(spec, "thm3", None, None, None),
-            _margin(spec, "corollary", None, None, None), abs_phi3)
+            spec, grid, _margin(spec, "thm3", None, None),
+            _margin(spec, "corollary", None, None), abs_phi3)
         assert thm3.keys() <= corollary.keys() and thm3.keys() <= phi3.keys()
         inside = [z for z in thm3 if phi3[z] <= 1.0]
         assert all(corollary[z] >= thm3[z] for z in inside), str(spec)
@@ -866,7 +914,7 @@ def _ref_tokens(alpha, p, a):
             2.0 * abs(_ref_phi3_origin(spec)) + 1.0) - _ref_sf_at_pole(spec)),
         "corollary": ({}, lambda pt: 6.0 - _ref_schwarzian_norm(pt),
                       lambda spec: 6.0 - _ref_sf_at_pole(spec)),
-        "thm4": ({"p": p, "a": a}, *zp(_ref_thm4, p, a)),
+        "thm4": ({"p": p}, *zp(_ref_thm4, p, a)),
         "co_alpha_lhs": ({"alpha": alpha},
                          lambda pt: _ref_co_alpha_lhs(pt, alpha), None),
         "reM": ({"p": p}, *zp(_ref_re_m, p)),
@@ -903,6 +951,15 @@ def _raised(entry):
     if isinstance(entry, SampleExclusionError):
         raise entry
     return entry
+
+
+def _at_sample(spec, z, theorem, kw, margin):
+    """margin_at's value at z; for thm4, bound to a drawn a, the margin's
+    own on the one-sample ring that margin_at reads."""
+    if theorem != "thm4":
+        return margin_at(spec, z, theorem, **kw)
+    col, ms = margin[0](_ring(spec, [z], None))
+    return _only(col.placed(ms))
 
 
 small_c = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
@@ -971,8 +1028,10 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
     # one ring for every token, as the sweep has it
     rings = [(zs, eps, _ring(spec, zs, eps)) for zs, eps in rings]
     for theorem, (kw, ref, ref_at_pole) in _ref_tokens(alpha, p, a).items():
-        margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"),
-                         kw.get("a"))
+        if theorem == "thm4":
+            margin = _thm4_bound(spec, p, a)
+        else:
+            margin = _margin(spec, theorem, kw.get("alpha"), kw.get("p"))
         # per grid sample, its z and its packed reference: the margin, the
         # class and message of its exclusion, or None near a pole, where
         # the ring holds a PoleProximityError naming the sample and epsilon
@@ -991,7 +1050,8 @@ def test_token_columns_match_pointwise_formulas(spec, nr, angles, epsilon,
                 want = _packed(lambda: _ref_margin(ref, spec, z))
                 assert _packed(lambda: _raised(got)) == want, (
                     str(spec), theorem, z)
-                assert _packed(lambda: margin_at(spec, z, theorem, **kw)) == want
+                assert _packed(lambda: _at_sample(spec, z, theorem, kw,
+                                                  margin)) == want
                 want_swept.append((z, want))
         # the sweep keeps exactly the samples with a margin, in grid order
         handed, sink = _sink()

@@ -22,7 +22,7 @@ from concavemaps.errors import (CriticalPointError, IndeterminateSampleError,
 from concavemaps.jets import DEGENERACY_FLOOR, Jet3, schwarzian
 from concavemaps.margins import _re_m, margin_at, phi_prime_one_diagnostic
 from concavemaps.operators import (OperatorPoint, _a_f, _phi, _phis, _q,
-                                   _Ring, _sf_norm, _varphi, a_p_of,
+                                   _ring, _Ring, _sf_norm, _varphi, a_p_of,
                                    thm3_phi3_origin)
 from concavemaps.verify import control_roster, member_roster
 from jet_reference import reciprocal_jet
@@ -416,6 +416,16 @@ def test_phi_prime_one_keeps_the_radii_before_the_first_excluded_one():
         None, (-48086.99999999995,))
     with pytest.raises(PhiUndefinedError):
         at(_phi, pt(F2_ZERO_AT_0999, 0.999))
+
+
+def test_a_phi_that_overflows_is_excluded():
+    # f' ~ 1e300 and f'' ~ 2e-10: 2 f'/f'' overflows at each of the
+    # diagnostic's radii, while f''/f' ~ 2e-310 is finite
+    spec = parse_spec("laurent:b=[0,1e300,1e-10]")
+    ring = _ring(spec, [0.99 + 0j, 0.999 + 0j, 0.9999 + 0j], None)
+    assert [(type(w), str(w)) for w in ring.placed(_phi(ring))] == [
+        (NonFiniteJetError, "phi overflowed")] * 3
+    assert phi_prime_one_diagnostic(spec) == (None, ())
 
 
 def _public_functions(module):

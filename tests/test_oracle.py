@@ -230,7 +230,7 @@ def test_real_axis_crossings_interpolate_between_samples():
     # an open run that changes sign twice and has no sample on the axis
     curve = oracle.CurveSample(0.5, 64, (0, 1, 2, 3),
                                (1 + 1j, 2 - 1j, 3 - 3j, 2 + 1j),
-                               ((0.3, 6.0),), COMPLEMENT_OUTSIDE)
+                               COMPLEMENT_OUTSIDE)
     assert real_axis_crossings(curve) == (1.5, 2.25)
     # at 4095 angles theta = pi is no sample, so the crossing there is read
     # between the two samples beside it
