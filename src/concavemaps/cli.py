@@ -157,18 +157,10 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 def _report_dict(spec: FamilySpec, report: MarginReport, grid: GridConfig,
                  alpha: float | None, p: float | None) -> dict:
-    """The report's JSON object; of alpha and p it names the class
-    parameter its theorem reads, if any."""
-    d = {
-        "function": format_spec(spec),
-        "theorem": report.theorem,
-        "grid": asdict(grid),
-        "samples_used": report.samples_used,
-        "samples_excluded": report.samples_excluded,
-        "min_margin": report.min_margin,
-        "argmin_z": _c(report.argmin_z),
-        "verdict": report.verdict,
-    }
+    """The report's record as a JSON object, with its spec and grid; of
+    alpha and p it names the class parameter its theorem reads, if any."""
+    d = {**asdict(report), "function": format_spec(spec), "grid": asdict(grid),
+         "argmin_z": _c(report.argmin_z)}
     param = _TOKENS[report.theorem][1]
     if param is not None:
         d[param] = alpha if param == "alpha" else p

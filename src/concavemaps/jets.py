@@ -17,21 +17,22 @@ cut), which return by position the error each failing entry gets.
 one order, drops the rows that fail, keeping each error for its place, and
 runs the rule over the rest. FamilySpec's kernels run it over whole rings
 (`catalog._in_disk`), the operators' `_Ring` extends it, and Jet3's
-operators run it on one row (`_one`), raising the row's error; each lifts
-its operand (`_lift`: a Jet3 at its base point or any `numbers.Complex`)
-and unpacks the one row into a Jet3 (`_jet`).
+operators run it on one row (`_one`), raising the row's error: the binary
+ones through `Jet3._row`, which lifts the operand (a Jet3 at the same base
+point, or any `numbers.Complex` by `_jconst`) and wraps the result (`_jet`),
+and reciprocal, log, exp and pow through `Jet3._unary`.
 
 Sum and product alone have a per-sample form besides: Jet3's + and * run
-the sum and Leibniz rules inline, on the fields of a jet at the same base
-point or of a lifted complex, and build their result in place. Each does
-its column form's (`_jadds`, `_jmuls`) complex operations in the same
-order, so the two agree bit for bit. Laurent's jet Horner runs 2 (k - 1) of
-them per sample of a k-coefficient series (it folds its first step, from
-the zero jet), where a one-row column costs twice as much. They stay
-operators because the benchmark counts Jet3's operator calls; they go when
-it counts column rules instead and the Horner moves onto columns. The rules
-and `_lift` stay private: perfbench's tracer spans every public function of
-this module, and a span per arithmetic step would swamp a traced run.
+the sum and Leibniz rules inline on a jet at the same base point (+ on a
+complex too), and leave any other operand to `_row`. Each does its column
+form's (`_jadds`, `_jmuls`) complex operations in the same order, so the
+two agree bit for bit. Laurent's jet Horner runs 2 (k - 1) of them per
+sample of a k-coefficient series (it folds its first step, from the zero
+jet), where a one-row column costs twice as much. They stay operators
+because the benchmark counts Jet3's operator calls; they go when it counts
+column rules instead and the Horner moves onto columns. The rules stay
+private: perfbench's tracer spans every public function of this module,
+and a span per arithmetic step would swamp a traced run.
 `_schwarzians` is the Schwarzian from fields over a column, which the grid
 scans call once per ring and `schwarzian` for one jet.
 
@@ -385,10 +386,7 @@ class Jet3:
         elif t is complex:
             b0, b1, b2, b3 = other, 0j, 0j, 0j
         else:
-            o = _lift(z, other)
-            if o is NotImplemented:
-                return NotImplemented
-            b0, b1, b2, b3 = o
+            return self._row(other, _jadds)
         j = _Draft()
         j.base_point = z
         j.v0 = self.v0 + b0
@@ -404,31 +402,17 @@ class Jet3:
         return _jet(self.base_point, -self.v0, -self.v1, -self.v2, -self.v3)
 
     def __sub__(self, other) -> "Jet3":
-        z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
-            return NotImplemented
-        (v,) = _jsubs([(self.v0, self.v1, self.v2, self.v3)], [o])
-        return _jet(z, *v)
+        return self._row(other, _jsubs)
 
     def __rsub__(self, other) -> "Jet3":
-        z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
-            return NotImplemented
-        (v,) = _jsubs([o], [(self.v0, self.v1, self.v2, self.v3)])
-        return _jet(z, *v)
+        return self._row(other, _jsubs, swap=True)
 
     def __mul__(self, other) -> "Jet3":
         # _jmuls on one row, inline: see the module docstring
         z = self.base_point
-        if type(other) is Jet3 and other.base_point == z:
-            b0, b1, b2, b3 = other.v0, other.v1, other.v2, other.v3
-        else:
-            o = _lift(z, other)
-            if o is NotImplemented:
-                return NotImplemented
-            b0, b1, b2, b3 = o
+        if type(other) is not Jet3 or other.base_point != z:
+            return self._row(other, _jmuls)
+        b0, b1, b2, b3 = other.v0, other.v1, other.v2, other.v3
         a0, a1, a2, a3 = self.v0, self.v1, self.v2, self.v3
         j = _Draft()
         j.base_point = z
@@ -441,61 +425,58 @@ class Jet3:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Jet3":
-        """Jet of 1/f. Quotient rule to third order."""
-        z = self.base_point
-        return _jet(z, *_one(z, _jrecip, (self.v0, self.v1, self.v2, self.v3)))
-
     def __truediv__(self, other) -> "Jet3":
-        z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
-            return NotImplemented
-        (v,) = _jmuls([(self.v0, self.v1, self.v2, self.v3)],
-                      [_one(z, _jrecip, o)])
-        return _jet(z, *v)
+        return self._row(other, _jmuls, quotient=True)
 
     def __rtruediv__(self, other) -> "Jet3":
+        return self._row(other, _jmuls, swap=True, quotient=True)
+
+    def _row(self, other, rule, swap: bool = False,
+             quotient: bool = False) -> "Jet3":
+        """rule on the one row (self, other), or (other, self) with swap,
+        other lifted to a tuple jet at this base point (NotImplemented if
+        it is no number); quotient takes the second operand's reciprocal."""
         z = self.base_point
-        o = _lift(z, other)
-        if o is NotImplemented:
+        if isinstance(other, Jet3):
+            if other.base_point != z:
+                raise BasePointMismatchError(
+                    f"base points differ: {z!r} vs {other.base_point!r}")
+            b = (other.v0, other.v1, other.v2, other.v3)
+        elif isinstance(other, _Number):
+            b = _jconst(other)
+        else:
             return NotImplemented
-        (v,) = _jmuls([o], [_one(z, _jrecip, (self.v0, self.v1, self.v2, self.v3))])
+        a = (self.v0, self.v1, self.v2, self.v3)
+        if swap:
+            a, b = b, a
+        (v,) = rule([a], [_one(z, _jrecip, b) if quotient else b])
         return _jet(z, *v)
 
     # -- elementary functions --------------------------------------------------
 
+    def reciprocal(self) -> "Jet3":
+        """Jet of 1/f. Quotient rule to third order."""
+        return self._unary(_jrecip)
+
     def log(self) -> "Jet3":
-        z = self.base_point
-        return _jet(z, *_one(z, _Rows.jlog, (self.v0, self.v1, self.v2, self.v3)))
+        return self._unary(_Rows.jlog)
 
     def exp(self) -> "Jet3":
-        z = self.base_point
-        return _jet(z, *_one(z, _Rows.jexp, (self.v0, self.v1, self.v2, self.v3)))
+        return self._unary(_Rows.jexp)
 
     def pow(self, exponent: complex) -> "Jet3":
         """Principal-branch power, computed as exp(exponent * log(self))."""
-        z = self.base_point
-        return _jet(z, *_one(z, _Rows.jpow, (self.v0, self.v1, self.v2, self.v3),
-                             exponent))
+        return self._unary(_Rows.jpow, exponent)
 
     def __pow__(self, exponent) -> "Jet3":
         if isinstance(exponent, _Number):
             return self.pow(complex(exponent))
         return NotImplemented
 
-
-def _lift(z: complex, other) -> tuple:
-    """other as a tuple jet at the base point z: a Jet3's fields, or a plain
-    number lifted by `_jconst`; NotImplemented for anything else."""
-    if isinstance(other, Jet3):
-        if other.base_point != z:
-            raise BasePointMismatchError(
-                f"base points differ: {z!r} vs {other.base_point!r}")
-        return (other.v0, other.v1, other.v2, other.v3)
-    if isinstance(other, _Number):
-        return _jconst(other)
-    return NotImplemented
+    def _unary(self, rule, *args) -> "Jet3":
+        """The rule of `_Rows` on this jet's one row (`_one`), wrapped."""
+        z = self.base_point
+        return _jet(z, *_one(z, rule, (self.v0, self.v1, self.v2, self.v3), *args))
 
 
 class _Draft:

@@ -51,7 +51,9 @@ there, exact for f = res/z + b0 + b1 z + ...: zP = -2, phi3 = b1/res and
 Sf = -6 b1/res (`operators.thm3_phi3_origin`). Each token's rule there is
 a column over the one-sample ring at 0 (`_at_pole`), run through `_column`:
 one rule excludes an overflowing margin at a ring's sample and at a pole at
-0 alike. Tokens without such a rule find it indeterminate.
+0 alike. Tokens without such a rule find it indeterminate. A pole inside
+the 1e-12 floor of 0 that has no such limits (k_p at a tiny p) is refused
+for every token with a rule there, before anything is sampled.
 Samples inside epsilon of a pole (`FamilySpec.far_from_poles`) are excluded
 and counted, never interpolated.
 """
@@ -288,6 +290,8 @@ def _margin(spec: FamilySpec, theorem: str, alpha: float | None,
                 f"origin, where thm4 reads a_p; for a pole at the origin use "
                 f"cop:p=0")
         args += (a_p_of(spec, p),)
+    if at_pole is not None and _has_pole_at(spec, 0j):
+        spec.origin_laurent()  # ValueError for a pole at 0 without limits
     return (lambda ring: _column(fn, ring, args),
             None if at_pole is None else lambda: _at_pole(spec, at_pole, args))
 

@@ -410,7 +410,7 @@ def _any_jet(base_point):
 
 class _OwnComplex(complex):
     """A complex with arithmetic of its own, which an operand escapes only
-    when the operators lift it to an exact complex, as `_lift` does."""
+    when the operators lift it to an exact complex, as `Jet3._row` does."""
 
     def _own(self, other):
         return complex(-7.0, 7.0)

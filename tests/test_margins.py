@@ -513,6 +513,28 @@ def test_thm4_reads_a_p_at_the_floor_itself():
     assert math.isfinite(margin_at(spec, 0.5, "thm4", p=DEGENERACY_FLOOR))
 
 
+def test_a_pole_inside_the_floor_of_0_without_limits_there_is_refused(
+        monkeypatch):
+    # k_p's pole at p = 1e-13 lies inside the floor of 0, so the scans read
+    # the origin by the limits at a pole at 0, which need (res, b1) there;
+    # but k_p's origin is a regular point, where co0's margin is -1, not the
+    # pole limit's 0
+    spec = Kp(1e-13)
+    jet = spec.eval_jet(0j)
+    assert (jet.v0, jet.v1) == (0j, 1 + 0j)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the limits were read")
+
+    monkeypatch.setattr(Kp, "eval_jets", no_sampling)
+    for token, p in (("co0", None), ("reM", 0.0), ("thm3", None),
+                     ("corollary", None), ("thm4", 0.0)):
+        for refused in (lambda: scan(spec, token, SMALL, p=p),
+                        lambda: margin_at(spec, 0.5, token, p=p)):
+            with pytest.raises(ValueError, match="no simple pole at z = 0$"):
+                refused()
+
+
 def test_overflowing_margins_are_excluded():
     # f''/f' = inf at 0: the ring excludes the sample for every token
     spec = parse_spec("laurent:b=[0,1e-12,1e300]")

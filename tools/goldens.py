@@ -202,7 +202,8 @@ NONFINITE_RUNS = (
 
 # A finite complex whose modulus overflows a float, where abs() raises
 # OverflowError: as a coefficient and as a residue. And a pole at a p
-# inside the 1e-12 floor of the origin, where thm4 reads a_p
+# inside the 1e-12 floor of the origin, where thm4 reads a_p; then k_p with
+# its pole there too, but no limits at a pole at 0 for co0 and reM to read
 FLOOR_SPEC = "laurent:p=1e-320;res=1;b=[]"
 MODULUS_RUNS = (
     ("classify", "--function", "laurent:b=[0,1.5e308+1.5e308i]",
@@ -215,6 +216,9 @@ MODULUS_RUNS = (
      "--radii", "2", "--angles", "8"),
     ("margins", "--function", FLOOR_SPEC, "--theorem", "thm4",
      "--p", "1e-320", "--radii", "2", "--angles", "8"),
+    *(("margins", "--function", "kp:p=1e-13", "--theorem", *token,
+       "--radii", "2", "--angles", "8", "--format", "json")
+      for token in (("co0",), ("reM", "--p", "0"))),
 )
 
 # A phi3 limit at the pole at 0 of b1/res = 1e308, where thm4's weight
@@ -333,30 +337,17 @@ def _commands():
     for k, (text, theorem, *params) in enumerate(MARGIN_ERRORS):
         yield (f"margins-error-{k:02d}.csv",
                ["margins", "--function", text, "--theorem", theorem, *params])
-    for k, argv in enumerate(SCALED_RUNS):
-        yield f"scaled-{k}.json", list(argv)
-    for k, argv in enumerate(COLLAPSE_RUNS):
-        yield f"collapse-{k}.json", list(argv)
-    for k, argv in enumerate(HORNER_RUNS):
-        ext = "csv" if argv[0] == "margins" else "json"
-        yield f"horner-{k}.{ext}", list(argv)
-    for k, argv in enumerate(NONFINITE_RUNS):
-        yield f"nonfinite-{k}.json", list(argv)
-    for k, argv in enumerate(MODULUS_RUNS):
-        ext = "csv" if argv[0] == "margins" else "json"
-        yield f"modulus-{k}.{ext}", list(argv)
-    for k, argv in enumerate(ESCAPE_RUNS):
-        ext = "json" if argv[0] == "classify" else "csv"
-        yield f"escape-{k}.{ext}", list(argv)
-    for k, argv in enumerate(ORIGIN_RUNS):
-        yield f"origin-{k}.json", list(argv)
-    for k, argv in enumerate(TALLY_RUNS):
-        ext = "csv" if argv[-1] == "csv" else "json"
-        yield f"tally-{k}.{ext}", list(argv)
-    for k, argv in enumerate(SHARED_RUNS):
-        yield f"shared-{k}.json", list(argv)
-    for k, argv in enumerate(PHI1_RUNS):
-        yield f"phi1-{k}.json", list(argv)
+    for prefix, runs in (("scaled", SCALED_RUNS), ("collapse", COLLAPSE_RUNS),
+                         ("horner", HORNER_RUNS), ("nonfinite", NONFINITE_RUNS),
+                         ("modulus", MODULUS_RUNS), ("escape", ESCAPE_RUNS),
+                         ("origin", ORIGIN_RUNS), ("tally", TALLY_RUNS),
+                         ("shared", SHARED_RUNS), ("phi1", PHI1_RUNS)):
+        for k, argv in enumerate(runs):
+            # json for classify, else the --format value, else csv
+            ext = ("json" if argv[0] == "classify" else
+                   argv[argv.index("--format") + 1] if "--format" in argv
+                   else "csv")
+            yield f"{prefix}-{k}.{ext}", list(argv)
     for k, argv in enumerate(OUT_RUNS):
         yield f"out-{k}.stdout", [*argv, "--out", f"out-{k}.{argv[-1]}"]
 
