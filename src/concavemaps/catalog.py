@@ -313,21 +313,27 @@ class Kp(FamilySpec):
         object.__setattr__(self, "poles", (complex(p), complex(1.0 / p)))
 
     def _denominators(self, col: _Rows) -> tuple[float, list]:
-        """c and d = 1 - cz + z^2 at each of col's samples whose d lies
-        outside the floor; the others are dropped."""
-        c = self.p + 1.0 / self.p
-        ds = [1.0 - c * z + z * z for z in col.zs]
-        return c, col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds)
+        """delta = c - 2 = (1-p)^2/p and d = (z-p)(z-1/p) at each of col's
+        samples whose d lies outside the floor; the others are dropped. The
+        factored d keeps its relative error near eps where 1 - cz + z^2
+        cancels (p near 1, z near 1)."""
+        p, q = self.p, self.poles[1].real
+        ds = [(z - p) * (z - q) for z in col.zs]
+        return ((1.0 - p) ** 2 / p,
+                col.drop({k: _kp_pole(col.zs[k]) for k in _floored(ds)}, ds))
 
     def _jets(self, col: _Rows) -> list:
-        c, ds = self._denominators(col)
+        # with u = 1 - z, the numerators 1 - z^2, c - 3z + z^3 and
+        # c^2 - 1 - 4cz + 6z^2 - z^4 in forms that do not cancel near z = 1
+        delta, ds = self._denominators(col)
+        c2 = self.p + 1.0 / self.p + 2.0
         return [
             (z / d,
-             (1.0 - z2) * id2,
-             2 * (c - 3 * z + z * z2) * id2 / d,
-             6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2)
+             u * (1.0 + z) * id2,
+             2 * (delta + u * u * (2.0 + z)) * id2 / d,
+             6 * (delta * (c2 - 4 * z) + u * u * u * (3.0 + z)) * id2 * id2)
             for z, d in zip(col.zs, ds)
-            for id2 in [1.0 / (d * d)] for z2 in [z * z]]
+            for id2 in [1.0 / (d * d)] for u in [1.0 - z]]
 
     def _values(self, col: _Rows) -> list:
         _, ds = self._denominators(col)

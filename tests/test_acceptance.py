@@ -173,11 +173,13 @@ contour_specs = st.one_of(
                                          allow_infinity=False))
 @settings(max_examples=300, deadline=None)
 @example(Laurent(None, 0j, (0j, 1.0 + 0j, 0.3 + 0j)), 0.4 + 0.2j)
+@example(Kp(0.9766057195135093), 0.841168786432866 + 0j)
 def test_contour_route_error_stays_within_the_rounding_model(spec, z):
     # |contour - eval_jet| <= C k! 2^-52 max|f on the nodes| / rho^k with
     # C = 16. The largest C measured was 2.9 over 3,000 random specs, and
     # 7.9 over 15,000 draws of these strategies (an angle map with
-    # |a| = 0.99, at k = 0)
+    # |a| = 0.99, at k = 0). k_p near p = 1 reached C = 17 (at k = 3) while
+    # its kernels formed 1 - cz + z^2, which cancels near z = 1
     R = min([1.0 - abs(z)] + [abs(z - q) for q in spec.poles])
     assume(R >= 0.1)
     rho = R / 2.0

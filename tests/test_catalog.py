@@ -543,8 +543,8 @@ def _ref_off_pole(z):
     return z
 
 
-def _ref_kp_denominator(c, z):
-    d = 1.0 - c * z + z * z
+def _ref_kp_denominator(p, z):
+    d = (z - p) * (z - 1.0 / p)
     if abs(d) < DEGENERACY_FLOOR:
         raise PoleProximityError(f"k_p denominator vanishes at {z!r}")
     return d
@@ -567,8 +567,7 @@ def _ref_value(spec, z):
         return _require_finite(
             _exp(_log(s) * complex(1.0 + spec.b)) * spec.lead + spec.B)
     if isinstance(spec, Kp):
-        return _require_finite(
-            z / _ref_kp_denominator(spec.p + 1.0 / spec.p, z))
+        return _require_finite(z / _ref_kp_denominator(spec.p, z))
     if spec.pole is None:
         return _require_finite(_ref_poly(spec, z))
     u = z - complex(spec.pole)
@@ -599,16 +598,18 @@ def _ref_jets(spec, z):
         return _jfinite(_jadd(_jmul(_jpow(s, 1.0 + spec.b), lead),
                               _jconst(spec.B)))
     if isinstance(spec, Kp):
-        c = spec.p + 1.0 / spec.p
+        p = spec.p
+        delta = (1.0 - p) ** 2 / p
         z = _require_in_disk(z)
-        d = _ref_kp_denominator(c, z)
+        d = _ref_kp_denominator(p, z)
         id2 = 1.0 / (d * d)
-        z2 = z * z
+        u = 1.0 - z
         return _jfinite((
             z / d,
-            (1.0 - z2) * id2,
-            2 * (c - 3 * z + z * z2) * id2 / d,
-            6 * (c * c - 1 - 4 * c * z + 6 * z2 - z2 * z2) * id2 * id2,
+            u * (1.0 + z) * id2,
+            2 * (delta + u * u * (2.0 + z)) * id2 / d,
+            6 * (delta * (p + 1.0 / p + 2.0 - 4 * z) + u * u * u * (3.0 + z))
+            * id2 * id2,
         ))
     if isinstance(spec, Co0Cubic):
         z = _ref_off_pole(z)

@@ -239,7 +239,7 @@ def test_real_axis_crossings_interpolate_between_samples():
                                   for w in curve.points)
     assert sum(abs(w.imag) <= band for w in curve.points) == 1
     xs = real_axis_crossings(curve)
-    assert xs == (-2.000000040004001, -0.22222225079311883)
+    assert xs == (-2.000000040004001, -0.22222225079311886)
     assert all(abs(x - e) < 1e-3 for x, e in zip(xs, omitted_segment(0.5)))
 
 
