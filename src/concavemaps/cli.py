@@ -44,9 +44,9 @@ from pathlib import Path
 
 from .catalog import EXCLUSION_RADIUS, FamilySpec, format_spec, parse_spec
 from .errors import EmptyScanError, SampleExclusionError
-from .margins import (_TOKENS, CLASS_VERDICT_OK, THEOREMS, VERDICT_OK,
-                      GridConfig, MarginReport, classify, default_grid,
-                      geometric_radii, parse_class, scan)
+from .margins import (_TOKENS, CLASS_GRAMMAR, CLASS_VERDICT_OK, THEOREMS,
+                      VERDICT_OK, GridConfig, MarginReport, classify,
+                      default_grid, geometric_radii, parse_class, scan)
 from .oracle import (DEFAULT_ANGLES, CurveSample, boundary_curve,
                      convexity_defect, oracle_concave)
 
@@ -283,7 +283,7 @@ families:
   laurent:p=<r>;res=<c>;b=[...]   simple pole at p in [0, 1), res != 0
   laurent:b=[<c>,...]             pole-free polynomial (controls)
 complex literals: <re>, <im>i, or <re>+<im>i (also <re>-<im>i)
-classes: co | coalpha:alpha=<r> | co0 | cop:p=<r>
+classes: """ + CLASS_GRAMMAR + """
 theorems: """ + " ".join(THEOREMS) + "\n"
 
 
@@ -312,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = subs.add_parser("classify", help="run a full class membership check")
     sc.add_argument("--function", required=True, help="function spec string")
-    sc.add_argument("--class", dest="cls", required=True,
-                    help="co | coalpha:alpha=<r> | co0 | cop:p=<r>")
+    sc.add_argument("--class", dest="cls", required=True, help=CLASS_GRAMMAR)
     _add_grid_flags(sc)
     sc.add_argument("--out", default=None, help="output path (default stdout)")
 

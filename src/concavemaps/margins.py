@@ -67,7 +67,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .catalog import (EXCLUSION_RADIUS, MAX_SAMPLES, FamilySpec, _count,
-                      _parse_real, _units, format_spec, require_epsilon)
+                      _expect_no_body, _kv_map, _need, _parse_real, _units,
+                      _wrap_range, format_spec, require_epsilon)
 from .errors import (EmptyScanError, IndeterminateSampleError,
                      SampleExclusionError, SpecParseError, _only)
 from .jets import DEGENERACY_FLOOR, _finite_errors, _overflowed
@@ -483,18 +484,31 @@ def phi_prime_one_diagnostic(spec: FamilySpec) -> tuple[float | None, tuple[floa
 
 # -- classification ------------------------------------------------------------
 
+# class kind -> the margin scans it prescribes, in report order, and its one
+# parameter with the rule that checks it, or None
+_CLASSES = {
+    "co": (("thm1",), None),
+    "coalpha": (("co_alpha_lhs", "thm2"), ("alpha", _check_alpha)),
+    "co0": (("reM", "co0", "thm3", "corollary"), None),
+    "cop": (("reM", "thm4"), ("p", _check_p)),
+}
+
+# the class token grammar, as the CLI's help and catalog show it
+CLASS_GRAMMAR = " | ".join(kind if param is None else f"{kind}:{param[0]}=<r>"
+                           for kind, (_, param) in _CLASSES.items())
+
+
 @dataclass(frozen=True)
 class MappingClass:
-    kind: str  # co | coalpha | co0 | cop
+    kind: str  # a key of _CLASSES
     alpha: float | None = None
     p: float | None = None
 
     def token(self) -> str:
-        if self.kind == "coalpha":
-            return f"coalpha:alpha={self.alpha!r}"
-        if self.kind == "cop":
-            return f"cop:p={self.p!r}"
-        return self.kind
+        param = _CLASSES[self.kind][1]
+        if param is None:
+            return self.kind
+        return f"{self.kind}:{param[0]}={getattr(self, param[0])!r}"
 
     def pole(self) -> float | None:
         """Where the class puts the pole inside the disk; None: nowhere."""
@@ -502,43 +516,29 @@ class MappingClass:
 
 
 def parse_class(text: str) -> MappingClass:
+    """Parse a class token by the spec grammar's key=value rules (see
+    catalog.parse_spec), its parameter checked by the rule the margins
+    apply; rejects anything else with a position-annotated SpecParseError."""
     s = text.strip()
-    head, _, tail = s.partition(":")
-    name = head.strip().lower()
-    if name == "co" and not tail:
-        return MappingClass("co")
-    if name == "co0" and not tail:
-        return MappingClass("co0")
-    if name == "coalpha":
-        alpha = _class_parameter(name, head, tail, "alpha")
-        if not (1.0 < alpha <= 2.0):
-            raise SpecParseError(f"alpha out of (1, 2]: {alpha!r}", len(head) + 1)
-        return MappingClass("coalpha", alpha=alpha)
-    if name == "cop":
-        p = _class_parameter(name, head, tail, "p")
-        if not (0.0 <= p < 1.0):
-            raise SpecParseError(f"p out of [0, 1): {p!r}", len(head) + 1)
-        return MappingClass("cop", p=p)
-    raise SpecParseError(f"unknown class {head.strip()!r}", 0)
-
-
-def _class_parameter(name: str, head: str, tail: str, key: str) -> float:
-    """The real value of `<key>=<r>` in a class token's tail."""
-    got, _, val = tail.partition("=")
-    if got.strip() != key or not val:
-        raise SpecParseError(f"{name} needs {key}=<r>", len(head) + 1)
-    return _parse_real(val, len(head) + 1 + len(got) + 1)
+    shift = len(text) - len(text.lstrip())
+    head, sep, tail = s.partition(":")
+    body_at = shift + len(head) + 1
+    kind = head.strip().lower()
+    if kind not in _CLASSES:
+        raise SpecParseError(f"unknown class {head.strip()!r}", shift)
+    param = _CLASSES[kind][1]
+    if param is None:
+        _expect_no_body(sep, tail, body_at)
+        return MappingClass(kind)
+    key, check = param
+    value = _parse_real(*_need(_kv_map(tail, body_at, {key}, ","), key, body_at))
+    try:
+        return MappingClass(kind, **{key: check(value)})
+    except ValueError as exc:
+        raise _wrap_range(exc, text) from exc
 
 
 _ORDER_TOL = 1e-6
-
-# the margin scans each class prescribes, in report order
-_CLASS_SCANS = {
-    "co": ("thm1",),
-    "coalpha": ("co_alpha_lhs", "thm2"),
-    "co0": ("reM", "co0", "thm3", "corollary"),
-    "cop": ("reM", "thm4"),
-}
 
 CLASS_VERDICT_OK = "consistent"
 CLASS_VERDICT_BAD = "violation"
@@ -589,10 +589,10 @@ def classify(spec: FamilySpec, cls: MappingClass | str,
         cls = parse_class(cls)
     if grid is None:
         grid = default_grid()
-    if cls.kind not in _CLASS_SCANS:
+    if cls.kind not in _CLASSES:
         raise ValueError(f"unknown class kind {cls.kind!r}")
     _require_class_poles(spec, cls)
-    tokens = _CLASS_SCANS[cls.kind]
+    tokens = _CLASSES[cls.kind][0]
     p = cls.pole()  # the p that reM and thm4 read
 
     margins = [_margin(spec, t, cls.alpha, p) for t in tokens]

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from concavemaps import cli, oracle, verify
+from concavemaps import cli, margins, oracle, verify
 from concavemaps.catalog import EXCLUSION_RADIUS, format_spec, parse_spec
 from concavemaps.cli import _dump, _Rows, main
-from concavemaps.margins import THEOREMS, default_grid
+from concavemaps.margins import (CLASS_GRAMMAR, THEOREMS, default_grid,
+                                 parse_class)
 from concavemaps.oracle import DEFAULT_ANGLES, boundary_curve
 
 FAST = ["--radii", "6", "--angles", "32"]
@@ -411,6 +412,21 @@ def test_readme_quotes_the_catalog_families():
     listing = cli._CATALOG_TEXT.split("families:\n")[1]
     families = listing.split("complex literals:")[0]
     assert block == families.replace("\n  ", "\n").removeprefix("  ")
+
+
+def test_class_help_and_catalog_render_the_class_table(capsys):
+    # each form names a class kind in table order, and reads back, with a
+    # value in place of <r>, as the token of a class of that kind
+    forms = CLASS_GRAMMAR.split(" | ")
+    assert forms == ["co", "coalpha:alpha=<r>", "co0", "cop:p=<r>"]
+    for kind, form in zip(margins._CLASSES, forms, strict=True):
+        token = form.replace("<r>", "0.5" if kind == "cop" else "1.5")
+        assert parse_class(token).kind == kind
+        assert parse_class(token).token() == token
+    assert f"\nclasses: {CLASS_GRAMMAR}\n" in cli._CATALOG_TEXT
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    assert CLASS_GRAMMAR in " ".join(capsys.readouterr().out.split())
 
 
 def test_margins_help_lists_every_theorem_token(capsys):

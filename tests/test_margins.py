@@ -370,6 +370,12 @@ def test_parse_class():
     assert parse_class("cop:p=0.5") == MappingClass("cop", p=0.5)
     for tok in ("co", "co0", "coalpha:alpha=1.5", "cop:p=0.5"):
         assert parse_class(parse_class(tok).token()) == parse_class(tok)
+    # spaces around a key and a value, a trailing delimiter and an empty
+    # body read as in the spec grammar
+    assert parse_class(" CoAlpha : alpha = 1.5 , ") == MappingClass(
+        "coalpha", alpha=1.5)
+    assert parse_class("cop:p=0.5,") == MappingClass("cop", p=0.5)
+    assert parse_class("co0:") == MappingClass("co0")
     for bad in ("coalpha:alpha=2.5", "coalpha", "cop:p=1.0", "cop:q=0.5",
                 "nonsense"):
         with pytest.raises(SpecParseError):
@@ -381,6 +387,24 @@ def test_parse_class():
         with pytest.raises(SpecParseError) as exc:
             parse_class(bad)
         assert exc.value.position == at
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("  cop:p=x", "malformed real literal 'x'", 8),
+    ("  nonsense", "unknown class 'nonsense'", 2),
+    ("co:x", "unexpected parameters 'x'", 3),
+    ("coalpha:beta=1", "unknown parameter 'beta'", 8),
+    ("coalpha:alpha=1.5,alpha=1.2", "duplicate parameter 'alpha'", 18),
+    ("coalpha", "missing required parameter 'alpha'", 8),
+    ("cop:p=1.0", "p must lie in [0, 1), got 1.0", 4),
+    (" coalpha:alpha=2.5", "alpha must lie in (1, 2], got 2.5", 9),
+])
+def test_each_class_grammar_error_names_its_position(text, message, position):
+    # the spec grammar's reader and positions, with the margins' range rules
+    with pytest.raises(SpecParseError) as exc:
+        parse_class(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 def test_a_margin_at_a_pole_at_0_that_is_not_finite_is_excluded():

@@ -47,6 +47,8 @@ line per command: file name, exit code, argv and stderr. The commands:
   * `classify` runs in which two margins read one ring form and keep
     different samples of it (see SHARED_RUNS);
   * a `classify` run whose phi'(1) quotients overflow (see PHI1_RUNS);
+  * `classify` runs whose class token the class grammar refuses, each with
+    its message and position on stderr (see CLASS_RUNS);
   * three of the runs above again, written through `--out` (see OUT_RUNS):
     each writes its report to the file `--out` names, kept beside its empty
     stdout. Each such file should hold the bytes of its twin's stdout; the
@@ -286,6 +288,16 @@ PHI1_RUNS = (
 )
 
 
+# Class tokens that parse_class refuses, each exit 2 with the message and
+# position the spec grammar's reader gives: a value after leading spaces,
+# an unknown class after them, a body on a class that takes no parameter,
+# an unknown, a duplicate and a missing parameter, and a value out of range
+CLASS_RUNS = tuple(
+    ("classify", "--function", "halfplane", "--class", token)
+    for token in ("  cop:p=x", "  nonsense", "co:x", "coalpha:beta=1",
+                  "coalpha:alpha=1.5,alpha=1.2", "coalpha", "cop:p=1.0"))
+
+
 # The twins of curve-long-2-r0.9999.json and .csv, a 16,384-angle curve whose
 # excluded arc wraps past theta = 0, and of margins-1-reM-3.csv, at the stock
 # grid: each runs to several blocks of rows. Then a margins CSV whose every
@@ -341,7 +353,8 @@ def _commands():
                          ("horner", HORNER_RUNS), ("nonfinite", NONFINITE_RUNS),
                          ("modulus", MODULUS_RUNS), ("escape", ESCAPE_RUNS),
                          ("origin", ORIGIN_RUNS), ("tally", TALLY_RUNS),
-                         ("shared", SHARED_RUNS), ("phi1", PHI1_RUNS)):
+                         ("shared", SHARED_RUNS), ("phi1", PHI1_RUNS),
+                         ("class", CLASS_RUNS)):
         for k, argv in enumerate(runs):
             # json for classify, else the --format value, else csv
             ext = ("json" if argv[0] == "classify" else
